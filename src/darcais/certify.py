@@ -329,7 +329,7 @@ def certify_theorem_not_ramified(
     g: ArithmeticFunction,
     c: AlgebraicCandidate,
     n: int,
-    prime_bound: int = 50,
+    prime_bound: int = DEFAULT_CONFIG.not_ramified_prime_bound,
 ) -> Certificate:
     """Quadratic-only criterion for n in the classes 0, 1 mod p.
 
@@ -392,8 +392,8 @@ def certify_generic(
     g: ArithmeticFunction,
     c: AlgebraicCandidate,
     n: int,
-    primes=(2, 3, 5, 7, 11, 13),
-    seed: int = 0,
+    primes=DEFAULT_CONFIG.primes,
+    seed: int = DEFAULT_CONFIG.seed,
 ) -> Certificate:
     """Search the given primes for a local divisibility obstruction.
 
@@ -419,7 +419,7 @@ def certify_generic(
         except TableExhaustedError:
             skipped.append(p)
             continue
-        a_fact = factor(a_mod, seed=seed)
+        a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
         min_fact = factor(reduce_mod(c.min_poly, p), seed=seed)
         a_irreducibles = {poly for poly, _ in a_fact.factors}
         for q, _ in min_fact.factors:
@@ -682,7 +682,7 @@ def check_zmija_conditions(g: ArithmeticFunction, seed: int = 0) -> ZmijaReport:
         found = []
         profiles = {}
         for r in indices:
-            fact = factor(polymod.a_poly_mod(g, r, p), seed=seed)
+            fact = polymod.factor_a_poly_mod(g, r, p, seed=seed)
             profiles[str(r)] = fact.degrees()
             for q, _ in fact.factors:
                 if bad(q):
@@ -802,12 +802,14 @@ def _candidate_factory(kind: str):
     if kind == "gauss":
         return lambda a, b: QuadraticShift.gaussian(a, b)
     head, _, tail = kind.partition(":")
-    if head == "quad" and tail:
-        D = int(tail)
-        return lambda a, b: QuadraticShift(D=D, a=a, b=b)
-    if head == "cyc" and tail:
-        m = int(tail)
-        return lambda a, b: CyclotomicShift(m=m, a=a, b=b)
+    try:
+        value = int(tail)
+    except ValueError:
+        value = None
+    if head == "quad" and value is not None:
+        return lambda a, b: QuadraticShift(D=value, a=a, b=b)
+    if head == "cyc" and value is not None:
+        return lambda a, b: CyclotomicShift(m=value, a=a, b=b)
     raise DomainError(f"unknown grid kind {kind!r}; expected gauss | quad:D | cyc:m")
 
 

@@ -16,6 +16,7 @@ import sys
 from . import __version__, numfield, polymod, series
 from .arith import ArithmeticFunction
 from .certify import (
+    DEFAULT_CONFIG,
     CertifyConfig,
     certify as run_certify,
     certify_all_n,
@@ -90,11 +91,11 @@ def _emit(args, document: dict, text: str | None = None) -> None:
 
 _FLAG_DEFAULTS = {
     "g": "sigma",
-    "primes": "2,3,5,7,11,13",
-    "exact_eval_bound": 30,
-    "not_ramified_bound": 50,
+    "primes": ",".join(str(p) for p in DEFAULT_CONFIG.primes),
+    "exact_eval_bound": DEFAULT_CONFIG.exact_eval_bound,
+    "not_ramified_bound": DEFAULT_CONFIG.not_ramified_prime_bound,
     "oracle_bound": series.DEFAULT_ORACLE_BOUND,
-    "seed": 0,
+    "seed": DEFAULT_CONFIG.seed,
     "format": "json",
     "out": None,
 }
@@ -198,9 +199,8 @@ def _cmd_poly(args, g) -> int:
         raise DomainError("--rational cannot be combined with --mod")
     header = _run_header(args)
     if args.mod is not None:
-        reduced = polymod.a_poly_mod(g, args.n, args.mod)
         if args.factor:
-            fact = polymod.factor(reduced, seed=args.seed)
+            fact = polymod.factor_a_poly_mod(g, args.n, args.mod, seed=args.seed)
             doc = {**header, "n": args.n, "mod": args.mod,
                    "factorization": fact.to_json_dict()}
             text = " * ".join(
@@ -211,6 +211,7 @@ def _cmd_poly(args, g) -> int:
                 text = f"{fact.unit} * {text}"
             _emit(args, doc, f"{text} (mod {args.mod})")
         else:
+            reduced = polymod.a_poly_mod(g, args.n, args.mod)
             doc = {**header, "n": args.n, "mod": args.mod,
                    "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}}
             _emit(args, doc, str(reduced))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from . import arith
 from .errors import DomainError, NotInvertibleError
@@ -387,8 +388,12 @@ def _equal_degree(f: ModPoly, d: int, rng: random.Random) -> list[ModPoly]:
             return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
+# Factorizations are immutable and canonical, so repeats (the same minimal
+# polynomial for every n of a scan, the same small pieces of A_n mod p)
+# are shared within a process.  The bound caps memory, not correctness.
+@lru_cache(maxsize=1024)
 def factor(f: ModPoly, seed: int = 0) -> Factorization:
-    """Complete factorization of a nonzero polynomial over F_p."""
+    """Complete factorization of a nonzero polynomial over F_p (memoized)."""
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     p = f.p
@@ -448,14 +453,8 @@ def cyclotomic(m: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 
-def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
-    """n-th integer D'Arcais polynomial for g, reduced mod p, without ever
-    materializing the integer polynomial.
-
-    Write n = l*p + r with 0 <= r < p.  The residue factors as the r-th
-    polynomial times the l-th power of X*(X**(p-1) - g(p)), so only the
-    first r terms of the recursion are needed.
-    """
+def _split_index(g: arith.ArithmeticFunction, n: int, p: int) -> tuple[int, ModPoly]:
+    """Write n = l*p + r with 0 <= r < p; return l and A_r mod p."""
     _check_modulus(p)
     if n < 0:
         raise DomainError(f"a_poly_mod requires n >= 0, got {n}")
@@ -474,9 +473,78 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
             total = total + term
             c = c * (j - k) % p
         polys.append(total * x)
-    result = polys[r]
+    return ell, polys[r]
 
-    if ell:
-        base = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1])  # X * (X**(p-1) - g(p))
-        result = result * base**ell
-    return result
+
+def _binomial_power(u: int, ell: int, p: int) -> list[int]:
+    """Coefficients of (Y + u)**ell over F_p, constant term first, in O(ell).
+
+    Lucas' theorem: with ell = sum d_i p**i, (Y + u)**ell is the product of
+    (Y**(p**i) + u)**d_i (as u**p = u).  The lower digits only reach
+    exponents below p**i, so digit i places d_i + 1 scaled copies of the
+    row built so far at spacing p**i, with no overlap.
+    """
+    row = [1]
+    span = 1  # p**i
+    while ell:
+        ell, d = divmod(ell, p)
+        block = row + [0] * (span - len(row))
+        out: list[int] = []
+        for j in range(d + 1):
+            t = comb(d, j) * pow(u, d - j, p) % p
+            out.extend([t * v % p for v in block])
+        row = out[: d * span + len(row)]
+        span *= p
+    return row
+
+
+def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
+    """n-th integer D'Arcais polynomial for g, reduced mod p, without ever
+    materializing the integer polynomial.
+
+    Write n = l*p + r with 0 <= r < p.  The residue factors as the r-th
+    polynomial times the l-th power of X*(X**(p-1) - g(p)), so only the
+    first r terms of the recursion are needed; the power is written down
+    from its binomial coefficients.
+    """
+    ell, a_r = _split_index(g, n, p)
+    if not ell:
+        return a_r
+    # (X*(X**(p-1) - c))**l = sum_k C(l, k) (-c)**(l-k) X**(l + (p-1)*k)
+    out = [0] * (ell * p + a_r.degree + 1)
+    for k, t in enumerate(_binomial_power(-g(p) % p, ell, p)):
+        if t:
+            base = ell + (p - 1) * k
+            for i, a in enumerate(a_r.coeffs):
+                out[base + i] += t * a
+    return ModPoly(p, out)
+
+
+def factor_a_poly_mod(
+    g: arith.ArithmeticFunction, n: int, p: int, seed: int = 0
+) -> Factorization:
+    """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from
+    factorizations of degree below p.
+
+    With n = l*p + r and c = g(p) mod p, A_n = A_r * X**l * (X**(p-1) - c)**l.
+    For c != 0 the bracket is squarefree (X does not divide it, and its
+    derivative is a power of X up to a unit), so each of its irreducible
+    factors enters with multiplicity l; for c = 0 it is X**(p-1).
+    Multiplicities of irreducibles shared with A_r add up.
+    """
+    ell, a_r = _split_index(g, n, p)
+    fact_r = factor(a_r, seed=seed)
+    if not ell:
+        return fact_r
+    mults = dict(fact_r.factors)
+    x = ModPoly.x(p)
+    c = g(p) % p
+    if c:
+        bracket = factor(ModPoly(p, [-c] + [0] * (p - 2) + [1]), seed=seed)
+        extra = [(x, ell)] + [(q, ell) for q in bracket.irreducible_factors()]
+    else:
+        extra = [(x, ell * p)]
+    for q, mult in extra:
+        mults[q] = mults.get(q, 0) + mult
+    found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
+    return Factorization(p=p, unit=fact_r.unit, seed=seed, factors=tuple(found))

@@ -28,6 +28,7 @@ from darcais import (
     reduce_mod,
     series_oracle,
     tau_list,
+    verify_certificate,
 )
 from darcais.numfield import CyclotomicShift, QuadraticShift
 from darcais.polymod import ModPoly
@@ -198,3 +199,15 @@ def test_ac10_hurwitz_exploration():
                 f"n = {failures}; coefficients: "
                 + "; ".join(str(h_poly(SIGMA, n)) for n in failures)
             )
+
+
+def test_ac11_generic_obstruction_at_a_million():
+    # n = 5*200000 + 1; 2 and 3 divide the index and the shift criteria do
+    # not apply, so only the mod-5 obstruction can settle this n.
+    c = CyclotomicShift(8, 6, 1)
+    n = 1_000_001
+    with budget("AC-11 generic obstruction at n = 1000001", 10):
+        cert = certify(SIGMA, c, n)
+    assert cert.proven
+    assert cert.method == "generic_obstruction" and cert.witness_prime == 5
+    assert verify_certificate(SIGMA, cert)

@@ -482,6 +482,13 @@ class TestShortTables:
         outcomes = {a["verdict"] for a in cert.evidence["attempts"]}
         assert "skipped_table_exhausted" in outcomes
 
+    def test_generic_skips_primes_past_the_table(self):
+        g = ArithmeticFunction.from_table([1, 2, 2], name="short")
+        cert = certify_generic(g, CyclotomicShift(8, 6, 1), 10)
+        # 2 and 3 divide the index; n = 10 needs g(p) for p = 5..13
+        assert cert.verdict == INCONCLUSIVE
+        assert cert.evidence["skipped_primes"] == [2, 3, 5, 7, 11, 13]
+
     def test_chain_still_proves_via_theorems(self):
         g = ArithmeticFunction.from_table([1, 2, 3], name="short")
         cert = certify(g, CyclotomicShift(5, 1, 0), 50)

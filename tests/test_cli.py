@@ -39,6 +39,14 @@ class TestPoly:
         )
         assert total == 12
 
+    def test_mod_factor_matches_full_factorization(self, capsys):
+        from darcais import ArithmeticFunction, a_poly_mod, factor
+
+        code, out, _ = run(capsys, "poly", "64", "--mod", "5", "--factor", "--seed", "3")
+        want = factor(a_poly_mod(ArithmeticFunction.sigma(), 64, 5), seed=3)
+        assert code == 0
+        assert json.loads(out)["factorization"] == want.to_json_dict()
+
     def test_factor_requires_mod(self, capsys):
         code, _, err = run(capsys, "poly", "5", "--factor")
         assert code == 2 and "requires --mod" in err
@@ -133,6 +141,14 @@ class TestScan:
     def test_malformed_range(self, capsys):
         code, _, err = run(capsys, "scan", "--a-range", "oops", "--b-range=0:0")
         assert code == 2
+
+    def test_malformed_kind_is_usage_error(self, capsys):
+        for kind in ("quad:x", "cyc:", "cyc:1.5"):
+            code, _, err = run(
+                capsys, "scan", "--kind", kind, "--a-range=1:1", "--b-range=0:0"
+            )
+            assert code == 2, kind
+            assert "unknown grid kind" in err and "Traceback" not in err, kind
 
     def test_empty_range_yields_empty_grid(self, capsys):
         code, out, _ = run(

@@ -15,6 +15,7 @@ from darcais import (
     cyclotomic,
     euler_phi,
     factor,
+    factor_a_poly_mod,
     is_irreducible,
     reduce_mod,
 )
@@ -284,6 +285,76 @@ class TestAPolyMod:
         g = ArithmeticFunction.from_table([1, 2, 3])
         with pytest.raises(TableExhaustedError):
             a_poly_mod(g, 10, 5)
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13)
+DEEP_INDICES = (2501, 3001, 3502)
+
+
+def oracle_gs():
+    """sigma (g(p) = 1 mod p), identity (g(p) = 0 mod p) and three tables."""
+    tables = [random_table(seed, 15) for seed in (41, 42, 43)]
+    return [ArithmeticFunction.sigma(), ArithmeticFunction.identity()] + tables
+
+
+def power_route(g, p, indices) -> dict:
+    """Oracle: A_n mod p as A_r * (X*(X**(p-1) - g(p)))**l for n = l*p + r,
+    with A_r reduced from the integer polynomial and the power taken by
+    repeated squaring instead of from binomial coefficients."""
+    base = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1])
+    small = [reduce_mod(a_poly(g, r), p) for r in range(p)]
+    powers = {}
+    out = {}
+    for n in indices:
+        ell, r = divmod(n, p)
+        if ell not in powers:
+            powers[ell] = base**ell
+        out[n] = small[r] * powers[ell]
+    return out
+
+
+class TestClosedFormAPolyMod:
+    def test_matches_power_route(self):
+        for g in oracle_gs():
+            for p in ORACLE_PRIMES:
+                for n, want in power_route(g, p, range(301)).items():
+                    assert a_poly_mod(g, n, p) == want, (g.name, p, n)
+
+    def test_matches_power_route_deep(self, sigma_g):
+        for n, want in power_route(sigma_g, 5, DEEP_INDICES).items():
+            assert a_poly_mod(sigma_g, n, 5) == want, n
+
+
+class TestFactorAPolyMod:
+    def test_matches_full_factorization(self):
+        for g in oracle_gs():
+            for p in ORACLE_PRIMES:
+                for n in range(151):
+                    seed = n % 3
+                    want = factor(a_poly_mod(g, n, p), seed=seed)
+                    assert factor_a_poly_mod(g, n, p, seed=seed) == want, (g.name, p, n)
+
+    def test_matches_full_factorization_deep(self, sigma_g):
+        for n in DEEP_INDICES:
+            want = factor(a_poly_mod(sigma_g, n, 5), seed=7)
+            assert factor_a_poly_mod(sigma_g, n, 5, seed=7) == want, n
+
+    def test_identity_is_a_pure_power_of_x(self, identity_g):
+        fact = factor_a_poly_mod(identity_g, 10**6, 5)
+        assert [(q.coeffs, m) for q, m in fact.factors] == [((0, 1), 10**6)]
+
+    def test_cost_does_not_grow_with_n(self, sigma_g):
+        fact = factor_a_poly_mod(sigma_g, 10**9 + 3, 7)
+        assert sum(q.degree * m for q, m in fact.factors) == 10**9 + 3
+        assert fact.unit == 1
+
+    def test_table_exhaustion_is_range_error(self):
+        from darcais import TableExhaustedError
+
+        g = ArithmeticFunction.from_table([1, 2, 3])
+        with pytest.raises(TableExhaustedError):
+            factor_a_poly_mod(g, 10, 5)
+        assert factor_a_poly_mod(g, 3, 5) == factor(a_poly_mod(g, 3, 5))
 
 
 class TestAgainstSympy:
