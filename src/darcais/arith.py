@@ -232,8 +232,12 @@ class ArithmeticFunction:
     def from_file(cls, path) -> "ArithmeticFunction":
         """Load a table: one integer per line, line k holding g(k)."""
         path = Path(path)
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not a text file: {exc}") from None
         values = []
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue

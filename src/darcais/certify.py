@@ -15,14 +15,16 @@ factorization-based ones:
    polynomial mod p,
 6. exact evaluation in the ring of integers (bounded n).
 
-Every proven certificate carries enough recorded inputs (including seeds)
-to be re-derived bit for bit; ``verify_certificate`` does exactly that.
+The chain is one ordered table (``_CHAIN``) that ``certify``,
+``certify_all_n`` and ``verify_certificate`` all read.  Every proven
+certificate carries enough recorded inputs (including seeds) to be
+re-derived bit for bit; ``verify_certificate`` does exactly that.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -486,6 +488,76 @@ def certify_exact(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certi
 # ---------------------------------------------------------------------------
 
 
+# Each chain method, in the order the chain tries it: when it applies to
+# (g, c, n, config), and how to run it from the same inputs.  n is None in
+# the all-n scope, where only the all-n criteria apply.  Runners call the
+# certify_* functions through their module globals, so a rebinding (for
+# instance by a tracer) reaches the chain.
+_CHAIN = {
+    "han_bound": (
+        lambda g, c, n, config: n is not None and g.kind == "sigma",
+        lambda g, c, n, config: certify_han_bound(c, n),
+    ),
+    "translated_shift": (
+        lambda g, c, n, config: True,
+        lambda g, c, n, config: certify_theorem_translated(g, c),
+    ),
+    "gaussian_sigma": (
+        lambda g, c, n, config: n is not None
+        and g.kind == "sigma"
+        and isinstance(c, QuadraticShift)
+        and c.D == -1,
+        lambda g, c, n, config: certify_theorem_gaussian_sigma(c.a, c.b, n),
+    ),
+    "not_ramified": (
+        lambda g, c, n, config: n is not None and isinstance(c, QuadraticShift),
+        lambda g, c, n, config: certify_theorem_not_ramified(
+            g, c, n, prime_bound=config.not_ramified_prime_bound
+        ),
+    ),
+    "generic_obstruction": (
+        lambda g, c, n, config: n is not None,
+        lambda g, c, n, config: certify_generic(
+            g, c, n, primes=config.primes, seed=config.seed
+        ),
+    ),
+    "exact_evaluation": (
+        lambda g, c, n, config: n is not None and n <= config.exact_eval_bound,
+        lambda g, c, n, config: certify_exact(g, c, n),
+    ),
+}
+
+
+def _chain(
+    g: ArithmeticFunction, c: AlgebraicCandidate, n: int | None, config: CertifyConfig
+) -> Certificate:
+    """Run every applicable method in table order; first proof wins."""
+    attempts = []
+    for method, (applies, run) in _CHAIN.items():
+        if not applies(g, c, n, config):
+            continue
+        try:
+            cert = run(g, c, n, config)
+        except TableExhaustedError:
+            attempts.append({"method": method, "verdict": "skipped_table_exhausted"})
+            continue
+        if cert.proven:
+            return cert
+        attempts.append({"method": method, "verdict": cert.verdict})
+    details = {"config": config.to_json_dict()}
+    if n is not None:
+        details["n"] = n
+    return Certificate(
+        g_name=g.name,
+        candidate=c,
+        scope=Scope.all_n() if n is None else Scope.single(n),
+        verdict=INCONCLUSIVE,
+        method="none",
+        details=details,
+        evidence={"attempts": attempts},
+    )
+
+
 def certify(
     g: ArithmeticFunction,
     c: AlgebraicCandidate,
@@ -495,51 +567,7 @@ def certify(
     """Try every method in order of increasing cost; first proof wins."""
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    attempts = []
-
-    def note(cert: Certificate) -> Certificate:
-        attempts.append({"method": cert.method, "verdict": cert.verdict})
-        return cert
-
-    if g.kind == "sigma":
-        cert = note(certify_han_bound(c, n))
-        if cert.proven:
-            return cert
-    cert = note(certify_theorem_translated(g, c))
-    if cert.proven:
-        return cert
-    if g.kind == "sigma" and isinstance(c, QuadraticShift) and c.D == -1:
-        cert = note(certify_theorem_gaussian_sigma(c.a, c.b, n))
-        if cert.proven:
-            return cert
-    if isinstance(c, QuadraticShift):
-        cert = note(
-            certify_theorem_not_ramified(g, c, n, prime_bound=config.not_ramified_prime_bound)
-        )
-        if cert.proven:
-            return cert
-    cert = note(certify_generic(g, c, n, primes=config.primes, seed=config.seed))
-    if cert.proven:
-        return cert
-    if n <= config.exact_eval_bound:
-        try:
-            cert = note(certify_exact(g, c, n))
-        except TableExhaustedError:
-            attempts.append(
-                {"method": "exact_evaluation", "verdict": "skipped_table_exhausted"}
-            )
-            cert = None
-        if cert is not None and cert.proven:
-            return cert
-    return Certificate(
-        g_name=g.name,
-        candidate=c,
-        scope=Scope.single(n),
-        verdict=INCONCLUSIVE,
-        method="none",
-        details={"n": n, "config": config.to_json_dict()},
-        evidence={"attempts": attempts},
-    )
+    return _chain(g, c, n, config)
 
 
 def certify_all_n(
@@ -548,18 +576,7 @@ def certify_all_n(
     config: CertifyConfig = DEFAULT_CONFIG,
 ) -> Certificate:
     """Certification for every n >= 1 at once; only all-n criteria qualify."""
-    cert = certify_theorem_translated(g, c)
-    if cert.proven:
-        return cert
-    return Certificate(
-        g_name=g.name,
-        candidate=c,
-        scope=Scope.all_n(),
-        verdict=INCONCLUSIVE,
-        method="none",
-        details={"config": config.to_json_dict()},
-        evidence={"attempts": [{"method": cert.method, "verdict": cert.verdict}]},
-    )
+    return _chain(g, c, None, config)
 
 
 def verify_certificate(
@@ -567,48 +584,37 @@ def verify_certificate(
     cert: Certificate,
     config: CertifyConfig = DEFAULT_CONFIG,
 ) -> bool:
-    """Re-derive the certificate from its recorded inputs and compare bytes."""
-    c = cert.candidate
-    method = cert.method
-    if method == "han_bound":
-        redo = certify_han_bound(c, cert.details["n"])
-    elif method == "translated_shift":
-        redo = certify_theorem_translated(g, c)
-    elif method == "gaussian_sigma":
-        redo = certify_theorem_gaussian_sigma(c.a, c.b, cert.details["n"])
-    elif method == "not_ramified":
-        redo = certify_theorem_not_ramified(
-            g, c, cert.details["n"], prime_bound=cert.details["prime_bound"]
-        )
-    elif method == "generic_obstruction":
-        redo = certify_generic(
-            g,
-            c,
-            cert.details["n"],
-            primes=tuple(cert.details["primes"]),
-            seed=cert.details["seed"],
-        )
-    elif method == "exact_evaluation":
-        redo = certify_exact(g, c, cert.details["n"])
-    elif method == "zmija_cyclotomic":
+    """Re-derive the certificate from its recorded inputs and compare bytes.
+
+    A chain method is replayed by its table entry, without the entry's
+    applicability test, on the n, primes, seed and prime bound recorded in
+    its details; an inconclusive chain result re-runs the whole chain under
+    its recorded configuration.
+    """
+    c, details = cert.candidate, cert.details
+    n = details.get("n")
+    if cert.method == "zmija_cyclotomic":
         redo = certify_zmija_cyclotomic(
-            g, c.m, assume_integer_valued=cert.details["assume_integer_valued"]
+            g, c.m, assume_integer_valued=details["assume_integer_valued"]
         )
-    elif method == "none":
-        recorded = cert.details.get("config")
+    elif cert.method == "none":
+        recorded = details.get("config")
         if recorded is not None:
-            config = CertifyConfig(
-                primes=tuple(recorded["primes"]),
-                exact_eval_bound=recorded["exact_eval_bound"],
-                not_ramified_prime_bound=recorded["not_ramified_prime_bound"],
-                seed=recorded["seed"],
-            )
-        if "n" in cert.details:
-            redo = certify(g, c, cert.details["n"], config=config)
-        else:
-            redo = certify_all_n(g, c, config=config)
+            config = CertifyConfig(**{**recorded, "primes": tuple(recorded["primes"])})
+        redo = _chain(g, c, n, config)
+    elif cert.method in _CHAIN:
+        inputs = replace(
+            config,
+            primes=tuple(details.get("primes", config.primes)),
+            not_ramified_prime_bound=details.get(
+                "prime_bound", config.not_ramified_prime_bound
+            ),
+            seed=details.get("seed", config.seed),
+        )
+        _, run = _CHAIN[cert.method]
+        redo = run(g, c, n, inputs)
     else:
-        raise DomainError(f"unknown certificate method {method!r}")
+        raise DomainError(f"unknown certificate method {cert.method!r}")
     return redo.canonical_json() == cert.canonical_json()
 
 
@@ -813,9 +819,20 @@ def _candidate_factory(kind: str):
     raise DomainError(f"unknown grid kind {kind!r}; expected gauss | quad:D | cyc:m")
 
 
-def _scan_rational_integer(
-    g: ArithmeticFunction, b: int, n_max: int
-) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+def _grid_point(a: int, b: int, methods: set, uncertified: list) -> GridPoint:
+    """Per-n outcome of one point, summarized by its status."""
+    if not uncertified:
+        status = STATUS_UP_TO_NMAX
+    elif methods:
+        status = STATUS_PARTIAL
+    else:
+        status = STATUS_UNKNOWN
+    return GridPoint(
+        a=a, b=b, status=status, methods=tuple(sorted(methods)), uncertified=tuple(uncertified)
+    )
+
+
+def _scan_rational_integer(g: ArithmeticFunction, b: int, n_max: int) -> GridPoint:
     """Real-axis point: certify n by the absolute bound or exact evaluation."""
     methods = set()
     uncertified = []
@@ -828,13 +845,7 @@ def _scan_rational_integer(
             methods.add("exact_evaluation")
         else:
             uncertified.append(n)
-    if not uncertified:
-        status = STATUS_UP_TO_NMAX
-    elif methods:
-        status = STATUS_PARTIAL
-    else:
-        status = STATUS_UNKNOWN
-    return status, tuple(sorted(methods)), tuple(uncertified)
+    return _grid_point(0, b, methods, uncertified)
 
 
 def scan_grid(
@@ -859,23 +870,12 @@ def scan_grid(
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             if a == 0:
-                status, methods, uncertified = _scan_rational_integer(g, b, n_max)
-                points.append(
-                    GridPoint(a=a, b=b, status=status, methods=methods, uncertified=uncertified)
-                )
+                points.append(_scan_rational_integer(g, b, n_max))
                 continue
             c = make(a, b)
             cert = certify_all_n(g, c, config)
             if cert.proven:
-                points.append(
-                    GridPoint(
-                        a=a,
-                        b=b,
-                        status=STATUS_ALL_N,
-                        methods=(cert.method,),
-                        uncertified=(),
-                    )
-                )
+                points.append(GridPoint(a, b, STATUS_ALL_N, (cert.method,), ()))
                 continue
             methods = set()
             uncertified = []
@@ -885,21 +885,7 @@ def scan_grid(
                     methods.add(per_n.method)
                 else:
                     uncertified.append(n)
-            if not uncertified:
-                status = STATUS_UP_TO_NMAX
-            elif methods:
-                status = STATUS_PARTIAL
-            else:
-                status = STATUS_UNKNOWN
-            points.append(
-                GridPoint(
-                    a=a,
-                    b=b,
-                    status=status,
-                    methods=tuple(sorted(methods)),
-                    uncertified=tuple(uncertified),
-                )
-            )
+            points.append(_grid_point(a, b, methods, uncertified))
     return GridResult(
         g_name=g.name,
         kind=kind,

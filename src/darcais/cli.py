@@ -77,16 +77,19 @@ def _run_header(args) -> dict:
     }
 
 
-def _emit(args, document: dict, text: str | None = None) -> None:
-    if args.format == "text" and text is not None:
-        payload = text if text.endswith("\n") else text + "\n"
-    else:
-        payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
+def _write(args, payload: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+
+
+def _emit(args, document: dict, text: str | None = None) -> None:
+    if args.format == "text" and text is not None:
+        _write(args, text if text.endswith("\n") else text + "\n")
+    else:
+        _write(args, json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
 _FLAG_DEFAULTS = {
@@ -99,6 +102,20 @@ _FLAG_DEFAULTS = {
     "format": "json",
     "out": None,
 }
+_FORMATS = ("json", "csv", "text")
+
+
+def _check_flag_defaults(config: dict) -> None:
+    """A config value must be one its flag accepts on the command line."""
+    unknown = set(config) - set(_FLAG_DEFAULTS)
+    if unknown:
+        raise DomainError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        want = int if isinstance(_FLAG_DEFAULTS[key], int) else str
+        if type(value) is not want or (want is str and "\0" in value):
+            raise DomainError(f"config key {key!r} does not take {value!r}")
+    if config.get("format", "json") not in _FORMATS:
+        raise DomainError(f"config key 'format' must be one of {_FORMATS}")
 
 
 def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
@@ -114,17 +131,15 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
                         help="cap for the partition oracle")
     parser.add_argument("--seed", type=int, default=defaults["seed"],
                         help="seed recorded into factorizations/certificates")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=defaults["format"])
+    parser.add_argument("--format", choices=_FORMATS, default=defaults["format"])
     parser.add_argument("--out", default=defaults["out"],
                         help="write output to FILE instead of stdout")
 
 
 def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
     defaults = dict(_FLAG_DEFAULTS)
-    if flag_defaults:
-        unknown = set(flag_defaults) - set(_FLAG_DEFAULTS)
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+    if flag_defaults is not None:
+        _check_flag_defaults(flag_defaults)
         defaults.update(flag_defaults)
     parser = argparse.ArgumentParser(
         prog="darcais",
@@ -272,17 +287,11 @@ def _cmd_scan(args, g) -> int:
         args.n_max,
         config,
     )
-    doc = {**_run_header(args), "grid": grid.to_json_dict()}
     if args.format == "csv":
         header_line = json.dumps(_run_header(args), sort_keys=True)
-        payload = f"# {header_line}\n{grid.to_csv()}"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
-        return EXIT_OK
-    _emit(args, doc, grid.to_csv())
+        _write(args, f"# {header_line}\n{grid.to_csv()}")
+    else:
+        _emit(args, {**_run_header(args), "grid": grid.to_json_dict()}, grid.to_csv())
     return EXIT_OK
 
 
@@ -366,9 +375,12 @@ def _env_config() -> dict | None:
         return None
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read config file {path!r}: {exc}") from None
+    if not isinstance(config, dict):
+        raise DomainError(f"config file {path!r} must hold a JSON object, got {config!r}")
+    return config
 
 
 def main(argv=None) -> int:
@@ -384,10 +396,7 @@ def main(argv=None) -> int:
     except TableExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

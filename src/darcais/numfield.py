@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import arith, polymod
+from . import arith, polymod, series
 from .errors import DomainError
 from .polynomial import IntPoly
 from .polymod import Factorization, ModPoly
@@ -174,11 +174,6 @@ def parse_candidate(text: str) -> AlgebraicCandidate:
     )
 
 
-def index_of(c: AlgebraicCandidate) -> int:
-    """Index of Z[alpha] in the ring of integers, by the closed form."""
-    return c.index
-
-
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Determinant by fraction-free elimination; all divisions are exact."""
     n = len(rows)
@@ -218,18 +213,8 @@ def index_via_determinant(m: int, a: int, b: int) -> int:
         raise DomainError(f"index_via_determinant requires m >= 3, got {m}")
     if a == 0:
         raise DomainError("a = 0 degenerates to a rational integer")
-    phi_m = polymod.cyclotomic(m)
-    deg = phi_m.degree
-    reducer = [-c for c in phi_m.coeffs[:-1]]
-    vec = [1] + [0] * (deg - 1)
-    rows = [list(vec)]
-    for _ in range(deg - 1):
-        shifted = [0] + [a * c for c in vec[:-1]]
-        top = a * vec[-1]
-        if top:
-            shifted = [s + top * r for s, r in zip(shifted, reducer)]
-        vec = [s + b * c for s, c in zip(shifted, vec)]
-        rows.append(list(vec))
+    deg = arith.euler_phi(m)
+    rows = [series.evaluate_at_cyclotomic(IntPoly.monomial(j), m, a, b) for j in range(deg)]
     return abs(_bareiss_det(rows))
 
 

@@ -288,12 +288,6 @@ class Factorization:
     def degrees(self) -> list[int]:
         return [poly.degree for poly, _ in self.factors]
 
-    def multiplicities(self) -> list[int]:
-        return [mult for _, mult in self.factors]
-
-    def max_factor_degree(self) -> int:
-        return max((poly.degree for poly, _ in self.factors), default=0)
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,

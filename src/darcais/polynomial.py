@@ -75,10 +75,6 @@ class _BasePoly:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int, coeff=1):
         if degree < 0:
             raise DomainError("monomial degree must be >= 0")
@@ -181,14 +177,6 @@ class _BasePoly:
             n >>= 1
         return result
 
-    def shift(self, k: int):
-        """Multiply by X**k."""
-        if k < 0:
-            raise DomainError("shift must be >= 0")
-        if self.is_zero:
-            return self
-        return type(self)((self._coerce(0),) * k + self._coeffs)
-
     def evaluate(self, x):
         """Exact Horner evaluation; the result type follows the inputs."""
         acc = 0
@@ -280,14 +268,6 @@ class IntPoly(_BasePoly):
             raise DomainError("division left a nonzero remainder")
         return IntPoly(quot)
 
-    def content_is_one(self) -> bool:
-        from math import gcd
-
-        g = 0
-        for c in self._coeffs:
-            g = gcd(g, c)
-        return g == 1
-
 
 class RatPoly(_BasePoly):
     """Polynomial with exact rational coefficients."""
@@ -312,10 +292,6 @@ class RatPoly(_BasePoly):
         if isinstance(other, (int, Fraction)):
             return RatPoly((other,))
         return None
-
-    @classmethod
-    def from_int_poly(cls, p: IntPoly) -> "RatPoly":
-        return cls(p.coeffs)
 
     @classmethod
     def from_text(cls, text: str) -> "RatPoly":

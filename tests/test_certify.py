@@ -348,6 +348,62 @@ class TestReplay:
         assert not verify_certificate(sigma_g, bad)
 
 
+class TestChainTableReplay:
+    """Certificates made under a non-default configuration replay under the
+    default one: replay reads its inputs from the certificate."""
+
+    CONFIG = CertifyConfig(
+        primes=(5, 7), exact_eval_bound=3, not_ramified_prime_bound=7, seed=3
+    )
+
+    @pytest.mark.parametrize(
+        "g_name, candidate, n, method",
+        [
+            ("sigma", QuadraticShift.gaussian(1, 100), 2, "han_bound"),
+            ("sigma", QuadraticShift(5, 1, 0), 3, "translated_shift"),
+            ("sigma", QuadraticShift.gaussian(3, 0), 2, "gaussian_sigma"),
+            ("sigma", QuadraticShift(-7, 3, 0), 5, "not_ramified"),
+            ("sigma", QuadraticShift.gaussian(21, 0), 4, "generic_obstruction"),
+            ("id", QuadraticShift(-7, 12, 1), 3, "exact_evaluation"),
+            ("sigma", QuadraticShift.gaussian(6, 0), 5, "none"),
+            ("sigma", QuadraticShift(5, 1, 0), None, "translated_shift"),
+            ("sigma", QuadraticShift.gaussian(21, 0), None, "none"),
+        ],
+    )
+    def test_non_default_config_replays(
+        self, sigma_g, identity_g, g_name, candidate, n, method
+    ):
+        g = {"sigma": sigma_g, "id": identity_g}[g_name]
+        if n is None:
+            cert = certify_all_n(g, candidate, self.CONFIG)
+        else:
+            cert = certify(g, candidate, n, self.CONFIG)
+        assert cert.method == method
+        assert verify_certificate(g, cert)
+        assert verify_certificate(g, cert, self.CONFIG)
+
+    def test_exact_evaluation_past_the_default_bound_replays(self, sigma_g):
+        cert = certify_exact(sigma_g, QuadraticShift.gaussian(2, 1), 40)
+        assert cert.proven and 40 > CertifyConfig().exact_eval_bound
+        assert verify_certificate(sigma_g, cert)
+
+    def test_table_exhausted_attempt_replays(self):
+        g = ArithmeticFunction.from_table([1, 2, 2], name="short")
+        cert = certify(g, QuadraticShift.gaussian(2, 0), 10)
+        assert cert.method == "none"
+        assert {"method": "exact_evaluation", "verdict": "skipped_table_exhausted"} in (
+            cert.evidence["attempts"]
+        )
+        assert verify_certificate(g, cert)
+
+    def test_unknown_method_is_domain_error(self, sigma_g):
+        import dataclasses
+
+        cert = certify_han_bound(QuadraticShift.gaussian(1, 100), 2)
+        with pytest.raises(DomainError):
+            verify_certificate(sigma_g, dataclasses.replace(cert, method="bogus"))
+
+
 class TestZmija:
     def test_sigma_passes_all_three(self, sigma_g):
         report = check_zmija_conditions(sigma_g)

@@ -1,4 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from darcais.cli import main
 
@@ -251,6 +260,110 @@ class TestEnvConfig:
         monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
         code, _, err = run(capsys, "poly", "2")
         assert code == 2 and "unknown config keys" in err
+
+
+class TestInputPathsExitTwo:
+    """Malformed input exits 2 with an error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "config",
+        ["5", "true", "null", "[1]", '{"primes": 5}', '{"g": 5}', '{"out": 5}',
+         '{"format": "xml"}', '{"seed": 1.5}', '{"seed": true}', '{"g": "a\\u0000b"}'],
+    )
+    def test_bad_env_config(self, capsys, tmp_path, monkeypatch, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, err = run(capsys, "poly", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_undecodable_env_config(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, _, err = run(capsys, "poly", "2")
+        assert code == 2 and err.startswith("error: ")
+
+    def test_directory_as_g(self, capsys, tmp_path):
+        code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_undecodable_g_table(self, capsys, tmp_path):
+        table = tmp_path / "g.txt"
+        table.write_bytes(b"1\n\xff\xfe\n")
+        code, _, err = run(capsys, "poly", "2", "--g", str(table))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_directory_as_out(self, capsys, tmp_path):
+        code, _, err = run(capsys, "poly", "2", "--out", str(tmp_path))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_valid_env_config_still_accepted(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 7, "primes": "5,7", "format": "json"}')
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, _ = run(capsys, "poly", "2")
+        assert code == 0
+        assert json.loads(out)["config"]["primes"] == [5, 7]
+
+
+_KEYS = ("g", "primes", "exact_eval_bound", "not_ramified_bound", "oracle_bound",
+         "seed", "format", "out", "other")
+_SMALL = st.integers(-20, 20)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+_CONFIGS = _JSON | st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=3)
+_VALUE = st.text(max_size=6) | _SMALL.map(str)
+_COMMANDS = (("tau", "2"), ("poly", "3"), ("minpoly", "--candidate", "cyc:5,1,0"))
+_FLAGS = ("--g", "--primes", "--exact-eval-bound", "--not-ramified-bound",
+          "--oracle-bound", "--seed", "--format", "--mod", "--max", "--candidate")
+
+
+def _run_isolated(argv, config=None) -> tuple[int, str]:
+    """Run the CLI in a scratch directory; return the exit code and stderr."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {}
+        if config is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            env["DARCAIS_CONFIG"] = path
+        os.chdir(tmp)
+        try:
+            with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(config=_CONFIGS, command=st.sampled_from(_COMMANDS))
+    def test_env_config(self, config, command):
+        code, err = _run_isolated(command, config)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(_COMMANDS),
+           flags=st.lists(st.tuples(st.sampled_from(_FLAGS), _VALUE), max_size=3))
+    def test_flag_values(self, command, flags):
+        argv = list(command) + [tok for pair in flags for tok in pair]
+        code, err = _run_isolated(argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 class TestSubprocessEntryPoint:

@@ -11,7 +11,6 @@ from darcais import (
     euler_phi,
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
-    index_of,
     index_via_determinant,
     inertia_degree_cyclotomic,
     legendre_symbol,
@@ -110,10 +109,10 @@ class TestCandidates:
 
 class TestIndex:
     def test_examples(self):
-        assert index_of(CyclotomicShift(12, 2, 5)) == 64
-        assert index_of(QuadraticShift(5, 3, 7)) == 3
-        assert index_of(CyclotomicShift(9, 1, 4)) == 1
-        assert index_of(CyclotomicShift(9, -1, 4)) == 1
+        assert CyclotomicShift(12, 2, 5).index == 64
+        assert QuadraticShift(5, 3, 7).index == 3
+        assert CyclotomicShift(9, 1, 4).index == 1
+        assert CyclotomicShift(9, -1, 4).index == 1
 
     def test_determinant_examples(self):
         assert index_via_determinant(4, 5, 3) == 5
