@@ -131,6 +131,14 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def require_quadratic_d(D: int) -> None:
+    """D names a quadratic field: squarefree and outside {0, 1}."""
+    if D in (0, 1):
+        raise DomainError(f"D must avoid 0 and 1, got {D}")
+    if not is_squarefree(D):
+        raise DomainError(f"D must be squarefree, got {D}")
+
+
 def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n; n must be nonzero."""
     if n == 0:

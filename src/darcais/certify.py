@@ -31,8 +31,7 @@ from math import isqrt
 from . import arith, polymod, series
 from .arith import ArithmeticFunction
 from .errors import DomainError, TableExhaustedError
-from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift
-from .polymod import factor, reduce_mod
+from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift, dedekind_kummer_split
 
 PROVEN = "proven_nonroot"
 INCONCLUSIVE = "inconclusive"
@@ -411,9 +410,9 @@ def certify_generic(
     for p in primes:
         arith.require_prime(p, "obstruction prime")
     skipped = []
-    kappa = c.index
     for p in primes:
-        if kappa % p == 0:
+        split = dedekind_kummer_split(c, p, seed=seed)
+        if not split.applicable:
             skipped.append(p)
             continue
         try:
@@ -422,7 +421,7 @@ def certify_generic(
             skipped.append(p)
             continue
         a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
-        min_fact = factor(reduce_mod(c.min_poly, p), seed=seed)
+        min_fact = split.factorization
         a_irreducibles = {poly for poly, _ in a_fact.factors}
         for q, _ in min_fact.factors:
             missing = q not in a_irreducibles
@@ -579,6 +578,29 @@ def certify_all_n(
     return _chain(g, c, None, config)
 
 
+# The configuration fields a certificate may record, and where a chain
+# method's details record them.
+_CONFIG_FIELDS = frozenset(DEFAULT_CONFIG.to_json_dict())
+_RECORDED_AS = {"primes": "primes", "not_ramified_prime_bound": "prime_bound", "seed": "seed"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _replay_config(config: CertifyConfig, recorded) -> CertifyConfig:
+    """``config`` overridden by the fields a certificate records."""
+    if not isinstance(recorded, dict) or not recorded.keys() <= _CONFIG_FIELDS:
+        raise DomainError(f"certificate records a malformed configuration {recorded!r}")
+    for key, value in recorded.items():
+        values = value if key == "primes" else [value]
+        if not isinstance(values, list) or not all(map(_is_int, values)):
+            raise DomainError(f"certificate records a malformed {key} {value!r}")
+    if "primes" in recorded:
+        recorded = {**recorded, "primes": tuple(recorded["primes"])}
+    return replace(config, **recorded)
+
+
 def verify_certificate(
     g: ArithmeticFunction,
     cert: Certificate,
@@ -589,30 +611,24 @@ def verify_certificate(
     A chain method is replayed by its table entry, without the entry's
     applicability test, on the n, primes, seed and prime bound recorded in
     its details; an inconclusive chain result re-runs the whole chain under
-    its recorded configuration.
+    its recorded configuration.  Recorded inputs of the wrong type raise
+    ``DomainError`` before anything is replayed.
     """
     c, details = cert.candidate, cert.details
-    n = details.get("n")
+    n = None if cert.scope.kind == "all" else details.get("n")
+    if cert.scope.kind != "all" and not (_is_int(n) and n >= 1):
+        raise DomainError(f"certificate records no valid n (got {n!r})")
     if cert.method == "zmija_cyclotomic":
-        redo = certify_zmija_cyclotomic(
-            g, c.m, assume_integer_valued=details["assume_integer_valued"]
-        )
+        assume = details.get("assume_integer_valued")
+        if not isinstance(assume, bool):
+            raise DomainError(f"certificate records a non-boolean assumption {assume!r}")
+        redo = certify_zmija_cyclotomic(g, c.m, assume_integer_valued=assume)
     elif cert.method == "none":
-        recorded = details.get("config")
-        if recorded is not None:
-            config = CertifyConfig(**{**recorded, "primes": tuple(recorded["primes"])})
-        redo = _chain(g, c, n, config)
+        redo = _chain(g, c, n, _replay_config(config, details.get("config", {})))
     elif cert.method in _CHAIN:
-        inputs = replace(
-            config,
-            primes=tuple(details.get("primes", config.primes)),
-            not_ramified_prime_bound=details.get(
-                "prime_bound", config.not_ramified_prime_bound
-            ),
-            seed=details.get("seed", config.seed),
-        )
+        recorded = {f: details[key] for f, key in _RECORDED_AS.items() if key in details}
         _, run = _CHAIN[cert.method]
-        redo = run(g, c, n, inputs)
+        redo = run(g, c, n, _replay_config(config, recorded))
     else:
         raise DomainError(f"unknown certificate method {cert.method!r}")
     return redo.canonical_json() == cert.canonical_json()

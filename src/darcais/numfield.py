@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import arith, polymod, series
 from .errors import DomainError
-from .polynomial import IntPoly
+from .polynomial import IntPoly, cyclotomic
 from .polymod import Factorization, ModPoly
 
 
@@ -28,7 +28,7 @@ def min_poly_cyclotomic_shift(m: int, a: int, b: int) -> IntPoly:
         raise DomainError(f"cyclotomic shifts require m >= 3, got {m}")
     if a == 0:
         raise DomainError("a = 0 degenerates to a rational integer")
-    phi_m = polymod.cyclotomic(m)
+    phi_m = cyclotomic(m)
     deg = phi_m.degree
     shift = IntPoly((-b, 1))  # X - b
     result = IntPoly.zero()
@@ -42,10 +42,7 @@ def min_poly_cyclotomic_shift(m: int, a: int, b: int) -> IntPoly:
 
 def min_poly_quadratic_shift(D: int, a: int, b: int) -> IntPoly:
     """Monic integer minimal polynomial of a*w_D + b (degree 2)."""
-    if D in (0, 1):
-        raise DomainError(f"D must avoid 0 and 1, got {D}")
-    if not arith.is_squarefree(D):
-        raise DomainError(f"D must be squarefree, got {D}")
+    arith.require_quadratic_d(D)
     if a == 0:
         raise DomainError("a = 0 degenerates to a rational integer")
     if D % 4 == 1:
@@ -106,10 +103,7 @@ class QuadraticShift:
     kind = "quadratic"
 
     def __post_init__(self) -> None:
-        if self.D in (0, 1):
-            raise DomainError(f"D must avoid 0 and 1, got {self.D}")
-        if not arith.is_squarefree(self.D):
-            raise DomainError(f"D must be squarefree, got {self.D}")
+        arith.require_quadratic_d(self.D)
         if self.a == 0:
             raise DomainError("a = 0 degenerates to a rational integer")
 
@@ -279,7 +273,6 @@ def dedekind_kummer_split(c: AlgebraicCandidate, p: int, seed: int = 0) -> Split
     Only valid for p not dividing the index; such p yield a report with
     ``applicable=False`` (this is data, not an error).
     """
-    arith.require_prime(p)
     ram = ramifies(c, p)
     if c.index % p == 0:
         return SplittingReport(

@@ -1,4 +1,4 @@
-"""Polynomials over prime fields F_p, their factorization, and cyclotomics.
+"""Polynomials over prime fields F_p and their factorization.
 
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from . import arith
+from . import arith, series
 from .errors import DomainError, NotInvertibleError
 from .polynomial import IntPoly, RatPoly, format_poly, _strip
 
@@ -425,49 +425,22 @@ def is_irreducible(f: ModPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic polynomials over Z
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(m: int) -> IntPoly:
-    """m-th cyclotomic polynomial, by exact division of X**m - 1."""
-    if m < 1:
-        raise DomainError(f"cyclotomic requires m >= 1, got {m}")
-    if m == 1:
-        return IntPoly((-1, 1))
-    numerator = IntPoly.monomial(m, 1) - IntPoly.one()
-    for d in arith.divisors(m)[:-1]:
-        numerator = numerator.div_exact(cyclotomic(d))
-    return numerator
-
-
-# ---------------------------------------------------------------------------
-# D'Arcais polynomials directly modulo p
+# D'Arcais polynomials modulo p
 # ---------------------------------------------------------------------------
 
 
 def _split_index(g: arith.ArithmeticFunction, n: int, p: int) -> tuple[int, ModPoly]:
-    """Write n = l*p + r with 0 <= r < p; return l and A_r mod p."""
+    """Write n = l*p + r with 0 <= r < p; return l and A_r mod p.
+
+    A_r is taken from the memoized integer recursion (``series.a_poly``);
+    reduction mod p is a ring map, so this is the recursion run over F_p.
+    """
     _check_modulus(p)
     if n < 0:
         raise DomainError(f"a_poly_mod requires n >= 0, got {n}")
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
-
-    # A_0..A_r mod p by the defining recursion; r < p keeps factorials unit.
-    polys = [ModPoly.one(p)]
-    x = ModPoly.x(p)
-    gv = [0] + [g(k) % p for k in range(1, r + 1)]
-    for j in range(1, r + 1):
-        total = ModPoly.zero(p)
-        c = 1  # (j-1)! / (j-k)! built as a falling product
-        for k in range(1, j + 1):
-            term = polys[j - k] * (c * gv[k] % p)
-            total = total + term
-            c = c * (j - k) % p
-        polys.append(total * x)
-    return ell, polys[r]
+    return ell, reduce_mod(series.a_poly(g, r), p)
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:
@@ -493,13 +466,12 @@ def _binomial_power(u: int, ell: int, p: int) -> list[int]:
 
 
 def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
-    """n-th integer D'Arcais polynomial for g, reduced mod p, without ever
-    materializing the integer polynomial.
+    """n-th integer D'Arcais polynomial for g, reduced mod p.
 
     Write n = l*p + r with 0 <= r < p.  The residue factors as the r-th
-    polynomial times the l-th power of X*(X**(p-1) - g(p)), so only the
-    first r terms of the recursion are needed; the power is written down
-    from its binomial coefficients.
+    polynomial times the l-th power of X*(X**(p-1) - g(p)), so only A_r is
+    built over Z (degree r < p, from the memoized recursion) and reduced;
+    the power is written down from its binomial coefficients.
     """
     ell, a_r = _split_index(g, n, p)
     if not ell:

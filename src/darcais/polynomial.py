@@ -9,8 +9,10 @@ immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import arith
 from .errors import DomainError
 
 
@@ -348,3 +350,16 @@ class RatPoly(_BasePoly):
             raise DomainError("the zero polynomial cannot be made monic")
         lead = self.leading
         return RatPoly([c / lead for c in self._coeffs])
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> IntPoly:
+    """m-th cyclotomic polynomial, by exact division of X**m - 1."""
+    if m < 1:
+        raise DomainError(f"cyclotomic requires m >= 1, got {m}")
+    if m == 1:
+        return IntPoly((-1, 1))
+    numerator = IntPoly.monomial(m, 1) - IntPoly.one()
+    for d in arith.divisors(m)[:-1]:
+        numerator = numerator.div_exact(cyclotomic(d))
+    return numerator

@@ -21,10 +21,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from . import polymod
-from .arith import ArithmeticFunction, is_squarefree
+from .arith import ArithmeticFunction, require_quadratic_d
 from .errors import DomainError
-from .polynomial import IntPoly, RatPoly
+from .polynomial import IntPoly, RatPoly, cyclotomic
 
 _cache_lock = threading.Lock()
 _a_cache: dict[ArithmeticFunction, list[IntPoly]] = {}
@@ -195,13 +194,6 @@ def tau(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_squarefree_d(D: int) -> None:
-    if D in (0, 1):
-        raise DomainError(f"D must avoid 0 and 1, got {D}")
-    if not is_squarefree(D):
-        raise DomainError(f"D must be squarefree, got {D}")
-
-
 def evaluate_at_quadratic(p, D: int, a: int, b: int):
     """Evaluate p at a*w + b, where w generates the ring of integers of Q(sqrt(D)).
 
@@ -210,7 +202,7 @@ def evaluate_at_quadratic(p, D: int, a: int, b: int):
     argument is a root.  Coefficients may be ints or Fractions; the result
     follows suit.
     """
-    _check_squarefree_d(D)
+    require_quadratic_d(D)
     u, v = 0 * p.coeff(0), 0 * p.coeff(0)  # zero of the coefficient domain
     if D % 4 == 1:
         c = (D - 1) // 4  # w*w = w + c
@@ -231,7 +223,7 @@ def evaluate_at_cyclotomic(p, m: int, a: int, b: int) -> tuple:
     """
     if m < 3:
         raise DomainError(f"evaluate_at_cyclotomic requires m >= 3, got {m}")
-    phi = polymod.cyclotomic(m)
+    phi = cyclotomic(m)
     deg = phi.degree
     reducer = [-c for c in phi.coeffs[:-1]]  # zeta**deg in the power basis
     zero = 0 * p.coeff(0)

@@ -404,6 +404,53 @@ class TestChainTableReplay:
             verify_certificate(sigma_g, dataclasses.replace(cert, method="bogus"))
 
 
+class TestMalformedReplayInputs:
+    """Recorded inputs of the wrong type are a DomainError, raised before
+    the replay runs."""
+
+    CERTS = {
+        "han_bound": lambda g: certify_han_bound(QuadraticShift.gaussian(1, 100), 2),
+        "not_ramified": lambda g: certify_theorem_not_ramified(g, QuadraticShift(-7, 3, 0), 5),
+        "generic_obstruction": lambda g: certify_generic(g, QuadraticShift.gaussian(3, 0), 4),
+        "zmija_cyclotomic": lambda g: certify_zmija_cyclotomic(g, 9),
+        "none": lambda g: certify(
+            g, QuadraticShift.gaussian(6, 0), 5, TestChainTableReplay.CONFIG
+        ),
+        "none_all_n": lambda g: certify_all_n(g, QuadraticShift.gaussian(21, 0)),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, details",
+        [
+            ("han_bound", {}),
+            ("han_bound", {"n": 0}),
+            ("han_bound", {"n": "2"}),
+            ("han_bound", {"n": True}),
+            ("generic_obstruction", {}),
+            ("generic_obstruction", {"n": 4, "primes": "5"}),
+            ("generic_obstruction", {"n": 4, "primes": None}),
+            ("generic_obstruction", {"n": 4, "primes": [5.0]}),
+            ("generic_obstruction", {"n": 4, "primes": [5], "seed": "0"}),
+            ("not_ramified", {"n": 5, "prime_bound": 1.5}),
+            ("zmija_cyclotomic", {}),
+            ("zmija_cyclotomic", {"assume_integer_valued": "yes"}),
+            ("none", {"n": 5, "config": {"foo": 1}}),
+            ("none", {"n": 5, "config": None}),
+            ("none", {"n": 5, "config": {"primes": [5], "seed": None}}),
+            ("none_all_n", {"config": {"primes": 5}}),
+            ("none_all_n", {"config": [["primes", [5]]]}),
+        ],
+    )
+    def test_malformed_details_are_domain_errors(self, sigma_g, kind, details):
+        import dataclasses
+
+        cert = self.CERTS[kind](sigma_g)
+        assert cert.method == kind.removesuffix("_all_n")
+        assert verify_certificate(sigma_g, cert)
+        with pytest.raises(DomainError):
+            verify_certificate(sigma_g, dataclasses.replace(cert, details=details))
+
+
 class TestZmija:
     def test_sigma_passes_all_three(self, sigma_g):
         report = check_zmija_conditions(sigma_g)

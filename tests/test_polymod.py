@@ -13,6 +13,7 @@ from darcais import (
     RatPoly,
     a_poly,
     a_poly_mod,
+    a_poly_oracle,
     cyclotomic,
     euler_phi,
     factor,
@@ -320,6 +321,15 @@ class TestClosedFormAPolyMod:
             for p in ORACLE_PRIMES:
                 for n, want in power_route(g, p, range(301)).items():
                     assert a_poly_mod(g, n, p) == want, (g.name, p, n)
+
+    def test_small_index_matches_partition_oracle(self):
+        # A_r mod p for r < p is read from the integer recursion; the
+        # partition sum is an independent route to the same polynomial.
+        for g in oracle_gs():
+            for p in ORACLE_PRIMES:
+                for r in range(p):
+                    want = reduce_mod(a_poly_oracle(g, r), p)
+                    assert a_poly_mod(g, r, p) == want, (g.name, p, r)
 
     def test_matches_power_route_deep(self, sigma_g):
         for n, want in power_route(sigma_g, 5, DEEP_INDICES).items():
