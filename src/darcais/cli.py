@@ -337,12 +337,11 @@ def _cmd_zmija(args, g) -> int:
 
 def _cmd_hurwitz(args, g) -> int:
     results = []
-    all_true = True
     for n in range(1, args.max + 1):
-        ok = series.hurwitz_check(series.h_poly(g, n))
-        results.append({"n": n, "hurwitz": ok})
-        if not ok:
-            all_true = False
+        h = series.h_poly(g, n)
+        # A root at the origin is not strictly in the left half-plane.
+        results.append({"n": n, "hurwitz": bool(h.coeff(0)) and series.hurwitz_check(h)})
+    all_true = all(r["hurwitz"] for r in results)
     doc = {**_run_header(args), "max": args.max, "results": results,
            "all_hurwitz": all_true}
     text = (
@@ -391,6 +390,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
+        if "\0" in args.g + (args.out or ""):
+            raise DomainError("a file name cannot hold a NUL byte")
         g = _load_g(args.g)
         return _COMMANDS[args.command](args, g)
     except TableExhaustedError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterator
 
 from .arith import ArithmeticFunction, require_quadratic_d
@@ -150,35 +150,41 @@ def series_oracle(g: ArithmeticFunction, x: int, N: int) -> list[Fraction]:
     return out
 
 
-def _sigma_sieve(N: int) -> list[int]:
-    """sigma(1..N) by summing each divisor over its multiples."""
-    sig = [0] * (N + 1)
-    for d in range(1, N + 1):
-        for multiple in range(d, N + 1, d):
-            sig[multiple] += d
-    return sig
+def _square_truncated(a: list[int], n: int) -> list[int]:
+    """The first n coefficients of a*a, by one bigint multiply.
+
+    Kronecker substitution: a, cut to n terms, is packed as its value at
+    B = 2**w and squared.  Every coefficient of the square lies in
+    [-l1**2, l1**2], l1 = sum |a_i|, so w is the bit length of l1**2 plus a
+    sign bit, in whole bytes; adding B/2 to every slot before reading the
+    slots back makes each digit nonnegative, so none borrows from the next.
+    """
+    a = (a + [0] * n)[:n]
+    size = (sum(map(abs, a)) ** 2).bit_length() // 8 + 1
+    half, width = 1 << (8 * size - 1), size * n
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")  # B/2 in every slot
+    x = int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in a), "little")
+    raw = ((x - offset) ** 2 + offset).to_bytes(2 * width, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, width, size)]
 
 
 def tau_list(N: int) -> list[int]:
-    """Ramanujan tau(1..N), via the integer specialization x = -24.
+    """Ramanujan tau(1..N): the coefficients of q**0..q**(N-1) of prod (1 - q**n)**24.
 
-    Same recurrence as ``series_oracle`` but with the argument substituted
-    up front, so every intermediate value is an integer (the division by n
-    is exact).
+    Jacobi's sparse series prod (1 - q**n)**3 = sum_k (-1)**k (2k+1)
+    q**(k(k+1)/2) is squared three times, each square truncated to N terms
+    and done by one bigint multiply (``_square_truncated``).
     """
     if N < 1:
         raise DomainError(f"tau_list requires N >= 1, got {N}")
-    sig = _sigma_sieve(N)
-    weights = [-24 * s for s in sig]
-    values = [1]  # values[j] = (j-th rational D'Arcais polynomial at -24)
-    for n in range(1, N):
-        total = 0
-        for k in range(1, n + 1):
-            total += weights[k] * values[n - k]
-        div, rem = divmod(total, n)
-        if rem:
-            raise AssertionError("tau recurrence produced a non-integer")
-        values.append(div)
+    values = [0] * N
+    k = t = 0  # t = k(k+1)/2
+    while t < N:
+        values[t] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+        t += k
+    for _ in range(3):
+        values = _square_truncated(values, N)
     return values
 
 
@@ -247,10 +253,15 @@ def evaluate_at_cyclotomic(p, m: int, a: int, b: int) -> tuple:
 def hurwitz_check(p: RatPoly) -> bool:
     """True iff every root of p has strictly negative real part.
 
-    Decided by the Routh table in exact rational arithmetic.  Degenerate
-    pivots (a zero leading entry, or an all-zero row) certify the presence
-    of a root with nonnegative real part or a boundary configuration, so
-    they report False rather than being perturbed away.
+    Decided by a fraction-free Routh table over Z.  The coefficients are
+    scaled by the positive lcm of their denominators; each new row
+    pivot*prev[1:] - prev[0]*cur[1:] is divided by its positive content.
+    Since pivot > 0 is checked first, each integer row is by induction a
+    positive multiple of the rational table's row (alpha*beta*pivot times
+    it, if prev and cur are alpha and beta times theirs), so every sign and
+    zero test agrees with that table.  A zero pivot or an all-zero row
+    reports False (a root on or right of the imaginary axis) rather than
+    being perturbed away.
     """
     if p.is_zero:
         raise DomainError("the zero polynomial has no stability type")
@@ -259,9 +270,10 @@ def hurwitz_check(p: RatPoly) -> bool:
     d = p.degree
     if d == 0:
         return True
-    coeffs = list(p.coeffs)
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
+    den = lcm(*(c.denominator for c in p.coeffs))
+    if p.leading < 0:
+        den = -den
+    coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
     # All coefficients strictly positive is necessary for real polynomials.
     if any(c <= 0 for c in coeffs):
         return False
@@ -274,9 +286,9 @@ def hurwitz_check(p: RatPoly) -> bool:
         if pivot <= 0:
             return False  # zero pivot with a nonzero row, or a sign change
         nxt = [
-            (prev[j] if j < len(prev) else 0)
-            - prev[0] * (cur[j] if j < len(cur) else 0) / pivot
+            pivot * prev[j] - prev[0] * (cur[j] if j < len(cur) else 0)
             for j in range(1, len(prev))
         ]
-        prev, cur = cur, nxt
+        content = gcd(*nxt) or 1  # an all-zero row ends the table next round
+        prev, cur = cur, [c // content for c in nxt]
     return bool(cur) and cur[0] > 0

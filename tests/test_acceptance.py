@@ -211,3 +211,12 @@ def test_ac11_generic_obstruction_at_a_million():
     assert cert.proven
     assert cert.method == "generic_obstruction" and cert.witness_prime == 5
     assert verify_certificate(SIGMA, cert)
+
+
+def test_ac12_tau_growth_guard():
+    # On a 2-vCPU Xeon the O(N^2) recurrence needs over 20 s for this N and the
+    # squaring kernel about 0.5 s, so a return to quadratic cost fails the budget.
+    with budget("AC-12 tau_list(20000) growth guard", 10):
+        values = tau_list(20_000)
+    assert len(values) == 20_000
+    assert values[:6] == [1, -24, 252, -1472, 4830, -6048]

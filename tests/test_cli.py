@@ -201,6 +201,17 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "hurwitz", "--max", "10", "--format", "text")
         assert code == 0 and "Hurwitz for all n <= 10" in out
 
+    def test_hurwitz_root_at_origin_is_not_hurwitz(self, capsys, tmp_path):
+        # g(2) = 0 makes H_2 = X/2, whose root at 0 is not in the open left half-plane
+        table = tmp_path / "g.txt"
+        table.write_text("1\n0\n1\n1\n")
+        code, out, err = run(capsys, "hurwitz", "--max", "4", "--g", f"table:{table}")
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["results"][1] == {"n": 2, "hurwitz": False}
+        assert [r["n"] for r in doc["results"]] == [1, 2, 3, 4]
+        assert doc["all_hurwitz"] is False
+
 
 class TestGLoading:
     def test_table_file(self, capsys, tmp_path):
@@ -288,6 +299,12 @@ class TestInputPathsExitTwo:
     def test_directory_as_g(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))
         assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--g", "--out"])
+    def test_nul_in_file_name_is_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "tau", "2", flag, "a\0b")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "NUL" in err
 
     def test_undecodable_g_table(self, capsys, tmp_path):
         table = tmp_path / "g.txt"

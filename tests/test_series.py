@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darcais import (
     DomainError,
@@ -23,9 +26,10 @@ from darcais import (
     tau_list,
 )
 from darcais.numfield import min_poly_quadratic_shift
-from darcais.series import _partitions
+from darcais.series import _partitions, _square_truncated
 
 from conftest import SIGMA_FACTORED, expand_product, random_table
+from oracles import hurwitz_check_fraction, tau_list_recurrence
 
 # Partition counts p(0)..p(10), the classic sequence.
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -142,6 +146,65 @@ class TestTau:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             tau(0)
+
+
+def schoolbook_square(a, n):
+    """First n coefficients of a*a by the quadratic double loop."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(a[: n - i]):
+            out[i + j] += x * y
+    return out
+
+
+def near_byte_boundary(bits, above, tail):
+    """A series whose l1**2 lies just below 2**bits (above=0) or just
+    past it (above=1), and whose square has the constant term
+    head**2 >= 2**(bits - 1), so it fills the top of its slot."""
+    l1 = isqrt((1 << bits) - 1) + above
+    head = l1 - tail
+    assert head * head >= 1 << (bits - 1)
+    return [-head] + [(-1) ** i for i in range(tail)]
+
+
+class TestSquaringKernel:
+    def test_adversarial_inputs_match_schoolbook(self):
+        rng = random.Random(5)
+        cases = [
+            [-rng.randint(1, 10**6) for _ in range(40)],  # all negative
+            [(-1) ** i * 255 for i in range(50)],  # alternating +-max
+            [(-1) ** i * (2**64 - 1) for i in range(30)],
+            [-200],  # a one-term square filling a 2-byte slot to the sign bit
+        ]
+        for bits in (16, 24, 64, 128):
+            for above in (0, 1):
+                for tail in (0, 1, 3):
+                    cases.append(near_byte_boundary(bits, above, tail))
+        for a in cases:
+            for n in (1, 2, len(a), 2 * len(a) + 3):
+                assert _square_truncated(a, n) == schoolbook_square(a, n), (a, n)
+
+    def test_random_signed_inputs_match_schoolbook(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            length = rng.randint(1, 30)
+            scale = 2 ** rng.randint(0, 100)
+            a = [rng.randint(-scale, scale) for _ in range(length)]
+            n = rng.randint(1, 2 * length + 2)
+            assert _square_truncated(a, n) == schoolbook_square(a, n), (a, n)
+
+
+class TestTauOracle:
+    def test_matches_recurrence_for_small_n(self):
+        for N in range(1, 61):
+            assert tau_list(N) == tau_list_recurrence(N), N
+
+    def test_matches_recurrence_at_ten_thousand(self):
+        assert tau_list(10_000) == tau_list_recurrence(10_000)
+
+    def test_rejects_zero(self):
+        with pytest.raises(DomainError):
+            tau_list(0)
 
 
 class TestEvaluateAtQuadratic:
@@ -268,6 +331,52 @@ class TestHurwitz:
     def test_h_poly_strips_exactly_one_root(self, sigma_g):
         assert h_poly(sigma_g, 1) == RatPoly((1,))
         assert h_poly(sigma_g, 2) == RatPoly((Fraction(3, 2), Fraction(1, 2)))
+
+
+def hurwitz_outcome(check, p):
+    """check(p), or DomainError if it raises one."""
+    try:
+        return check(p)
+    except DomainError:
+        return DomainError
+
+
+coefficient = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+class TestHurwitzOracle:
+    def test_sigma_sweep(self, sigma_g):
+        for n in range(1, 61):
+            h = h_poly(sigma_g, n)
+            assert hurwitz_check(h) == hurwitz_check_fraction(h), n
+
+    def test_identity_and_random_tables(self, identity_g):
+        tables = [random_table(seed, 40, 1, 9) for seed in (1, 2, 3)]
+        for g in [identity_g, *tables, random_table(4, 40)]:
+            for n in range(1, 41):
+                h = h_poly(g, n)
+                assert hurwitz_outcome(hurwitz_check, h) == hurwitz_outcome(
+                    hurwitz_check_fraction, h
+                ), (g, n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(coefficient, min_size=1, max_size=11))
+    @example([1, 1, 1, 1])  # (X + 1)(X**2 + 1): all-zero row
+    @example([2, 2, 1, 1])  # (X + 1)(X**2 + 2)
+    @example([6, 2, 3, 1])  # (X + 3)(X**2 + 2)
+    @example([2, 2, 3, 1, 1])  # (X**2 + X + 1)(X**2 + 2)
+    @example([1, 2, 2, 1, 1])  # a zero pivot in a nonzero row
+    @example([Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)])
+    @example([-3, -1])
+    @example([0, 1])
+    def test_matches_fraction_table(self, coeffs):
+        p = RatPoly(coeffs)
+        assert hurwitz_outcome(hurwitz_check, p) == hurwitz_outcome(
+            hurwitz_check_fraction, p
+        )
 
 
 class TestTauCongruences:
