@@ -176,6 +176,12 @@ def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:
     return Fraction(margin * margin)
 
 
+def _exceeds_han_bound(abs_sq: Fraction, n: int) -> tuple[bool, Fraction]:
+    """Whether |alpha|**2 = abs_sq exceeds (9.7226 * (n - 1))**2, and that square."""
+    threshold_sq = _HAN_C_SQ * (n - 1) ** 2
+    return abs_sq > threshold_sq, threshold_sq
+
+
 def certify_han_bound(c: AlgebraicCandidate, n: int) -> Certificate:
     """Non-root when |alpha| provably exceeds 9.7226 * (n - 1); sigma only.
 
@@ -184,8 +190,7 @@ def certify_han_bound(c: AlgebraicCandidate, n: int) -> Certificate:
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
     lower_sq = abs_sq_lower_bound(c)
-    threshold_sq = _HAN_C_SQ * (n - 1) ** 2
-    proven = lower_sq > threshold_sq
+    proven, threshold_sq = _exceeds_han_bound(lower_sq, n)
     return Certificate(
         g_name="sigma",
         candidate=c,
@@ -317,7 +322,10 @@ def certify_theorem_gaussian_sigma(a: int, b: int, n: int) -> Certificate:
         method="gaussian_sigma",
         details={"n": n, "case": case},
         evidence={"a_mod_21": a % 21, "a_mod_7": a % 7, "b_mod_7": b % 7},
-        witness_prime=3 if case in ("1", "2i") else 7,
+        # The obstruction needs p not dividing a, the index of Z[a*i + b] in
+        # Z[i]: p = 3 when 3 does not divide a, else p = 7 (case 1 with 3 | a,
+        # and cases 2ii and 2iii).
+        witness_prime=3 if a % 3 else 7,
     )
 
 
@@ -852,9 +860,9 @@ def _scan_rational_integer(g: ArithmeticFunction, b: int, n_max: int) -> GridPoi
     """Real-axis point: certify n by the absolute bound or exact evaluation."""
     methods = set()
     uncertified = []
-    threshold_ok = Fraction(b * b)
+    abs_sq = Fraction(b * b)
     for n in range(1, n_max + 1):
-        if g.kind == "sigma" and threshold_ok > _HAN_C_SQ * (n - 1) ** 2:
+        if g.kind == "sigma" and _exceeds_han_bound(abs_sq, n)[0]:
             methods.add("han_bound")
             continue
         if series.a_poly(g, n).evaluate(b) != 0:

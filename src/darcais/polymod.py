@@ -1,4 +1,10 @@
-"""Polynomials over prime fields F_p and their factorization.
+"""Polynomials over prime fields F_p, their factorization, and A_n mod p.
+
+``ModPoly`` derives from the dense-polynomial base of
+``darcais.polynomial``: Z, Q and F_p polynomials share one implementation
+of the ring operations, and Q and F_p one long division, ``monic`` and
+``divides``.  What is particular to F_p stays here: the modulus, reduced
+powers (``pow_mod``), gcd, factorization and ``a_poly_mod``.
 
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
@@ -14,195 +20,57 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import index
 
 from . import arith, series
 from .errors import DomainError, NotInvertibleError
-from .polynomial import IntPoly, RatPoly, format_poly, _strip
+from .polynomial import IntPoly, RatPoly, format_poly, _FieldPoly, _strip
 
 # Single-precision moduli only; tiny primes are all the analysis ever needs.
 _MAX_MODULUS = 1 << 31
 
 
 @lru_cache(maxsize=None)
-def _check_modulus(p: int) -> bool:
+def _check_modulus(p: int) -> tuple:
+    """Validate p once; the result ``(p,)`` is the ring shared by ModPolys mod p."""
     arith.require_prime(p, "modulus")
     if p >= _MAX_MODULUS:
         raise DomainError(f"modulus must be below 2**31, got {p}")
-    return True
+    return (p,)
 
 
-class ModPoly:
-    """Dense polynomial over F_p; immutable, coefficients reduced into [0, p)."""
+class ModPoly(_FieldPoly):
+    """Dense polynomial over F_p; immutable, coefficients reduced into [0, p).
 
-    __slots__ = ("p", "_coeffs")
+    Built as ``ModPoly(p, coeffs)``; operands with another modulus are
+    rejected with ``DomainError``.
+    """
+
+    __slots__ = ("p", "_ring")
 
     def __init__(self, p: int, coeffs=()) -> None:
-        _check_modulus(p)
+        object.__setattr__(self, "_ring", _check_modulus(p))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_coeffs", _strip([c % p for c in coeffs]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModPoly is immutable")
+    def _coerce(self, value) -> int:
+        return index(value) % self.p
 
-    # -- constructors ------------------------------------------------------------
+    def _inverse(self, value: int) -> int:
+        return pow(value, self.p - 2, self.p)
 
-    @classmethod
-    def zero(cls, p: int) -> "ModPoly":
-        return cls(p, ())
-
-    @classmethod
-    def one(cls, p: int) -> "ModPoly":
-        return cls(p, (1,))
-
-    @classmethod
-    def x(cls, p: int) -> "ModPoly":
-        return cls(p, (0, 1))
-
-    # -- structure ----------------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
-    def leading(self) -> int:
-        if not self._coeffs:
-            raise DomainError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    def coeff(self, k: int) -> int:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else 0
-
-    def _check(self, other: "ModPoly") -> None:
+    def _same(self, other):
         if not isinstance(other, ModPoly):
-            raise TypeError(f"ModPoly expected, got {type(other).__name__}")
+            return None
         if other.p != self.p:
             raise DomainError(f"mixed moduli {self.p} and {other.p}")
-
-    # -- ring operations -------------------------------------------------------------
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return ModPoly(self.p, out)
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        a, b = self._coeffs, other._coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = (out[i] - c) % self.p
-        return ModPoly(self.p, out)
-
-    def __neg__(self) -> "ModPoly":
-        return ModPoly(self.p, [-c % self.p for c in self._coeffs])
-
-    def __mul__(self, other) -> "ModPoly":
-        if isinstance(other, int):
-            return ModPoly(self.p, [c * other % self.p for c in self._coeffs])
-        self._check(other)
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ModPoly.zero(self.p)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return ModPoly(self.p, [c % self.p for c in out])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ModPoly":
-        if n < 0:
-            raise DomainError("negative powers are not defined")
-        result = ModPoly.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "ModPoly"):
-        self._check(other)
-        if other.is_zero:
-            raise DomainError("division by the zero polynomial")
-        p = self.p
-        rem = list(self._coeffs)
-        dc = other._coeffs
-        inv_lead = pow(other.leading, p - 2, p)
-        qdeg = len(rem) - len(dc)
-        if qdeg < 0:
-            return ModPoly.zero(p), self
-        quot = [0] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            q = rem[k + len(dc) - 1] * inv_lead % p
-            quot[k] = q
-            if q:
-                for i, c in enumerate(dc):
-                    rem[k + i] = (rem[k + i] - q * c) % p
-        return ModPoly(p, quot), ModPoly(p, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero:
-            raise DomainError("the zero polynomial cannot be made monic")
-        lead = self.leading
-        if lead == 1:
-            return self
-        inv = pow(lead, self.p - 2, self.p)
-        return self * inv
+        return other
 
     def derivative(self) -> "ModPoly":
         return ModPoly(self.p, [k * c % self.p for k, c in enumerate(self._coeffs)][1:])
 
     def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def divides(self, other: "ModPoly") -> bool:
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
-    # -- comparison / output ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, ModPoly):
-            return self.p == other.p and self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self._coeffs))
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __repr__(self):
-        return f"ModPoly({self.p}, {list(self._coeffs)!r})"
+        return super().evaluate(x) % self.p
 
     def __str__(self):
         return f"{format_poly(self._coeffs)} (mod {self.p})"
@@ -214,7 +82,7 @@ class ModPoly:
 
 def poly_gcd(a: ModPoly, b: ModPoly) -> ModPoly:
     """Monic greatest common divisor."""
-    a._check(b)
+    a._same(b)  # rejects mixed moduli even when b is zero
     while not b.is_zero:
         a, b = b, a % b
     if a.is_zero:

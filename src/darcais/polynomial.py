@@ -1,9 +1,11 @@
-"""Dense exact polynomials over the integers and over the rationals.
+"""Dense exact polynomials over the integers, the rationals and F_p.
 
 Coefficients are stored constant-term first, one entry per degree, with
 trailing zeros stripped so that representations are canonical.  IntPoly
-holds Python ints, RatPoly holds ``fractions.Fraction``; both are
-immutable and hashable.
+holds Python ints, RatPoly holds ``fractions.Fraction``; ``polymod.ModPoly``
+(ints reduced into [0, p)) derives from the same base, so Z, Q and F_p
+polynomials share one implementation of the ring operations, and Q and
+F_p one long division.  All of them are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -46,11 +48,18 @@ def format_poly(coeffs: Sequence, var: str = "X") -> str:
 
 
 class _BasePoly:
-    """Shared machinery; subclasses fix the coefficient domain."""
+    """Shared machinery; subclasses fix the coefficient domain.
+
+    ``_ring`` holds the constructor arguments that come before the
+    coefficients (none over Z and Q, the modulus over F_p), so every
+    polynomial is built as ``cls(*ring, coeffs)``.  ``_coerce`` maps a
+    scalar into the coefficient domain.
+    """
 
     __slots__ = ("_coeffs",)
 
     _coeffs: tuple
+    _ring: tuple = ()
 
     @staticmethod
     def _coerce(value):  # pragma: no cover - overridden
@@ -62,25 +71,23 @@ class _BasePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _new(self, coeffs):
+        """A polynomial of this type and ring."""
+        return type(self)(*self._ring, coeffs)
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls(())
+    def zero(cls, *ring):
+        return cls(*ring, ())
 
     @classmethod
-    def one(cls):
-        return cls((1,))
+    def one(cls, *ring):
+        return cls(*ring, (1,))
 
     @classmethod
-    def x(cls):
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1):
-        if degree < 0:
-            raise DomainError("monomial degree must be >= 0")
-        return cls((0,) * degree + (coeff,))
+    def x(cls, *ring):
+        return cls(*ring, (0, 1))
 
     # -- structure -------------------------------------------------------------
 
@@ -112,10 +119,11 @@ class _BasePoly:
     # -- arithmetic -------------------------------------------------------------
 
     def _same(self, other):
+        """``other`` as an operand of this type and ring, or None."""
         if isinstance(other, type(self)):
             return other
         if isinstance(other, int):
-            return type(self)((other,))
+            return self._new((other,))
         return None
 
     def __add__(self, other):
@@ -128,12 +136,12 @@ class _BasePoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return type(self)(out)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)([-c for c in self._coeffs])
+        return self._new([-c for c in self._coeffs])
 
     def __sub__(self, other):
         o = self._same(other)
@@ -148,29 +156,32 @@ class _BasePoly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
-            a, b = self._coeffs, other._coeffs
+        if isinstance(other, _BasePoly):
+            o = self._same(other)
+            if o is None:
+                return NotImplemented
+            a, b = self._coeffs, o._coeffs
             if not a or not b:
-                return type(self).zero()
+                return self._new(())
             out = [self._coerce(0)] * (len(a) + len(b) - 1)
             for i, ai in enumerate(a):
                 if not ai:
                     continue
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-            return type(self)(out)
+            return self._new(out)
         try:
             scalar = self._coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return type(self)([c * scalar for c in self._coeffs])
+        return self._new([c * scalar for c in self._coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial powers are not defined here")
-        result = type(self).one()
+        result = self._new((1,))
         base = self
         while n:
             if n & 1:
@@ -178,6 +189,35 @@ class _BasePoly:
             base = base * base
             n >>= 1
         return result
+
+    def _inverse(self, value):
+        """Inverse of a nonzero coefficient: a rational over Z and Q, where
+        the units 1 and -1 are their own inverse and stay integers."""
+        return value if value in (1, -1) else Fraction(1, value)
+
+    def _divmod(self, den):
+        """Long division by ``den``, a polynomial of this type and ring.
+
+        Each quotient coefficient passes through ``_coerce``: over F_p that
+        reduces it mod p, and over Z it rejects one that is not an integer.
+        """
+        if den.is_zero:
+            raise DomainError("division by the zero polynomial")
+        rem = list(self._coeffs)
+        dc = den._coeffs
+        qdeg = len(rem) - len(dc)
+        if qdeg < 0:
+            return self._new(()), self
+        inv_lead = self._inverse(den.leading)
+        coerce, top = self._coerce, len(dc) - 1
+        quot = [0] * (qdeg + 1)
+        for k in range(qdeg, -1, -1):
+            q = coerce(rem[k + top] * inv_lead)
+            quot[k] = q
+            if q:
+                for i, c in enumerate(dc):
+                    rem[k + i] -= q * c
+        return self._new(quot), self._new(rem)
 
     def evaluate(self, x):
         """Exact Horner evaluation; the result type follows the inputs."""
@@ -190,17 +230,22 @@ class _BasePoly:
 
     def __eq__(self, other):
         if isinstance(other, _BasePoly):
-            return type(self) is type(other) and self._coeffs == other._coeffs
+            return (
+                type(self) is type(other)
+                and self._ring == other._ring
+                and self._coeffs == other._coeffs
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((type(self).__name__, self._coeffs))
+        return hash((self._ring, self._coeffs))
 
     def __bool__(self):
         return bool(self._coeffs)
 
     def __repr__(self):
-        return f"{type(self).__name__}({list(self._coeffs)!r})"
+        args = [*map(repr, self._ring), repr(list(self._coeffs))]
+        return f"{type(self).__name__}({', '.join(args)})"
 
     def __str__(self):
         return format_poly(self._coeffs)
@@ -234,6 +279,12 @@ class IntPoly(_BasePoly):
         return value
 
     @classmethod
+    def monomial(cls, degree: int, coeff=1):
+        if degree < 0:
+            raise DomainError("monomial degree must be >= 0")
+        return cls((0,) * degree + (coeff,))
+
+    @classmethod
     def from_text(cls, text: str) -> "IntPoly":
         return cls(int(tok) for tok in text.split())
 
@@ -245,33 +296,46 @@ class IntPoly(_BasePoly):
         return RatPoly(self._coeffs)
 
     def div_exact(self, divisor: "IntPoly") -> "IntPoly":
-        """Quotient self / divisor when the division is exact over Z."""
-        if divisor.is_zero:
-            raise DomainError("division by the zero polynomial")
-        rem = list(self._coeffs)
-        dc = divisor._coeffs
-        dl = divisor.leading
-        qdeg = len(rem) - len(dc)
-        if qdeg < 0:
-            if any(rem):
-                raise DomainError("division is not exact")
-            return IntPoly.zero()
-        quot = [0] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            top = rem[k + len(dc) - 1]
-            q, r = divmod(top, dl)
-            if r:
-                raise DomainError("division is not exact over the integers")
-            quot[k] = q
-            if q:
-                for i, c in enumerate(dc):
-                    rem[k + i] -= q * c
-        if any(rem):
+        """Quotient self / divisor; DomainError unless it is exact over Z."""
+        quot, rem = self._divmod(divisor)
+        if rem:
             raise DomainError("division left a nonzero remainder")
-        return IntPoly(quot)
+        return quot
 
 
-class RatPoly(_BasePoly):
+class _FieldPoly(_BasePoly):
+    """Coefficients in a field: ``divmod``, ``//``, ``%``, ``monic`` and ``divides``."""
+
+    __slots__ = ()
+
+    def __divmod__(self, other):
+        den = self._same(other)
+        if den is None:
+            return NotImplemented
+        return self._divmod(den)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def divides(self, other) -> bool:
+        """True iff self divides other."""
+        if self.is_zero:
+            return other.is_zero
+        return (other % self).is_zero
+
+    def monic(self):
+        if self.is_zero:
+            raise DomainError("the zero polynomial cannot be made monic")
+        lead = self.leading
+        if lead == 1:
+            return self
+        return self * self._inverse(lead)
+
+
+class RatPoly(_FieldPoly):
     """Polynomial with exact rational coefficients."""
 
     __slots__ = ()
@@ -304,52 +368,13 @@ class RatPoly(_BasePoly):
         return cls(Fraction(c) for c in doc["coeffs"])
 
     def scale(self, factor) -> "RatPoly":
-        f = Fraction(factor)
-        return RatPoly([c * f for c in self._coeffs])
-
-    def __divmod__(self, other: "RatPoly"):
-        if not isinstance(other, (RatPoly, IntPoly)):
-            return NotImplemented
-        den = other if isinstance(other, RatPoly) else other.to_rat()
-        if den.is_zero:
-            raise DomainError("division by the zero polynomial")
-        rem = list(self._coeffs)
-        dc = den._coeffs
-        qdeg = len(rem) - len(dc)
-        if qdeg < 0:
-            return RatPoly.zero(), RatPoly(rem)
-        quot = [Fraction(0)] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            q = rem[k + len(dc) - 1] / den.leading
-            quot[k] = q
-            if q:
-                for i, c in enumerate(dc):
-                    rem[k + i] -= q * c
-        return RatPoly(quot), RatPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def divides(self, other: "RatPoly") -> bool:
-        """True iff self divides other in Q[X]."""
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
+        return self * Fraction(factor)
 
     def to_int_poly(self) -> IntPoly:
         """Convert when every coefficient is an integer."""
         if any(c.denominator != 1 for c in self._coeffs):
             raise DomainError("polynomial has non-integer coefficients")
         return IntPoly(int(c) for c in self._coeffs)
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            raise DomainError("the zero polynomial cannot be made monic")
-        lead = self.leading
-        return RatPoly([c / lead for c in self._coeffs])
 
 
 @lru_cache(maxsize=None)

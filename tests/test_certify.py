@@ -188,6 +188,27 @@ class TestGaussianSigma:
                         assert cert.scope.covers(n)
                         assert exact_nonzero(sigma_g, QuadraticShift.gaussian(a, b), n)
 
+    def test_witness_prime_reproves_the_point(self, sigma_g):
+        # The recorded prime must carry a generic obstruction on its own:
+        # 3 when 3 does not divide a, else 7 (p = 3 then divides the index).
+        for a in range(-10, 11):
+            if a == 0:
+                continue
+            for b in range(-4, 5):
+                for n in range(1, 16):
+                    cert = certify_theorem_gaussian_sigma(a, b, n)
+                    if cert.verdict != PROVEN:
+                        continue
+                    again = certify_generic(
+                        sigma_g, cert.candidate, n, primes=(cert.witness_prime,)
+                    )
+                    assert again.verdict == PROVEN, (a, b, n, cert.witness_prime)
+                    assert again.witness_prime == cert.witness_prime
+
+    def test_witness_prime_when_3_divides_a(self):
+        assert certify_theorem_gaussian_sigma(3, 1, 1).witness_prime == 7
+        assert certify_theorem_gaussian_sigma(1, 1, 1).witness_prime == 3
+
 
 class TestNotRamified:
     def test_case1_identity(self, identity_g):

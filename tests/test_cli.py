@@ -384,25 +384,29 @@ class TestFuzz:
 
 
 class TestSubprocessEntryPoint:
-    def test_module_invocation(self):
+    @staticmethod
+    def run_module(*argv):
+        """``python -m darcais ARGV`` on the package under test, installed or not."""
         import subprocess
         import sys
+        from pathlib import Path
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "darcais", "poly", "2", "--format", "text"],
+        import darcais
+
+        src = str(Path(darcais.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "darcais", *argv],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_module_invocation(self):
+        proc = self.run_module("poly", "2", "--format", "text")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "X^2 + 3*X"
 
     def test_module_invocation_usage_error(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "darcais", "certify", "--candidate", "quad:0,1,1", "--n", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = self.run_module("certify", "--candidate", "quad:0,1,1", "--n", "2")
         assert proc.returncode == 2

@@ -60,6 +60,8 @@ class TestModPoly:
                 q, r = divmod(a, b)
                 assert q * b + r == a
                 assert r.is_zero or r.degree < b.degree
+                assert (a // b, a % b) == (q, r)
+                assert all(0 <= c < p for c in q.coeffs + r.coeffs)
 
     def test_pow_mod_matches_plain_pow(self):
         f = ModPoly(5, (2, 0, 1, 1))

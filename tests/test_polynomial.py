@@ -73,6 +73,7 @@ class TestRatPoly:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero or r.degree < b.degree
+            assert (a // b, a % b) == (q, r)
 
     def test_divides(self):
         a = RatPoly((1, 1))
