@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -51,16 +52,17 @@ def require_prime(p: int, what: str = "p") -> None:
         raise DomainError(f"{what} must be prime, got {p!r}")
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by sieve."""
+@lru_cache(maxsize=64)
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """All primes <= bound, by sieve (memoized; a tuple, so shared safely)."""
     if bound < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+    return tuple(i for i in range(2, bound + 1) if sieve[i])
 
 
 def divisors(n: int) -> list[int]:
@@ -223,6 +225,16 @@ class ArithmeticFunction:
                 raise DomainError(f"g(1) must equal 1, table starts with {self.table[0]}")
         elif self.table is not None:
             raise DomainError(f"kind {self.kind!r} does not take a table")
+        # g keys every memo of the library; hashing a long table on each
+        # lookup would cost more than many of the cached computations.
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between processes.
+        return (type(self), (self.kind, self.name, self.table))
 
     @classmethod
     def sigma(cls) -> "ArithmeticFunction":

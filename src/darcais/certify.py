@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from . import arith, polymod, series
@@ -155,8 +156,9 @@ def _sqrt_bracket(D: int, scale: int = 10**8) -> tuple[Fraction, Fraction]:
     return Fraction(s, scale), Fraction(s + 1, scale)
 
 
+@lru_cache(maxsize=1024)
 def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:
-    """A sound rational lower bound for |alpha|**2 (exact where possible)."""
+    """A sound rational lower bound for |alpha|**2 (exact where possible; memoized)."""
     if isinstance(c, QuadraticShift):
         D, a, b = c.D, c.a, c.b
         if D < 0:
@@ -334,6 +336,23 @@ def certify_theorem_gaussian_sigma(a: int, b: int, n: int) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _unramified_witnesses(
+    g: ArithmeticFunction, c: QuadraticShift, bound: int
+) -> tuple[tuple[int, int, int, int | None], ...]:
+    """(p, case, g(p) mod p, (D|p) or None at p = 2) for each prime p <= bound
+    that meets case 1 or 2 of the unramified criterion; n plays no part."""
+    found = []
+    for p in arith.primes_up_to(bound):
+        gp = g(p) % p
+        legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
+        if gp == 0 and (2 * c.a * c.D) % p != 0:
+            found.append((p, 1, gp, legendre))
+        elif gp == 1 and p != 2 and c.a % p != 0 and legendre == -1:
+            found.append((p, 2, gp, legendre))
+    return tuple(found)
+
+
 def certify_theorem_not_ramified(
     g: ArithmeticFunction,
     c: AlgebraicCandidate,
@@ -358,15 +377,8 @@ def certify_theorem_not_ramified(
     bound = prime_bound
     if g.n_max is not None:
         bound = min(bound, g.n_max)
-    for p in arith.primes_up_to(bound):
+    for p, case, gp, legendre in _unramified_witnesses(g, c, bound):
         if n % p not in (0, 1):
-            continue
-        gp = g(p) % p
-        if gp == 0 and (2 * c.a * c.D) % p != 0:
-            case = 1
-        elif gp == 1 and p != 2 and c.a % p != 0 and arith.legendre_symbol(c.D, p) == -1:
-            case = 2
-        else:
             continue
         return Certificate(
             g_name=g.name,
@@ -375,10 +387,7 @@ def certify_theorem_not_ramified(
             verdict=PROVEN,
             method="not_ramified",
             details={"n": n, "case": case, "p": p, "prime_bound": prime_bound},
-            evidence={
-                "g_p_mod_p": gp,
-                "legendre_D_p": arith.legendre_symbol(c.D, p) if p != 2 else None,
-            },
+            evidence={"g_p_mod_p": gp, "legendre_D_p": legendre},
             witness_prime=p,
         )
     return Certificate(

@@ -11,7 +11,7 @@ finitely many primes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import arith, polymod, series
 from .errors import DomainError
@@ -267,11 +267,13 @@ class SplittingReport:
         return doc
 
 
+@lru_cache(maxsize=1024, typed=True)
 def dedekind_kummer_split(c: AlgebraicCandidate, p: int, seed: int = 0) -> SplittingReport:
     """Split p in Q(alpha) by factoring the minimal polynomial mod p.
 
     Only valid for p not dividing the index; such p yield a report with
-    ``applicable=False`` (this is data, not an error).
+    ``applicable=False`` (this is data, not an error).  Memoized: the
+    obstruction search asks for the same (candidate, p) at every n.
     """
     ram = ramifies(c, p)
     if c.index % p == 0:

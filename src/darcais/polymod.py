@@ -297,6 +297,14 @@ def is_irreducible(f: ModPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# typed=True here and below: an invalid float index must fail as it would
+# uncached, not hit the entry of the equal int.
+@lru_cache(maxsize=256, typed=True)
+def _a_r_mod(g: arith.ArithmeticFunction, r: int, p: int) -> ModPoly:
+    """A_r mod p for 0 <= r < p (memoized; its degree r is below p)."""
+    return reduce_mod(series.a_poly(g, r), p)
+
+
 def _split_index(g: arith.ArithmeticFunction, n: int, p: int) -> tuple[int, ModPoly]:
     """Write n = l*p + r with 0 <= r < p; return l and A_r mod p.
 
@@ -308,7 +316,7 @@ def _split_index(g: arith.ArithmeticFunction, n: int, p: int) -> tuple[int, ModP
         raise DomainError(f"a_poly_mod requires n >= 0, got {n}")
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
-    return ell, reduce_mod(series.a_poly(g, r), p)
+    return ell, _a_r_mod(g, r, p)
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:
@@ -354,11 +362,14 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     return ModPoly(p, out)
 
 
+# A scan asks for the same (g, n, p) once per candidate; the result holds
+# O(p) factors whatever n is.
+@lru_cache(maxsize=4096, typed=True)
 def factor_a_poly_mod(
     g: arith.ArithmeticFunction, n: int, p: int, seed: int = 0
 ) -> Factorization:
     """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from
-    factorizations of degree below p.
+    factorizations of degree below p (memoized).
 
     With n = l*p + r and c = g(p) mod p, A_n = A_r * X**l * (X**(p-1) - c)**l.
     For c != 0 the bracket is squarefree (X does not divide it, and its

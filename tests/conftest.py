@@ -1,8 +1,35 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
-from darcais import ArithmeticFunction, IntPoly
+import darcais
+from darcais import ArithmeticFunction, IntPoly, series
+
+PACKAGE = Path(darcais.__file__).parent
+LIBRARY_MODULES = tuple(
+    importlib.import_module(f"darcais.{path.stem}")
+    for path in sorted(PACKAGE.glob("*.py"))
+    if not path.stem.startswith("__")
+)
+
+
+def library_memos() -> dict:
+    """Every ``lru_cache`` of the library, by qualified name."""
+    return {
+        f"{module.__name__}.{name}": obj
+        for module in LIBRARY_MODULES
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+    }
+
+
+def clear_library_caches() -> None:
+    """Empty every process-wide memo of the library, as in a fresh process."""
+    for memo in library_memos().values():
+        memo.cache_clear()
+    series._a_cache.clear()
 
 
 @pytest.fixture

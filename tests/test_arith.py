@@ -1,9 +1,15 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import darcais
 from darcais import (
     ArithmeticFunction,
     DomainError,
@@ -19,6 +25,8 @@ from darcais import (
 from darcais.arith import divisors, is_squarefree, multiplicative_order, primes_up_to
 
 from conftest import random_table
+
+PACKAGE_ROOT = str(Path(darcais.__file__).parent.parent)
 
 
 def brute_sigma(n):
@@ -227,3 +235,43 @@ class TestArithmeticFunction:
 
     def test_hashable(self, sigma_g):
         assert len({sigma_g, ArithmeticFunction.sigma()}) == 1
+
+    def test_table_is_hashed_once(self):
+        class CountingTuple(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                CountingTuple.hashes += 1
+                return super().__hash__()
+
+        g = ArithmeticFunction(kind="table", name="t", table=CountingTuple((1, 2, 3)))
+        for _ in range(5):
+            hash(g)
+        assert CountingTuple.hashes == 1
+        assert hash(g) == hash(ArithmeticFunction.from_table([1, 2, 3], name="t"))
+
+    def test_pickle_rehashes_in_the_loading_process(self):
+        # A hash computed under another PYTHONHASHSEED must not travel along.
+        script = (
+            "import pickle, sys; from darcais import ArithmeticFunction; "
+            "sys.stdout.buffer.write(pickle.dumps(ArithmeticFunction.from_table([1, 5, 2])))"
+        )
+        path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        blob = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              check=True).stdout
+        loaded = pickle.loads(blob)
+        assert {ArithmeticFunction.from_table([1, 5, 2]): "hit"}[loaded] == "hit"
+
+
+class TestPrimesUpTo:
+    def test_values_and_type(self):
+        assert primes_up_to(1) == ()
+        assert primes_up_to(2) == (2,)
+        assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+        assert all(is_prime(p) for p in primes_up_to(500))
+        assert len(primes_up_to(1000)) == 168
+
+    def test_repeat_returns_the_shared_tuple(self):
+        assert primes_up_to(97) is primes_up_to(97)

@@ -1,0 +1,153 @@
+"""The library's process-wide memos: bounded, and invisible in the output."""
+
+import ast
+import json
+
+from darcais import (
+    ArithmeticFunction,
+    certify,
+    certify_all_n,
+    parse_candidate,
+    polymod,
+    scan_grid,
+    verify_certificate,
+)
+
+from conftest import PACKAGE, clear_library_caches, library_memos, random_table
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+# Unbounded memos whose keys come from a small domain: the prime moduli a
+# run uses, and the cyclotomic levels m of its candidates.
+UNBOUNDED_ALLOWED = {"_check_modulus", "cyclotomic"}
+
+GS = (ArithmeticFunction.sigma(), ArithmeticFunction.identity(), random_table(1, 40))
+# The scan-grid rectangles of the benchmark, with n_max inside the table's reach.
+GRIDS = (
+    ("quad:-2", (1, 4), (-4, 4)),
+    ("quad:-17", (1, 3), (-3, 3)),
+    ("cyc:8", (1, 6), (-3, 3)),
+    ("gauss", (-1, 3), (-4, 4)),
+)
+SCAN_N_MAX = 30
+# Between them these reach each memoized method and the inconclusive chain;
+# the large n take the structural route n = l*p + r.
+CERTIFY_CASES = (
+    ("quad:-2,1,1", 1),
+    ("quad:-2,1,1", 7),
+    ("quad:-2,3,-2", 29),
+    ("quad:-17,2,-1", 40),
+    ("gauss:21,3", 5),
+    ("gauss:2,1", 9),
+    ("cyc:8,3,1", 12),
+    ("cyc:8,6,1", 2501),
+    ("cyc:12,-6,5", 3001),
+    ("quad:3,1,-3", 3),  # -3 + sqrt(3) is a root of A_3 for the identity
+)
+
+
+def _memo_name(node) -> str | None:
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Name):
+        return target.id
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return None
+
+
+def _trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def memoized_functions() -> list[tuple[str, str, ast.expr]]:
+    """(module, function, decorator) for every memo decorator in the package."""
+    found = []
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    (module, node.name, dec)
+                    for dec in node.decorator_list
+                    if _memo_name(dec) in MEMO_DECORATORS
+                )
+    return found
+
+
+def has_finite_maxsize(dec: ast.expr) -> bool:
+    if not isinstance(dec, ast.Call) or _memo_name(dec) != "lru_cache":
+        return False
+    args = {kw.arg: kw.value for kw in dec.keywords}
+    if dec.args:
+        args.setdefault("maxsize", dec.args[0])
+    size = args.get("maxsize")
+    return isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+
+
+class TestMemoGuard:
+    def test_every_memo_is_bounded_or_allowed(self):
+        for module, name, dec in memoized_functions():
+            assert has_finite_maxsize(dec) or name in UNBOUNDED_ALLOWED, f"{module}.{name}"
+
+    def test_allowlist_names_existing_unbounded_memos(self):
+        unbounded = {name for _, name, dec in memoized_functions() if not has_finite_maxsize(dec)}
+        assert unbounded == UNBOUNDED_ALLOWED
+
+    def test_memos_are_applied_only_as_decorators(self):
+        references = sum(
+            1
+            for _, tree in _trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and _memo_name(node) in MEMO_DECORATORS
+        )
+        assert references == len(memoized_functions())
+
+    def test_no_memo_holds_degree_n_results(self):
+        (tree,) = (tree for module, tree in _trees() if module == "polymod")
+        (node,) = (
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "a_poly_mod"
+        )
+        assert node.decorator_list == []
+        assert not hasattr(polymod.a_poly_mod, "cache_clear")
+
+    def test_clear_helper_reaches_every_memo(self):
+        declared = {f"darcais.{module}.{name}" for module, name, _ in memoized_functions()}
+        assert declared == set(library_memos())
+
+
+def _scan_bytes(g, kind, a_range, b_range) -> str:
+    return json.dumps(scan_grid(g, kind, a_range, b_range, SCAN_N_MAX).to_json_dict())
+
+
+class TestOutputIgnoresCacheState:
+    def test_scan_grid(self):
+        cold = {}
+        for g in GS:
+            for grid in GRIDS:
+                clear_library_caches()
+                cold[g.name, grid[0]] = _scan_bytes(g, *grid)
+        # Warm: every memo now holds what all the scans above left in it.
+        for g in GS:
+            for grid in GRIDS:
+                assert _scan_bytes(g, *grid) == cold[g.name, grid[0]], (g.name, grid[0])
+
+    def test_certify(self):
+        cold = {}
+        for g in GS:
+            for spec, n in CERTIFY_CASES:
+                c = parse_candidate(spec)
+                clear_library_caches()
+                cold[g.name, spec, n] = certify(g, c, n).canonical_json()
+                clear_library_caches()
+                cold[g.name, spec, None] = certify_all_n(g, c).canonical_json()
+        methods = set()
+        for g in GS:
+            for spec, n in CERTIFY_CASES:
+                c = parse_candidate(spec)
+                for key, cert in ((n, certify(g, c, n)), (None, certify_all_n(g, c))):
+                    assert cert.canonical_json() == cold[g.name, spec, key], (g.name, spec, key)
+                    assert verify_certificate(g, cert)
+                    methods.add(cert.method)
+        assert {"han_bound", "translated_shift", "not_ramified", "generic_obstruction",
+                "none"} <= methods
