@@ -78,22 +78,29 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _factorization(n: int) -> list[tuple[int, int]]:
+    """(p, e) with p**e exactly dividing |n| > 0, p ascending; by trial division."""
+    n = abs(n)
+    pairs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        pairs.append((n, 1))
+    return pairs
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n|, ascending; n must be nonzero."""
     if n == 0:
         raise DomainError("prime_factors requires a nonzero argument")
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    return [p for p, _ in _factorization(n)]
 
 
 def sigma(n: int) -> int:
@@ -107,20 +114,10 @@ def mobius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)**(number of primes)."""
     if n < 1:
         raise DomainError(f"mobius requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            count += 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    pairs = _factorization(n)
+    if any(e > 1 for _, e in pairs):
+        return 0
+    return -1 if len(pairs) % 2 else 1
 
 
 def euler_phi(m: int) -> int:
@@ -128,7 +125,7 @@ def euler_phi(m: int) -> int:
     if m < 1:
         raise DomainError(f"euler_phi requires m >= 1, got {m}")
     result = m
-    for p in prime_factors(m) if m > 1 else []:
+    for p, _ in _factorization(m):
         result -= result // p
     return result
 
@@ -145,15 +142,7 @@ def is_squarefree(n: int) -> bool:
     """True iff no prime square divides n; n must be nonzero."""
     if n == 0:
         raise DomainError("is_squarefree requires a nonzero argument")
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1 if d == 2 else 2
-    return True
+    return all(e == 1 for _, e in _factorization(n))
 
 
 def legendre_symbol(D: int, p: int) -> int:

@@ -1,24 +1,31 @@
 """Non-root certificates for D'Arcais polynomials at algebraic integers.
 
-A certificate either proves that the candidate is not a root of the n-th
-D'Arcais polynomial for g (possibly for a whole residue class of n, or
-for every n), or reports Inconclusive.  Proofs come from a fixed strategy
-chain, ordered so that cheap closed-form criteria run before
-factorization-based ones:
+A certificate either proves that the candidate c is not a root of the
+n-th D'Arcais polynomial for g (possibly for a whole residue class of n,
+or for every n), or reports Inconclusive.  Certificates come from one
+ordered strategy table (``_CHAIN``), cheap closed-form criteria before
+factorization-based ones.  Each method reads (g, c, n):
 
-1. the absolute-value bound |alpha| > 9.7226 * (n - 1)  (sigma only),
-2. the shift criteria mod 2 and mod 3 (valid for every n),
-3. the Gaussian-integer criterion mod 3/7 for sigma,
-4. the unramified/inert criterion for quadratic candidates,
-5. a generic local obstruction: an irreducible factor of the minimal
+1. ``han_bound``: |alpha| > 9.7226 * (n - 1)  (g = sigma only),
+2. ``translated_shift``: the shift criteria mod 2 and mod 3, valid for
+   every n (it reads g and c only),
+3. ``gaussian_sigma``: the Gaussian-integer criterion mod 3/7 (g = sigma,
+   c = a*i + b),
+4. ``not_ramified``: the unramified/inert criterion (quadratic c),
+5. ``generic_obstruction``: an irreducible factor of the minimal
    polynomial mod p that fails to divide the n-th integer D'Arcais
    polynomial mod p,
-6. exact evaluation in the ring of integers (bounded n).
+6. ``exact_evaluation``: exact evaluation in the ring of integers
+   (bounded n).
 
-The chain is one ordered table (``_CHAIN``) that ``certify``,
-``certify_all_n`` and ``verify_certificate`` all read.  Every proven
-certificate carries enough recorded inputs (including seeds) to be
-re-derived bit for bit; ``verify_certificate`` does exactly that.
+``certify``, ``certify_all_n`` and ``verify_certificate`` all read the
+table; when no method proves anything the result has method ``"none"``.
+Every proven certificate carries enough recorded inputs (including seeds)
+to be re-derived bit for bit; ``verify_certificate`` does exactly that,
+under the g it is given.  Each method reads g and raises ``DomainError``
+for a g its criterion does not cover, so replay binds a proof to the g it
+is checked under.  ``check_zmija_conditions`` is an audit report on g,
+not a certificate.
 """
 
 from __future__ import annotations
@@ -184,17 +191,19 @@ def _exceeds_han_bound(abs_sq: Fraction, n: int) -> tuple[bool, Fraction]:
     return abs_sq > threshold_sq, threshold_sq
 
 
-def certify_han_bound(c: AlgebraicCandidate, n: int) -> Certificate:
+def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certificate:
     """Non-root when |alpha| provably exceeds 9.7226 * (n - 1); sigma only.
 
     The comparison is done on exact squares so there is no boundary fuzz.
     """
+    if g.kind != "sigma":
+        raise DomainError(f"the absolute-value bound holds for sigma only, got g={g.name!r}")
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
     lower_sq = abs_sq_lower_bound(c)
     proven, threshold_sq = _exceeds_han_bound(lower_sq, n)
     return Certificate(
-        g_name="sigma",
+        g_name=g.name,
         candidate=c,
         scope=Scope.single(n),
         verdict=PROVEN if proven else INCONCLUSIVE,
@@ -279,8 +288,10 @@ def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> 
 _GAUSSIAN_OK_RESIDUES = (0, 1, 2, 3, 4, 6)  # n mod 7 away from the hard class
 
 
-def certify_theorem_gaussian_sigma(a: int, b: int, n: int) -> Certificate:
-    """Non-root of the n-th sigma D'Arcais polynomial at a*i + b.
+def certify_theorem_gaussian_sigma(
+    g: ArithmeticFunction, c: AlgebraicCandidate, n: int
+) -> Certificate:
+    """Non-root of the n-th sigma D'Arcais polynomial at c = a*i + b.
 
     Case 1: n != 5 mod 7 and 21 does not divide a.
     Case 2: n = 5 mod 7 and one of
@@ -288,11 +299,14 @@ def certify_theorem_gaussian_sigma(a: int, b: int, n: int) -> Certificate:
         (ii) a != 0, 1, -1 mod 7,
         (iii) 7 divides neither a nor b.
     """
-    if a == 0:
-        raise DomainError("a = 0 is the rational-integer case; use exact evaluation")
+    if g.kind != "sigma" or not (isinstance(c, QuadraticShift) and c.D == -1):
+        raise DomainError(
+            f"the Gaussian criterion holds for sigma at a*i + b only,"
+            f" got g={g.name!r} at {c.describe()}"
+        )
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    c = QuadraticShift.gaussian(a, b)
+    a, b = c.a, c.b
     case = None
     if n % 7 != 5:
         scope = Scope.residue_classes(7, _GAUSSIAN_OK_RESIDUES)
@@ -308,7 +322,7 @@ def certify_theorem_gaussian_sigma(a: int, b: int, n: int) -> Certificate:
             case = "2iii"
     if case is None:
         return Certificate(
-            g_name="sigma",
+            g_name=g.name,
             candidate=c,
             scope=Scope.single(n),
             verdict=INCONCLUSIVE,
@@ -317,7 +331,7 @@ def certify_theorem_gaussian_sigma(a: int, b: int, n: int) -> Certificate:
             evidence={"reason": "outside the proven cases"},
         )
     return Certificate(
-        g_name="sigma",
+        g_name=g.name,
         candidate=c,
         scope=scope,
         verdict=PROVEN,
@@ -512,7 +526,7 @@ def certify_exact(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certi
 _CHAIN = {
     "han_bound": (
         lambda g, c, n, config: n is not None and g.kind == "sigma",
-        lambda g, c, n, config: certify_han_bound(c, n),
+        lambda g, c, n, config: certify_han_bound(g, c, n),
     ),
     "translated_shift": (
         lambda g, c, n, config: True,
@@ -523,7 +537,7 @@ _CHAIN = {
         and g.kind == "sigma"
         and isinstance(c, QuadraticShift)
         and c.D == -1,
-        lambda g, c, n, config: certify_theorem_gaussian_sigma(c.a, c.b, n),
+        lambda g, c, n, config: certify_theorem_gaussian_sigma(g, c, n),
     ),
     "not_ramified": (
         lambda g, c, n, config: n is not None and isinstance(c, QuadraticShift),
@@ -629,18 +643,15 @@ def verify_certificate(
     applicability test, on the n, primes, seed and prime bound recorded in
     its details; an inconclusive chain result re-runs the whole chain under
     its recorded configuration.  Recorded inputs of the wrong type raise
-    ``DomainError`` before anything is replayed.
+    ``DomainError`` before anything is replayed.  The replay runs under
+    ``g``, and a method raises ``DomainError`` for a g its criterion does
+    not cover, so a proof holds only for the g it is checked under.
     """
     c, details = cert.candidate, cert.details
     n = None if cert.scope.kind == "all" else details.get("n")
     if cert.scope.kind != "all" and not (_is_int(n) and n >= 1):
         raise DomainError(f"certificate records no valid n (got {n!r})")
-    if cert.method == "zmija_cyclotomic":
-        assume = details.get("assume_integer_valued")
-        if not isinstance(assume, bool):
-            raise DomainError(f"certificate records a non-boolean assumption {assume!r}")
-        redo = certify_zmija_cyclotomic(g, c.m, assume_integer_valued=assume)
-    elif cert.method == "none":
+    if cert.method == "none":
         redo = _chain(g, c, n, _replay_config(config, details.get("config", {})))
     elif cert.method in _CHAIN:
         recorded = {f: details[key] for f, key in _RECORDED_AS.items() if key in details}
@@ -745,39 +756,6 @@ def check_zmija_conditions(g: ArithmeticFunction, seed: int = 0) -> ZmijaReport:
         cond_mod7=not bad7,
         cond_mod11=not bad11,
         evidence=evidence,
-    )
-
-
-def certify_zmija_cyclotomic(
-    g: ArithmeticFunction,
-    m: int,
-    assume_integer_valued: bool | None = None,
-) -> Certificate:
-    """Certify non-vanishing at a primitive m-th root of unity via the
-    three splitting conditions.
-
-    The criterion additionally needs the rational D'Arcais polynomials for
-    g to take integer values at integers; that holds for sigma and must be
-    asserted explicitly for anything else (it is not finitely checkable).
-    """
-    c = CyclotomicShift(m=m, a=1, b=0)
-    if assume_integer_valued is None:
-        assume_integer_valued = g.kind == "sigma"
-    report = check_zmija_conditions(g)
-    proven = report.passed and assume_integer_valued
-    reason = None
-    if not assume_integer_valued:
-        reason = "integer-valuedness of the rational polynomials not asserted"
-    elif not report.passed:
-        reason = "a splitting condition fails"
-    return Certificate(
-        g_name=g.name,
-        candidate=c,
-        scope=Scope.all_n(),
-        verdict=PROVEN if proven else INCONCLUSIVE,
-        method="zmija_cyclotomic",
-        details={"assume_integer_valued": assume_integer_valued},
-        evidence={"report": report.to_json_dict(), "reason": reason},
     )
 
 

@@ -12,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
+from math import factorial
 
 from . import __version__, numfield, polymod, series
 from .arith import ArithmeticFunction
@@ -212,6 +214,8 @@ def _cmd_poly(args, g) -> int:
         raise DomainError("--factor requires --mod")
     if args.rational and args.mod is not None:
         raise DomainError("--rational cannot be combined with --mod")
+    if args.oracle and args.mod is not None:
+        raise DomainError("--oracle cannot be combined with --mod")
     header = _run_header(args)
     if args.mod is not None:
         if args.factor:
@@ -236,12 +240,8 @@ def _cmd_poly(args, g) -> int:
     else:
         poly = series.a_poly(g, args.n)
     if args.rational:
-        rat = series.p_poly(g, args.n)
-        doc = {**header, "n": args.n, "poly": rat.to_json_dict()}
-        _emit(args, doc, str(rat))
-    else:
-        doc = {**header, "n": args.n, "poly": poly.to_json_dict()}
-        _emit(args, doc, str(poly))
+        poly = poly.to_rat().scale(Fraction(1, factorial(args.n)))
+    _emit(args, {**header, "n": args.n, "poly": poly.to_json_dict()}, str(poly))
     return EXIT_OK
 
 

@@ -22,7 +22,13 @@ from darcais import (
     mobius,
     sigma,
 )
-from darcais.arith import divisors, is_squarefree, multiplicative_order, primes_up_to
+from darcais.arith import (
+    divisors,
+    is_squarefree,
+    multiplicative_order,
+    prime_factors,
+    primes_up_to,
+)
 
 from conftest import random_table
 
@@ -121,6 +127,38 @@ class TestEulerPhi:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             euler_phi(0)
+
+
+class TestFactorization:
+    """The four functions that read the trial-division factorization,
+    against sympy over every nonzero |n| <= 10**4."""
+
+    def test_against_sympy(self):
+        from math import prod
+
+        from sympy import factorint
+
+        for n in range(-(10**4), 10**4 + 1):
+            if n == 0:
+                continue
+            exponents = {int(p): e for p, e in factorint(abs(n)).items()}
+            squarefree = all(e == 1 for e in exponents.values())
+            assert prime_factors(n) == sorted(exponents), n
+            assert is_squarefree(n) == squarefree, n
+            if n > 0:
+                assert mobius(n) == ((-1) ** len(exponents) if squarefree else 0), n
+                assert euler_phi(n) == prod(p ** (e - 1) * (p - 1) for p, e in exponents.items())
+
+    @pytest.mark.parametrize("fn", [prime_factors, is_squarefree, mobius, euler_phi])
+    def test_rejects_zero(self, fn):
+        with pytest.raises(DomainError):
+            fn(0)
+
+    @pytest.mark.parametrize("fn", [mobius, euler_phi])
+    def test_rejects_negative(self, fn):
+        for n in (-1, -12):
+            with pytest.raises(DomainError):
+                fn(n)
 
 
 class TestLegendre:

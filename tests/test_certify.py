@@ -20,7 +20,6 @@ from darcais import (
     certify_theorem_gaussian_sigma,
     certify_theorem_not_ramified,
     certify_theorem_translated,
-    certify_zmija_cyclotomic,
     check_zmija_conditions,
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
@@ -60,13 +59,14 @@ class TestScope:
 
 class TestHanBound:
     def test_fires_far_from_origin(self, sigma_g):
-        cert = certify_han_bound(QuadraticShift.gaussian(1, 10**6), 2)
+        cert = certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 10**6), 2)
         assert cert.verdict == PROVEN
 
-    def test_boundary_is_strict(self):
+    def test_boundary_is_strict(self, sigma_g):
         # |alpha| = 10 at n = 2 needs |alpha| > 9.7226 exactly once
-        assert certify_han_bound(QuadraticShift.gaussian(6, 8), 2).verdict == PROVEN
-        assert certify_han_bound(QuadraticShift.gaussian(3, 4), 2).verdict == INCONCLUSIVE
+        c = QuadraticShift.gaussian
+        assert certify_han_bound(sigma_g, c(6, 8), 2).verdict == PROVEN
+        assert certify_han_bound(sigma_g, c(3, 4), 2).verdict == INCONCLUSIVE
 
     def test_lower_bounds_are_sound(self):
         # exact for complex quadratic, bracketing for real, reverse triangle
@@ -95,9 +95,9 @@ class TestHanBound:
             assert float(lower) <= abs(alpha) ** 2 + 1e-9
 
     def test_n1_needs_positive_bound(self, sigma_g):
-        assert certify_han_bound(QuadraticShift.gaussian(1, 5), 1).verdict == PROVEN
+        assert certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 5), 1).verdict == PROVEN
         # equal |a| and |b| gives a zero cyclotomic bound: inconclusive
-        assert certify_han_bound(CyclotomicShift(5, 2, 2), 1).verdict == INCONCLUSIVE
+        assert certify_han_bound(sigma_g, CyclotomicShift(5, 2, 2), 1).verdict == INCONCLUSIVE
 
 
 class TestTranslatedShift:
@@ -156,37 +156,43 @@ class TestTranslatedShift:
 
 
 class TestGaussianSigma:
-    def test_case1(self):
-        cert = certify_theorem_gaussian_sigma(1, 0, 3)
+    def test_case1(self, sigma_g):
+        cert = certify_theorem_gaussian_sigma(sigma_g, QuadraticShift.gaussian(1, 0), 3)
         assert cert.verdict == PROVEN and cert.details["case"] == "1"
         assert cert.scope.covers(3) and not cert.scope.covers(5)
 
-    def test_case2_subcases(self):
-        assert certify_theorem_gaussian_sigma(3, 1, 5).details["case"] == "2ii"
-        assert certify_theorem_gaussian_sigma(1, 1, 5).details["case"] == "2i"
-        assert certify_theorem_gaussian_sigma(6, 1, 5).details["case"] == "2iii"
+    def test_case2_subcases(self, sigma_g):
+        c = QuadraticShift.gaussian
+        assert certify_theorem_gaussian_sigma(sigma_g, c(3, 1), 5).details["case"] == "2ii"
+        assert certify_theorem_gaussian_sigma(sigma_g, c(1, 1), 5).details["case"] == "2i"
+        assert certify_theorem_gaussian_sigma(sigma_g, c(6, 1), 5).details["case"] == "2iii"
 
-    def test_boundary_inconclusive(self):
-        assert certify_theorem_gaussian_sigma(21, 7, 5).verdict == INCONCLUSIVE
+    def test_boundary_inconclusive(self, sigma_g):
+        cert = certify_theorem_gaussian_sigma(sigma_g, QuadraticShift.gaussian(21, 7), 5)
+        assert cert.verdict == INCONCLUSIVE
 
-    def test_case1_needs_21_not_dividing_a(self):
-        assert certify_theorem_gaussian_sigma(21, 0, 3).verdict == INCONCLUSIVE
-        assert certify_theorem_gaussian_sigma(42, 0, 10).verdict == INCONCLUSIVE
+    def test_case1_needs_21_not_dividing_a(self, sigma_g):
+        c = QuadraticShift.gaussian
+        assert certify_theorem_gaussian_sigma(sigma_g, c(21, 0), 3).verdict == INCONCLUSIVE
+        assert certify_theorem_gaussian_sigma(sigma_g, c(42, 0), 10).verdict == INCONCLUSIVE
 
-    def test_rejects_zero_a(self):
-        with pytest.raises(DomainError):
-            certify_theorem_gaussian_sigma(0, 3, 1)
+    def test_rejects_other_candidates(self, sigma_g):
+        # a = 0 never gets here: QuadraticShift rejects it.
+        for c in (QuadraticShift(-2, 1, 0), CyclotomicShift(4, 1, 0)):
+            with pytest.raises(DomainError):
+                certify_theorem_gaussian_sigma(sigma_g, c, 1)
 
     def test_soundness_on_grid(self, sigma_g):
         for a in range(-8, 9):
             if a == 0:
                 continue
             for b in range(-4, 5):
+                c = QuadraticShift.gaussian(a, b)
                 for n in (3, 5, 12, 19):
-                    cert = certify_theorem_gaussian_sigma(a, b, n)
+                    cert = certify_theorem_gaussian_sigma(sigma_g, c, n)
                     if cert.verdict == PROVEN:
                         assert cert.scope.covers(n)
-                        assert exact_nonzero(sigma_g, QuadraticShift.gaussian(a, b), n)
+                        assert exact_nonzero(sigma_g, c, n)
 
     def test_witness_prime_reproves_the_point(self, sigma_g):
         # The recorded prime must carry a generic obstruction on its own:
@@ -195,19 +201,19 @@ class TestGaussianSigma:
             if a == 0:
                 continue
             for b in range(-4, 5):
+                c = QuadraticShift.gaussian(a, b)
                 for n in range(1, 16):
-                    cert = certify_theorem_gaussian_sigma(a, b, n)
+                    cert = certify_theorem_gaussian_sigma(sigma_g, c, n)
                     if cert.verdict != PROVEN:
                         continue
-                    again = certify_generic(
-                        sigma_g, cert.candidate, n, primes=(cert.witness_prime,)
-                    )
+                    again = certify_generic(sigma_g, c, n, primes=(cert.witness_prime,))
                     assert again.verdict == PROVEN, (a, b, n, cert.witness_prime)
                     assert again.witness_prime == cert.witness_prime
 
-    def test_witness_prime_when_3_divides_a(self):
-        assert certify_theorem_gaussian_sigma(3, 1, 1).witness_prime == 7
-        assert certify_theorem_gaussian_sigma(1, 1, 1).witness_prime == 3
+    def test_witness_prime_when_3_divides_a(self, sigma_g):
+        c = QuadraticShift.gaussian
+        assert certify_theorem_gaussian_sigma(sigma_g, c(3, 1), 1).witness_prime == 7
+        assert certify_theorem_gaussian_sigma(sigma_g, c(1, 1), 1).witness_prime == 3
 
 
 class TestNotRamified:
@@ -345,13 +351,12 @@ class TestChain:
 class TestReplay:
     def test_every_method_replays_byte_identically(self, sigma_g, identity_g):
         certs = [
-            certify_han_bound(QuadraticShift.gaussian(1, 100), 2),
+            certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 100), 2),
             certify_theorem_translated(sigma_g, QuadraticShift(5, 1, 0)),
-            certify_theorem_gaussian_sigma(2, 1, 9),
+            certify_theorem_gaussian_sigma(sigma_g, QuadraticShift.gaussian(2, 1), 9),
             certify_theorem_not_ramified(identity_g, QuadraticShift(3, 1, 0), 5),
             certify_generic(sigma_g, QuadraticShift.gaussian(3, 0), 4),
             certify_exact(sigma_g, CyclotomicShift(7, 2, 1), 6),
-            certify_zmija_cyclotomic(sigma_g, 9),
             certify(sigma_g, QuadraticShift(409, 1, -11), 5),
             certify_all_n(sigma_g, QuadraticShift.gaussian(21, 0)),
         ]
@@ -359,8 +364,21 @@ class TestReplay:
         for cert in certs:
             assert verify_certificate(gs[cert.g_name], cert), cert.method
 
+    def test_sigma_only_proofs_are_bound_to_sigma(self, sigma_g, identity_g):
+        # A table that merely carries the name "sigma" is not sigma either.
+        impostor = ArithmeticFunction.from_table([1, 3, 4, 7, 6], name="sigma")
+        certs = [
+            certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 100), 2),
+            certify_theorem_gaussian_sigma(sigma_g, QuadraticShift.gaussian(2, 1), 9),
+        ]
+        for cert in certs:
+            assert cert.proven and verify_certificate(sigma_g, cert)
+            for g in (identity_g, impostor):
+                with pytest.raises(DomainError):
+                    verify_certificate(g, cert)
+
     def test_tampered_certificate_fails_replay(self, sigma_g):
-        cert = certify_theorem_gaussian_sigma(2, 1, 9)
+        cert = certify_theorem_gaussian_sigma(sigma_g, QuadraticShift.gaussian(2, 1), 9)
         tampered = json.loads(cert.canonical_json())
         tampered["evidence"]["a_mod_7"] = 5
         import dataclasses
@@ -420,7 +438,7 @@ class TestChainTableReplay:
     def test_unknown_method_is_domain_error(self, sigma_g):
         import dataclasses
 
-        cert = certify_han_bound(QuadraticShift.gaussian(1, 100), 2)
+        cert = certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 100), 2)
         with pytest.raises(DomainError):
             verify_certificate(sigma_g, dataclasses.replace(cert, method="bogus"))
 
@@ -430,10 +448,9 @@ class TestMalformedReplayInputs:
     the replay runs."""
 
     CERTS = {
-        "han_bound": lambda g: certify_han_bound(QuadraticShift.gaussian(1, 100), 2),
+        "han_bound": lambda g: certify_han_bound(g, QuadraticShift.gaussian(1, 100), 2),
         "not_ramified": lambda g: certify_theorem_not_ramified(g, QuadraticShift(-7, 3, 0), 5),
         "generic_obstruction": lambda g: certify_generic(g, QuadraticShift.gaussian(3, 0), 4),
-        "zmija_cyclotomic": lambda g: certify_zmija_cyclotomic(g, 9),
         "none": lambda g: certify(
             g, QuadraticShift.gaussian(6, 0), 5, TestChainTableReplay.CONFIG
         ),
@@ -453,8 +470,6 @@ class TestMalformedReplayInputs:
             ("generic_obstruction", {"n": 4, "primes": [5.0]}),
             ("generic_obstruction", {"n": 4, "primes": [5], "seed": "0"}),
             ("not_ramified", {"n": 5, "prime_bound": 1.5}),
-            ("zmija_cyclotomic", {}),
-            ("zmija_cyclotomic", {"assume_integer_valued": "yes"}),
             ("none", {"n": 5, "config": {"foo": 1}}),
             ("none", {"n": 5, "config": None}),
             ("none", {"n": 5, "config": {"primes": [5], "seed": None}}),
@@ -511,13 +526,12 @@ class TestZmija:
             assert is_irreducible(q)
             assert not _zmija_order_six(q)
 
-    def test_certificate_for_sigma(self, sigma_g):
-        cert = certify_zmija_cyclotomic(sigma_g, 9)
-        assert cert.verdict == PROVEN and cert.scope.kind == "all"
-
-    def test_certificate_withholds_without_integrality(self, identity_g):
-        cert = certify_zmija_cyclotomic(identity_g, 9)
-        assert cert.verdict == INCONCLUSIVE
+    def test_chain_agrees_with_the_audit_at_roots_of_unity(self, sigma_g):
+        # The audit passes for sigma, and the chain proves the non-vanishing
+        # it implies, at every primitive m-th root of unity and every n.
+        assert check_zmija_conditions(sigma_g).passed
+        for m in range(3, 201):
+            assert certify_all_n(sigma_g, CyclotomicShift(m, 1, 0)).proven, m
 
 
 class TestScanGrid:

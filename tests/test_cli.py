@@ -73,6 +73,28 @@ class TestPoly:
         code_b, out_b, _ = run(capsys, "poly", "7", "--oracle", "--format", "text")
         assert code_a == code_b == 0 and out_a == out_b
 
+    def test_oracle_rational_uses_the_oracle(self, capsys, monkeypatch):
+        from darcais import series
+
+        want = run(capsys, "poly", "6", "--rational")[1]
+
+        def recursion(*args, **kwargs):
+            raise AssertionError("--oracle must not run the recursion")
+
+        monkeypatch.setattr(series, "a_poly", recursion)
+        monkeypatch.setattr(series, "p_poly", recursion)
+        for fmt in ("json", "text"):
+            code, out, _ = run(capsys, "poly", "6", "--oracle", "--rational", "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                assert out == want
+            else:
+                assert out.startswith("1/720*X^6 + ")
+
+    def test_oracle_conflicts_with_mod(self, capsys):
+        code, _, err = run(capsys, "poly", "5", "--oracle", "--mod", "7")
+        assert code == 2 and "--oracle" in err
+
 
 class TestTau:
     def test_single_value(self, capsys):
