@@ -180,6 +180,11 @@ def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:
             return Fraction(0)
         closest = min(abs(ends[0]), abs(ends[1]))
         return closest * closest
+    # |a*zeta + b|**2 = a**2 + b**2 + a*b*(zeta + 1/zeta), exact when the
+    # trace zeta + 1/zeta is an integer (-1, 0, 1 for m = 3, 4, 6).
+    trace = {3: -1, 4: 0, 6: 1}.get(c.m)
+    if trace is not None:
+        return Fraction(c.a * c.a + trace * c.a * c.b + c.b * c.b)
     # |a*zeta + b| >= ||b| - |a|| because |zeta| = 1.
     margin = abs(abs(c.b) - abs(c.a))
     return Fraction(margin * margin)
@@ -228,20 +233,14 @@ def _g3_is_0_or_1_mod_3(g: ArithmeticFunction) -> bool:
         return False
 
 
-def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> Certificate:
-    """Shift criteria that hold for every n at once.
-
-    Each item pins a prime lens ell not dividing a and shows the minimal
-    polynomial keeps a non-linear irreducible factor mod ell while the
-    integer D'Arcais polynomials split into linear factors mod ell:
-
-    1. cyclotomic, m has an odd prime factor, a odd           (lens 2),
-    2. cyclotomic, m divisible by a prime > 3 or by 4,
-       3 does not divide a, g(3) = 0 or 1 mod 3               (lens 3),
-    3. quadratic, D = 5 mod 8, a odd                          (lens 2),
-    4. quadratic, D = 2 mod 3, 3 does not divide a,
-       g(3) = 0 or 1 mod 3                                    (lens 3).
-    """
+# scan_grid asks for every n of a candidate the all-n run left open; the
+# decision does not depend on n.  Certificates are built fresh by the caller.
+@lru_cache(maxsize=1024)
+def _translated_item(
+    g: ArithmeticFunction, c: AlgebraicCandidate
+) -> tuple[int | None, tuple[tuple[str, int], ...]]:
+    """The item of ``certify_theorem_translated`` that (g, c) meets, or None,
+    and its facts as (key, value) pairs (memoized)."""
     item = None
     facts: dict = {}
     if isinstance(c, CyclotomicShift):
@@ -259,6 +258,24 @@ def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> 
             item, facts = 3, {"D_mod_8": c.D % 8}
         elif c.D % 3 == 2 and c.a % 3 != 0 and _g3_is_0_or_1_mod_3(g):
             item, facts = 4, {"D_mod_3": c.D % 3, "g3_mod_3": g(3) % 3}
+    return item, tuple(facts.items())
+
+
+def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> Certificate:
+    """Shift criteria that hold for every n at once.
+
+    Each item pins a prime lens ell not dividing a and shows the minimal
+    polynomial keeps a non-linear irreducible factor mod ell while the
+    integer D'Arcais polynomials split into linear factors mod ell:
+
+    1. cyclotomic, m has an odd prime factor, a odd           (lens 2),
+    2. cyclotomic, m divisible by a prime > 3 or by 4,
+       3 does not divide a, g(3) = 0 or 1 mod 3               (lens 3),
+    3. quadratic, D = 5 mod 8, a odd                          (lens 2),
+    4. quadratic, D = 2 mod 3, 3 does not divide a,
+       g(3) = 0 or 1 mod 3                                    (lens 3).
+    """
+    item, facts = _translated_item(g, c)
     if item is None:
         return Certificate(
             g_name=g.name,
@@ -276,7 +293,7 @@ def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> 
         verdict=PROVEN,
         method="translated_shift",
         details={"item": item},
-        evidence=facts,
+        evidence=dict(facts),
         witness_prime=2 if item in (1, 3) else 3,
     )
 
@@ -434,6 +451,10 @@ def certify_generic(
     prime.  A prime p (not dividing the candidate's index) where some
     irreducible factor of the minimal polynomial mod p fails to divide the
     polynomial mod p therefore proves the candidate is not a root.
+
+    Membership of each factor q in the factorization of A_n mod p is
+    checked against division by q, which runs mod q in O(p**2 log n) for
+    deg q <= p (``polymod.divides_a_poly_mod``); A_n mod p is never built.
     """
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
@@ -447,16 +468,15 @@ def certify_generic(
             skipped.append(p)
             continue
         try:
-            a_mod = polymod.a_poly_mod(g, n, p)
+            a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
         except TableExhaustedError:
             skipped.append(p)
             continue
-        a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
         min_fact = split.factorization
         a_irreducibles = {poly for poly, _ in a_fact.factors}
         for q, _ in min_fact.factors:
             missing = q not in a_irreducibles
-            if missing != (not q.divides(a_mod)):
+            if missing != (not polymod.divides_a_poly_mod(q, g, n, p)):
                 raise AssertionError("factor membership and division disagree")
             if missing:
                 return Certificate(

@@ -4,7 +4,8 @@
 ``darcais.polynomial``: Z, Q and F_p polynomials share one implementation
 of the ring operations, and Q and F_p one long division, ``monic`` and
 ``divides``.  What is particular to F_p stays here: the modulus, reduced
-powers (``pow_mod``), gcd, factorization and ``a_poly_mod``.
+powers (``pow_mod``), gcd, factorization, ``a_poly_mod`` and the
+divisibility test ``divides_a_poly_mod``.
 
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
@@ -94,14 +95,17 @@ def pow_mod(base: ModPoly, exponent: int, modulus: ModPoly) -> ModPoly:
     """base**exponent reduced mod modulus (exponent may be huge)."""
     if exponent < 0:
         raise DomainError("negative exponents are not defined")
-    result = ModPoly.one(base.p)
+    if not exponent:
+        return ModPoly.one(base.p)
     base = base % modulus
-    while exponent:
+    result = None
+    while True:
         if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
+            result = base if result is None else result * base % modulus
         exponent >>= 1
-    return result
+        if not exponent:
+            return result
+        base = base * base % modulus
 
 
 def reduce_mod(poly, q: int) -> ModPoly:
@@ -393,3 +397,22 @@ def factor_a_poly_mod(
         mults[q] = mults.get(q, 0) + mult
     found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
     return Factorization(p=p, unit=fact_r.unit, seed=seed, factors=tuple(found))
+
+
+# Every candidate whose minimal polynomial mod p has the factor q asks this
+# for each n of a scan; the answer is one bool whatever n is.
+@lru_cache(maxsize=4096, typed=True)
+def divides_a_poly_mod(q: ModPoly, g: arith.ArithmeticFunction, n: int, p: int) -> bool:
+    """Exactly ``q.divides(a_poly_mod(g, n, p))`` for nonzero q, computed
+    mod q without building A_n mod p (memoized).
+
+    With n = l*p + r, A_n = A_r * (X**p - g(p)*X)**l mod p, so q divides
+    A_n exactly when it divides (A_r mod q) * ((X**p - g(p)*X) mod q)**l.
+    For d = deg q this costs O(p*d + d**2 * log n) instead of O(n*d).
+    """
+    ell, a_r = _split_index(g, n, p)
+    rest = a_r % q
+    if ell:
+        bracket = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1])
+        rest = rest * pow_mod(bracket, ell, q) % q
+    return rest.is_zero

@@ -206,7 +206,7 @@ def test_ac11_generic_obstruction_at_a_million():
     # not apply, so only the mod-5 obstruction can settle this n.
     c = CyclotomicShift(8, 6, 1)
     n = 1_000_001
-    with budget("AC-11 generic obstruction at n = 1000001", 10):
+    with budget("AC-11 generic obstruction at n = 1000001", 1):
         cert = certify(SIGMA, c, n)
     assert cert.proven
     assert cert.method == "generic_obstruction" and cert.witness_prime == 5
@@ -220,3 +220,18 @@ def test_ac12_tau_growth_guard():
         values = tau_list(20_000)
     assert len(values) == 20_000
     assert values[:6] == [1, -24, 252, -1472, 4830, -6048]
+
+
+def test_ac13_generic_obstruction_growth_guard():
+    # The same obstruction at n = 5*(2*10**11) + 1: certifying and replaying
+    # must cost O(log n).  A route that writes out A_n mod 5 (degree n) or
+    # divides by the witness factor at full degree cannot finish at all.
+    c = CyclotomicShift(8, 6, 1)
+    n = 10**12 + 1
+    with budget("AC-13 generic obstruction at n = 10**12 + 1", 1):
+        cert = certify(SIGMA, c, n)
+        replayed = verify_certificate(SIGMA, cert)
+    assert cert.proven
+    assert cert.method == "generic_obstruction" and cert.witness_prime == 5
+    assert replayed
+

@@ -94,6 +94,32 @@ class TestHanBound:
                 alpha = c.a * zeta + c.b
             assert float(lower) <= abs(alpha) ** 2 + 1e-9
 
+    def test_quadratic_roots_of_unity_are_exact(self):
+        # zeta_4 = i and zeta_3 = w_{-3} - 1, so a*zeta_4 + b is gauss:a,b and
+        # a*zeta_3 + b is quad:-3,a,b-a; zeta_6 = -zeta_3**2 = zeta_3 + 1.
+        import cmath
+
+        for a in range(-10, 11):
+            if a == 0:
+                continue
+            for b in range(-10, 11):
+                m3, m4, m6 = (abs_sq_lower_bound(CyclotomicShift(m, a, b)) for m in (3, 4, 6))
+                assert m4 == abs_sq_lower_bound(QuadraticShift.gaussian(a, b)) == a * a + b * b
+                assert m3 == abs_sq_lower_bound(QuadraticShift(-3, a, b - a)) == a * a - a * b + b * b
+                assert m6 == abs_sq_lower_bound(CyclotomicShift(3, a, a + b)) == a * a + a * b + b * b
+                for m, value in ((3, m3), (4, m4), (6, m6)):
+                    alpha = a * cmath.exp(2j * cmath.pi / m) + b
+                    assert abs(float(value) - abs(alpha) ** 2) < 1e-9, (m, a, b)
+
+    def test_cyclotomic_and_gaussian_spellings_agree(self, sigma_g):
+        # |3i - 3|**2 = 18 proves n = 1 under both spellings (the reverse
+        # triangle inequality gave 0 for cyc:4,3,-3) and falls short at n = 2.
+        for n, verdict in ((1, PROVEN), (2, INCONCLUSIVE)):
+            cyc = certify_han_bound(sigma_g, CyclotomicShift(4, 3, -3), n)
+            gauss = certify_han_bound(sigma_g, QuadraticShift.gaussian(3, -3), n)
+            assert cyc.verdict == gauss.verdict == verdict
+            assert cyc.evidence == gauss.evidence
+
     def test_n1_needs_positive_bound(self, sigma_g):
         assert certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 5), 1).verdict == PROVEN
         # equal |a| and |b| gives a zero cyclotomic bound: inconclusive
@@ -282,6 +308,17 @@ class TestGenericObstruction:
             small = certify_generic(sigma_g, c, n, primes=base)
             if small.verdict == PROVEN:
                 assert certify_generic(sigma_g, c, n, primes=larger).verdict == PROVEN
+
+    def test_never_builds_the_degree_n_polynomial(self, sigma_g, monkeypatch):
+        from darcais import polymod
+
+        def refuse(*args):
+            raise AssertionError("a_poly_mod called on a certificate path")
+
+        monkeypatch.setattr(polymod, "a_poly_mod", refuse)
+        for c, n in ((CyclotomicShift(8, 6, 1), 2501), (QuadraticShift.gaussian(3, 0), 4)):
+            cert = certify_generic(sigma_g, c, n)
+            assert cert.verdict == PROVEN and verify_certificate(sigma_g, cert)
 
     def test_soundness_sample(self, sigma_g):
         rng = random.Random(8)

@@ -7,6 +7,7 @@ from darcais import (
     ArithmeticFunction,
     certify,
     certify_all_n,
+    certify_theorem_translated,
     parse_candidate,
     polymod,
     scan_grid,
@@ -73,6 +74,46 @@ def memoized_functions() -> list[tuple[str, str, ast.expr]]:
     return found
 
 
+def memoized_defs() -> list[tuple[str, ast.FunctionDef]]:
+    """(module, definition) for every memoized function in the package."""
+    return [
+        (module, node)
+        for module, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_memo_name(dec) in MEMO_DECORATORS for dec in node.decorator_list)
+    ]
+
+
+def annotation_names(annotation: ast.expr) -> set[str]:
+    """Every name an annotation mentions, quoted annotations included."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    return {
+        _memo_name(node)
+        for node in ast.walk(annotation)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+MUTABLE_BUILTINS = {"dict", "list", "set", "Dict", "List", "Set"}
+
+
+def mutable_result_types() -> set[str]:
+    """The mutable builtins, and the package's classes with a field of one
+    of them (a frozen dataclass still hands out its dict)."""
+    found = set(MUTABLE_BUILTINS)
+    for _, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(stmt, ast.AnnAssign)
+                and annotation_names(stmt.annotation) & MUTABLE_BUILTINS
+                for stmt in node.body
+            ):
+                found.add(node.name)
+    return found
+
+
 def has_finite_maxsize(dec: ast.expr) -> bool:
     if not isinstance(dec, ast.Call) or _memo_name(dec) != "lru_cache":
         return False
@@ -110,6 +151,18 @@ class TestMemoGuard:
         )
         assert node.decorator_list == []
         assert not hasattr(polymod.a_poly_mod, "cache_clear")
+
+    def test_memos_return_immutable_types(self):
+        # Every caller of a memo shares its result: one that mutated a cached
+        # dict would change the output of every later hit.
+        mutable = mutable_result_types()
+        assert {"Certificate", "ZmijaReport"} <= mutable
+        defs = memoized_defs()
+        assert len(defs) == len(memoized_functions())
+        for module, node in defs:
+            assert node.returns is not None, f"{module}.{node.name} has no return annotation"
+            bad = annotation_names(node.returns) & mutable
+            assert not bad, f"{module}.{node.name} returns {sorted(bad)}"
 
     def test_clear_helper_reaches_every_memo(self):
         declared = {f"darcais.{module}.{name}" for module, name, _ in memoized_functions()}
@@ -151,3 +204,15 @@ class TestOutputIgnoresCacheState:
                     methods.add(cert.method)
         assert {"han_bound", "translated_shift", "not_ramified", "generic_obstruction",
                 "none"} <= methods
+
+    def test_certificates_share_no_cached_dict(self):
+        # translated_shift is memoized per (g, c); each call must still build
+        # its own details and evidence.
+        g, c = ArithmeticFunction.sigma(), parse_candidate("cyc:8,1,1")
+        first = certify_theorem_translated(g, c)
+        want = first.canonical_json()
+        first.details["item"] = 0
+        first.evidence["g3_mod_3"] = "changed"
+        second = certify_theorem_translated(g, c)
+        assert second.canonical_json() == want
+        assert second.evidence == {"g3_mod_3": 1} and verify_certificate(g, second)

@@ -22,7 +22,7 @@ from darcais import (
     reduce_mod,
 )
 from darcais.arith import multiplicative_order
-from darcais.polymod import ModPoly, poly_gcd, pow_mod
+from darcais.polymod import ModPoly, divides_a_poly_mod, poly_gcd, pow_mod
 
 from conftest import random_table
 
@@ -67,6 +67,14 @@ class TestModPoly:
         f = ModPoly(5, (2, 0, 1, 1))
         x = ModPoly.x(5)
         assert pow_mod(x, 12, f) == (x**12) % f
+        rng = random.Random(3)
+        for p in (2, 3, 7):
+            for _ in range(20):
+                base = random_mod_poly(rng, p, 6)
+                f = random_mod_poly(rng, p, 4) + ModPoly(p, (0,) * 5 + (1,))
+                assert pow_mod(base, 0, f) == ModPoly.one(p)
+                for e in range(1, 40):
+                    assert pow_mod(base, e, f) == (base**e) % f, (p, base, e, f)
 
     def test_gcd_monic(self):
         a = ModPoly(7, (0, 1)) * ModPoly(7, (1, 1)) * 3
@@ -368,6 +376,69 @@ class TestFactorAPolyMod:
         with pytest.raises(TableExhaustedError):
             factor_a_poly_mod(g, 10, 5)
         assert factor_a_poly_mod(g, 3, 5) == factor(a_poly_mod(g, 3, 5))
+
+
+def monic_irreducibles_up_to_degree_2(p: int) -> list[ModPoly]:
+    """Every monic irreducible of degree 1 or 2 over F_p, X among them."""
+    linear = [ModPoly(p, (c, 1)) for c in range(p)]
+    quadratic = [ModPoly(p, (c0, c1, 1)) for c1 in range(p) for c0 in range(p)]
+    return linear + [q for q in quadratic if brute_irreducible(q)]
+
+
+class TestDividesAPolyMod:
+    def test_matches_division_of_the_full_polynomial(self):
+        gs = [ArithmeticFunction.sigma(), ArithmeticFunction.identity()]
+        gs += [random_table(seed, 80) for seed in (1, 2, 3)]
+        checked = 0
+        for p in ORACLE_PRIMES:
+            qs = monic_irreducibles_up_to_degree_2(p)
+            assert ModPoly.x(p) in qs and len(qs) == p + (p * p - p) // 2
+            for g in gs:
+                for n in sorted(set(range(5 * p + 3)) | {61, 2501, 3001}):
+                    a_mod = a_poly_mod(g, n, p)
+                    for q in qs:
+                        want = q.divides(a_mod)
+                        assert divides_a_poly_mod(q, g, n, p) == want, (g.name, p, n, q)
+                        checked += 1
+        assert checked == 60915
+
+    def test_matches_division_by_reducible_polynomials(self):
+        # Powers and products of linear factors: whether such a q divides
+        # A_r * B**l depends on l, not only on which irreducibles divide
+        # A_r and B, so only these q see the exponent of the bracket B.
+        gs = [ArithmeticFunction.sigma(), ArithmeticFunction.identity(), random_table(1, 80)]
+        for p in (2, 3, 5, 7):
+            linear = [ModPoly(p, (c, 1)) for c in range(p)]
+            qs = [u * v for i, u in enumerate(linear) for v in linear[i:]]
+            qs += [ModPoly.x(p) ** k for k in (3, 4, 7)] + [linear[1] ** 3 * linear[0]]
+            for g in gs:
+                for n in sorted(set(range(5 * p + 3)) | {61, 2501}):
+                    a_mod = a_poly_mod(g, n, p)
+                    for q in qs:
+                        want = q.divides(a_mod)
+                        assert divides_a_poly_mod(q, g, n, p) == want, (g.name, p, n, q)
+
+    def test_cost_does_not_grow_with_n(self, sigma_g):
+        # A_n mod 5 is A_1 * (X**5 - X)**l: X and X - 1 divide it, while the
+        # irreducible X**2 + 2 divides neither factor.
+        n = 10**12 + 1
+        assert divides_a_poly_mod(ModPoly.x(5), sigma_g, n, 5)
+        assert divides_a_poly_mod(ModPoly(5, (-1, 1)), sigma_g, n, 5)
+        assert not divides_a_poly_mod(ModPoly(5, (2, 0, 1)), sigma_g, n, 5)
+
+    def test_rejects_what_a_poly_mod_rejects(self, sigma_g):
+        from darcais import TableExhaustedError
+
+        with pytest.raises(DomainError):
+            divides_a_poly_mod(ModPoly.x(7), sigma_g, 12, 5)  # mixed moduli
+        with pytest.raises(DomainError):
+            divides_a_poly_mod(ModPoly.x(5), sigma_g, -1, 5)
+        g = ArithmeticFunction.from_table([1, 2, 3])
+        with pytest.raises(TableExhaustedError):
+            divides_a_poly_mod(ModPoly.x(5), g, 10, 5)
+        assert divides_a_poly_mod(ModPoly.x(7), sigma_g, 12, 7)
+        with pytest.raises(TypeError):
+            divides_a_poly_mod(ModPoly.x(7), sigma_g, 12.0, 7)
 
 
 class TestAgainstSympy:
