@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -52,9 +51,8 @@ def require_prime(p: int, what: str = "p") -> None:
         raise DomainError(f"{what} must be prime, got {p!r}")
 
 
-@lru_cache(maxsize=64)
 def primes_up_to(bound: int) -> tuple[int, ...]:
-    """All primes <= bound, by sieve (memoized; a tuple, so shared safely)."""
+    """All primes <= bound, by sieve."""
     if bound < 2:
         return ()
     sieve = bytearray([1]) * (bound + 1)

@@ -163,9 +163,8 @@ def _sqrt_bracket(D: int, scale: int = 10**8) -> tuple[Fraction, Fraction]:
     return Fraction(s, scale), Fraction(s + 1, scale)
 
 
-@lru_cache(maxsize=1024)
 def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:
-    """A sound rational lower bound for |alpha|**2 (exact where possible; memoized)."""
+    """A sound rational lower bound for |alpha|**2 (exact where possible)."""
     if isinstance(c, QuadraticShift):
         D, a, b = c.D, c.a, c.b
         if D < 0:
@@ -233,14 +232,20 @@ def _g3_is_0_or_1_mod_3(g: ArithmeticFunction) -> bool:
         return False
 
 
-# scan_grid asks for every n of a candidate the all-n run left open; the
-# decision does not depend on n.  Certificates are built fresh by the caller.
-@lru_cache(maxsize=1024)
-def _translated_item(
-    g: ArithmeticFunction, c: AlgebraicCandidate
-) -> tuple[int | None, tuple[tuple[str, int], ...]]:
-    """The item of ``certify_theorem_translated`` that (g, c) meets, or None,
-    and its facts as (key, value) pairs (memoized)."""
+def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> Certificate:
+    """Shift criteria that hold for every n at once.
+
+    Each item pins a prime lens ell not dividing a and shows the minimal
+    polynomial keeps a non-linear irreducible factor mod ell while the
+    integer D'Arcais polynomials split into linear factors mod ell:
+
+    1. cyclotomic, m has an odd prime factor, a odd           (lens 2),
+    2. cyclotomic, m divisible by a prime > 3 or by 4,
+       3 does not divide a, g(3) = 0 or 1 mod 3               (lens 3),
+    3. quadratic, D = 5 mod 8, a odd                          (lens 2),
+    4. quadratic, D = 2 mod 3, 3 does not divide a,
+       g(3) = 0 or 1 mod 3                                    (lens 3).
+    """
     item = None
     facts: dict = {}
     if isinstance(c, CyclotomicShift):
@@ -258,24 +263,6 @@ def _translated_item(
             item, facts = 3, {"D_mod_8": c.D % 8}
         elif c.D % 3 == 2 and c.a % 3 != 0 and _g3_is_0_or_1_mod_3(g):
             item, facts = 4, {"D_mod_3": c.D % 3, "g3_mod_3": g(3) % 3}
-    return item, tuple(facts.items())
-
-
-def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> Certificate:
-    """Shift criteria that hold for every n at once.
-
-    Each item pins a prime lens ell not dividing a and shows the minimal
-    polynomial keeps a non-linear irreducible factor mod ell while the
-    integer D'Arcais polynomials split into linear factors mod ell:
-
-    1. cyclotomic, m has an odd prime factor, a odd           (lens 2),
-    2. cyclotomic, m divisible by a prime > 3 or by 4,
-       3 does not divide a, g(3) = 0 or 1 mod 3               (lens 3),
-    3. quadratic, D = 5 mod 8, a odd                          (lens 2),
-    4. quadratic, D = 2 mod 3, 3 does not divide a,
-       g(3) = 0 or 1 mod 3                                    (lens 3).
-    """
-    item, facts = _translated_item(g, c)
     if item is None:
         return Certificate(
             g_name=g.name,
@@ -293,7 +280,7 @@ def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> 
         verdict=PROVEN,
         method="translated_shift",
         details={"item": item},
-        evidence=dict(facts),
+        evidence=facts,
         witness_prime=2 if item in (1, 3) else 3,
     )
 
@@ -864,7 +851,10 @@ def _grid_point(a: int, b: int, methods: set, uncertified: list) -> GridPoint:
 
 
 def _scan_rational_integer(g: ArithmeticFunction, b: int, n_max: int) -> GridPoint:
-    """Real-axis point: certify n by the absolute bound or exact evaluation."""
+    """Real-axis point: certify n by the absolute bound or exact evaluation.
+
+    An n past the reach of g's table stays uncertified, as at a != 0.
+    """
     methods = set()
     uncertified = []
     abs_sq = Fraction(b * b)
@@ -872,7 +862,11 @@ def _scan_rational_integer(g: ArithmeticFunction, b: int, n_max: int) -> GridPoi
         if g.kind == "sigma" and _exceeds_han_bound(abs_sq, n)[0]:
             methods.add("han_bound")
             continue
-        if series.a_poly(g, n).evaluate(b) != 0:
+        try:
+            nonzero = series.a_poly(g, n).evaluate(b) != 0
+        except TableExhaustedError:
+            nonzero = False
+        if nonzero:
             methods.add("exact_evaluation")
         else:
             uncertified.append(n)
@@ -896,7 +890,11 @@ def scan_grid(
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
+    for name, (lo, hi) in (("a_range", a_range), ("b_range", b_range)):
+        if lo > hi:
+            raise DomainError(f"scan_grid requires {name} LO <= HI, got {lo}:{hi}")
     make = _candidate_factory(kind)
+    make(1, 0)  # checks m or D even when every row has a = 0
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):

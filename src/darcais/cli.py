@@ -336,6 +336,8 @@ def _cmd_zmija(args, g) -> int:
 
 
 def _cmd_hurwitz(args, g) -> int:
+    if args.max < 1:
+        raise DomainError(f"--max must be >= 1, got {args.max}")
     results = []
     for n in range(1, args.max + 1):
         h = series.h_poly(g, n)

@@ -7,6 +7,10 @@ of the ring operations, and Q and F_p one long division, ``monic`` and
 powers (``pow_mod``), gcd, factorization, ``a_poly_mod`` and the
 divisibility test ``divides_a_poly_mod``.
 
+These three read one identity over F_p: with n = l*p + r, 0 <= r < p, and
+B = X**p - g(p)*X, A_n = A_r * B**l (mod p).  ``_split_index`` is the one
+place that computes l, A_r mod p and B.
+
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
 equal-degree splitting (Cantor-Zassenhaus).  The equal-degree stage takes
@@ -153,9 +157,6 @@ class Factorization:
         for poly, mult in self.factors:
             out = out * poly**mult
         return out
-
-    def irreducible_factors(self) -> list[ModPoly]:
-        return [poly for poly, _ in self.factors]
 
     def degrees(self) -> list[int]:
         return [poly.degree for poly, _ in self.factors]
@@ -309,18 +310,23 @@ def _a_r_mod(g: arith.ArithmeticFunction, r: int, p: int) -> ModPoly:
     return reduce_mod(series.a_poly(g, r), p)
 
 
-def _split_index(g: arith.ArithmeticFunction, n: int, p: int) -> tuple[int, ModPoly]:
-    """Write n = l*p + r with 0 <= r < p; return l and A_r mod p.
+def _split_index(
+    g: arith.ArithmeticFunction, n: int, p: int
+) -> tuple[int, ModPoly, ModPoly | None]:
+    """Write n = l*p + r with 0 <= r < p; return l, A_r mod p and the
+    bracket B = X**p - g(p)*X (None when l = 0, so g(p) is read only then).
 
-    A_r is taken from the memoized integer recursion (``series.a_poly``);
-    reduction mod p is a ring map, so this is the recursion run over F_p.
+    A_n = A_r * B**l mod p.  A_r is taken from the memoized integer
+    recursion (``series.a_poly``); reduction mod p is a ring map, so this
+    is the recursion run over F_p.
     """
     _check_modulus(p)
     if n < 0:
         raise DomainError(f"a_poly_mod requires n >= 0, got {n}")
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
-    return ell, _a_r_mod(g, r, p)
+    bracket = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1]) if ell else None
+    return ell, _a_r_mod(g, r, p), bracket
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:
@@ -348,17 +354,17 @@ def _binomial_power(u: int, ell: int, p: int) -> list[int]:
 def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     """n-th integer D'Arcais polynomial for g, reduced mod p.
 
-    Write n = l*p + r with 0 <= r < p.  The residue factors as the r-th
-    polynomial times the l-th power of X*(X**(p-1) - g(p)), so only A_r is
-    built over Z (degree r < p, from the memoized recursion) and reduced;
-    the power is written down from its binomial coefficients.
+    A_n = A_r * B**l (see ``_split_index``), so only A_r is built over Z
+    (degree r < p, from the memoized recursion) and reduced; B**l is
+    written down from its binomial coefficients.
     """
-    ell, a_r = _split_index(g, n, p)
+    ell, a_r, bracket = _split_index(g, n, p)
     if not ell:
         return a_r
-    # (X*(X**(p-1) - c))**l = sum_k C(l, k) (-c)**(l-k) X**(l + (p-1)*k)
+    # B**l = X**l * (X**(p-1) + u)**l = sum_k C(l, k) u**(l-k) X**(l + (p-1)*k),
+    # where u = -g(p) is the coefficient of X in B.
     out = [0] * (ell * p + a_r.degree + 1)
-    for k, t in enumerate(_binomial_power(-g(p) % p, ell, p)):
+    for k, t in enumerate(_binomial_power(bracket.coeff(1), ell, p)):
         if t:
             base = ell + (p - 1) * k
             for i, a in enumerate(a_r.coeffs):
@@ -372,29 +378,19 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
 def factor_a_poly_mod(
     g: arith.ArithmeticFunction, n: int, p: int, seed: int = 0
 ) -> Factorization:
-    """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from
-    factorizations of degree below p (memoized).
+    """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from the
+    factorizations of A_r and B, of degree at most p (memoized).
 
-    With n = l*p + r and c = g(p) mod p, A_n = A_r * X**l * (X**(p-1) - c)**l.
-    For c != 0 the bracket is squarefree (X does not divide it, and its
-    derivative is a power of X up to a unit), so each of its irreducible
-    factors enters with multiplicity l; for c = 0 it is X**(p-1).
-    Multiplicities of irreducibles shared with A_r add up.
+    A_n = A_r * B**l (see ``_split_index``), so a factor q**m of B enters
+    with multiplicity l*m, added to that of q in A_r.
     """
-    ell, a_r = _split_index(g, n, p)
+    ell, a_r, bracket = _split_index(g, n, p)
     fact_r = factor(a_r, seed=seed)
     if not ell:
         return fact_r
     mults = dict(fact_r.factors)
-    x = ModPoly.x(p)
-    c = g(p) % p
-    if c:
-        bracket = factor(ModPoly(p, [-c] + [0] * (p - 2) + [1]), seed=seed)
-        extra = [(x, ell)] + [(q, ell) for q in bracket.irreducible_factors()]
-    else:
-        extra = [(x, ell * p)]
-    for q, mult in extra:
-        mults[q] = mults.get(q, 0) + mult
+    for q, mult in factor(bracket, seed=seed).factors:
+        mults[q] = mults.get(q, 0) + ell * mult
     found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
     return Factorization(p=p, unit=fact_r.unit, seed=seed, factors=tuple(found))
 
@@ -406,13 +402,12 @@ def divides_a_poly_mod(q: ModPoly, g: arith.ArithmeticFunction, n: int, p: int) 
     """Exactly ``q.divides(a_poly_mod(g, n, p))`` for nonzero q, computed
     mod q without building A_n mod p (memoized).
 
-    With n = l*p + r, A_n = A_r * (X**p - g(p)*X)**l mod p, so q divides
-    A_n exactly when it divides (A_r mod q) * ((X**p - g(p)*X) mod q)**l.
-    For d = deg q this costs O(p*d + d**2 * log n) instead of O(n*d).
+    A_n = A_r * B**l (see ``_split_index``), so q divides A_n exactly when
+    it divides (A_r mod q) * (B mod q)**l.  For d = deg q this costs
+    O(p*d + d**2 * log n) instead of O(n*d).
     """
-    ell, a_r = _split_index(g, n, p)
+    ell, a_r, bracket = _split_index(g, n, p)
     rest = a_r % q
     if ell:
-        bracket = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1])
         rest = rest * pow_mod(bracket, ell, q) % q
     return rest.is_zero

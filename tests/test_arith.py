@@ -310,6 +310,3 @@ class TestPrimesUpTo:
         assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
         assert all(is_prime(p) for p in primes_up_to(500))
         assert len(primes_up_to(1000)) == 168
-
-    def test_repeat_returns_the_shared_tuple(self):
-        assert primes_up_to(97) is primes_up_to(97)

@@ -611,13 +611,15 @@ class TestScanGrid:
     def test_quadratic_kind_and_bad_kind(self, sigma_g):
         grid = scan_grid(sigma_g, "quad:5", (1, 1), (0, 0), 3)
         assert grid.points[0].status == "all_n"
-        with pytest.raises(DomainError):
-            scan_grid(sigma_g, "hex:5", (0, 0), (0, 0), 3)
+        # The kind is checked even when no row builds a candidate (a = 0).
+        for kind in ("hex:5", "cyc:2", "quad:-4"):
+            with pytest.raises(DomainError):
+                scan_grid(sigma_g, kind, (0, 0), (0, 0), 3)
 
-    def test_empty_range_gives_empty_grid(self, sigma_g):
-        grid = scan_grid(sigma_g, "gauss", (2, 1), (0, 5), 4)
-        assert grid.points == ()
-        assert grid.to_csv() == "a,b,status,methods\n"
+    def test_empty_range_rejected(self, sigma_g):
+        for a_range, b_range in (((2, 1), (0, 5)), ((0, 5), (2, 1))):
+            with pytest.raises(DomainError, match="LO <= HI"):
+                scan_grid(sigma_g, "gauss", a_range, b_range, 4)
 
     def test_nonpositive_n_max_rejected(self, sigma_g):
         with pytest.raises(DomainError):
@@ -668,6 +670,18 @@ class TestShortTables:
         g = ArithmeticFunction.from_table([1, 2, 3], name="short")
         cert = certify(g, CyclotomicShift(5, 1, 0), 50)
         assert cert.verdict == PROVEN and cert.method == "translated_shift"
+
+    def test_scan_real_axis_degrades_without_crashing(self):
+        # A_4 needs g(4); the a = 0 row leaves the n it cannot evaluate
+        # uncertified, as the chain does for a != 0.
+        g = ArithmeticFunction.from_table([1, 3, 4], name="short")
+        grid = scan_grid(g, "gauss", (0, 1), (0, 1), 5)
+        real = [pt for pt in grid.points if pt.a == 0]
+        assert [pt.b for pt in real] == [0, 1]
+        for pt in real:
+            assert pt.uncertified[-2:] == (4, 5)
+        assert real[1].methods == ("exact_evaluation",)
+        assert grid.points[2:] == scan_grid(g, "gauss", (1, 1), (0, 1), 5).points
 
 
 class TestChainSoundnessSamples:

@@ -180,13 +180,19 @@ class TestScan:
             )
             assert code == 2, kind
             assert "unknown grid kind" in err and "Traceback" not in err, kind
+        # The kind's parameter is checked even when every row has a = 0.
+        for kind in ("cyc:2", "quad:-4"):
+            code, out, err = run(
+                capsys, "scan", "--kind", kind, "--a-range=0:0", "--b-range=0:0"
+            )
+            assert code == 2 and out == "", kind
+            assert err.startswith("error: ") and "Traceback" not in err, kind
 
-    def test_empty_range_yields_empty_grid(self, capsys):
-        code, out, _ = run(
-            capsys, "scan", "--a-range=3:1", "--b-range=0:0", "--format", "csv"
-        )
-        assert code == 0
-        assert out.strip().splitlines()[-1] == "a,b,status,methods"
+    def test_empty_range_is_usage_error(self, capsys):
+        for ranges in (("--a-range=3:1", "--b-range=0:0"), ("--a-range=0:0", "--b-range=3:1")):
+            code, out, err = run(capsys, "scan", *ranges, "--format", "csv")
+            assert code == 2 and out == "", ranges
+            assert err.startswith("error: ") and "LO <= HI" in err, ranges
 
 
 class TestOtherCommands:
@@ -222,6 +228,12 @@ class TestOtherCommands:
     def test_hurwitz(self, capsys):
         code, out, _ = run(capsys, "hurwitz", "--max", "10", "--format", "text")
         assert code == 0 and "Hurwitz for all n <= 10" in out
+
+    def test_hurwitz_needs_a_positive_max(self, capsys):
+        for value in ("0", "-3"):
+            code, out, err = run(capsys, "hurwitz", "--max", value, "--format", "text")
+            assert code == 2 and out == "", value
+            assert err.startswith("error: ") and "--max" in err, value
 
     def test_hurwitz_root_at_origin_is_not_hurwitz(self, capsys, tmp_path):
         # g(2) = 0 makes H_2 = X/2, whose root at 0 is not in the open left half-plane

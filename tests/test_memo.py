@@ -2,6 +2,8 @@
 
 import ast
 import json
+import re
+from pathlib import Path
 
 from darcais import (
     ArithmeticFunction,
@@ -16,6 +18,7 @@ from darcais import (
 
 from conftest import PACKAGE, clear_library_caches, library_memos, random_table
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MEMO_DECORATORS = {"lru_cache", "cache"}
 # Unbounded memos whose keys come from a small domain: the prime moduli a
 # run uses, and the cyclotomic levels m of its candidates.
@@ -114,6 +117,13 @@ def mutable_result_types() -> set[str]:
     return found
 
 
+def readme_memo_names() -> set[str]:
+    """The memos README's memo paragraph names, each as `module.function(...)`."""
+    (block,) = [b for b in README.read_text().split("\n\n") if "memoized per process" in b]
+    paragraph = block.split("\n- ")[0]  # the next library entry starts a bullet
+    return {f"darcais.{name}" for name in re.findall(r"`(\w+\.\w+)\(", paragraph)}
+
+
 def has_finite_maxsize(dec: ast.expr) -> bool:
     if not isinstance(dec, ast.Call) or _memo_name(dec) != "lru_cache":
         return False
@@ -167,6 +177,10 @@ class TestMemoGuard:
     def test_clear_helper_reaches_every_memo(self):
         declared = {f"darcais.{module}.{name}" for module, name, _ in memoized_functions()}
         assert declared == set(library_memos())
+
+    def test_readme_names_exactly_the_memos(self):
+        # A change that adds or drops a memo updates README's list with it.
+        assert readme_memo_names() == set(library_memos())
 
 
 def _scan_bytes(g, kind, a_range, b_range) -> str:
