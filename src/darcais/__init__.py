@@ -13,11 +13,8 @@ __version__ = "0.1.0"
 from .arith import (
     ArithmeticFunction,
     euler_phi,
-    f_g,
-    inertia_degree_cyclotomic,
     is_prime,
     legendre_symbol,
-    mobius,
     sigma,
 )
 from .certify import (
@@ -44,7 +41,6 @@ from .numfield import (
     QuadraticShift,
     SplittingReport,
     dedekind_kummer_split,
-    index_via_determinant,
     min_poly_cyclotomic_shift,
     min_poly_quadratic_shift,
     parse_candidate,
@@ -63,12 +59,9 @@ from .polynomial import IntPoly, RatPoly, cyclotomic, format_poly
 from .series import (
     a_poly,
     a_poly_oracle,
-    evaluate_at_cyclotomic,
-    evaluate_at_quadratic,
     h_poly,
     hurwitz_check,
     p_poly,
-    series_oracle,
     tau,
     tau_list,
 )
@@ -106,28 +99,21 @@ __all__ = [
     "cyclotomic",
     "dedekind_kummer_split",
     "euler_phi",
-    "evaluate_at_cyclotomic",
-    "evaluate_at_quadratic",
-    "f_g",
     "factor",
     "factor_a_poly_mod",
     "format_poly",
     "h_poly",
     "hurwitz_check",
-    "index_via_determinant",
-    "inertia_degree_cyclotomic",
     "is_irreducible",
     "is_prime",
     "legendre_symbol",
     "min_poly_cyclotomic_shift",
     "min_poly_quadratic_shift",
-    "mobius",
     "p_poly",
     "parse_candidate",
     "ramifies",
     "reduce_mod",
     "scan_grid",
-    "series_oracle",
     "sigma",
     "tau",
     "tau_list",

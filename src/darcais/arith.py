@@ -1,14 +1,13 @@
 """Elementary number theory and the integer-valued arithmetic function g.
 
-Everything here is exact: integers are Python ints, rationals are
-``fractions.Fraction``.  Primality is always verified, never assumed.
+Everything here is exact arithmetic on Python ints.  Primality is always
+verified, never assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from pathlib import Path
 
 from .errors import DomainError, TableExhaustedError
@@ -108,16 +107,6 @@ def sigma(n: int) -> int:
     return sum(divisors(n))
 
 
-def mobius(n: int) -> int:
-    """Moebius function: 0 unless n is squarefree, else (-1)**(number of primes)."""
-    if n < 1:
-        raise DomainError(f"mobius requires n >= 1, got {n}")
-    pairs = _factorization(n)
-    if any(e > 1 for _, e in pairs):
-        return 0
-    return -1 if len(pairs) % 2 else 1
-
-
 def euler_phi(m: int) -> int:
     """Count of 1 <= k <= m coprime to m."""
     if m < 1:
@@ -150,40 +139,6 @@ def legendre_symbol(D: int, p: int) -> int:
         raise DomainError("legendre_symbol requires an odd prime")
     r = pow(D % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Least f >= 1 with a**f = 1 mod m; requires gcd(a, m) = 1."""
-    if m < 1:
-        raise DomainError(f"multiplicative_order requires m >= 1, got {m}")
-    a %= m
-    if m == 1:
-        return 1
-    if gcd(a, m) != 1:
-        raise DomainError(f"{a} is not invertible mod {m}")
-    # The order divides phi(m); test divisors in increasing order.
-    phi = euler_phi(m)
-    for f in divisors(phi):
-        if pow(a, f, m) == 1:
-            return f
-    raise AssertionError("unreachable: order must divide phi(m)")
-
-
-def inertia_degree_cyclotomic(p: int, m: int) -> int:
-    """Common residue degree of the primes above p in the m-th cyclotomic field.
-
-    Strip the p-part of m, leaving m_p; the degree is the multiplicative
-    order of p modulo m_p (1 when m_p <= 2).
-    """
-    require_prime(p)
-    if m < 3:
-        raise DomainError(f"inertia_degree_cyclotomic requires m >= 3, got {m}")
-    m_p = m
-    while m_p % p == 0:
-        m_p //= p
-    if m_p <= 2:
-        return 1
-    return multiplicative_order(p, m_p)
 
 
 @dataclass(frozen=True)
@@ -280,12 +235,3 @@ class ArithmeticFunction:
                 f"g={self.name!r} is tabulated up to {len(self.table)}, asked for g({n})"
             )
         return self.table[n - 1]
-
-
-def f_g(g: ArithmeticFunction, n: int) -> Fraction:
-    """Rescaled Moebius convolution (1/n) * sum over d|n of mu(d) g(n/d)."""
-    if n < 1:
-        raise DomainError(f"f_g requires n >= 1, got {n}")
-    g.require_up_to(n)
-    total = sum(mobius(d) * g(n // d) for d in divisors(n))
-    return Fraction(total, n)

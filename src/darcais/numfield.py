@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from . import arith, polymod, series
+from . import arith, polymod
 from .errors import DomainError
 from .polynomial import IntPoly, cyclotomic
 from .polymod import Factorization, ModPoly
@@ -166,50 +166,6 @@ def parse_candidate(text: str) -> AlgebraicCandidate:
     raise DomainError(
         f"malformed candidate {text!r}; expected cyc:m,a,b | quad:D,a,b | gauss:a,b"
     )
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant by fraction-free elimination; all divisions are exact."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def index_via_determinant(m: int, a: int, b: int) -> int:
-    """Index of Z[a*zeta_m + b] computed from first principles.
-
-    Expresses the powers (a*zeta_m + b)**j, j < phi(m), in the power basis
-    of zeta_m and returns |det| of the resulting change-of-basis matrix.
-    """
-    if m < 3:
-        raise DomainError(f"index_via_determinant requires m >= 3, got {m}")
-    if a == 0:
-        raise DomainError("a = 0 degenerates to a rational integer")
-    deg = arith.euler_phi(m)
-    rows = [series.evaluate_at_cyclotomic(IntPoly.monomial(j), m, a, b) for j in range(deg)]
-    return abs(_bareiss_det(rows))
 
 
 def ramifies(c: AlgebraicCandidate, p: int) -> bool:

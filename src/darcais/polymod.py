@@ -2,12 +2,12 @@
 
 ``ModPoly`` derives from the dense-polynomial base of
 ``darcais.polynomial``: Z, Q and F_p polynomials share one implementation
-of the ring operations, and Q and F_p one long division, ``monic`` and
-``divides``.  What is particular to F_p stays here: the modulus, reduced
-powers (``pow_mod``), gcd, factorization, ``a_poly_mod`` and the
-divisibility test ``divides_a_poly_mod``.
+of the ring operations and of long division, and Q and F_p one ``monic``
+and ``divides``.  What is particular to F_p stays here: the modulus, reduced
+powers (``pow_mod``), gcd, factorization, ``a_poly_mod`` and its
+factorization ``factor_a_poly_mod``.
 
-These three read one identity over F_p: with n = l*p + r, 0 <= r < p, and
+These two read one identity over F_p: with n = l*p + r, 0 <= r < p, and
 B = X**p - g(p)*X, A_n = A_r * B**l (mod p).  ``_split_index`` is the one
 place that computes l, A_r mod p and B.
 
@@ -393,21 +393,3 @@ def factor_a_poly_mod(
         mults[q] = mults.get(q, 0) + ell * mult
     found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
     return Factorization(p=p, unit=fact_r.unit, seed=seed, factors=tuple(found))
-
-
-# Every candidate whose minimal polynomial mod p has the factor q asks this
-# for each n of a scan; the answer is one bool whatever n is.
-@lru_cache(maxsize=4096, typed=True)
-def divides_a_poly_mod(q: ModPoly, g: arith.ArithmeticFunction, n: int, p: int) -> bool:
-    """Exactly ``q.divides(a_poly_mod(g, n, p))`` for nonzero q, computed
-    mod q without building A_n mod p (memoized).
-
-    A_n = A_r * B**l (see ``_split_index``), so q divides A_n exactly when
-    it divides (A_r mod q) * (B mod q)**l.  For d = deg q this costs
-    O(p*d + d**2 * log n) instead of O(n*d).
-    """
-    ell, a_r, bracket = _split_index(g, n, p)
-    rest = a_r % q
-    if ell:
-        rest = rest * pow_mod(bracket, ell, q) % q
-    return rest.is_zero

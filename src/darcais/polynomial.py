@@ -4,8 +4,10 @@ Coefficients are stored constant-term first, one entry per degree, with
 trailing zeros stripped so that representations are canonical.  IntPoly
 holds Python ints, RatPoly holds ``fractions.Fraction``; ``polymod.ModPoly``
 (ints reduced into [0, p)) derives from the same base, so Z, Q and F_p
-polynomials share one implementation of the ring operations, and Q and
-F_p one long division.  All of them are immutable and hashable.
+polynomials share one implementation of the ring operations and one long
+division (``divmod``, ``//``, ``%``).  Over Z a division whose quotient is
+not integral raises ``DomainError``; a monic divisor never does.  All of
+them are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -219,6 +221,18 @@ class _BasePoly:
                     rem[k + i] -= q * c
         return self._new(quot), self._new(rem)
 
+    def __divmod__(self, other):
+        den = self._same(other)
+        if den is None:
+            return NotImplemented
+        return self._divmod(den)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
     def evaluate(self, x):
         """Exact Horner evaluation; the result type follows the inputs."""
         acc = 0
@@ -252,12 +266,6 @@ class _BasePoly:
 
     # -- serialization -------------------------------------------------------------
 
-    def to_text(self) -> str:
-        """Space-separated coefficients, constant term first ('0' when zero)."""
-        if not self._coeffs:
-            return "0"
-        return " ".join(str(c) for c in self._coeffs)
-
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
@@ -284,14 +292,6 @@ class IntPoly(_BasePoly):
             raise DomainError("monomial degree must be >= 0")
         return cls((0,) * degree + (coeff,))
 
-    @classmethod
-    def from_text(cls, text: str) -> "IntPoly":
-        return cls(int(tok) for tok in text.split())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "IntPoly":
-        return cls(int(c) for c in doc["coeffs"])
-
     def to_rat(self) -> "RatPoly":
         return RatPoly(self._coeffs)
 
@@ -304,21 +304,9 @@ class IntPoly(_BasePoly):
 
 
 class _FieldPoly(_BasePoly):
-    """Coefficients in a field: ``divmod``, ``//``, ``%``, ``monic`` and ``divides``."""
+    """Coefficients in a field: ``monic`` and ``divides``."""
 
     __slots__ = ()
-
-    def __divmod__(self, other):
-        den = self._same(other)
-        if den is None:
-            return NotImplemented
-        return self._divmod(den)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def divides(self, other) -> bool:
         """True iff self divides other."""
@@ -359,22 +347,8 @@ class RatPoly(_FieldPoly):
             return RatPoly((other,))
         return None
 
-    @classmethod
-    def from_text(cls, text: str) -> "RatPoly":
-        return cls(Fraction(tok) for tok in text.split())
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RatPoly":
-        return cls(Fraction(c) for c in doc["coeffs"])
-
     def scale(self, factor) -> "RatPoly":
         return self * Fraction(factor)
-
-    def to_int_poly(self) -> IntPoly:
-        """Convert when every coefficient is an integer."""
-        if any(c.denominator != 1 for c in self._coeffs):
-            raise DomainError("polynomial has non-integer coefficients")
-        return IntPoly(int(c) for c in self._coeffs)
 
 
 @lru_cache(maxsize=None)

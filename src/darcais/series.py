@@ -1,17 +1,15 @@
-"""D'Arcais polynomials: exact construction, oracles, and evaluation.
+"""D'Arcais polynomials: exact construction, tau, and Hurwitz stability.
 
 The n-th D'Arcais polynomial for an arithmetic function g is the
 coefficient of q**n in exp(X * sum_{k>=1} g(k) q**k / k).  Scaled by n!
 it has integer coefficients, is monic of degree n, and has zero constant
-term for n >= 1.  Three independent routes are provided:
+term for n >= 1.  Two independent routes are provided:
 
 * ``a_poly``       - the O(n^2) convolution recursion (the workhorse),
-* ``a_poly_oracle``- a sum over integer partitions, exact but exponential,
-* ``series_oracle``- formal exponentiation of the power series at a fixed
-  integer argument.
+* ``a_poly_oracle``- a sum over integer partitions, exact but exponential.
 
-The oracles exist so the recursion can be cross-checked; they share no
-code path with it.
+The oracle exists so the recursion can be cross-checked (``poly
+--oracle`` prints it); it shares no code path with the recursion.
 """
 
 from __future__ import annotations
@@ -21,9 +19,9 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterator
 
-from .arith import ArithmeticFunction, require_quadratic_d
+from .arith import ArithmeticFunction
 from .errors import DomainError
-from .polynomial import IntPoly, RatPoly, cyclotomic
+from .polynomial import IntPoly, RatPoly
 
 _cache_lock = threading.Lock()
 _a_cache: dict[ArithmeticFunction, list[IntPoly]] = {}
@@ -132,24 +130,6 @@ def a_poly_oracle(
     return IntPoly(int(c) for c in coeffs)
 
 
-def series_oracle(g: ArithmeticFunction, x: int, N: int) -> list[Fraction]:
-    """Coefficients of q**0..q**N of exp(x * sum g(k) q**k / k).
-
-    Entry n equals the n-th rational D'Arcais polynomial evaluated at x.
-    Uses the logarithmic-derivative recurrence: n*E_n = sum_{k=1}^{n}
-    x*g(k)*E_{n-k}.
-    """
-    if N < 0:
-        raise DomainError(f"series_oracle requires N >= 0, got {N}")
-    g.require_up_to(max(N, 1))
-    weights = [0] + [x * g(k) for k in range(1, N + 1)]
-    out = [Fraction(1)]
-    for n in range(1, N + 1):
-        total = sum(weights[k] * out[n - k] for k in range(1, n + 1))
-        out.append(Fraction(total, n))
-    return out
-
-
 def _square_truncated(a: list[int], n: int) -> list[int]:
     """The first n coefficients of a*a, by one bigint multiply.
 
@@ -193,56 +173,6 @@ def tau(n: int) -> int:
     if n < 1:
         raise DomainError(f"tau requires n >= 1, got {n}")
     return tau_list(n)[n - 1]
-
-
-# ---------------------------------------------------------------------------
-# Exact evaluation at quadratic and cyclotomic integers
-# ---------------------------------------------------------------------------
-
-
-def evaluate_at_quadratic(p, D: int, a: int, b: int):
-    """Evaluate p at a*w + b, where w generates the ring of integers of Q(sqrt(D)).
-
-    w is sqrt(D) when D != 1 mod 4 and (1 + sqrt(D))/2 when D = 1 mod 4.
-    Returns the pair (u, v) meaning u + v*w; (0, 0) exactly when the
-    argument is a root.  Coefficients may be ints or Fractions; the result
-    follows suit.
-    """
-    require_quadratic_d(D)
-    u, v = 0 * p.coeff(0), 0 * p.coeff(0)  # zero of the coefficient domain
-    if D % 4 == 1:
-        c = (D - 1) // 4  # w*w = w + c
-        for coeff in reversed(p.coeffs):
-            u, v = u * b + v * a * c + coeff, u * a + v * b + v * a
-    else:
-        for coeff in reversed(p.coeffs):
-            u, v = u * b + v * a * D + coeff, u * a + v * b
-    return u, v
-
-
-def evaluate_at_cyclotomic(p, m: int, a: int, b: int) -> tuple:
-    """Evaluate p at a*zeta + b for a primitive m-th root of unity zeta.
-
-    The value is returned as its coordinate vector in the power basis
-    1, zeta, ..., zeta**(phi(m)-1); the zero vector means the argument is
-    a root.
-    """
-    if m < 3:
-        raise DomainError(f"evaluate_at_cyclotomic requires m >= 3, got {m}")
-    phi = cyclotomic(m)
-    deg = phi.degree
-    reducer = [-c for c in phi.coeffs[:-1]]  # zeta**deg in the power basis
-    zero = 0 * p.coeff(0)
-    vec = [zero] * deg
-    for coeff in reversed(p.coeffs):
-        # vec <- vec * (a*zeta + b) + coeff * e0
-        shifted = [zero] + [a * c for c in vec[:-1]]
-        top = a * vec[-1]
-        if top:
-            shifted = [s + top * r for s, r in zip(shifted, reducer)]
-        vec = [s + b * c for s, c in zip(shifted, vec)]
-        vec[0] += coeff
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,34 @@
-"""Slow, independent routes kept as test oracles for the series kernels.
+"""Second, independent routes to what the library decides one way.
 
-``tau_list_recurrence`` is the O(N^2) integer recurrence that ``tau_list``
-replaced, and ``hurwitz_check_fraction`` the Routh table in ``Fraction``
-arithmetic that ``hurwitz_check`` replaced.  They share no code with the
-library's kernels, so the tests compare the two routes result for result.
+The library answers each question by one route; the tests compare it,
+result for result, against the route kept here:
+
+* ``tau_list_recurrence``: the O(N^2) integer recurrence that
+  ``tau_list`` replaced; ``series_oracle``: the formal exponential at an
+  integer argument, against ``p_poly``;
+* ``hurwitz_check_fraction``: the Routh table in ``Fraction`` arithmetic
+  that ``hurwitz_check`` replaced;
+* ``divides_a_poly_mod``: division of the fully expanded A_n mod p, against
+  membership in ``factor_a_poly_mod`` (the generic obstruction);
+* ``zmija_order_six``: the raw order criterion mod 11, against the degree
+  rule of ``check_zmija_conditions``;
+* ``evaluate_at_quadratic`` and ``evaluate_at_cyclotomic``: evaluation in
+  the power basis of the ring, against the remainder by the minimal
+  polynomial (``certify_exact``);
+* ``index_via_determinant``: the index of Z[a*zeta_m + b] from a
+  determinant, against the closed form ``CyclotomicShift.index``;
+* ``multiplicative_order`` and ``inertia_degree_cyclotomic``: the residue
+  degree of p in the m-th cyclotomic field, against Dedekind-Kummer
+  factorizations.
+
+None of these may be defined in the library (``tests/test_layers.py``).
 """
 
-from darcais import DomainError, RatPoly
+from fractions import Fraction
+
+from darcais import DomainError, IntPoly, RatPoly, a_poly_mod, cyclotomic, euler_phi
+from darcais.arith import divisors, require_prime, require_quadratic_d
+from darcais.polymod import ModPoly, pow_mod
 
 
 def _sigma_sieve(N: int) -> list[int]:
@@ -77,3 +99,160 @@ def hurwitz_check_fraction(p: RatPoly) -> bool:
         ]
         prev, cur = cur, nxt
     return bool(cur) and cur[0] > 0
+
+
+def series_oracle(g, x: int, N: int) -> list[Fraction]:
+    """Coefficients of q**0..q**N of exp(x * sum g(k) q**k / k).
+
+    Entry n equals the n-th rational D'Arcais polynomial evaluated at x.
+    Uses the logarithmic-derivative recurrence: n*E_n = sum_{k=1}^{n}
+    x*g(k)*E_{n-k}.
+    """
+    if N < 0:
+        raise DomainError(f"series_oracle requires N >= 0, got {N}")
+    g.require_up_to(max(N, 1))
+    weights = [0] + [x * g(k) for k in range(1, N + 1)]
+    out = [Fraction(1)]
+    for n in range(1, N + 1):
+        total = sum(weights[k] * out[n - k] for k in range(1, n + 1))
+        out.append(Fraction(total, n))
+    return out
+
+
+def divides_a_poly_mod(q: ModPoly, g, n: int, p: int) -> bool:
+    """Whether q divides A_n mod p, by long division of the whole
+    ``a_poly_mod(g, n, p)`` (degree n)."""
+    return q.divides(a_poly_mod(g, n, p))
+
+
+_ZMIJA_EXPONENT = 11**6 - 1
+_ZMIJA_OTHER_D = tuple(d for d in range(1, 11) if d != 6)
+
+
+def zmija_order_six(q: ModPoly) -> bool:
+    """Raw criterion mod 11: q divides X**(11**6 - 1) - 1 but none of
+    X**(11**d - 1) - 1 for d = 1..10, d != 6."""
+    x, one = ModPoly.x(11), ModPoly.one(11)
+    if pow_mod(x, _ZMIJA_EXPONENT, q) != one % q:
+        return False
+    return not any(pow_mod(x, 11**d - 1, q) == one % q for d in _ZMIJA_OTHER_D)
+
+
+def evaluate_at_quadratic(p, D: int, a: int, b: int):
+    """Evaluate p at a*w + b, where w generates the ring of integers of Q(sqrt(D)).
+
+    w is sqrt(D) when D != 1 mod 4 and (1 + sqrt(D))/2 when D = 1 mod 4.
+    Returns the pair (u, v) meaning u + v*w; (0, 0) exactly when the
+    argument is a root.  Coefficients may be ints or Fractions; the result
+    follows suit.
+    """
+    require_quadratic_d(D)
+    u, v = 0 * p.coeff(0), 0 * p.coeff(0)  # zero of the coefficient domain
+    if D % 4 == 1:
+        c = (D - 1) // 4  # w*w = w + c
+        for coeff in reversed(p.coeffs):
+            u, v = u * b + v * a * c + coeff, u * a + v * b + v * a
+    else:
+        for coeff in reversed(p.coeffs):
+            u, v = u * b + v * a * D + coeff, u * a + v * b
+    return u, v
+
+
+def evaluate_at_cyclotomic(p, m: int, a: int, b: int) -> tuple:
+    """Evaluate p at a*zeta + b for a primitive m-th root of unity zeta.
+
+    The value is returned as its coordinate vector in the power basis
+    1, zeta, ..., zeta**(phi(m)-1); the zero vector means the argument is
+    a root.
+    """
+    if m < 3:
+        raise DomainError(f"evaluate_at_cyclotomic requires m >= 3, got {m}")
+    phi = cyclotomic(m)
+    deg = phi.degree
+    reducer = [-c for c in phi.coeffs[:-1]]  # zeta**deg in the power basis
+    zero = 0 * p.coeff(0)
+    vec = [zero] * deg
+    for coeff in reversed(p.coeffs):
+        # vec <- vec * (a*zeta + b) + coeff * e0
+        shifted = [zero] + [a * c for c in vec[:-1]]
+        top = a * vec[-1]
+        if top:
+            shifted = [s + top * r for s, r in zip(shifted, reducer)]
+        vec = [s + b * c for s, c in zip(shifted, vec)]
+        vec[0] += coeff
+    return tuple(vec)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant by fraction-free elimination; all divisions are exact."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            row_k = m[k]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def index_via_determinant(m: int, a: int, b: int) -> int:
+    """Index of Z[a*zeta_m + b] computed from first principles.
+
+    Expresses the powers (a*zeta_m + b)**j, j < phi(m), in the power basis
+    of zeta_m and returns |det| of the resulting change-of-basis matrix.
+    """
+    if m < 3:
+        raise DomainError(f"index_via_determinant requires m >= 3, got {m}")
+    if a == 0:
+        raise DomainError("a = 0 degenerates to a rational integer")
+    deg = euler_phi(m)
+    rows = [evaluate_at_cyclotomic(IntPoly.monomial(j), m, a, b) for j in range(deg)]
+    return abs(_bareiss_det(rows))
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """Least f >= 1 with a**f = 1 mod m; requires gcd(a, m) = 1."""
+    if m < 1:
+        raise DomainError(f"multiplicative_order requires m >= 1, got {m}")
+    a %= m
+    if m == 1:
+        return 1
+    # The order divides phi(m); test divisors in increasing order.
+    for f in divisors(euler_phi(m)):
+        if pow(a, f, m) == 1:
+            return f
+    raise DomainError(f"{a} is not invertible mod {m}")
+
+
+def inertia_degree_cyclotomic(p: int, m: int) -> int:
+    """Common residue degree of the primes above p in the m-th cyclotomic field.
+
+    Strip the p-part of m, leaving m_p; the degree is the multiplicative
+    order of p modulo m_p (1 when m_p <= 2).
+    """
+    require_prime(p)
+    if m < 3:
+        raise DomainError(f"inertia_degree_cyclotomic requires m >= 3, got {m}")
+    m_p = m
+    while m_p % p == 0:
+        m_p //= p
+    if m_p <= 2:
+        return 1
+    return multiplicative_order(p, m_p)

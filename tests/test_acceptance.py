@@ -19,14 +19,10 @@ from darcais import (
     certify_all_n,
     check_zmija_conditions,
     euler_phi,
-    evaluate_at_cyclotomic,
-    evaluate_at_quadratic,
     h_poly,
     hurwitz_check,
-    index_via_determinant,
     p_poly,
     reduce_mod,
-    series_oracle,
     tau_list,
     verify_certificate,
 )
@@ -34,6 +30,12 @@ from darcais.numfield import CyclotomicShift, QuadraticShift
 from darcais.polymod import ModPoly
 
 from conftest import SIGMA_FACTORED, expand_product, random_table
+from oracles import (
+    evaluate_at_cyclotomic,
+    evaluate_at_quadratic,
+    index_via_determinant,
+    series_oracle,
+)
 
 SIGMA = ArithmeticFunction.sigma()
 IDENTITY = ArithmeticFunction.identity()

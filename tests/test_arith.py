@@ -1,13 +1,11 @@
+import math
 import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import darcais
 from darcais import (
@@ -15,22 +13,13 @@ from darcais import (
     DomainError,
     TableExhaustedError,
     euler_phi,
-    f_g,
-    inertia_degree_cyclotomic,
     is_prime,
     legendre_symbol,
-    mobius,
     sigma,
 )
-from darcais.arith import (
-    divisors,
-    is_squarefree,
-    multiplicative_order,
-    prime_factors,
-    primes_up_to,
-)
+from darcais.arith import divisors, is_squarefree, prime_factors, primes_up_to
 
-from conftest import random_table
+from oracles import inertia_degree_cyclotomic, multiplicative_order
 
 PACKAGE_ROOT = str(Path(darcais.__file__).parent.parent)
 
@@ -62,58 +51,6 @@ class TestSigma:
             sigma(0)
 
 
-class TestMobius:
-    def test_examples(self):
-        assert mobius(1) == 1
-        assert mobius(6) == 1
-        assert mobius(12) == 0
-
-    def test_squarefree_rule(self):
-        for n in range(1, 200):
-            if not is_squarefree(n):
-                assert mobius(n) == 0
-            else:
-                assert mobius(n) in (-1, 1)
-
-    def test_sum_over_divisors(self):
-        # sum_{d|n} mu(d) is 1 at n = 1 and 0 otherwise
-        for n in range(2, 100):
-            assert sum(mobius(d) for d in divisors(n)) == 0
-
-    def test_rejects_zero(self):
-        with pytest.raises(DomainError):
-            mobius(0)
-
-
-class TestFg:
-    def test_sigma_is_constant_one(self, sigma_g):
-        assert f_g(sigma_g, 7) == 1
-        for n in range(1, 201):
-            assert f_g(sigma_g, n) == 1
-
-    def test_identity_examples(self, identity_g):
-        assert f_g(identity_g, 1) == 1
-        assert f_g(identity_g, 4) == Fraction(1, 2)
-
-    def test_moebius_inversion_round_trip(self, sigma_g, identity_g):
-        for g in (sigma_g, identity_g, random_table(101, 50)):
-            for n in range(1, 51):
-                direct = sum(mobius(d) * g(n // d) for d in divisors(n))
-                assert n * f_g(g, n) == direct
-
-    @given(values=st.lists(st.integers(-20, 20), min_size=0, max_size=30))
-    def test_round_trip_for_arbitrary_tables(self, values):
-        g = ArithmeticFunction.from_table([1] + values)
-        for n in range(1, len(values) + 2):
-            direct = sum(mobius(d) * g(n // d) for d in divisors(n))
-            assert n * f_g(g, n) == direct
-
-    def test_table_exhaustion(self):
-        g = ArithmeticFunction.from_table([1, 2, 3])
-        with pytest.raises(TableExhaustedError):
-            f_g(g, 4)
-
-
 class TestEulerPhi:
     def test_examples(self):
         assert euler_phi(1) == 1
@@ -130,7 +67,7 @@ class TestEulerPhi:
 
 
 class TestFactorization:
-    """The four functions that read the trial-division factorization,
+    """The three functions that read the trial-division factorization,
     against sympy over every nonzero |n| <= 10**4."""
 
     def test_against_sympy(self):
@@ -146,15 +83,14 @@ class TestFactorization:
             assert prime_factors(n) == sorted(exponents), n
             assert is_squarefree(n) == squarefree, n
             if n > 0:
-                assert mobius(n) == ((-1) ** len(exponents) if squarefree else 0), n
                 assert euler_phi(n) == prod(p ** (e - 1) * (p - 1) for p, e in exponents.items())
 
-    @pytest.mark.parametrize("fn", [prime_factors, is_squarefree, mobius, euler_phi])
+    @pytest.mark.parametrize("fn", [prime_factors, is_squarefree, divisors, euler_phi])
     def test_rejects_zero(self, fn):
         with pytest.raises(DomainError):
             fn(0)
 
-    @pytest.mark.parametrize("fn", [mobius, euler_phi])
+    @pytest.mark.parametrize("fn", [divisors, sigma, euler_phi])
     def test_rejects_negative(self, fn):
         for n in (-1, -12):
             with pytest.raises(DomainError):
@@ -186,6 +122,23 @@ class TestLegendre:
             legendre_symbol(3, 2)
         with pytest.raises(DomainError):
             legendre_symbol(3, 9)
+
+
+class TestMultiplicativeOrder:
+    """The oracle that the cyclotomic tests read residue degrees from."""
+
+    def test_against_brute_force(self):
+        for m in range(1, 60):
+            for a in range(-m, 2 * m):
+                if math.gcd(a, m) != 1:
+                    continue
+                f = next(f for f in range(1, m + 1) if pow(a, f, m) == 1 % m)
+                assert multiplicative_order(a, m) == f, (a, m)
+
+    def test_rejects_non_invertible_and_bad_modulus(self):
+        for a, m in ((2, 4), (0, 7), (6, 9), (3, 0), (3, -5)):
+            with pytest.raises(DomainError):
+                multiplicative_order(a, m)
 
 
 class TestInertiaDegree:

@@ -10,6 +10,7 @@ from darcais import (
     CertifyConfig,
     CyclotomicShift,
     DomainError,
+    IntPoly,
     QuadraticShift,
     a_poly,
     certify,
@@ -21,8 +22,8 @@ from darcais import (
     certify_theorem_not_ramified,
     certify_theorem_translated,
     check_zmija_conditions,
-    evaluate_at_cyclotomic,
-    evaluate_at_quadratic,
+    factor_a_poly_mod,
+    parse_candidate,
     scan_grid,
     verify_certificate,
 )
@@ -30,17 +31,29 @@ from darcais.certify import (
     INCONCLUSIVE,
     PROVEN,
     Scope,
-    _zmija_order_six,
     abs_sq_lower_bound,
 )
 from darcais.polymod import ModPoly
 
+from conftest import random_table
+from oracles import evaluate_at_cyclotomic, evaluate_at_quadratic, zmija_order_six
+
+ORACLE_GS = (
+    ArithmeticFunction.sigma(),
+    ArithmeticFunction.identity(),
+    *(random_table(seed, 40) for seed in (1, 2, 3)),
+)
+
+
+def evaluate_at(poly, c):
+    """The value of poly at the candidate, in the power basis of its ring."""
+    if isinstance(c, QuadraticShift):
+        return evaluate_at_quadratic(poly, c.D, c.a, c.b)
+    return evaluate_at_cyclotomic(poly, c.m, c.a, c.b)
+
 
 def exact_nonzero(g, c, n):
-    poly = a_poly(g, n)
-    if isinstance(c, QuadraticShift):
-        return any(evaluate_at_quadratic(poly, c.D, c.a, c.b))
-    return any(evaluate_at_cyclotomic(poly, c.m, c.a, c.b))
+    return any(evaluate_at(a_poly(g, n), c))
 
 
 class TestScope:
@@ -340,8 +353,55 @@ class TestExactEvaluation:
         c = QuadraticShift(409, 1, -11)
         cert = certify_exact(sigma_g, c, 5)
         assert cert.verdict == INCONCLUSIVE
-        assert cert.evidence["exact_zero"] is True
-        assert cert.evidence["value_coordinates"] == ["0", "0"]
+        assert cert.evidence == {"remainder": [], "exact_zero": True}
+
+    def test_remainder_evidence(self, sigma_g):
+        # A_2 = X^2 + 3X leaves 3X - 1 on X^2 + 1, the minimal polynomial of i
+        cert = certify_exact(sigma_g, QuadraticShift.gaussian(1, 0), 2)
+        assert cert.evidence == {"remainder": ["-1", "3"], "exact_zero": False}
+
+    def test_remainder_agrees_with_evaluation(self):
+        # Range: sigma, identity and three random tables; every n <= 30;
+        # quadratic a*w_D + b for D in {-1, -2, 3, 5}, 0 < |a| <= 2,
+        # |b| <= 3, and cyclotomic a*zeta_m + b for m in {3, 5, 8, 12},
+        # 0 < |a| <= 2, |b| <= 2; plus the two known roots below.  The
+        # remainder is zero exactly when the evaluation oracle reads zero,
+        # and it takes the same value at the candidate as A_n.
+        candidates = [
+            QuadraticShift(D, a, b)
+            for D in (-1, -2, 3, 5)
+            for a in (-2, -1, 1, 2)
+            for b in range(-3, 4)
+        ]
+        candidates += [
+            CyclotomicShift(m, a, b)
+            for m in (3, 5, 8, 12)
+            for a in (-2, -1, 1, 2)
+            for b in range(-2, 3)
+        ]
+        candidates += [parse_candidate("quad:3,1,-3"), parse_candidate("quad:409,1,-11")]
+        roots = set()
+        checked = 0
+        for g in ORACLE_GS:
+            for c in candidates:
+                for n in range(1, 31):
+                    cert = certify_exact(g, c, n)
+                    value = evaluate_at(a_poly(g, n), c)
+                    remainder = IntPoly(int(v) for v in cert.evidence["remainder"])
+                    assert evaluate_at(remainder, c) == value, (g.name, c, n)
+                    assert cert.proven == any(value) == (not cert.evidence["exact_zero"])
+                    if not cert.proven:
+                        roots.add((g.name, c.spec_string(), n))
+                    checked += 1
+        assert checked == 5 * 194 * 30
+        # -3 + sqrt(3) and its conjugate are roots of A_3 for the identity,
+        # and (1 + sqrt(409))/2 - 11 is one of A_5 for sigma.
+        assert roots == {
+            ("id", "quad:3,1,-3", 3),
+            ("id", "quad:3,-1,-3", 3),
+            ("sigma", "quad:409,1,-11", 5),
+        }
+        assert not certify(ORACLE_GS[1], parse_candidate("quad:3,1,-3"), 3).proven
 
 
 class TestChain:
@@ -557,11 +617,28 @@ class TestZmija:
 
         q6 = reduce_mod(cyclotomic(9), 11)
         assert q6.degree == 6 and is_irreducible(q6)
-        assert _zmija_order_six(q6)
-        for coeffs in ((7, 1), (1, 0, 1), (4, 6, 6, 1)):
+        assert zmija_order_six(q6)
+        for coeffs in ((0, 1), (7, 1), (1, 0, 1), (4, 6, 6, 1)):
             q = ModPoly(11, coeffs)
             assert is_irreducible(q)
-            assert not _zmija_order_six(q)
+            assert not zmija_order_six(q)
+
+    def test_degree_rule_agrees_with_the_raw_criterion(self):
+        # Range: every irreducible factor mod 11 of A_2..A_10 that the
+        # audit reads, for sigma, identity and three random tables.
+        seen_six = 0
+        for g in ORACLE_GS:
+            report = check_zmija_conditions(g)
+            raw = []
+            for r in range(2, 11):
+                for q, _ in factor_a_poly_mod(g, r, 11).factors:
+                    assert zmija_order_six(q) == (q.degree == 6), (g.name, r, q)
+                    if zmija_order_six(q):
+                        raw.append({"index": r, "factor": list(q.coeffs)})
+            assert report.evidence["mod11_offenders"] == raw
+            assert report.cond_mod11 == (not raw)
+            seen_six += len(raw)
+        assert seen_six > 0  # the raw criterion holds somewhere in the range
 
     def test_chain_agrees_with_the_audit_at_roots_of_unity(self, sigma_g):
         # The audit passes for sigma, and the chain proves the non-vanishing

@@ -1,6 +1,7 @@
 """The package's modules form layers: each imports only modules below it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import darcais
@@ -36,3 +37,29 @@ def test_imports_point_strictly_down():
     for rank, module in enumerate(LAYERS):
         for target in sibling_imports(module):
             assert LAYERS.index(target) < rank, f"{module} imports {target}"
+
+
+def oracle_names() -> set[str]:
+    """Public names that ``tests/oracles.py`` defines (not the ones it imports)."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_oracles_stay_out_of_the_library():
+    # Each decision has one route in the library; a second route lives in
+    # tests/oracles.py only, and must not come back as library API.
+    names = oracle_names()
+    assert {"divides_a_poly_mod", "zmija_order_six", "evaluate_at_quadratic"} <= names
+    # ``__main__`` only calls ``cli.main``; importing it would run the CLI.
+    for mod in (darcais, *(importlib.import_module(f"darcais.{m}") for m in LAYERS)):
+        assert not names & set(vars(mod)), mod.__name__
+
+
+def test_numfield_does_not_read_series():
+    assert "series" not in sibling_imports("numfield")

@@ -9,10 +9,6 @@ from darcais import (
     QuadraticShift,
     dedekind_kummer_split,
     euler_phi,
-    evaluate_at_cyclotomic,
-    evaluate_at_quadratic,
-    index_via_determinant,
-    inertia_degree_cyclotomic,
     legendre_symbol,
     min_poly_cyclotomic_shift,
     min_poly_quadratic_shift,
@@ -20,6 +16,13 @@ from darcais import (
     ramifies,
 )
 from darcais.arith import primes_up_to
+
+from oracles import (
+    evaluate_at_cyclotomic,
+    evaluate_at_quadratic,
+    index_via_determinant,
+    inertia_degree_cyclotomic,
+)
 
 
 class TestMinPolyCyclotomicShift:

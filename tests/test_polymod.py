@@ -19,12 +19,13 @@ from darcais import (
     factor,
     factor_a_poly_mod,
     is_irreducible,
+    parse_candidate,
     reduce_mod,
 )
-from darcais.arith import multiplicative_order
-from darcais.polymod import ModPoly, divides_a_poly_mod, poly_gcd, pow_mod
+from darcais.polymod import ModPoly, poly_gcd, pow_mod
 
 from conftest import random_table
+from oracles import divides_a_poly_mod, multiplicative_order
 
 
 def random_mod_poly(rng, p, max_degree=8):
@@ -377,6 +378,18 @@ class TestFactorAPolyMod:
             factor_a_poly_mod(g, 10, 5)
         assert factor_a_poly_mod(g, 3, 5) == factor(a_poly_mod(g, 3, 5))
 
+    def test_rejects_what_a_poly_mod_rejects(self, sigma_g):
+        # The memo is typed, so a float index fails as it would uncached
+        # even after the equal int is cached.
+        for fn in (a_poly_mod, factor_a_poly_mod):
+            with pytest.raises(DomainError):
+                fn(sigma_g, -1, 5)
+            with pytest.raises(DomainError):
+                fn(sigma_g, 12, 6)
+            fn(sigma_g, 12, 7)
+            with pytest.raises(TypeError):
+                fn(sigma_g, 12.0, 7)
+
 
 def monic_irreducibles_up_to_degree_2(p: int) -> list[ModPoly]:
     """Every monic irreducible of degree 1 or 2 over F_p, X among them."""
@@ -385,8 +398,55 @@ def monic_irreducibles_up_to_degree_2(p: int) -> list[ModPoly]:
     return linear + [q for q in quadratic if brute_irreducible(q)]
 
 
+def member_of_factorization(q: ModPoly, g, n: int, p: int) -> bool:
+    """The generic obstruction's reading: the monic irreducible q divides
+    A_n mod p exactly when it is one of the factors of A_n mod p."""
+    return q in {poly for poly, _ in factor_a_poly_mod(g, n, p).factors}
+
+
+def min_poly_factors(specs, p: int) -> set[ModPoly]:
+    """Every irreducible factor of c.min_poly mod p over the candidates."""
+    found = set()
+    for spec in specs:
+        c = parse_candidate(spec)
+        found.update(q for q, _ in factor(reduce_mod(c.min_poly, p)).factors)
+    return found
+
+
+def scan_grid_specs() -> list[str]:
+    """The candidates of the benchmark's four scan-grid kinds, both
+    orientations of each a-range."""
+    specs = [
+        f"quad:{D},{a},{b}"
+        for D, a_hi, b_hi in ((-2, 4, 4), (-17, 3, 3))
+        for a in range(-a_hi, a_hi + 1)
+        for b in range(-b_hi, b_hi + 1)
+        if a
+    ]
+    specs += [f"cyc:8,{a},{b}" for a in range(-6, 7) for b in range(-3, 4) if a]
+    specs += [f"gauss:{a},{b}" for a in range(-3, 4) for b in range(-6, 7) if a]
+    return specs
+
+
+def certify_deep_specs() -> list[str]:
+    """The candidates of the benchmark's certify-deep workload."""
+    return [
+        f"cyc:{m},{s * 6 * k},{b}"
+        for m in (8, 12)
+        for k in (1, 2, 3, 4, 6, 7)
+        for s in (1, -1)
+        for b in range(-9, 10)
+    ]
+
+
 class TestDividesAPolyMod:
+    """Membership in ``factor_a_poly_mod``, the one route the generic
+    obstruction takes, against division of the expanded A_n mod p."""
+
     def test_matches_division_of_the_full_polynomial(self):
+        # Range: every monic irreducible of degree <= 2 mod p for p in
+        # ORACLE_PRIMES; sigma, identity and three random tables; every
+        # n < 5p + 3 and n in {61, 2501, 3001}.
         gs = [ArithmeticFunction.sigma(), ArithmeticFunction.identity()]
         gs += [random_table(seed, 80) for seed in (1, 2, 3)]
         checked = 0
@@ -395,17 +455,34 @@ class TestDividesAPolyMod:
             assert ModPoly.x(p) in qs and len(qs) == p + (p * p - p) // 2
             for g in gs:
                 for n in sorted(set(range(5 * p + 3)) | {61, 2501, 3001}):
-                    a_mod = a_poly_mod(g, n, p)
                     for q in qs:
-                        want = q.divides(a_mod)
-                        assert divides_a_poly_mod(q, g, n, p) == want, (g.name, p, n, q)
+                        want = divides_a_poly_mod(q, g, n, p)
+                        assert member_of_factorization(q, g, n, p) == want, (g.name, p, n, q)
                         checked += 1
         assert checked == 60915
+
+    def test_matches_division_on_the_benchmark_candidates(self):
+        # Range: every irreducible factor of c.min_poly mod p, p <= 13, for
+        # c in the four scan-grid kinds and the certify-deep candidates;
+        # sigma, identity and one random table; n in {2501, 3001, 3502}.
+        gs = [ArithmeticFunction.sigma(), ArithmeticFunction.identity(), random_table(1, 80)]
+        specs = scan_grid_specs() + certify_deep_specs()
+        checked = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            qs = sorted(min_poly_factors(specs, p), key=ModPoly.sort_key)
+            for g in gs:
+                for n in (2501, 3001, 3502):
+                    for q in qs:
+                        want = divides_a_poly_mod(q, g, n, p)
+                        assert member_of_factorization(q, g, n, p) == want, (g.name, p, n, q)
+                        checked += 1
+        assert checked == 1872
 
     def test_matches_division_by_reducible_polynomials(self):
         # Powers and products of linear factors: whether such a q divides
         # A_r * B**l depends on l, not only on which irreducibles divide
-        # A_r and B, so only these q see the exponent of the bracket B.
+        # A_r and B, so only these q see the multiplicities l*m that
+        # factor_a_poly_mod adds for the bracket B.
         gs = [ArithmeticFunction.sigma(), ArithmeticFunction.identity(), random_table(1, 80)]
         for p in (2, 3, 5, 7):
             linear = [ModPoly(p, (c, 1)) for c in range(p)]
@@ -413,32 +490,19 @@ class TestDividesAPolyMod:
             qs += [ModPoly.x(p) ** k for k in (3, 4, 7)] + [linear[1] ** 3 * linear[0]]
             for g in gs:
                 for n in sorted(set(range(5 * p + 3)) | {61, 2501}):
-                    a_mod = a_poly_mod(g, n, p)
+                    mult = dict(factor_a_poly_mod(g, n, p).factors)
                     for q in qs:
-                        want = q.divides(a_mod)
-                        assert divides_a_poly_mod(q, g, n, p) == want, (g.name, p, n, q)
+                        want = divides_a_poly_mod(q, g, n, p)
+                        got = all(mult.get(u, 0) >= k for u, k in factor(q).factors)
+                        assert got == want, (g.name, p, n, q)
 
     def test_cost_does_not_grow_with_n(self, sigma_g):
         # A_n mod 5 is A_1 * (X**5 - X)**l: X and X - 1 divide it, while the
         # irreducible X**2 + 2 divides neither factor.
         n = 10**12 + 1
-        assert divides_a_poly_mod(ModPoly.x(5), sigma_g, n, 5)
-        assert divides_a_poly_mod(ModPoly(5, (-1, 1)), sigma_g, n, 5)
-        assert not divides_a_poly_mod(ModPoly(5, (2, 0, 1)), sigma_g, n, 5)
-
-    def test_rejects_what_a_poly_mod_rejects(self, sigma_g):
-        from darcais import TableExhaustedError
-
-        with pytest.raises(DomainError):
-            divides_a_poly_mod(ModPoly.x(7), sigma_g, 12, 5)  # mixed moduli
-        with pytest.raises(DomainError):
-            divides_a_poly_mod(ModPoly.x(5), sigma_g, -1, 5)
-        g = ArithmeticFunction.from_table([1, 2, 3])
-        with pytest.raises(TableExhaustedError):
-            divides_a_poly_mod(ModPoly.x(5), g, 10, 5)
-        assert divides_a_poly_mod(ModPoly.x(7), sigma_g, 12, 7)
-        with pytest.raises(TypeError):
-            divides_a_poly_mod(ModPoly.x(7), sigma_g, 12.0, 7)
+        assert member_of_factorization(ModPoly.x(5), sigma_g, n, 5)
+        assert member_of_factorization(ModPoly(5, (-1, 1)), sigma_g, n, 5)
+        assert not member_of_factorization(ModPoly(5, (2, 0, 1)), sigma_g, n, 5)
 
 
 class TestAgainstSympy:

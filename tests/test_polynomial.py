@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from darcais import DomainError, IntPoly, RatPoly, format_poly
+from darcais import DomainError, IntPoly, RatPoly, format_poly, reduce_mod
 
 
 class TestIntPoly:
@@ -44,18 +44,44 @@ class TestIntPoly:
         with pytest.raises(DomainError):
             IntPoly((Fraction(1, 2),))
 
-    def test_serialization_round_trip(self):
+    def test_json_form(self):
         p = IntPoly((0, -3, 12345678901234567890))
-        assert IntPoly.from_text(p.to_text()) == p
-        assert IntPoly.from_json_dict(p.to_json_dict()) == p
         assert p.to_json_dict() == {
             "degree": 2,
             "coeffs": ["0", "-3", "12345678901234567890"],
         }
 
-    def test_text_form_constant_first(self):
-        assert IntPoly((0, 3, 1)).to_text() == "0 3 1"
-        assert IntPoly.zero().to_text() == "0"
+    def test_divmod_by_monic(self):
+        num = IntPoly((5, 0, 3, 1))  # X^3 + 3X^2 + 5
+        den = IntPoly((1, 0, 1))  # X^2 + 1
+        q, r = divmod(num, den)
+        assert (q, r) == (IntPoly((3, 1)), IntPoly((2, -1)))
+        assert q * den + r == num
+        assert (num // den, num % den) == (q, r)
+        assert (den * q) % den == IntPoly.zero()
+        assert den % num == den  # a lower degree is its own remainder
+
+    def test_divmod_rejects_a_non_integral_quotient(self):
+        with pytest.raises(DomainError):
+            IntPoly((1, 1)) % IntPoly((1, 2))
+        assert IntPoly((2, 4)) % IntPoly((1, 2)) == IntPoly.zero()
+        with pytest.raises(DomainError):
+            IntPoly((1, 1)) % IntPoly.zero()
+
+    def test_divmod_agrees_across_rings(self):
+        # Z, Q and F_p share one long division: by a monic divisor the
+        # integer quotient and remainder are those over Q and, reduced,
+        # those over F_p.
+        rng = random.Random(11)
+        for _ in range(200):
+            num = IntPoly(rng.randint(-50, 50) for _ in range(rng.randint(0, 9)))
+            den = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [1])
+            q, r = divmod(num, den)
+            assert r.degree < den.degree
+            assert divmod(num.to_rat(), den.to_rat()) == (q.to_rat(), r.to_rat())
+            for p in (2, 5, 7):
+                want = (reduce_mod(q, p), reduce_mod(r, p))
+                assert divmod(reduce_mod(num, p), reduce_mod(den, p)) == want
 
 
 class TestRatPoly:
@@ -82,11 +108,6 @@ class TestRatPoly:
 
     def test_monic(self):
         assert RatPoly((2, 4)).monic() == RatPoly((Fraction(1, 2), 1))
-
-    def test_to_int_poly(self):
-        assert RatPoly((2, 3)).to_int_poly() == IntPoly((2, 3))
-        with pytest.raises(DomainError):
-            RatPoly((Fraction(1, 2),)).to_int_poly()
 
     def test_scale(self):
         assert RatPoly((6, 12)).scale(Fraction(1, 6)) == RatPoly((1, 2))

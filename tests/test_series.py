@@ -16,12 +16,9 @@ from darcais import (
     RatPoly,
     a_poly,
     a_poly_oracle,
-    evaluate_at_cyclotomic,
-    evaluate_at_quadratic,
     h_poly,
     hurwitz_check,
     p_poly,
-    series_oracle,
     tau,
     tau_list,
 )
@@ -29,7 +26,13 @@ from darcais.numfield import min_poly_quadratic_shift
 from darcais.series import _partitions, _square_truncated
 
 from conftest import SIGMA_FACTORED, expand_product, random_table
-from oracles import hurwitz_check_fraction, tau_list_recurrence
+from oracles import (
+    evaluate_at_cyclotomic,
+    evaluate_at_quadratic,
+    hurwitz_check_fraction,
+    series_oracle,
+    tau_list_recurrence,
+)
 
 # Partition counts p(0)..p(10), the classic sequence.
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
