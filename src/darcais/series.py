@@ -5,7 +5,9 @@ coefficient of q**n in exp(X * sum_{k>=1} g(k) q**k / k).  Scaled by n!
 it has integer coefficients, is monic of degree n, and has zero constant
 term for n >= 1.  Two independent routes are provided:
 
-* ``a_poly``       - the O(n^2) convolution recursion (the workhorse),
+* ``a_poly``       - the recursion j*B_j = X * sum_k g(k) B_{j-k} on the
+  scaled rows B_j = A_j * n!/j!, whose multipliers are the small values
+  g(k): O(n^3) small-by-big products for A_0..A_n (the workhorse),
 * ``a_poly_oracle``- a sum over integer partitions, exact but exponential.
 
 The oracle exists so the recursion can be cross-checked (``poly
@@ -17,6 +19,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterator
 
 from .arith import ArithmeticFunction
@@ -30,7 +33,16 @@ DEFAULT_ORACLE_BOUND = 25
 
 
 def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
-    """The integer D'Arcais polynomials of index 0..n for g."""
+    """The integer D'Arcais polynomials of index 0..n for g.
+
+    With B_j = A_j * n!/j! = n! P_j the recursion n P_n = X sum_k g(k)
+    P_{n-k} reads j B_j = X sum_k g(k) B_{j-k}, whose only multipliers are
+    the small values g(k).  It runs one column at a time: if u_d[j] is the
+    coefficient of X**d in B_j, then u_{d+1}[j] is one dot product of
+    g(j-d), ..., g(1) with u_d[d], ..., u_d[j-1], divided exactly by j,
+    and A_j has coefficient u_d[j] // (n!/j!).  Rows already cached are
+    rescaled by n!/j! and extended.
+    """
     if n < 0:
         raise DomainError(f"a_poly_list requires n >= 0, got {n}")
     g.require_up_to(max(n, 1))
@@ -41,17 +53,21 @@ def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
             return cached[: n + 1]
         polys = list(cached)
     # Extend outside the lock; only the final publish is guarded.
-    gv = [0] + [g(k) for k in range(1, n + 1)]
-    for j in range(len(polys), n + 1):
-        acc = [0] * j  # coefficients of sum_k c_k g(k) A_{j-k}, degree <= j-1
-        c = 1  # falling product (j-1)!/(j-k)!
-        for k in range(1, j + 1):
-            w = c * gv[k]
-            if w:
-                for idx, coeff in enumerate(polys[j - k].coeffs):
-                    acc[idx] += w * coeff
-            c *= j - k
-        polys.append(IntPoly([0] + acc))  # multiply by X
+    g_desc = [g(k) for k in range(n, 0, -1)]  # g(n), ..., g(1)
+    scale = [1] * (n + 1)  # scale[j] = n!/j!
+    for j in range(n, 0, -1):
+        scale[j - 1] = scale[j] * j
+    rows = [[0] for _ in range(known, n + 1)]  # coefficients of A_known..A_n
+    col = [scale[0]] + [0] * n  # u_0: B_0 = n!, and A_j(0) = 0 for j >= 1
+    for d in range(n):
+        nxt = [0] * (n + 1)
+        for j in range(d + 1, known):
+            nxt[j] = polys[j].coeff(d + 1) * scale[j]
+        for j in range(max(d + 1, known), n + 1):
+            nxt[j] = sum(map(mul, g_desc[n - j + d :], col[d:j])) // j
+            rows[j - known].append(nxt[j] // scale[j])
+        col = nxt
+    polys.extend(IntPoly(row) for row in rows)
     with _cache_lock:
         if len(_a_cache[g]) < len(polys):
             _a_cache[g] = polys
@@ -59,7 +75,7 @@ def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
 
 
 def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
-    """n-th integer D'Arcais polynomial, by the convolution recursion."""
+    """n-th integer D'Arcais polynomial, by the scaled recursion."""
     return a_poly_list(g, n)[n]
 
 
@@ -72,10 +88,7 @@ def h_poly(g: ArithmeticFunction, n: int) -> RatPoly:
     """p_poly with its guaranteed root at zero stripped (n >= 1)."""
     if n < 1:
         raise DomainError(f"h_poly requires n >= 1, got {n}")
-    coeffs = p_poly(g, n).coeffs
-    if coeffs and coeffs[0]:
-        raise AssertionError("constant term of a D'Arcais polynomial must vanish")
-    return RatPoly(coeffs[1:])
+    return RatPoly(p_poly(g, n).coeffs[1:])
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -125,9 +138,7 @@ def a_poly_oracle(
                 weight *= gv[j] ** m / factorial(m)
                 size += m
         coeffs[size] += weight
-    if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("partition oracle produced a non-integer coefficient")
-    return IntPoly(int(c) for c in coeffs)
+    return IntPoly(coeffs)  # rejects a coefficient that is not an integer
 
 
 def _square_truncated(a: list[int], n: int) -> list[int]:

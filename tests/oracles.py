@@ -3,6 +3,8 @@
 The library answers each question by one route; the tests compare it,
 result for result, against the route kept here:
 
+* ``a_poly_list_rows``: the row recursion with factorial weights that
+  the n!/j!-scaled column recursion of ``a_poly_list`` replaced;
 * ``tau_list_recurrence``: the O(N^2) integer recurrence that
   ``tau_list`` replaced; ``series_oracle``: the formal exponential at an
   integer argument, against ``p_poly``;
@@ -29,6 +31,30 @@ from fractions import Fraction
 from darcais import DomainError, IntPoly, RatPoly, a_poly_mod, cyclotomic, euler_phi
 from darcais.arith import divisors, require_prime, require_quadratic_d
 from darcais.polymod import ModPoly, pow_mod
+
+
+def a_poly_list_rows(g, n: int) -> list[IntPoly]:
+    """A_0..A_n by A_j = X * sum_k g(k) (j-1)!/(j-k)! A_{j-k}, uncached.
+
+    Every product is a factorial weight of up to log2((j-1)!) bits times a
+    coefficient of A_{j-k}.
+    """
+    if n < 0:
+        raise DomainError(f"a_poly_list requires n >= 0, got {n}")
+    g.require_up_to(max(n, 1))
+    gv = [0] + [g(k) for k in range(1, n + 1)]
+    polys = [IntPoly.one()]
+    for j in range(1, n + 1):
+        acc = [0] * j  # coefficients of sum_k c_k g(k) A_{j-k}, degree <= j-1
+        c = 1  # falling product (j-1)!/(j-k)!
+        for k in range(1, j + 1):
+            w = c * gv[k]
+            if w:
+                for idx, coeff in enumerate(polys[j - k].coeffs):
+                    acc[idx] += w * coeff
+            c *= j - k
+        polys.append(IntPoly([0] + acc))  # multiply by X
+    return polys
 
 
 def _sigma_sieve(N: int) -> list[int]:

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darcais import (
+    ArithmeticFunction,
     DomainError,
     IntPoly,
     RatPoly,
+    TableExhaustedError,
     a_poly,
     a_poly_oracle,
     h_poly,
@@ -23,10 +25,11 @@ from darcais import (
     tau_list,
 )
 from darcais.numfield import min_poly_quadratic_shift
-from darcais.series import _partitions, _square_truncated
+from darcais.series import _partitions, _square_truncated, a_poly_list
 
-from conftest import SIGMA_FACTORED, expand_product, random_table
+from conftest import SIGMA_FACTORED, clear_library_caches, expand_product, random_table
 from oracles import (
+    a_poly_list_rows,
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
     hurwitz_check_fraction,
@@ -105,6 +108,98 @@ class TestPartitionOracle:
             a_poly_oracle(sigma_g, 26)
         # and the override works
         assert a_poly_oracle(sigma_g, 26, max_n=26).degree == 26
+
+
+def signed_tables():
+    """Three reproducible g with values in -20..20, zeros among them."""
+    tables = [random_table(seed, 100, -20, 20) for seed in (3, 5, 7)]
+    assert all(0 in g.table for g in tables)
+    return tables
+
+
+class ZeroFirstValue:
+    """A stand-in g with g(1) = 0, which ``ArithmeticFunction`` rejects.
+
+    With g(2), g(3) != 0, A_j (j >= 2) has degree j // 2 < j, from the
+    partitions of j into twos and at most one three, so its coefficient
+    list must come back stripped of the zeros above that degree.
+    """
+
+    def __init__(self, values):
+        self.values = (0, *values)
+
+    def require_up_to(self, n):
+        if n > len(self.values):
+            raise TableExhaustedError(f"tabulated up to {len(self.values)}, need {n}")
+
+    def __call__(self, k):
+        return self.values[k - 1]
+
+
+class TestScaledRecursion:
+    """``a_poly_list`` against the row recursion it replaced, from cold caches."""
+
+    @pytest.mark.parametrize(
+        "g", [ArithmeticFunction.sigma(), ArithmeticFunction.identity()], ids=["sigma", "identity"]
+    )
+    def test_builtins_up_to_150(self, g):
+        clear_library_caches()
+        assert a_poly_list(g, 150) == a_poly_list_rows(g, 150)
+
+    def test_signed_tables(self):
+        for g in signed_tables():
+            clear_library_caches()
+            assert a_poly_list(g, 100) == a_poly_list_rows(g, 100)
+
+    def test_zero_first_value_strips_coefficients(self):
+        g = ZeroFirstValue(random.Random(11).randint(-20, 20) or 1 for _ in range(39))
+        clear_library_caches()
+        got = a_poly_list(g, 40)
+        assert got == a_poly_list_rows(g, 40)
+        assert got[1].is_zero
+        for j, poly in enumerate(got[2:], start=2):
+            assert poly.degree == j // 2 and poly.coeffs[-1]
+
+    def test_sigma_at_200(self, sigma_g):
+        clear_library_caches()
+        assert a_poly_list(sigma_g, 200) == a_poly_list_rows(sigma_g, 200)
+
+    def test_constant_term_vanishes(self, sigma_g, identity_g):
+        # h_poly strips this root without checking for it.
+        for g in (sigma_g, identity_g, *signed_tables()):
+            clear_library_caches()
+            assert all(poly.coeff(0) == 0 for poly in a_poly_list(g, 80)[1:])
+
+
+class TestCacheGrowth:
+    """Extending cached A_0..A_{m-1} to A_n gives the cold build."""
+
+    @pytest.mark.parametrize("table, top", [(False, 60), (True, 40)])
+    def test_every_prefix(self, table, top, sigma_g):
+        g = signed_tables()[0] if table else sigma_g
+        cold = []
+        for n in range(top + 1):
+            clear_library_caches()
+            cold.append(a_poly_list(g, n))
+        assert cold[-1] == a_poly_list_rows(g, top)
+        for m in range(1, top + 1):
+            for n in range(m, top + 1):
+                clear_library_caches()
+                assert len(a_poly_list(g, m - 1)) == m
+                assert a_poly_list(g, n) == cold[n], (m, n)
+                assert a_poly_list(g, m - 1) == cold[m - 1]
+
+    def test_short_table_still_exhausts(self):
+        g = random_table(5, 30, -20, 20)
+        for m in (1, 10, 31):
+            clear_library_caches()
+            prefix = a_poly_list(g, m - 1)
+            with pytest.raises(TableExhaustedError):
+                a_poly_list(g, 31)
+            with pytest.raises(TableExhaustedError):
+                a_poly_list_rows(g, 31)
+            assert a_poly_list(g, m - 1) == prefix
+            assert a_poly_list(g, 30) == a_poly_list_rows(g, 30)
 
 
 class TestSeriesOracle:
