@@ -6,8 +6,8 @@ verified, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DomainError, TableExhaustedError
@@ -141,8 +141,68 @@ def legendre_symbol(D: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-@dataclass(frozen=True)
-class ArithmeticFunction:
+class FrozenValue:
+    """Base of the library's immutable value classes; it generates no code at import.
+
+    The fields are the class-body annotations, in order, with their class-level
+    defaults.  Instances run ``__post_init__``, compare by (type, field values),
+    hash by field values (computed once) and refuse assignment.
+    """
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__dict__["__annotations__"])
+        cls._fields, cls._names, cls._values = fields, frozenset(fields), attrgetter(*fields)
+        cls._required = frozenset(f for f in fields if f not in cls.__dict__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        # Defaults stay class attributes; the instance holds what was passed.
+        values = self.__dict__
+        if args:
+            values.update(zip(self._fields, args))
+            if len(values) != len(args) or not values.keys().isdisjoint(kwargs):
+                raise TypeError(f"{type(self).__name__}() got bad positional arguments {args!r}")
+        values.update(kwargs)
+        if not self._required <= values.keys() <= self._names:
+            raise TypeError(f"{type(self).__name__} takes {self._fields}, got {sorted(values)}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # g and the candidates key the library's memos: hash their fields
+        # (a long g-table, say) once, not on every lookup.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            self.__dict__["_hash"] = value = hash(self._values(self))
+            return value
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between processes.
+        return (type(self), self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({pairs})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+def replace(value: FrozenValue, /, **changes) -> FrozenValue:
+    """A copy of ``value`` with some fields changed, validated anew."""
+    return type(value)(**({f: getattr(value, f) for f in value._fields} | changes))
+
+
+class ArithmeticFunction(FrozenValue):
     """Integer-valued function g on positive integers with g(1) = 1.
 
     Three kinds are supported: the divisor sum ("sigma"), the identity
@@ -167,16 +227,6 @@ class ArithmeticFunction:
                 raise DomainError(f"g(1) must equal 1, table starts with {self.table[0]}")
         elif self.table is not None:
             raise DomainError(f"kind {self.kind!r} does not take a table")
-        # g keys every memo of the library; hashing a long table on each
-        # lookup would cost more than many of the cached computations.
-        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.table)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__: string hashes differ between processes.
-        return (type(self), (self.kind, self.name, self.table))
 
     @classmethod
     def sigma(cls) -> "ArithmeticFunction":

@@ -31,13 +31,12 @@ not a certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from . import arith, polymod, series
-from .arith import ArithmeticFunction
+from .arith import ArithmeticFunction, FrozenValue, replace
 from .errors import DomainError, TableExhaustedError
 from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift, dedekind_kummer_split
 
@@ -48,8 +47,7 @@ INCONCLUSIVE = "inconclusive"
 _HAN_C_SQ = Fraction(97226, 10000) ** 2
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(FrozenValue):
     """The set of indices n a certificate speaks about."""
 
     kind: str  # "single" | "residues" | "all"
@@ -96,8 +94,7 @@ class Scope:
         return doc
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenValue):
     """Outcome of one certification attempt, with replayable evidence."""
 
     g_name: str
@@ -105,8 +102,8 @@ class Certificate:
     scope: Scope
     verdict: str
     method: str
-    details: dict = field(default_factory=dict)
-    evidence: dict = field(default_factory=dict)
+    details: dict
+    evidence: dict
     witness_prime: int | None = None
 
     @property
@@ -129,8 +126,7 @@ class Certificate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class CertifyConfig:
+class CertifyConfig(FrozenValue):
     primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     exact_eval_bound: int = 30
     not_ramified_prime_bound: int = 50
@@ -671,8 +667,7 @@ def verify_certificate(
 # Zmija-style cyclotomic audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZmijaReport:
+class ZmijaReport(FrozenValue):
     """Outcome of the three factor-degree conditions mod 5, 7, 11."""
 
     g_name: str
@@ -754,8 +749,7 @@ STATUS_PARTIAL = "partial"
 STATUS_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(FrozenValue):
     a: int
     b: int
     status: str
@@ -772,8 +766,7 @@ class GridPoint:
         }
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(FrozenValue):
     g_name: str
     kind: str
     a_range: tuple[int, int]
@@ -836,18 +829,18 @@ def _scan_rational_integer(g: ArithmeticFunction, b: int, n_max: int) -> GridPoi
     methods = set()
     uncertified = []
     abs_sq = Fraction(b * b)
+    top = n_max if g.n_max is None else min(n_max, g.n_max)
+    a_polys = None  # A_0..A_top, built once at the first n the bound leaves
     for n in range(1, n_max + 1):
         if g.kind == "sigma" and _exceeds_han_bound(abs_sq, n)[0]:
             methods.add("han_bound")
             continue
-        try:
-            nonzero = series.a_poly(g, n).evaluate(b) != 0
-        except TableExhaustedError:
-            nonzero = False
-        if nonzero:
-            methods.add("exact_evaluation")
-        else:
-            uncertified.append(n)
+        if n <= top:
+            a_polys = a_polys or series.a_poly_list(g, top)
+            if a_polys[n].evaluate(b) != 0:
+                methods.add("exact_evaluation")
+                continue
+        uncertified.append(n)
     return _grid_point(0, b, methods, uncertified)
 
 

@@ -338,6 +338,7 @@ def _cmd_zmija(args, g) -> int:
 def _cmd_hurwitz(args, g) -> int:
     if args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
+    series.a_poly_list(g, args.max)  # one build of A_0..A_max; h_poly then reads the cache
     results = []
     for n in range(1, args.max + 1):
         h = series.h_poly(g, n)

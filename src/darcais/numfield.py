@@ -10,10 +10,10 @@ finitely many primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import arith, polymod
+from .arith import FrozenValue
 from .errors import DomainError
 from .polynomial import IntPoly, cyclotomic
 from .polymod import Factorization, ModPoly
@@ -53,8 +53,7 @@ def min_poly_quadratic_shift(D: int, a: int, b: int) -> IntPoly:
     return IntPoly((b * b - a * a * D, -2 * b, 1))
 
 
-@dataclass(frozen=True)
-class CyclotomicShift:
+class CyclotomicShift(FrozenValue):
     """Candidate a*zeta_m + b with m >= 3 and a != 0."""
 
     m: int
@@ -92,8 +91,7 @@ class CyclotomicShift:
         return {"kind": self.kind, "m": self.m, "a": self.a, "b": self.b}
 
 
-@dataclass(frozen=True)
-class QuadraticShift:
+class QuadraticShift(FrozenValue):
     """Candidate a*w_D + b for squarefree D outside {0, 1} and a != 0."""
 
     D: int
@@ -184,8 +182,7 @@ def ramifies(c: AlgebraicCandidate, p: int) -> bool:
     return c.discriminant % p == 0
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(FrozenValue):
     """Dedekind-Kummer data for a prime p and a candidate.
 
     When p divides the candidate's index the method does not apply and the

@@ -22,12 +22,12 @@ odd characteristic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import index
 
 from . import arith, series
+from .arith import FrozenValue
 from .errors import DomainError, NotInvertibleError
 from .polynomial import IntPoly, RatPoly, format_poly, _FieldPoly, _strip
 
@@ -138,8 +138,7 @@ def reduce_mod(poly, q: int) -> ModPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(FrozenValue):
     """Complete factorization over F_p: unit * prod(factor**multiplicity).
 
     Factors are monic, irreducible, pairwise distinct, and sorted by

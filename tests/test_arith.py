@@ -10,14 +10,20 @@ import pytest
 import darcais
 from darcais import (
     ArithmeticFunction,
+    CertifyConfig,
+    CyclotomicShift,
     DomainError,
+    QuadraticShift,
+    Scope,
     TableExhaustedError,
+    certify,
+    dedekind_kummer_split,
     euler_phi,
     is_prime,
     legendre_symbol,
     sigma,
 )
-from darcais.arith import divisors, is_squarefree, prime_factors, primes_up_to
+from darcais.arith import divisors, is_squarefree, prime_factors, primes_up_to, replace
 
 from oracles import inertia_degree_cyclotomic, multiplicative_order
 
@@ -254,6 +260,55 @@ class TestArithmeticFunction:
                               check=True).stdout
         loaded = pickle.loads(blob)
         assert {ArithmeticFunction.from_table([1, 5, 2]): "hit"}[loaded] == "hit"
+
+
+class TestValueClasses:
+    """The library's value classes share ``arith.FrozenValue``."""
+
+    def test_same_fields_of_another_class_are_another_key(self):
+        q, c = QuadraticShift(D=5, a=1, b=0), CyclotomicShift(m=5, a=1, b=0)
+        assert q != c and len({q: 0, c: 1}) == 2
+        assert dedekind_kummer_split(q, 3).candidate is q
+        assert dedekind_kummer_split(c, 3).candidate is c
+
+    def test_equal_by_fields_however_built(self):
+        q = QuadraticShift(-1, 2, 1)
+        assert q == QuadraticShift(D=-1, a=2, b=1) == QuadraticShift.gaussian(2, 1)
+        assert hash(q) == hash(QuadraticShift(D=-1, a=2, b=1))
+        assert repr(q) == "QuadraticShift(D=-1, a=2, b=1)"
+        assert Scope.single(4) == Scope("single", 4) != Scope.single(5)
+
+    def test_assignment_raises(self):
+        cert = certify(ArithmeticFunction.sigma(), QuadraticShift.gaussian(1, 100), 2)
+        for value, name in ((QuadraticShift(-1, 2, 1), "a"), (cert, "method"),
+                            (cert.scope, "n"), (CertifyConfig(), "seed"),
+                            (ArithmeticFunction.sigma(), "kind")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_cached_property_caches_and_keeps_the_key(self):
+        c = CyclotomicShift(m=12, a=2, b=1)
+        before = hash(c)
+        assert c.min_poly is c.min_poly and "min_poly" in vars(c)
+        assert hash(c) == before and c == CyclotomicShift(12, 2, 1)
+
+    def test_replace_revalidates(self):
+        config = replace(CertifyConfig(), seed=3)
+        assert config.seed == 3 and config.primes == CertifyConfig().primes
+        with pytest.raises(DomainError):
+            replace(config, primes=(4,))
+        with pytest.raises(DomainError):
+            replace(QuadraticShift(-1, 2, 1), a=0)
+        with pytest.raises(TypeError):
+            replace(config, bogus=1)
+
+    def test_bad_arguments_are_type_errors(self):
+        for args, kwargs in (((), {}), (("single", 1, 2, (), 5), {}),
+                             (("single",), {"kind": "all"}), ((), {"kind": "all", "m": 1})):
+            with pytest.raises(TypeError):
+                Scope(*args, **kwargs)
 
 
 class TestPrimesUpTo:

@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,10 @@ from darcais import (
     factor_a_poly_mod,
     parse_candidate,
     scan_grid,
+    series,
     verify_certificate,
 )
+from darcais.arith import replace
 from darcais.certify import (
     INCONCLUSIVE,
     PROVEN,
@@ -35,7 +38,7 @@ from darcais.certify import (
 )
 from darcais.polymod import ModPoly
 
-from conftest import random_table
+from conftest import clear_library_caches, random_table
 from oracles import evaluate_at_cyclotomic, evaluate_at_quadratic, zmija_order_six
 
 ORACLE_GS = (
@@ -478,9 +481,7 @@ class TestReplay:
         cert = certify_theorem_gaussian_sigma(sigma_g, QuadraticShift.gaussian(2, 1), 9)
         tampered = json.loads(cert.canonical_json())
         tampered["evidence"]["a_mod_7"] = 5
-        import dataclasses
-
-        bad = dataclasses.replace(cert, evidence=tampered["evidence"])
+        bad = replace(cert, evidence=tampered["evidence"])
         assert not verify_certificate(sigma_g, bad)
 
 
@@ -533,11 +534,9 @@ class TestChainTableReplay:
         assert verify_certificate(g, cert)
 
     def test_unknown_method_is_domain_error(self, sigma_g):
-        import dataclasses
-
         cert = certify_han_bound(sigma_g, QuadraticShift.gaussian(1, 100), 2)
         with pytest.raises(DomainError):
-            verify_certificate(sigma_g, dataclasses.replace(cert, method="bogus"))
+            verify_certificate(sigma_g, replace(cert, method="bogus"))
 
 
 class TestMalformedReplayInputs:
@@ -575,13 +574,11 @@ class TestMalformedReplayInputs:
         ],
     )
     def test_malformed_details_are_domain_errors(self, sigma_g, kind, details):
-        import dataclasses
-
         cert = self.CERTS[kind](sigma_g)
         assert cert.method == kind.removesuffix("_all_n")
         assert verify_certificate(sigma_g, cert)
         with pytest.raises(DomainError):
-            verify_certificate(sigma_g, dataclasses.replace(cert, details=details))
+            verify_certificate(sigma_g, replace(cert, details=details))
 
 
 class TestZmija:
@@ -759,6 +756,15 @@ class TestShortTables:
             assert pt.uncertified[-2:] == (4, 5)
         assert real[1].methods == ("exact_evaluation",)
         assert grid.points[2:] == scan_grid(g, "gauss", (1, 1), (0, 1), 5).points
+
+    def test_scan_real_axis_builds_the_polynomials_once_per_point(self, sigma_g):
+        # n = 1 falls to the absolute bound at b != 0; every later n reads
+        # one list A_0..A_20.
+        clear_library_caches()
+        with mock.patch.object(series, "a_poly_list", wraps=series.a_poly_list) as spy:
+            grid = scan_grid(sigma_g, "gauss", (0, 0), (-3, 3), 20)
+        assert spy.call_args_list == [mock.call(sigma_g, 20)] * 7
+        assert grid.points[4].methods == ("exact_evaluation", "han_bound")
 
 
 class TestChainSoundnessSamples:

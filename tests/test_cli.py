@@ -9,7 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from darcais import ArithmeticFunction, series
 from darcais.cli import main
+
+from conftest import clear_library_caches
 
 
 def run(capsys, *argv):
@@ -245,6 +248,19 @@ class TestOtherCommands:
         assert doc["results"][1] == {"n": 2, "hurwitz": False}
         assert [r["n"] for r in doc["results"]] == [1, 2, 3, 4]
         assert doc["all_hurwitz"] is False
+
+    def test_hurwitz_past_a_short_table_is_exit_three(self, capsys, tmp_path):
+        table = tmp_path / "g.txt"
+        table.write_text("1\n3\n")
+        code, out, err = run(capsys, "hurwitz", "--max", "5", "--g", f"table:{table}")
+        assert code == 3 and out == "" and "tabulated up to 2" in err
+
+    def test_hurwitz_builds_the_polynomials_once(self, capsys):
+        clear_library_caches()
+        with mock.patch.object(series, "a_poly_list", wraps=series.a_poly_list) as spy:
+            code, _, _ = run(capsys, "hurwitz", "--max", "12")
+        assert code == 0
+        assert spy.call_args_list[0] == mock.call(ArithmeticFunction.sigma(), 12)
 
 
 class TestGLoading:

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import darcais
@@ -68,3 +72,22 @@ def test_oracles_stay_out_of_the_library():
 
 def test_numfield_does_not_read_series():
     assert "series" not in sibling_imports("numfield")
+
+
+# What ``import darcais.cli`` must not add to a fresh interpreter: the
+# stdlib modules ``dataclasses`` pulls in at import.
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_every_layer_and_no_code_generation():
+    # bench/tracer.py reads every layer from sys.modules right after this import.
+    script = (
+        "import json, sys; before = set(sys.modules); import darcais.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(json.loads(out))
+    assert {f"darcais.{layer}" for layer in LAYERS} <= loaded
+    assert not loaded & set(STARTUP_EXCLUDED)

@@ -15,6 +15,7 @@ from darcais import (
     scan_grid,
     verify_certificate,
 )
+from darcais.arith import FrozenValue
 
 from conftest import PACKAGE, clear_library_caches, library_memos, random_table
 
@@ -104,7 +105,7 @@ MUTABLE_BUILTINS = {"dict", "list", "set", "Dict", "List", "Set"}
 
 def mutable_result_types() -> set[str]:
     """The mutable builtins, and the package's classes with a field of one
-    of them (a frozen dataclass still hands out its dict)."""
+    of them (a frozen value class still hands out its dict)."""
     found = set(MUTABLE_BUILTINS)
     for _, tree in _trees():
         for node in ast.walk(tree):
@@ -173,6 +174,22 @@ class TestMemoGuard:
             assert node.returns is not None, f"{module}.{node.name} has no return annotation"
             bad = annotation_names(node.returns) & mutable
             assert not bad, f"{module}.{node.name} returns {sorted(bad)}"
+
+    def test_scan_reads_the_value_classes_fields(self):
+        # The scan sees fields only as class-body annotations; each value
+        # class with a mutable field must show up in it.
+        mutable = mutable_result_types()
+        classes = FrozenValue.__subclasses__()
+        assert {"Certificate", "ZmijaReport", "Scope", "CyclotomicShift"} <= {
+            cls.__name__ for cls in classes
+        }
+        for cls in classes:
+            holds_mutable = any(
+                annotation_names(ast.Constant(text)) & MUTABLE_BUILTINS
+                for text in cls.__annotations__.values()
+            )
+            assert (cls.__name__ in mutable) == holds_mutable, cls.__name__
+        assert "Certificate" in mutable
 
     def test_clear_helper_reaches_every_memo(self):
         declared = {f"darcais.{module}.{name}" for module, name, _ in memoized_functions()}
