@@ -499,7 +499,7 @@ def certify_exact(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certi
     """
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    remainder = series.a_poly(g, n) % c.min_poly
+    remainder = series.a_poly_list(g, n)[n] % c.min_poly
     return Certificate(
         g_name=g.name,
         candidate=c,

@@ -306,7 +306,7 @@ def is_irreducible(f: ModPoly) -> bool:
 @lru_cache(maxsize=256, typed=True)
 def _a_r_mod(g: arith.ArithmeticFunction, r: int, p: int) -> ModPoly:
     """A_r mod p for 0 <= r < p (memoized; its degree r is below p)."""
-    return reduce_mod(series.a_poly(g, r), p)
+    return reduce_mod(series.a_poly_list(g, r)[r], p)
 
 
 def _split_index(
@@ -315,8 +315,8 @@ def _split_index(
     """Write n = l*p + r with 0 <= r < p; return l, A_r mod p and the
     bracket B = X**p - g(p)*X (None when l = 0, so g(p) is read only then).
 
-    A_n = A_r * B**l mod p.  A_r is taken from the memoized integer
-    recursion (``series.a_poly``); reduction mod p is a ring map, so this
+    A_n = A_r * B**l mod p.  A_r is taken from the stored integer
+    recursion (``series.a_poly_list``); reduction mod p is a ring map, so this
     is the recursion run over F_p.
     """
     _check_modulus(p)

@@ -73,6 +73,9 @@ class _BasePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (type(self), (*self._ring, self._coeffs))
+
     def _new(self, coeffs):
         """A polynomial of this type and ring."""
         return type(self)(*self._ring, coeffs)

@@ -5,9 +5,13 @@ coefficient of q**n in exp(X * sum_{k>=1} g(k) q**k / k).  Scaled by n!
 it has integer coefficients, is monic of degree n, and has zero constant
 term for n >= 1.  Two independent routes are provided:
 
-* ``a_poly``       - the recursion j*B_j = X * sum_k g(k) B_{j-k} on the
-  scaled rows B_j = A_j * n!/j!, whose multipliers are the small values
-  g(k): O(n^3) small-by-big products for A_0..A_n (the workhorse),
+* the recursion j*B_j = X * sum_k g(k) B_{j-k} on the scaled rows B_j =
+  A_j * n!/j!, whose multipliers are the small values g(k): O(n^3)
+  small-by-big products, a column at a time.  Only ``a_poly_list`` keeps
+  rows, in the store ``_a_cache``; callers that reuse rows call it
+  (``certify_exact`` for n = 1, 2, ... per scanned point, ``polymod`` for
+  A_r, r < p, ``hurwitz``, the real-axis scan row).  ``a_poly`` gives a
+  stored row or A_n alone from two columns;
 * ``a_poly_oracle``- a sum over integer partitions, exact but exponential.
 
 The oracle exists so the recursion can be cross-checked (``poly
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterator
@@ -32,51 +37,63 @@ _a_cache: dict[ArithmeticFunction, list[IntPoly]] = {}
 DEFAULT_ORACLE_BOUND = 25
 
 
-def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
-    """The integer D'Arcais polynomials of index 0..n for g.
-
-    With B_j = A_j * n!/j! = n! P_j the recursion n P_n = X sum_k g(k)
-    P_{n-k} reads j B_j = X sum_k g(k) B_{j-k}, whose only multipliers are
-    the small values g(k).  It runs one column at a time: if u_d[j] is the
-    coefficient of X**d in B_j, then u_{d+1}[j] is one dot product of
-    g(j-d), ..., g(1) with u_d[d], ..., u_d[j-1], divided exactly by j,
-    and A_j has coefficient u_d[j] // (n!/j!).  Rows already cached are
-    rescaled by n!/j! and extended.
-    """
+def _stored_rows(g: ArithmeticFunction, n: int) -> list[IntPoly]:
+    """The rows A_0.. stored for g, once n and g's reach are checked."""
     if n < 0:
-        raise DomainError(f"a_poly_list requires n >= 0, got {n}")
+        raise DomainError(f"D'Arcais polynomials need n >= 0, got {n}")
     g.require_up_to(max(n, 1))
     with _cache_lock:
-        cached = _a_cache.setdefault(g, [IntPoly.one()])
-        known = len(cached)
-        if known > n:
-            return cached[: n + 1]
-        polys = list(cached)
-    # Extend outside the lock; only the final publish is guarded.
+        return _a_cache.get(g) or [IntPoly.one()]
+
+
+def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Iterator[list[int]]:
+    """The columns u_1..u_n of the recursion on B_j = A_j * n!/j!.
+
+    If u_d[j] is the coefficient of X**d in B_j, then u_{d+1}[j] is one dot
+    product of g(j-d), ..., g(1) with u_d[d], ..., u_d[j-1], divided exactly
+    by j.  Entries of the given rows A_0.. are rescaled, not recomputed.
+    """
+    known = len(rows)
     g_desc = [g(k) for k in range(n, 0, -1)]  # g(n), ..., g(1)
-    scale = [1] * (n + 1)  # scale[j] = n!/j!
-    for j in range(n, 0, -1):
-        scale[j - 1] = scale[j] * j
-    rows = [[0] for _ in range(known, n + 1)]  # coefficients of A_known..A_n
+    scale = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # scale[j] = n!/j!
     col = [scale[0]] + [0] * n  # u_0: B_0 = n!, and A_j(0) = 0 for j >= 1
     for d in range(n):
         nxt = [0] * (n + 1)
         for j in range(d + 1, known):
-            nxt[j] = polys[j].coeff(d + 1) * scale[j]
+            nxt[j] = rows[j].coeff(d + 1) * scale[j]
         for j in range(max(d + 1, known), n + 1):
             nxt[j] = sum(map(mul, g_desc[n - j + d :], col[d:j])) // j
-            rows[j - known].append(nxt[j] // scale[j])
+        yield nxt
         col = nxt
-    polys.extend(IntPoly(row) for row in rows)
+
+
+def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
+    """The integer D'Arcais polynomials A_0..A_n for g, read from or added
+    to the store: A_j has coefficient u_d[j] // (n!/j!) of X**d."""
+    polys = _stored_rows(g, n)
+    known = len(polys)
+    if known > n:
+        return polys[: n + 1]
+    # Extend outside the lock; only the final publish is guarded.
+    scale = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]
+    rows = [[0] for _ in range(known, n + 1)]  # coefficients of A_known..A_n
+    for d, col in enumerate(_scaled_columns(g, n, polys)):
+        for j in range(max(d + 1, known), n + 1):
+            rows[j - known].append(col[j] // scale[j])
+    polys = polys + [IntPoly(row) for row in rows]
     with _cache_lock:
-        if len(_a_cache[g]) < len(polys):
+        if len(_a_cache.get(g, ())) < len(polys):
             _a_cache[g] = polys
     return polys[: n + 1]
 
 
 def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
-    """n-th integer D'Arcais polynomial, by the scaled recursion."""
-    return a_poly_list(g, n)[n]
+    """n-th integer D'Arcais polynomial: the stored row, else entry n (n!/n!
+    = 1) of each scaled column, two columns live and the store untouched."""
+    rows = _stored_rows(g, n)
+    if n < len(rows):
+        return rows[n]
+    return IntPoly([0] + [col[n] for col in _scaled_columns(g, n, rows)])
 
 
 def p_poly(g: ArithmeticFunction, n: int) -> RatPoly:

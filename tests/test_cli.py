@@ -284,6 +284,15 @@ class TestGLoading:
         code, _, err = run(capsys, "poly", "9", "--g", str(table))
         assert code == 3
 
+    def test_exhaustion_past_a_full_store_is_exit_three(self, capsys, tmp_path):
+        table = tmp_path / "g.txt"
+        table.write_text("1\n3\n")
+        clear_library_caches()
+        code, _, _ = run(capsys, "hurwitz", "--max", "2", "--g", f"table:{table}")
+        assert code == 0 and [len(rows) for rows in series._a_cache.values()] == [3]
+        code, out, err = run(capsys, "poly", "5", "--g", f"table:{table}")
+        assert code == 3 and out == "" and "tabulated up to 2" in err
+
     def test_bad_head_is_exit_two(self, capsys, tmp_path):
         table = tmp_path / "g.txt"
         table.write_text("7\n")

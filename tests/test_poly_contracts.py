@@ -6,6 +6,9 @@ tests pin what each type promises on top of that.
 """
 
 import ast
+import copy
+import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import strategies as st
 
 import darcais
 from darcais import DomainError, IntPoly, RatPoly, reduce_mod
-from darcais.polymod import ModPoly, poly_gcd
+from darcais.numfield import CyclotomicShift
+from darcais.polymod import ModPoly, factor, poly_gcd
 
 PRIMES = st.sampled_from((2, 3, 5, 7, 11, 13))
 INT_COEFFS = st.lists(st.integers(-60, 60), max_size=8)
@@ -142,6 +146,42 @@ class TestModPolyContracts:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ModPoly(5, (1,)).p = 7
+
+
+class TestPickleAndCopy:
+    """Polynomials, and the values that hold them, rebuild through their constructors."""
+
+    @staticmethod
+    def values():
+        candidate = CyclotomicShift(5, 2, -1)
+        assert candidate.min_poly.degree == 4  # cached on the instance
+        return [
+            IntPoly((1, 2)),
+            IntPoly(()),
+            RatPoly((Fraction(1, 3), 0, -2)),
+            ModPoly(5, (1, 2)),
+            factor(ModPoly(7, (6, 0, 0, 1))),
+            candidate,
+        ]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip(self, clone):
+        for value in self.values():
+            twin = clone(value)
+            assert type(twin) is type(value) and twin == value, value
+            assert hash(twin) == hash(value), value
+        candidate = clone(self.values()[-1])
+        assert candidate.min_poly == CyclotomicShift(5, 2, -1).min_poly
+
+    def test_clone_stays_immutable(self):
+        twin = copy.copy(ModPoly(5, (1, 2)))
+        assert twin.p == 5 and twin.coeffs == (1, 2)
+        with pytest.raises(AttributeError):
+            twin._coeffs = (3,)
 
 
 def _functions_by_class() -> dict[str, dict[str, ast.FunctionDef]]:

@@ -1,6 +1,7 @@
 """The polynomial family, its oracles, tau, exact evaluation, stability."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -24,6 +25,7 @@ from darcais import (
     tau,
     tau_list,
 )
+from darcais import series
 from darcais.numfield import min_poly_quadratic_shift
 from darcais.series import _partitions, _square_truncated, a_poly_list
 
@@ -200,6 +202,75 @@ class TestCacheGrowth:
                 a_poly_list_rows(g, 31)
             assert a_poly_list(g, m - 1) == prefix
             assert a_poly_list(g, 30) == a_poly_list_rows(g, 30)
+
+
+class TestAPolyAlone:
+    """``a_poly`` past the store: two scaled columns, not A_0..A_n."""
+
+    @staticmethod
+    def generators():
+        tables = [random_table(seed, 120, -20, 20) for seed in (3, 5, 7)]
+        return [ArithmeticFunction.sigma(), ArithmeticFunction.identity(), *tables]
+
+    def test_cold_against_the_row_oracle(self):
+        for g in self.generators():
+            want = a_poly_list_rows(g, 120)
+            for n in (*range(0, 120, 7), 120):
+                clear_library_caches()
+                assert a_poly(g, n) == want[n], (g.name, n)
+
+    def test_warm_partial_store_against_the_row_oracle(self):
+        for g in self.generators():
+            want = a_poly_list_rows(g, 90)
+            clear_library_caches()
+            stored = a_poly_list(g, 40)
+            assert a_poly(g, 90) == want[90], g.name
+            assert series._a_cache[g] == stored == want[:41]
+
+    def test_past_the_store_leaves_it_unchanged(self, sigma_g):
+        clear_library_caches()
+        a_poly(sigma_g, 30)
+        assert series._a_cache == {}
+        a_poly_list(sigma_g, 10)
+        stored = series._a_cache[sigma_g]
+        a_poly(sigma_g, 30)
+        assert series._a_cache == {sigma_g: stored} and series._a_cache[sigma_g] is stored
+        assert len(stored) == 11
+
+    def test_inside_the_store_returns_the_stored_row(self, sigma_g):
+        clear_library_caches()
+        a_poly_list(sigma_g, 30)
+        for n in (0, 1, 17, 30):
+            assert a_poly(sigma_g, n) is series._a_cache[sigma_g][n]
+
+    def test_short_table_still_exhausts(self):
+        g = random_table(5, 30, -20, 20)
+        for m in (0, 10, 31):
+            clear_library_caches()
+            if m:
+                a_poly_list(g, m - 1)
+            with pytest.raises(TableExhaustedError):
+                a_poly(g, 31)
+            assert a_poly(g, 30) == a_poly_list_rows(g, 30)[30]
+
+    def test_negative_index_is_a_domain_error(self, sigma_g):
+        for build in (a_poly, a_poly_list):
+            with pytest.raises(DomainError):
+                build(sigma_g, -1)
+
+    def test_peak_memory_is_a_fraction_of_the_list(self, sigma_g):
+        # A_n alone is Theta(n^2 log n) bits, the list Theta(n^3 log n).
+        peaks = []
+        for build in (a_poly, a_poly_list):
+            clear_library_caches()
+            tracemalloc.start()
+            try:
+                build(sigma_g, 80)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        clear_library_caches()
+        assert 4 * peaks[0] < peaks[1], peaks
 
 
 class TestSeriesOracle:
