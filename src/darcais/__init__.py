@@ -35,7 +35,7 @@ from .certify import (
     scan_grid,
     verify_certificate,
 )
-from .errors import DarcaisError, DomainError, NotInvertibleError, TableExhaustedError
+from .errors import DarcaisError, DomainError, TableExhaustedError
 from .numfield import (
     CyclotomicShift,
     QuadraticShift,
@@ -55,13 +55,11 @@ from .polymod import (
     is_irreducible,
     reduce_mod,
 )
-from .polynomial import IntPoly, RatPoly, cyclotomic, format_poly
+from .polynomial import IntPoly, cyclotomic, format_poly
 from .series import (
     a_poly,
     a_poly_oracle,
-    h_poly,
     hurwitz_check,
-    p_poly,
     tau,
     tau_list,
 )
@@ -77,9 +75,7 @@ __all__ = [
     "GridResult",
     "IntPoly",
     "ModPoly",
-    "NotInvertibleError",
     "QuadraticShift",
-    "RatPoly",
     "Scope",
     "SplittingReport",
     "TableExhaustedError",
@@ -102,14 +98,12 @@ __all__ = [
     "factor",
     "factor_a_poly_mod",
     "format_poly",
-    "h_poly",
     "hurwitz_check",
     "is_irreducible",
     "is_prime",
     "legendre_symbol",
     "min_poly_cyclotomic_shift",
     "min_poly_quadratic_shift",
-    "p_poly",
     "parse_candidate",
     "ramifies",
     "reduce_mod",

@@ -38,7 +38,7 @@ from math import isqrt
 from . import arith, polymod, series
 from .arith import ArithmeticFunction, FrozenValue, replace
 from .errors import DomainError, TableExhaustedError
-from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift, dedekind_kummer_split
+from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift
 
 PROVEN = "proven_nonroot"
 INCONCLUSIVE = "inconclusive"
@@ -126,6 +126,10 @@ class Certificate(FrozenValue):
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+# The unramified criterion sieves the primes up to its bound: 1 MB here.
+MAX_NOT_RAMIFIED_PRIME_BOUND = 10**6
+
+
 class CertifyConfig(FrozenValue):
     primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     exact_eval_bound: int = 30
@@ -135,6 +139,11 @@ class CertifyConfig(FrozenValue):
     def __post_init__(self) -> None:
         for p in self.primes:
             arith.require_prime(p, "configured prime")
+        if self.not_ramified_prime_bound > MAX_NOT_RAMIFIED_PRIME_BOUND:
+            raise DomainError(
+                f"the not-ramified prime bound is at most {MAX_NOT_RAMIFIED_PRIME_BOUND}, "
+                f"got {self.not_ramified_prime_bound}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -429,11 +438,13 @@ def certify_generic(
 ) -> Certificate:
     """Search the given primes for a local divisibility obstruction.
 
-    If the candidate were a root, its monic minimal polynomial would
+    If the candidate were a root, its monic minimal polynomial f would
     divide the n-th integer D'Arcais polynomial over Z, hence modulo every
-    prime.  A prime p (not dividing the candidate's index) where some
-    irreducible factor of the minimal polynomial mod p fails to divide the
-    polynomial mod p therefore proves the candidate is not a root.
+    prime.  A prime p where some irreducible factor of f mod p fails to
+    divide the polynomial mod p therefore proves the candidate is not a
+    root; p may divide the candidate's index, since the argument never
+    reads the prime ideals above p.  Only a prime past the reach of a
+    table-backed g is skipped.
 
     A factor q fails to divide A_n mod p exactly when it is missing from
     the factorization of A_n mod p, which ``polymod.factor_a_poly_mod``
@@ -446,16 +457,12 @@ def certify_generic(
         arith.require_prime(p, "obstruction prime")
     skipped = []
     for p in primes:
-        split = dedekind_kummer_split(c, p, seed=seed)
-        if not split.applicable:
-            skipped.append(p)
-            continue
         try:
             a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
         except TableExhaustedError:
             skipped.append(p)
             continue
-        min_fact = split.factorization
+        min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=seed)
         a_irreducibles = {poly for poly, _ in a_fact.factors}
         for q, _ in min_fact.factors:
             if q not in a_irreducibles:

@@ -19,6 +19,7 @@ from . import __version__, numfield, polymod, series
 from .arith import ArithmeticFunction
 from .certify import (
     DEFAULT_CONFIG,
+    MAX_NOT_RAMIFIED_PRIME_BOUND,
     CertifyConfig,
     certify as run_certify,
     certify_all_n,
@@ -26,7 +27,7 @@ from .certify import (
     scan_grid,
 )
 from .errors import DomainError, TableExhaustedError
-from .polynomial import format_poly
+from .polynomial import IntPoly, format_poly
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -128,7 +129,8 @@ def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
     parser.add_argument("--exact-eval-bound", type=int, default=defaults["exact_eval_bound"],
                         help="largest n for the exact-evaluation fallback")
     parser.add_argument("--not-ramified-bound", type=int, default=defaults["not_ramified_bound"],
-                        help="prime search bound for the unramified criterion")
+                        help="prime search bound for the unramified criterion "
+                        f"(at most {MAX_NOT_RAMIFIED_PRIME_BOUND})")
     parser.add_argument("--oracle-bound", type=int, default=defaults["oracle_bound"],
                         help="cap for the partition oracle")
     parser.add_argument("--seed", type=int, default=defaults["seed"],
@@ -150,15 +152,15 @@ def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"darcais {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_poly = sub.add_parser("poly", help="print the n-th D'Arcais polynomial for g")
-    p_poly.add_argument("n", type=int)
-    p_poly.add_argument("--mod", type=int, default=None, help="reduce modulo this prime")
-    p_poly.add_argument("--factor", action="store_true", help="factor the mod-p polynomial")
-    p_poly.add_argument("--rational", action="store_true",
-                        help="print the rational polynomial (divide by n!)")
-    p_poly.add_argument("--oracle", action="store_true",
-                        help="compute via the partition oracle instead of the recursion")
-    _add_common(p_poly, defaults)
+    p_an = sub.add_parser("poly", help="print the n-th D'Arcais polynomial for g")
+    p_an.add_argument("n", type=int)
+    p_an.add_argument("--mod", type=int, default=None, help="reduce modulo this prime")
+    p_an.add_argument("--factor", action="store_true", help="factor the mod-p polynomial")
+    p_an.add_argument("--rational", action="store_true",
+                      help="print the rational polynomial (divide by n!)")
+    p_an.add_argument("--oracle", action="store_true",
+                      help="compute via the partition oracle instead of the recursion")
+    _add_common(p_an, defaults)
 
     p_tau = sub.add_parser("tau", help="Ramanujan tau values / desk-scale zero scan")
     p_tau.add_argument("n", type=int, nargs="?", default=None)
@@ -239,9 +241,13 @@ def _cmd_poly(args, g) -> int:
         poly = series.a_poly_oracle(g, args.n, max_n=args.oracle_bound)
     else:
         poly = series.a_poly(g, args.n)
-    if args.rational:
-        poly = poly.to_rat().scale(Fraction(1, factorial(args.n)))
-    _emit(args, {**header, "n": args.n, "poly": poly.to_json_dict()}, str(poly))
+    if args.rational:  # P_n = A_n / n!, the one place Q coefficients appear
+        coeffs = [Fraction(c, factorial(args.n)) for c in poly.coeffs]
+        doc = {"degree": poly.degree, "coeffs": [str(c) for c in coeffs]}
+        text = format_poly(coeffs)
+    else:
+        doc, text = poly.to_json_dict(), str(poly)
+    _emit(args, {**header, "n": args.n, "poly": doc}, text)
     return EXIT_OK
 
 
@@ -338,10 +344,10 @@ def _cmd_zmija(args, g) -> int:
 def _cmd_hurwitz(args, g) -> int:
     if args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
-    series.a_poly_list(g, args.max)  # one build of A_0..A_max; h_poly then reads the cache
+    polys = series.a_poly_list(g, args.max)
     results = []
     for n in range(1, args.max + 1):
-        h = series.h_poly(g, n)
+        h = IntPoly(polys[n].coeffs[1:])  # A_n/X = n! * P_n/X, the same roots
         # A root at the origin is not strictly in the left half-plane.
         results.append({"n": n, "hurwitz": bool(h.coeff(0)) and series.hurwitz_check(h)})
     all_true = all(r["hurwitz"] for r in results)

@@ -12,6 +12,3 @@ class DomainError(DarcaisError, ValueError):
 class TableExhaustedError(DarcaisError, LookupError):
     """A table-backed arithmetic function was queried beyond its last entry."""
 
-
-class NotInvertibleError(DomainError):
-    """A rational coefficient has a denominator that vanishes modulo the prime."""

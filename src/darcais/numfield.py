@@ -10,7 +10,7 @@ finitely many primes.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import arith, polymod
 from .arith import FrozenValue
@@ -220,13 +220,11 @@ class SplittingReport(FrozenValue):
         return doc
 
 
-@lru_cache(maxsize=1024, typed=True)
 def dedekind_kummer_split(c: AlgebraicCandidate, p: int, seed: int = 0) -> SplittingReport:
     """Split p in Q(alpha) by factoring the minimal polynomial mod p.
 
     Only valid for p not dividing the index; such p yield a report with
-    ``applicable=False`` (this is data, not an error).  Memoized: the
-    obstruction search asks for the same (candidate, p) at every n.
+    ``applicable=False`` (this is data, not an error).
     """
     ram = ramifies(c, p)
     if c.index % p == 0:

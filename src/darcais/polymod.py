@@ -1,11 +1,11 @@
 """Polynomials over prime fields F_p, their factorization, and A_n mod p.
 
 ``ModPoly`` derives from the dense-polynomial base of
-``darcais.polynomial``: Z, Q and F_p polynomials share one implementation
-of the ring operations and of long division, and Q and F_p one ``monic``
-and ``divides``.  What is particular to F_p stays here: the modulus, reduced
-powers (``pow_mod``), gcd, factorization, ``a_poly_mod`` and its
-factorization ``factor_a_poly_mod``.
+``darcais.polynomial``: Z and F_p polynomials share one implementation of
+the ring operations and of long division.  What is particular to the field
+F_p stays here: the modulus, ``monic`` and ``divides``, reduced powers
+(``pow_mod``), gcd, factorization, ``a_poly_mod`` and its factorization
+``factor_a_poly_mod``.
 
 These two read one identity over F_p: with n = l*p + r, 0 <= r < p, and
 B = X**p - g(p)*X, A_n = A_r * B**l (mod p).  ``_split_index`` is the one
@@ -28,8 +28,8 @@ from operator import index
 
 from . import arith, series
 from .arith import FrozenValue
-from .errors import DomainError, NotInvertibleError
-from .polynomial import IntPoly, RatPoly, format_poly, _FieldPoly, _strip
+from .errors import DomainError
+from .polynomial import IntPoly, format_poly, _BasePoly, _strip
 
 # Single-precision moduli only; tiny primes are all the analysis ever needs.
 _MAX_MODULUS = 1 << 31
@@ -44,7 +44,7 @@ def _check_modulus(p: int) -> tuple:
     return (p,)
 
 
-class ModPoly(_FieldPoly):
+class ModPoly(_BasePoly):
     """Dense polynomial over F_p; immutable, coefficients reduced into [0, p).
 
     Built as ``ModPoly(p, coeffs)``; operands with another modulus are
@@ -70,6 +70,20 @@ class ModPoly(_FieldPoly):
         if other.p != self.p:
             raise DomainError(f"mixed moduli {self.p} and {other.p}")
         return other
+
+    def divides(self, other: "ModPoly") -> bool:
+        """True iff self divides other."""
+        if self.is_zero:
+            return other.is_zero
+        return (other % self).is_zero
+
+    def monic(self) -> "ModPoly":
+        if self.is_zero:
+            raise DomainError("the zero polynomial cannot be made monic")
+        lead = self.leading
+        if lead == 1:
+            return self
+        return self * self._inverse(lead)
 
     def derivative(self) -> "ModPoly":
         return ModPoly(self.p, [k * c % self.p for k, c in enumerate(self._coeffs)][1:])
@@ -112,25 +126,12 @@ def pow_mod(base: ModPoly, exponent: int, modulus: ModPoly) -> ModPoly:
         base = base * base % modulus
 
 
-def reduce_mod(poly, q: int) -> ModPoly:
-    """Coefficient-wise reduction of an IntPoly or RatPoly modulo the prime q.
-
-    Rational coefficients require denominators invertible mod q.
-    """
+def reduce_mod(poly: IntPoly, q: int) -> ModPoly:
+    """Coefficient-wise reduction of an IntPoly modulo the prime q."""
     _check_modulus(q)
-    if isinstance(poly, IntPoly):
-        return ModPoly(q, poly.coeffs)
-    if isinstance(poly, RatPoly):
-        out = []
-        for c in poly.coeffs:
-            den = c.denominator % q
-            if den == 0:
-                raise NotInvertibleError(
-                    f"denominator {c.denominator} is divisible by {q}"
-                )
-            out.append(c.numerator * pow(den, q - 2, q) % q)
-        return ModPoly(q, out)
-    raise TypeError(f"IntPoly or RatPoly expected, got {type(poly).__name__}")
+    if not isinstance(poly, IntPoly):
+        raise TypeError(f"IntPoly expected, got {type(poly).__name__}")
+    return ModPoly(q, poly.coeffs)
 
 
 # ---------------------------------------------------------------------------

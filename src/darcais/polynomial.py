@@ -1,13 +1,12 @@
-"""Dense exact polynomials over the integers, the rationals and F_p.
+"""Dense exact polynomials over the integers and F_p.
 
 Coefficients are stored constant-term first, one entry per degree, with
 trailing zeros stripped so that representations are canonical.  IntPoly
-holds Python ints, RatPoly holds ``fractions.Fraction``; ``polymod.ModPoly``
-(ints reduced into [0, p)) derives from the same base, so Z, Q and F_p
-polynomials share one implementation of the ring operations and one long
-division (``divmod``, ``//``, ``%``).  Over Z a division whose quotient is
-not integral raises ``DomainError``; a monic divisor never does.  All of
-them are immutable and hashable.
+holds Python ints; ``polymod.ModPoly`` (ints reduced into [0, p)) derives
+from the same base, so Z and F_p polynomials share one implementation of
+the ring operations and one long division (``divmod``, ``//``, ``%``).
+Over Z a division whose quotient is not integral raises ``DomainError``;
+a monic divisor never does.  All of them are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class _BasePoly:
     """Shared machinery; subclasses fix the coefficient domain.
 
     ``_ring`` holds the constructor arguments that come before the
-    coefficients (none over Z and Q, the modulus over F_p), so every
+    coefficients (none over Z, the modulus over F_p), so every
     polynomial is built as ``cls(*ring, coeffs)``.  ``_coerce`` maps a
     scalar into the coefficient domain.
     """
@@ -196,7 +195,7 @@ class _BasePoly:
         return result
 
     def _inverse(self, value):
-        """Inverse of a nonzero coefficient: a rational over Z and Q, where
+        """Inverse of a nonzero coefficient over Z: a rational, except that
         the units 1 and -1 are their own inverse and stay integers."""
         return value if value in (1, -1) else Fraction(1, value)
 
@@ -295,63 +294,12 @@ class IntPoly(_BasePoly):
             raise DomainError("monomial degree must be >= 0")
         return cls((0,) * degree + (coeff,))
 
-    def to_rat(self) -> "RatPoly":
-        return RatPoly(self._coeffs)
-
     def div_exact(self, divisor: "IntPoly") -> "IntPoly":
         """Quotient self / divisor; DomainError unless it is exact over Z."""
         quot, rem = self._divmod(divisor)
         if rem:
             raise DomainError("division left a nonzero remainder")
         return quot
-
-
-class _FieldPoly(_BasePoly):
-    """Coefficients in a field: ``monic`` and ``divides``."""
-
-    __slots__ = ()
-
-    def divides(self, other) -> bool:
-        """True iff self divides other."""
-        if self.is_zero:
-            return other.is_zero
-        return (other % self).is_zero
-
-    def monic(self):
-        if self.is_zero:
-            raise DomainError("the zero polynomial cannot be made monic")
-        lead = self.leading
-        if lead == 1:
-            return self
-        return self * self._inverse(lead)
-
-
-class RatPoly(_FieldPoly):
-    """Polynomial with exact rational coefficients."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        raise DomainError(f"rational coefficient expected, got {value!r}")
-
-    def _same(self, other):
-        if isinstance(other, RatPoly):
-            return other
-        if isinstance(other, IntPoly):
-            return other.to_rat()
-        if isinstance(other, (int, Fraction)):
-            return RatPoly((other,))
-        return None
-
-    def scale(self, factor) -> "RatPoly":
-        return self * Fraction(factor)
 
 
 @lru_cache(maxsize=None)

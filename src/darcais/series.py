@@ -23,13 +23,13 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 from typing import Iterator
 
 from .arith import ArithmeticFunction
 from .errors import DomainError
-from .polynomial import IntPoly, RatPoly
+from .polynomial import IntPoly
 
 _cache_lock = threading.Lock()
 _a_cache: dict[ArithmeticFunction, list[IntPoly]] = {}
@@ -94,18 +94,6 @@ def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
     if n < len(rows):
         return rows[n]
     return IntPoly([0] + [col[n] for col in _scaled_columns(g, n, rows)])
-
-
-def p_poly(g: ArithmeticFunction, n: int) -> RatPoly:
-    """n-th rational D'Arcais polynomial, a_poly(g, n) / n!."""
-    return a_poly(g, n).to_rat().scale(Fraction(1, factorial(n)))
-
-
-def h_poly(g: ArithmeticFunction, n: int) -> RatPoly:
-    """p_poly with its guaranteed root at zero stripped (n >= 1)."""
-    if n < 1:
-        raise DomainError(f"h_poly requires n >= 1, got {n}")
-    return RatPoly(p_poly(g, n).coeffs[1:])
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -197,29 +185,29 @@ def tau_list(N: int) -> list[int]:
 
 
 def tau(n: int) -> int:
-    """Ramanujan tau(n): the (n-1)-th rational D'Arcais polynomial at -24."""
+    """Ramanujan tau(n): P_{n-1}(-24) = A_{n-1}(-24) / (n-1)!."""
     if n < 1:
         raise DomainError(f"tau requires n >= 1, got {n}")
     return tau_list(n)[n - 1]
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz stability of H_n = P_n / X
+# Hurwitz stability of A_n / X = n! * P_n / X
 # ---------------------------------------------------------------------------
 
 
-def hurwitz_check(p: RatPoly) -> bool:
+def hurwitz_check(p: IntPoly) -> bool:
     """True iff every root of p has strictly negative real part.
 
-    Decided by a fraction-free Routh table over Z.  The coefficients are
-    scaled by the positive lcm of their denominators; each new row
-    pivot*prev[1:] - prev[0]*cur[1:] is divided by its positive content.
-    Since pivot > 0 is checked first, each integer row is by induction a
-    positive multiple of the rational table's row (alpha*beta*pivot times
-    it, if prev and cur are alpha and beta times theirs), so every sign and
-    zero test agrees with that table.  A zero pivot or an all-zero row
-    reports False (a root on or right of the imaginary axis) rather than
-    being perturbed away.
+    Decided by a fraction-free Routh table over Z, so A_n/X answers for
+    P_n/X, its positive multiple by 1/n!.  Each new row pivot*prev[1:] -
+    prev[0]*cur[1:] is divided by its positive content.  Since pivot > 0
+    is checked first, each integer row is by induction a positive multiple
+    of the rational table's row (alpha*beta*pivot times it, if prev and cur
+    are alpha and beta times theirs), so every sign and zero test agrees
+    with that table.  A zero pivot or an all-zero row reports False (a
+    root on or right of the imaginary axis) rather than being perturbed
+    away.
     """
     if p.is_zero:
         raise DomainError("the zero polynomial has no stability type")
@@ -228,10 +216,7 @@ def hurwitz_check(p: RatPoly) -> bool:
     d = p.degree
     if d == 0:
         return True
-    den = lcm(*(c.denominator for c in p.coeffs))
-    if p.leading < 0:
-        den = -den
-    coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    coeffs = list(p.coeffs) if p.leading > 0 else [-c for c in p.coeffs]
     # All coefficients strictly positive is necessary for real polynomials.
     if any(c <= 0 for c in coeffs):
         return False

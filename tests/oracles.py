@@ -7,7 +7,7 @@ result for result, against the route kept here:
   the n!/j!-scaled column recursion of ``a_poly_list`` replaced;
 * ``tau_list_recurrence``: the O(N^2) integer recurrence that
   ``tau_list`` replaced; ``series_oracle``: the formal exponential at an
-  integer argument, against ``p_poly``;
+  integer argument, against A_n(x)/n!;
 * ``hurwitz_check_fraction``: the Routh table in ``Fraction`` arithmetic
   that ``hurwitz_check`` replaced;
 * ``divides_a_poly_mod``: division of the fully expanded A_n mod p, against
@@ -28,7 +28,7 @@ None of these may be defined in the library (``tests/test_layers.py``).
 
 from fractions import Fraction
 
-from darcais import DomainError, IntPoly, RatPoly, a_poly_mod, cyclotomic, euler_phi
+from darcais import DomainError, IntPoly, a_poly_mod, cyclotomic, euler_phi
 from darcais.arith import divisors, require_prime, require_quadratic_d
 from darcais.polymod import ModPoly, pow_mod
 
@@ -89,22 +89,27 @@ def tau_list_recurrence(N: int) -> list[int]:
     return values
 
 
-def hurwitz_check_fraction(p: RatPoly) -> bool:
+def hurwitz_check_fraction(p: IntPoly | list) -> bool:
     """True iff every root of p has strictly negative real part.
 
-    Decided by the Routh table in exact rational arithmetic.  Degenerate
-    pivots (a zero leading entry, or an all-zero row) certify the presence
-    of a root with nonnegative real part or a boundary configuration, so
-    they report False rather than being perturbed away.
+    p is an IntPoly, or the rational coefficients of a polynomial
+    (constant term first), for which the library has no type.  Decided by
+    the Routh table in exact rational arithmetic, each row divided through
+    by its pivot.  Degenerate pivots (a zero leading entry, or an all-zero
+    row) certify the presence of a root with nonnegative real part or a
+    boundary configuration, so they report False rather than being
+    perturbed away.
     """
-    if p.is_zero:
+    coeffs = [Fraction(c) for c in getattr(p, "coeffs", p)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
         raise DomainError("the zero polynomial has no stability type")
-    if not p.coeff(0):
+    if not coeffs[0]:
         raise DomainError("polynomial has a root at the origin; strip it first")
-    d = p.degree
+    d = len(coeffs) - 1
     if d == 0:
         return True
-    coeffs = list(p.coeffs)
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     # All coefficients strictly positive is necessary for real polynomials.

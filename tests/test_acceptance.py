@@ -7,11 +7,14 @@ verified by an in-test independent oracle, or recomputed from one.
 
 import time
 from contextlib import contextmanager
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from darcais import (
     ArithmeticFunction,
+    IntPoly,
     a_poly,
     a_poly_mod,
     a_poly_oracle,
@@ -19,9 +22,7 @@ from darcais import (
     certify_all_n,
     check_zmija_conditions,
     euler_phi,
-    h_poly,
     hurwitz_check,
-    p_poly,
     reduce_mod,
     tau_list,
     verify_certificate,
@@ -96,7 +97,8 @@ def test_ac04_oracle_triangle():
             for x in range(-24, 25):
                 coeffs = series_oracle(g, x, 15)
                 for n in range(16):
-                    assert coeffs[n] == p_poly(g, n).evaluate(x), (g.name, x, n)
+                    want = Fraction(a_poly(g, n).evaluate(x), factorial(n))
+                    assert coeffs[n] == want, (g.name, x, n)
 
 
 def test_ac05_index_cross_validation():
@@ -191,15 +193,14 @@ def test_ac09_cyclotomic_nonroot_spot_check():
 
 def test_ac10_hurwitz_exploration():
     with budget("AC-10 Hurwitz exploration", 60):
-        failures = []
-        for n in range(1, 31):
-            if not hurwitz_check(h_poly(SIGMA, n)):
-                failures.append(n)
+        # A_n/X = n! * P_n/X, a positive multiple with the same roots.
+        reduced = {n: IntPoly(a_poly(SIGMA, n).coeffs[1:]) for n in range(1, 31)}
+        failures = [n for n, h in reduced.items() if not hurwitz_check(h)]
         if failures:
             pytest.fail(
                 "notable finding: the reduced polynomials are not Hurwitz at "
                 f"n = {failures}; coefficients: "
-                + "; ".join(str(h_poly(SIGMA, n)) for n in failures)
+                + "; ".join(str(reduced[n]) for n in failures)
             )
 
 

@@ -48,6 +48,27 @@ ORACLE_GS = (
 )
 
 
+# Wide grids: sigma, identity and three signed tables long enough for every
+# prime up to the default not-ramified bound of 50.
+WIDE_GS = (
+    ArithmeticFunction.sigma(),
+    ArithmeticFunction.identity(),
+    *(random_table(seed, 60, -20, 20) for seed in (3, 5, 7)),
+)
+WIDE_QUADS = tuple(
+    QuadraticShift(D, a, b)
+    for D in (-1, -2, -3, -5, -7, -11, -17, 2, 3, 5, 13)
+    for a in range(1, 7)
+    for b in range(-6, 7)
+)
+WIDE_CYCS = tuple(
+    CyclotomicShift(m, a, b)
+    for m in (3, 4, 5, 7, 8, 9, 12)
+    for a in range(1, 7)
+    for b in range(-6, 7)
+)
+
+
 def evaluate_at(poly, c):
     """The value of poly at the candidate, in the power basis of its ring."""
     if isinstance(c, QuadraticShift):
@@ -309,10 +330,36 @@ class TestGenericObstruction:
         cert = certify_generic(sigma_g, QuadraticShift.gaussian(1, 0), 1, primes=())
         assert cert.verdict == INCONCLUSIVE
 
-    def test_skips_index_divisors(self, sigma_g):
+    def test_tries_primes_that_divide_the_index(self, sigma_g):
+        # f | A_n in Z[X] gives f mod p | A_n mod p at every p, so a prime
+        # dividing the index a is tried like any other.
         cert = certify_generic(sigma_g, QuadraticShift.gaussian(3, 0), 4, primes=(3,))
-        assert cert.verdict == INCONCLUSIVE
-        assert cert.evidence["skipped_primes"] == [3]
+        assert cert.verdict == INCONCLUSIVE  # f = X**2 + 9 = X**2 mod 3, and X | A_4
+        assert cert.evidence["skipped_primes"] == []
+        cert = certify_generic(sigma_g, QuadraticShift(-2, 3, 1), 2, primes=(3,))
+        assert cert.verdict == PROVEN and cert.witness_prime == 3
+        assert verify_certificate(sigma_g, cert)
+
+    def test_proofs_at_primes_dividing_a_agree_with_exact_evaluation(self):
+        # Every generic proof at p in {2, 3} with p | a, where a prime
+        # ideal above p need not match a factor of f mod p.
+        candidates = [
+            *(QuadraticShift(D, a, b)
+              for D in (-1, -2, -3, -7, 2, 3, 5, 13) for a in (2, 3, 6) for b in range(-6, 7)),
+            *(CyclotomicShift(m, a, b)
+              for m in (3, 4, 5, 8, 12) for a in (2, 3, 6) for b in range(-4, 5)),
+        ]
+        proofs = 0
+        for g in WIDE_GS:
+            for c in candidates:
+                for p in (2, 3):
+                    if c.a % p:
+                        continue
+                    for n in range(1, 21):
+                        if certify_generic(g, c, n, primes=(p,)).proven:
+                            proofs += 1
+                            assert certify_exact(g, c, n).proven, (g.name, c, n, p)
+        assert proofs > 1000
 
     def test_monotone_in_prime_set(self, sigma_g):
         base = (2, 3, 5, 7, 11, 13)
@@ -539,6 +586,18 @@ class TestChainTableReplay:
             verify_certificate(sigma_g, replace(cert, method="bogus"))
 
 
+class TestConfigBounds:
+    def test_not_ramified_prime_bound_has_a_ceiling(self):
+        # Its sieve would need a byte per integer up to the bound.
+        for bound in (10**6 + 1, 10**15):
+            with pytest.raises(DomainError):
+                CertifyConfig(not_ramified_prime_bound=bound)
+            with pytest.raises(DomainError):
+                replace(CertifyConfig(), not_ramified_prime_bound=bound)
+        for bound in (10**6, 0, -5):
+            assert CertifyConfig(not_ramified_prime_bound=bound).not_ramified_prime_bound == bound
+
+
 class TestMalformedReplayInputs:
     """Recorded inputs of the wrong type are a DomainError, raised before
     the replay runs."""
@@ -566,6 +625,7 @@ class TestMalformedReplayInputs:
             ("generic_obstruction", {"n": 4, "primes": [5.0]}),
             ("generic_obstruction", {"n": 4, "primes": [5], "seed": "0"}),
             ("not_ramified", {"n": 5, "prime_bound": 1.5}),
+            ("not_ramified", {"n": 5, "prime_bound": 10**15}),
             ("none", {"n": 5, "config": {"foo": 1}}),
             ("none", {"n": 5, "config": None}),
             ("none", {"n": 5, "config": {"primes": [5], "seed": None}}),
@@ -725,6 +785,51 @@ class TestSerialization:
         assert len(doc["points"]) == 2
 
 
+class TestClosedFormsAreGenericProofs:
+    """Each closed-form proof is a generic obstruction proof at its own
+    witness prime, checked one n at a time (ROADMAP item 3, step 1)."""
+
+    def test_translated_shift(self):
+        # n < 2p reaches every factor set of A_n = A_r * B**l mod p: A_r
+        # alone (l = 0) and A_r with the factors of B (l >= 1), r < p.
+        cases = 0
+        for g in WIDE_GS:
+            for c in WIDE_QUADS + WIDE_CYCS:
+                cert = certify_theorem_translated(g, c)
+                if not cert.proven:
+                    continue
+                p = cert.witness_prime
+                for n in range(1, 2 * p):
+                    cases += 1
+                    assert certify_generic(g, c, n, primes=(p,)).proven, (g.name, c, n)
+        assert cases > 5000
+
+    def test_gaussian_sigma(self, sigma_g):
+        cases = 0
+        for a in (*range(1, 9), 14, 21):
+            for b in range(-6, 7):
+                c = QuadraticShift.gaussian(a, b)
+                for n in range(1, 21):
+                    cert = certify_theorem_gaussian_sigma(sigma_g, c, n)
+                    if cert.proven:
+                        cases += 1
+                        p = cert.witness_prime
+                        assert certify_generic(sigma_g, c, n, primes=(p,)).proven, (c, n)
+        assert cases > 1000
+
+    def test_not_ramified(self):
+        cases = 0
+        for g in WIDE_GS:
+            for c in WIDE_QUADS:
+                for n in range(1, 21):
+                    cert = certify_theorem_not_ramified(g, c, n)
+                    if cert.proven:
+                        cases += 1
+                        p = cert.witness_prime
+                        assert certify_generic(g, c, n, primes=(p,)).proven, (g.name, c, n)
+        assert cases > 20000
+
+
 class TestShortTables:
     def test_chain_degrades_without_crashing(self):
         g = ArithmeticFunction.from_table([1, 2, 2], name="short")
@@ -735,10 +840,10 @@ class TestShortTables:
 
     def test_generic_skips_primes_past_the_table(self):
         g = ArithmeticFunction.from_table([1, 2, 2], name="short")
-        cert = certify_generic(g, CyclotomicShift(8, 6, 1), 10)
-        # 2 and 3 divide the index; n = 10 needs g(p) for p = 5..13
+        cert = certify_generic(g, CyclotomicShift(8, 6, 1), 10, primes=(5, 7, 11, 13))
+        # n = 10 = 2*5 + 0 = 7 + 3 needs g(5) and g(7); at p = 11, 13 it needs g(10)
         assert cert.verdict == INCONCLUSIVE
-        assert cert.evidence["skipped_primes"] == [2, 3, 5, 7, 11, 13]
+        assert cert.evidence["skipped_primes"] == [5, 7, 11, 13]
 
     def test_chain_still_proves_via_theorems(self):
         g = ArithmeticFunction.from_table([1, 2, 3], name="short")

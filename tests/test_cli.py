@@ -71,6 +71,14 @@ class TestPoly:
         code, out, _ = run(capsys, "poly", "3", "--rational", "--format", "text")
         assert code == 0 and out.strip() == "1/6*X^3 + 3/2*X^2 + 4/3*X"
 
+    def test_rational_json_is_a_over_n_factorial(self, capsys):
+        # P_3 = A_3 / 3! = (X^3 + 9X^2 + 8X) / 6, in lowest terms.
+        code, out, _ = run(capsys, "poly", "3", "--rational")
+        assert code == 0
+        assert json.loads(out)["poly"] == {"degree": 3, "coeffs": ["0", "4/3", "3/2", "1/6"]}
+        code, out, _ = run(capsys, "poly", "0", "--rational")
+        assert code == 0 and json.loads(out)["poly"] == {"degree": 0, "coeffs": ["1"]}
+
     def test_oracle_path(self, capsys):
         code_a, out_a, _ = run(capsys, "poly", "7", "--format", "text")
         code_b, out_b, _ = run(capsys, "poly", "7", "--oracle", "--format", "text")
@@ -85,7 +93,6 @@ class TestPoly:
             raise AssertionError("--oracle must not run the recursion")
 
         monkeypatch.setattr(series, "a_poly", recursion)
-        monkeypatch.setattr(series, "p_poly", recursion)
         for fmt in ("json", "text"):
             code, out, _ = run(capsys, "poly", "6", "--oracle", "--rational", "--format", fmt)
             assert code == 0
@@ -374,6 +381,29 @@ class TestInputPathsExitTwo:
     def test_directory_as_out(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "2", "--out", str(tmp_path))
         assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("certify", "--candidate", "quad:-2,1,0", "--n", "7"),
+         ("scan", "--kind", "quad:-2", "--a-range=1:1", "--b-range=0:0")],
+        ids=["certify", "scan"],
+    )
+    def test_huge_not_ramified_bound(self, capsys, tmp_path, monkeypatch, argv):
+        # The bound is refused before the sieve of primes up to it is built.
+        from darcais import arith
+
+        def sieve(bound):
+            raise AssertionError(f"sieved up to {bound}")
+
+        monkeypatch.setattr(arith, "primes_up_to", sieve)
+        code, out, err = run(capsys, *argv, "--not-ramified-bound", str(10**15))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "at most 1000000" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"not_ramified_bound": 10**15}))
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "at most 1000000" in err
 
     def test_valid_env_config_still_accepted(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

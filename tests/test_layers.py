@@ -61,6 +61,7 @@ def test_oracles_stay_out_of_the_library():
     names = oracle_names()
     assert {
         "a_poly_list_rows",
+        "hurwitz_check_fraction",
         "divides_a_poly_mod",
         "zmija_order_six",
         "evaluate_at_quadratic",
@@ -72,6 +73,12 @@ def test_oracles_stay_out_of_the_library():
 
 def test_numfield_does_not_read_series():
     assert "series" not in sibling_imports("numfield")
+
+
+def test_obstruction_search_reads_no_splitting_report():
+    # The generic obstruction factors f mod p at every prime, p | index
+    # included; the Dedekind-Kummer report serves ``split`` only.
+    assert "dedekind_kummer_split" not in (PACKAGE / "certify.py").read_text()
 
 
 # What ``import darcais.cli`` must not add to a fresh interpreter: the

@@ -48,7 +48,7 @@ class TestMinPolyCyclotomicShift:
         for m in (3, 4, 5, 7, 9, 12):
             for a, b in ((1, 0), (2, -3), (-1, 5), (3, 1)):
                 poly = min_poly_cyclotomic_shift(m, a, b)
-                vec = evaluate_at_cyclotomic(poly.to_rat(), m, a, b)
+                vec = evaluate_at_cyclotomic(poly, m, a, b)
                 assert not any(vec)
 
 
@@ -70,7 +70,7 @@ class TestMinPolyQuadraticShift:
         for D in (-1, -2, -3, 2, 3, 5, -7, 13, -11):
             for a, b in ((1, 0), (2, -3), (-3, 1)):
                 poly = min_poly_quadratic_shift(D, a, b)
-                assert evaluate_at_quadratic(poly.to_rat(), D, a, b) == (0, 0)
+                assert evaluate_at_quadratic(poly, D, a, b) == (0, 0)
 
     def test_rejects_bad_d(self):
         for D in (0, 1, 4, 18):

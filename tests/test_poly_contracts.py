@@ -1,14 +1,13 @@
-"""Behaviour of the dense polynomial types over Z, Q and F_p.
+"""Behaviour of the dense polynomial types over Z and F_p.
 
-``IntPoly``, ``RatPoly`` and ``ModPoly`` share one implementation of the
-ring operations, and ``RatPoly`` and ``ModPoly`` one long division; these
-tests pin what each type promises on top of that.
+``IntPoly`` and ``ModPoly`` share one implementation of the ring
+operations and of long division; these tests pin what each type promises
+on top of that.
 """
 
 import ast
 import copy
 import pickle
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darcais
-from darcais import DomainError, IntPoly, RatPoly, reduce_mod
+from darcais import DomainError, IntPoly, reduce_mod
 from darcais.numfield import CyclotomicShift
 from darcais.polymod import ModPoly, factor, poly_gcd
 
@@ -39,16 +38,9 @@ class TestReductionIsARingMap:
 
 
 class TestFieldDivision:
-    def test_rat_divmod_accepts_int_poly_divisor(self):
-        q, r = divmod(RatPoly((1, 0, 1)), IntPoly((1, 2)))
-        assert q * RatPoly((1, 2)) + r == RatPoly((1, 0, 1))
-        assert r.degree < 1
-
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
             divmod(ModPoly(5, (1, 1)), ModPoly.zero(5))
-        with pytest.raises(DomainError):
-            divmod(RatPoly((1, 1)), RatPoly.zero())
 
     def test_monic_and_divides(self):
         f = ModPoly(7, (2, 3, 4))
@@ -126,7 +118,6 @@ class TestModPolyContracts:
         assert repr(ModPoly.zero(3)) == "ModPoly(3, [])"
         assert str(ModPoly.zero(3)) == "0 (mod 3)"
         assert repr(IntPoly((1, -2))) == "IntPoly([1, -2])"
-        assert repr(RatPoly((1,))) == "RatPoly([Fraction(1, 1)])"
 
     def test_equality_and_hash(self):
         f, g = ModPoly(5, (6, 1)), ModPoly(5, (1, 6))
@@ -158,7 +149,6 @@ class TestPickleAndCopy:
         return [
             IntPoly((1, 2)),
             IntPoly(()),
-            RatPoly((Fraction(1, 3), 0, -2)),
             ModPoly(5, (1, 2)),
             factor(ModPoly(7, (6, 0, 0, 1))),
             candidate,
@@ -196,7 +186,7 @@ def _functions_by_class() -> dict[str, dict[str, ast.FunctionDef]]:
 
 
 SHARED = ("__add__", "__neg__", "__sub__", "__mul__", "__pow__", "__divmod__",
-          "__floordiv__", "__mod__", "monic", "divides", "__eq__", "__hash__", "__repr__")
+          "__floordiv__", "__mod__", "__eq__", "__hash__", "__repr__")
 
 
 def test_one_implementation_of_the_dense_operations():
@@ -205,5 +195,7 @@ def test_one_implementation_of_the_dense_operations():
         owners = [cls for cls, defs in classes.items() if name in defs]
         assert len(owners) == 1, (name, owners)
     assert not set(classes["polymod.ModPoly"]) & set(SHARED)
+    # F_p is the only field left, so ``monic`` and ``divides`` are its own.
+    assert {"monic", "divides"} <= set(classes["polymod.ModPoly"])
     div_exact = classes["polynomial.IntPoly"]["div_exact"]
     assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(div_exact))

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,8 +8,6 @@ from darcais import (
     ArithmeticFunction,
     DomainError,
     IntPoly,
-    NotInvertibleError,
-    RatPoly,
     a_poly,
     a_poly_mod,
     a_poly_oracle,
@@ -104,13 +101,10 @@ class TestReduceMod:
     def test_zero(self):
         assert reduce_mod(IntPoly.zero(), 5).is_zero
 
-    def test_rational_inverts_denominator(self):
-        p = RatPoly((Fraction(1, 2),))
-        assert reduce_mod(p, 7) == ModPoly(7, (4,))  # 1/2 = 4 mod 7
-
-    def test_rational_rejects_bad_denominator(self):
-        with pytest.raises(NotInvertibleError):
-            reduce_mod(RatPoly((Fraction(1, 7),)), 7)
+    def test_rejects_what_is_not_an_int_poly(self):
+        for poly in (ModPoly(5, (1, 2)), (1, 2), 3):
+            with pytest.raises(TypeError):
+                reduce_mod(poly, 7)
 
 
 class TestFactor:

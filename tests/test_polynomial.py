@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from darcais import DomainError, IntPoly, RatPoly, format_poly, reduce_mod
+from darcais import DomainError, IntPoly, format_poly, reduce_mod
 
 
 class TestIntPoly:
@@ -69,51 +69,18 @@ class TestIntPoly:
             IntPoly((1, 1)) % IntPoly.zero()
 
     def test_divmod_agrees_across_rings(self):
-        # Z, Q and F_p share one long division: by a monic divisor the
-        # integer quotient and remainder are those over Q and, reduced,
-        # those over F_p.
+        # Z and F_p share one long division: by a monic divisor the
+        # integer quotient and remainder, reduced, are those over F_p.
         rng = random.Random(11)
         for _ in range(200):
             num = IntPoly(rng.randint(-50, 50) for _ in range(rng.randint(0, 9)))
             den = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [1])
             q, r = divmod(num, den)
             assert r.degree < den.degree
-            assert divmod(num.to_rat(), den.to_rat()) == (q.to_rat(), r.to_rat())
+            assert q * den + r == num
             for p in (2, 5, 7):
                 want = (reduce_mod(q, p), reduce_mod(r, p))
                 assert divmod(reduce_mod(num, p), reduce_mod(den, p)) == want
-
-
-class TestRatPoly:
-    def test_coercion(self):
-        p = RatPoly((1, Fraction(1, 2), "2/3"))
-        assert p.coeffs == (Fraction(1), Fraction(1, 2), Fraction(2, 3))
-
-    def test_divmod_identity(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            a = RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
-            b = RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
-            if b.is_zero:
-                continue
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.is_zero or r.degree < b.degree
-            assert (a // b, a % b) == (q, r)
-
-    def test_divides(self):
-        a = RatPoly((1, 1))
-        assert a.divides(a * RatPoly((3, 0, 1)))
-        assert not a.divides(RatPoly((1, 0, 1)))
-
-    def test_monic(self):
-        assert RatPoly((2, 4)).monic() == RatPoly((Fraction(1, 2), 1))
-
-    def test_scale(self):
-        assert RatPoly((6, 12)).scale(Fraction(1, 6)) == RatPoly((1, 2))
-
-    def test_mixed_arithmetic_with_int_poly(self):
-        assert RatPoly((1, 1)) + IntPoly((1,)) == RatPoly((2, 1))
 
 
 class TestFormatting:

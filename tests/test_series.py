@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt, lcm
 
 import mpmath
 import numpy as np
@@ -15,13 +15,10 @@ from darcais import (
     ArithmeticFunction,
     DomainError,
     IntPoly,
-    RatPoly,
     TableExhaustedError,
     a_poly,
     a_poly_oracle,
-    h_poly,
     hurwitz_check,
-    p_poly,
     tau,
     tau_list,
 )
@@ -77,16 +74,22 @@ class TestGoldenTable:
                 assert poly.coeff(0) == 0
 
 
-class TestPPoly:
-    def test_p3_sigma(self, sigma_g):
-        want = RatPoly((0, Fraction(8, 6), Fraction(9, 6), Fraction(1, 6)))
-        assert p_poly(sigma_g, 3) == want
+def p_value(g, n, x):
+    """P_n(x) = A_n(x) / n!."""
+    return Fraction(a_poly(g, n).evaluate(x), factorial(n))
 
+
+def h_int(g, n):
+    """A_n / X = n! * P_n / X, the integer polynomial ``hurwitz`` checks."""
+    return IntPoly(a_poly(g, n).coeffs[1:])
+
+
+class TestPPoly:
     def test_identity_at_one(self, identity_g):
-        assert p_poly(identity_g, 2).evaluate(1) == Fraction(3, 2)
+        assert p_value(identity_g, 2, 1) == Fraction(3, 2)
 
     def test_p0(self, sigma_g):
-        assert p_poly(sigma_g, 0) == RatPoly((1,))
+        assert a_poly(sigma_g, 0) == IntPoly.one() and p_value(sigma_g, 0, 7) == 1
 
 
 class TestPartitionOracle:
@@ -167,7 +170,7 @@ class TestScaledRecursion:
         assert a_poly_list(sigma_g, 200) == a_poly_list_rows(sigma_g, 200)
 
     def test_constant_term_vanishes(self, sigma_g, identity_g):
-        # h_poly strips this root without checking for it.
+        # hurwitz strips this root without checking for it.
         for g in (sigma_g, identity_g, *signed_tables()):
             clear_library_caches()
             assert all(poly.coeff(0) == 0 for poly in a_poly_list(g, 80)[1:])
@@ -292,7 +295,7 @@ class TestSeriesOracle:
             for x in (-24, -3, 0, 1, 7, 24):
                 coeffs = series_oracle(g, x, 12)
                 for n in range(13):
-                    assert coeffs[n] == p_poly(g, n).evaluate(x)
+                    assert coeffs[n] == p_value(g, n, x)
 
 
 class TestTau:
@@ -307,7 +310,7 @@ class TestTau:
     def test_matches_symbolic_path(self, sigma_g):
         values = tau_list(30)
         for n in range(1, 31):
-            assert values[n - 1] == p_poly(sigma_g, n - 1).evaluate(-24)
+            assert values[n - 1] == p_value(sigma_g, n - 1, -24)
 
     def test_multiplicative_smoke(self):
         assert tau(6) == tau(2) * tau(3)
@@ -378,19 +381,20 @@ class TestTauOracle:
 
 class TestEvaluateAtQuadratic:
     def test_x_at_i(self, sigma_g):
-        assert evaluate_at_quadratic(p_poly(sigma_g, 1), -1, 1, 0) == (0, 1)
+        assert evaluate_at_quadratic(a_poly(sigma_g, 1), -1, 1, 0) == (0, 1)
 
     def test_p2_at_i(self, sigma_g):
-        got = evaluate_at_quadratic(p_poly(sigma_g, 2), -1, 1, 0)
-        assert got == (Fraction(-1, 2), Fraction(3, 2))
+        # A_2 = X**2 + 3X: i**2 + 3i = -1 + 3i, twice P_2(i) = -1/2 + 3i/2
+        got = evaluate_at_quadratic(a_poly(sigma_g, 2), -1, 1, 0)
+        assert got == (-1, 3)
 
     def test_true_root_reports_zero(self, sigma_g):
         # -3 is a root of the quadratic member; pass it as 0*w + (-3)
-        got = evaluate_at_quadratic(p_poly(sigma_g, 2), -1, 0, -3)
+        got = evaluate_at_quadratic(a_poly(sigma_g, 2), -1, 0, -3)
         assert got == (0, 0)
 
     def test_rejects_bad_d(self, sigma_g):
-        p = p_poly(sigma_g, 2)
+        p = a_poly(sigma_g, 2)
         for D in (0, 1, 4, 12, -8):
             with pytest.raises(DomainError):
                 evaluate_at_quadratic(p, D, 1, 0)
@@ -401,30 +405,30 @@ class TestEvaluateAtQuadratic:
             D = rng.choice([-1, -2, -3, 2, 3, 5, -7, 13])
             a = rng.choice([1, -1, 2, 3])
             b = rng.randint(-4, 4)
-            m = min_poly_quadratic_shift(D, a, b).to_rat()
-            extra = RatPoly([Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [Fraction(1)])
+            m = min_poly_quadratic_shift(D, a, b)
+            extra = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
             multiple = m * extra
             assert evaluate_at_quadratic(multiple, D, a, b) == (0, 0)
-            if not m.divides(extra):
+            if not (extra % m).is_zero:  # m is monic: division over Z
                 val = evaluate_at_quadratic(extra, D, a, b)
                 assert val != (0, 0)
 
     def test_golden_ratio_unit(self):
         # w(5) = (1+sqrt 5)/2 satisfies w^2 = w + 1
-        p = RatPoly((-1, -1, 1))
+        p = IntPoly((-1, -1, 1))
         assert evaluate_at_quadratic(p, 5, 1, 0) == (0, 0)
 
 
 class TestEvaluateAtCyclotomic:
     def test_x_at_zeta4(self, sigma_g):
-        assert evaluate_at_cyclotomic(p_poly(sigma_g, 1), 4, 1, 0) == (0, 1)
+        assert evaluate_at_cyclotomic(a_poly(sigma_g, 1), 4, 1, 0) == (0, 1)
 
     def test_p3_at_shifted_cube_root(self, sigma_g):
         vec = evaluate_at_cyclotomic(a_poly(sigma_g, 3), 3, 1, 1)
         assert vec == (7, 17)
 
     def test_linear_shift_value(self):
-        vec = evaluate_at_cyclotomic(RatPoly((1, 1)), 3, 1, 0)
+        vec = evaluate_at_cyclotomic(IntPoly((1, 1)), 3, 1, 0)
         assert vec == (1, 1)
         assert any(vec)
 
@@ -432,7 +436,7 @@ class TestEvaluateAtCyclotomic:
         from darcais import cyclotomic
 
         for m in range(3, 16):
-            vec = evaluate_at_cyclotomic(cyclotomic(m).to_rat(), m, 1, 0)
+            vec = evaluate_at_cyclotomic(cyclotomic(m), m, 1, 0)
             assert not any(vec)
 
     def test_numeric_cross_check(self, sigma_g):
@@ -450,30 +454,30 @@ class TestEvaluateAtCyclotomic:
 
     def test_rejects_small_m(self, sigma_g):
         with pytest.raises(DomainError):
-            evaluate_at_cyclotomic(p_poly(sigma_g, 1), 2, 1, 0)
+            evaluate_at_cyclotomic(a_poly(sigma_g, 1), 2, 1, 0)
 
 
 class TestHurwitz:
     def test_examples(self):
-        assert hurwitz_check(RatPoly((3, 1))) is True
-        assert hurwitz_check(RatPoly((8, 21, 1))) is True
-        assert hurwitz_check(RatPoly((1, 0, 1))) is False
+        assert hurwitz_check(IntPoly((3, 1))) is True
+        assert hurwitz_check(IntPoly((8, 21, 1))) is True
+        assert hurwitz_check(IntPoly((1, 0, 1))) is False
 
     def test_constant_is_vacuously_stable(self):
-        assert hurwitz_check(RatPoly((5,))) is True
+        assert hurwitz_check(IntPoly((5,))) is True
 
     def test_root_at_origin_is_domain_error(self):
         with pytest.raises(DomainError):
-            hurwitz_check(RatPoly((0, 1)))
+            hurwitz_check(IntPoly((0, 1)))
         with pytest.raises(DomainError):
-            hurwitz_check(RatPoly.zero())
+            hurwitz_check(IntPoly.zero())
 
     def test_symmetric_factor_detected(self):
         # (X + 1)(X**2 + 1): boundary roots, not strictly Hurwitz
-        assert hurwitz_check(RatPoly((1, 1, 1, 1))) is False
+        assert hurwitz_check(IntPoly((1, 1, 1, 1))) is False
 
     def test_sign_flip_handled(self):
-        assert hurwitz_check(RatPoly((-3, -1))) is True
+        assert hurwitz_check(IntPoly((-3, -1))) is True
 
     def test_against_numpy_roots(self):
         rng = random.Random(13)
@@ -488,18 +492,14 @@ class TestHurwitz:
             if margin < 1e-9 or any(abs(r.real) < 1e-9 for r in roots):
                 continue  # too close to the axis for a float oracle
             want = all(r.real < 0 for r in roots)
-            assert hurwitz_check(RatPoly(coeffs)) == want, coeffs
+            assert hurwitz_check(IntPoly(coeffs)) == want, coeffs
             checked += 1
 
-    def test_h_poly_sigma_nonnegative_and_hurwitz(self, sigma_g):
+    def test_sigma_reduced_polynomials_nonnegative_and_hurwitz(self, sigma_g):
         for n in range(1, 31):
-            h = h_poly(sigma_g, n)
+            h = h_int(sigma_g, n)
             assert all(c >= 0 for c in h.coeffs)
             assert hurwitz_check(h) is True
-
-    def test_h_poly_strips_exactly_one_root(self, sigma_g):
-        assert h_poly(sigma_g, 1) == RatPoly((1,))
-        assert h_poly(sigma_g, 2) == RatPoly((Fraction(3, 2), Fraction(1, 2)))
 
 
 def hurwitz_outcome(check, p):
@@ -519,14 +519,14 @@ coefficient = st.one_of(
 class TestHurwitzOracle:
     def test_sigma_sweep(self, sigma_g):
         for n in range(1, 61):
-            h = h_poly(sigma_g, n)
+            h = h_int(sigma_g, n)
             assert hurwitz_check(h) == hurwitz_check_fraction(h), n
 
     def test_identity_and_random_tables(self, identity_g):
         tables = [random_table(seed, 40, 1, 9) for seed in (1, 2, 3)]
         for g in [identity_g, *tables, random_table(4, 40)]:
             for n in range(1, 41):
-                h = h_poly(g, n)
+                h = h_int(g, n)
                 assert hurwitz_outcome(hurwitz_check, h) == hurwitz_outcome(
                     hurwitz_check_fraction, h
                 ), (g, n)
@@ -542,9 +542,11 @@ class TestHurwitzOracle:
     @example([-3, -1])
     @example([0, 1])
     def test_matches_fraction_table(self, coeffs):
-        p = RatPoly(coeffs)
+        # Scaling by the positive lcm of the denominators moves no root.
+        scale = lcm(*(Fraction(c).denominator for c in coeffs))
+        p = IntPoly(Fraction(c) * scale for c in coeffs)
         assert hurwitz_outcome(hurwitz_check, p) == hurwitz_outcome(
-            hurwitz_check_fraction, p
+            hurwitz_check_fraction, coeffs
         )
 
 
