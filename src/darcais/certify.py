@@ -38,7 +38,7 @@ from math import isqrt
 from . import arith, polymod, series
 from .arith import ArithmeticFunction, FrozenValue, replace
 from .errors import DomainError, TableExhaustedError
-from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift
+from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift, candidate_family
 
 PROVEN = "proven_nonroot"
 INCONCLUSIVE = "inconclusive"
@@ -800,21 +800,6 @@ class GridResult(FrozenValue):
         return "\n".join(lines) + "\n"
 
 
-def _candidate_factory(kind: str):
-    if kind == "gauss":
-        return lambda a, b: QuadraticShift.gaussian(a, b)
-    head, _, tail = kind.partition(":")
-    try:
-        value = int(tail)
-    except ValueError:
-        value = None
-    if head == "quad" and value is not None:
-        return lambda a, b: QuadraticShift(D=value, a=a, b=b)
-    if head == "cyc" and value is not None:
-        return lambda a, b: CyclotomicShift(m=value, a=a, b=b)
-    raise DomainError(f"unknown grid kind {kind!r}; expected gauss | quad:D | cyc:m")
-
-
 def _grid_point(a: int, b: int, methods: set, uncertified: list) -> GridPoint:
     """Per-n outcome of one point, summarized by its status."""
     if not uncertified:
@@ -871,8 +856,7 @@ def scan_grid(
     for name, (lo, hi) in (("a_range", a_range), ("b_range", b_range)):
         if lo > hi:
             raise DomainError(f"scan_grid requires {name} LO <= HI, got {lo}:{hi}")
-    make = _candidate_factory(kind)
-    make(1, 0)  # checks m or D even when every row has a = 0
+    make = candidate_family(kind)  # checks m or D even when every row has a = 0
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):

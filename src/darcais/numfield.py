@@ -10,7 +10,7 @@ finitely many primes.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import arith, polymod
 from .arith import FrozenValue
@@ -99,6 +99,7 @@ class QuadraticShift(FrozenValue):
     b: int
 
     kind = "quadratic"
+    degree = 2
 
     def __post_init__(self) -> None:
         arith.require_quadratic_d(self.D)
@@ -108,10 +109,6 @@ class QuadraticShift(FrozenValue):
     @classmethod
     def gaussian(cls, a: int, b: int) -> "QuadraticShift":
         return cls(D=-1, a=a, b=b)
-
-    @property
-    def degree(self) -> int:
-        return 2
 
     @cached_property
     def min_poly(self) -> IntPoly:
@@ -148,22 +145,44 @@ def candidate_from_json(doc: dict) -> AlgebraicCandidate:
     raise DomainError(f"unknown candidate kind {doc.get('kind')!r}")
 
 
-def parse_candidate(text: str) -> AlgebraicCandidate:
-    """Parse 'cyc:m,a,b', 'quad:D,a,b', or 'gauss:a,b'."""
-    head, _, tail = text.partition(":")
+class _UnknownFamily(DomainError):
+    """A family spec outside the grammar gauss | quad:D | cyc:m."""
+
+
+# The classes by spec head; each takes D or m, then a and b.  gauss is quad:-1.
+_FAMILIES = {"quad": QuadraticShift, "cyc": CyclotomicShift}
+
+
+def candidate_family(kind: str):
+    """The map (a, b) -> candidate of the family 'gauss', 'quad:D' or 'cyc:m'.
+
+    D or m is checked here, once, with the candidate class's own message.
+    """
+    head, _, tail = ("quad:-1" if kind == "gauss" else kind).partition(":")
     try:
-        nums = [int(tok) for tok in tail.split(",")] if tail else []
-    except ValueError:
-        raise DomainError(f"malformed candidate {text!r}") from None
-    if head == "cyc" and len(nums) == 3:
-        return CyclotomicShift(m=nums[0], a=nums[1], b=nums[2])
-    if head == "quad" and len(nums) == 3:
-        return QuadraticShift(D=nums[0], a=nums[1], b=nums[2])
-    if head == "gauss" and len(nums) == 2:
-        return QuadraticShift.gaussian(a=nums[0], b=nums[1])
-    raise DomainError(
-        f"malformed candidate {text!r}; expected cyc:m,a,b | quad:D,a,b | gauss:a,b"
-    )
+        make = partial(_FAMILIES[head], int(tail))
+    except (KeyError, ValueError):
+        raise _UnknownFamily(
+            f"unknown grid kind {kind!r}; expected gauss | quad:D | cyc:m"
+        ) from None
+    make(1, 0)  # a = 1 is valid in every family, so only D or m can fail
+    return make
+
+
+def parse_candidate(text: str) -> AlgebraicCandidate:
+    """Parse 'cyc:m,a,b', 'quad:D,a,b' or 'gauss:a,b': a family spec, then a,b."""
+    head, _, tail = text.partition(":")
+    fields = tail.split(",")
+    try:
+        a, b = map(int, fields[-2:])
+        make = candidate_family(":".join([head, *fields[:-2]]))
+    except ValueError as exc:  # DomainError derives from ValueError
+        if isinstance(exc, DomainError) and not isinstance(exc, _UnknownFamily):
+            raise  # a well-formed spec with an invalid D or m
+        raise DomainError(
+            f"malformed candidate {text!r}; expected cyc:m,a,b | quad:D,a,b | gauss:a,b"
+        ) from None
+    return make(a, b)
 
 
 def ramifies(c: AlgebraicCandidate, p: int) -> bool:
@@ -227,12 +246,7 @@ def dedekind_kummer_split(c: AlgebraicCandidate, p: int, seed: int = 0) -> Split
     ``applicable=False`` (this is data, not an error).
     """
     ram = ramifies(c, p)
-    if c.index % p == 0:
-        return SplittingReport(
-            candidate=c, p=p, applicable=False, ramified=ram, factorization=None
-        )
-    reduced = polymod.reduce_mod(c.min_poly, p)
-    fact = polymod.factor(reduced, seed=seed)
-    return SplittingReport(
-        candidate=c, p=p, applicable=True, ramified=ram, factorization=fact
-    )
+    applicable = c.index % p != 0
+    fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=seed) if applicable else None
+    return SplittingReport(candidate=c, p=p, applicable=applicable, ramified=ram,
+                           factorization=fact)

@@ -12,6 +12,9 @@ result for result, against the route kept here:
   that ``hurwitz_check`` replaced;
 * ``divides_a_poly_mod``: division of the fully expanded A_n mod p, against
   membership in ``factor_a_poly_mod`` (the generic obstruction);
+* ``periodic_residues``: the periodic obstruction in membership form, the
+  residues r mod p where one prime rules out every n = r mod p; the
+  closed-form criteria and the genuine-root corpus are checked against it;
 * ``zmija_order_six``: the raw order criterion mod 11, against the degree
   rule of ``check_zmija_conditions``;
 * ``evaluate_at_quadratic`` and ``evaluate_at_cyclotomic``: evaluation in
@@ -28,7 +31,16 @@ None of these may be defined in the library (``tests/test_layers.py``).
 
 from fractions import Fraction
 
-from darcais import DomainError, IntPoly, a_poly_mod, cyclotomic, euler_phi
+from darcais import (
+    DomainError,
+    IntPoly,
+    TableExhaustedError,
+    a_poly_mod,
+    cyclotomic,
+    euler_phi,
+    factor,
+    reduce_mod,
+)
 from darcais.arith import divisors, require_prime, require_quadratic_d
 from darcais.polymod import ModPoly, pow_mod
 
@@ -154,6 +166,27 @@ def divides_a_poly_mod(q: ModPoly, g, n: int, p: int) -> bool:
     """Whether q divides A_n mod p, by long division of the whole
     ``a_poly_mod(g, n, p)`` (degree n)."""
     return q.divides(a_poly_mod(g, n, p))
+
+
+def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
+    """Residues r mod p at which p proves that no root of the monic,
+    irreducible f is a root of any A_n with n >= 1 and n = r mod p.
+
+    If f divides A_n with n = l*p + r, then f mod p divides A_r * B**l mod p,
+    where B = X**p - g(p)*X is ``a_poly_mod(g, p, p)``.  So every monic
+    irreducible q dividing f mod p but not B divides A_r mod p, and r is
+    covered when some such q does not.  r = 0 is covered as soon as one
+    such q exists, since A_0 = 1.  The argument reads g(1..p) only: a p
+    past the reach of a table-backed g covers nothing.
+    """
+    try:
+        bracket = a_poly_mod(g, p, p)
+        a_r = [a_poly_mod(g, r, p) for r in range(p)]
+    except TableExhaustedError:
+        return frozenset()
+    coprime = [q for q, _ in factor(reduce_mod(f, p), seed=seed).factors
+               if not q.divides(bracket)]
+    return frozenset(r for r in range(p) if any(not q.divides(a_r[r]) for q in coprime))
 
 
 _ZMIJA_EXPONENT = 11**6 - 1

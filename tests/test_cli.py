@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darcais import ArithmeticFunction, series
+from darcais import ArithmeticFunction, DomainError, series
 from darcais.cli import main
+from darcais.numfield import candidate_family, parse_candidate
 
 from conftest import clear_library_caches
 
@@ -137,6 +138,34 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--candidate", "quad:-1,0,5", "--n", "2")
         assert code == 2 and "rational integer" in err
 
+    def test_malformed_candidate_is_usage_error(self, capsys):
+        for spec, message in (
+            ("", "malformed candidate"),
+            ("gauss:1,2,3", "malformed candidate"),
+            ("quad:x,1,2", "malformed candidate"),
+            ("poly:1,2,3", "malformed candidate"),
+            ("quad:4,1,0", "D must be squarefree"),
+            ("cyc:2,1,0", "m >= 3"),
+        ):
+            code, out, err = run(capsys, "certify", f"--candidate={spec}", "--n", "1")
+            assert code == 2 and out == "", spec
+            assert err.startswith("error: ") and message in err, spec
+            assert "Traceback" not in err, spec
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=st.text(max_size=16))
+    def test_any_unparsable_candidate_is_usage_error(self, capsys, spec):
+        try:
+            parse_candidate(spec)
+        except DomainError:
+            pass
+        else:
+            return
+        code, out, err = run(capsys, "certify", f"--candidate={spec}", "--n", "1")
+        assert code == 2 and out == "", spec
+        assert err.startswith("error: ") and "Traceback" not in err, spec
+
     def test_inconclusive_exit_one(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--candidate", "quad:409,1,-11", "--n", "5"
@@ -197,6 +226,20 @@ class TestScan:
             )
             assert code == 2 and out == "", kind
             assert err.startswith("error: ") and "Traceback" not in err, kind
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.text(max_size=12))
+    def test_any_unparsable_kind_is_usage_error(self, capsys, kind):
+        try:
+            candidate_family(kind)
+        except DomainError:
+            pass
+        else:
+            return
+        code, out, err = run(capsys, "scan", f"--kind={kind}", "--a-range=0:0", "--b-range=0:0")
+        assert code == 2 and out == "", kind
+        assert err.startswith("error: ") and "Traceback" not in err, kind
 
     def test_empty_range_is_usage_error(self, capsys):
         for ranges in (("--a-range=3:1", "--b-range=0:0"), ("--a-range=0:0", "--b-range=3:1")):

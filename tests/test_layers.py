@@ -63,6 +63,7 @@ def test_oracles_stay_out_of_the_library():
         "a_poly_list_rows",
         "hurwitz_check_fraction",
         "divides_a_poly_mod",
+        "periodic_residues",
         "zmija_order_six",
         "evaluate_at_quadratic",
     } <= names

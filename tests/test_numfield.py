@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darcais import (
     CyclotomicShift,
@@ -16,6 +18,7 @@ from darcais import (
     ramifies,
 )
 from darcais.arith import primes_up_to
+from darcais.numfield import candidate_family
 
 from oracles import (
     evaluate_at_cyclotomic,
@@ -100,9 +103,50 @@ class TestCandidates:
             assert parse_candidate(c.spec_string()) == c
 
     def test_parse_rejects_garbage(self):
-        for text in ("", "cyc:1,2", "quad:x,y,z", "poly:1,2,3", "gauss:1,2,3"):
-            with pytest.raises(DomainError):
+        for text in (
+            "", "cyc:1,2", "quad:x,y,z", "poly:1,2,3", "gauss:1,2,3",
+            "gauss", "quad:4,x,1", "quad:5,1,2,3", "cyc:5:3,1,2",
+        ):
+            with pytest.raises(DomainError, match="^malformed candidate .*; expected cyc:m,a,b"):
                 parse_candidate(text)
+        for kind in ("", "gauss:", "gauss:-1", "quad", "quad:5,1", "cyc:x", "poly:3"):
+            with pytest.raises(DomainError, match="^unknown grid kind .*; expected gauss \\|"):
+                candidate_family(kind)
+
+    def test_invalid_field_keeps_the_class_message(self):
+        # A well-formed spec or kind with a bad D, m or a is not "malformed".
+        for text, message in (
+            ("quad:4,1,0", "D must be squarefree"),
+            ("quad:1,1,0", "D must avoid 0 and 1"),
+            ("cyc:2,1,0", "m >= 3"),
+            ("quad:5,0,1", "a = 0 degenerates"),
+            ("gauss:0,1", "a = 0 degenerates"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                parse_candidate(text)
+        for kind, message in (("quad:-4", "D must be squarefree"), ("cyc:1", "m >= 3")):
+            with pytest.raises(DomainError, match=message):
+                candidate_family(kind)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.sampled_from(("gauss", "quad", "cyc")),
+        param=st.integers(-40, 40),
+        a=st.integers(-50, 50).filter(bool),
+        b=st.integers(-50, 50),
+    )
+    def test_spec_is_a_family_then_a_b(self, head, param, a, b):
+        kind = head if head == "gauss" else f"{head}:{param}"
+        spec = f"{kind}{':' if head == 'gauss' else ','}{a},{b}"
+        try:
+            expected = candidate_family(kind)(a, b)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as parsed:
+                parse_candidate(spec)
+            assert str(parsed.value) == str(exc)
+        else:
+            assert parse_candidate(spec) == expected
+            assert parse_candidate(expected.spec_string()) == expected
 
     def test_min_poly_cached_and_consistent(self):
         c = CyclotomicShift(12, 2, 5)
