@@ -117,10 +117,18 @@ def euler_phi(m: int) -> int:
     return result
 
 
+# Largest |D| accepted for a quadratic field.  Squarefreeness is checked by
+# trial division up to sqrt|D|, at most about 31,623 divisors under this cap.
+MAX_QUADRATIC_D = 10**9
+
+
 def require_quadratic_d(D: int) -> None:
-    """D names a quadratic field: squarefree and outside {0, 1}."""
+    """D names a quadratic field: squarefree, outside {0, 1}, and |D| at most
+    ``MAX_QUADRATIC_D``, which is checked first."""
     if D in (0, 1):
         raise DomainError(f"D must avoid 0 and 1, got {D}")
+    if abs(D) > MAX_QUADRATIC_D:
+        raise DomainError(f"|D| must be at most {MAX_QUADRATIC_D}, got {D}")
     if not is_squarefree(D):
         raise DomainError(f"D must be squarefree, got {D}")
 

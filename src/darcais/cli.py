@@ -169,14 +169,14 @@ def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="produce a non-root certificate")
     p_cert.add_argument("--candidate", required=True,
-                        help="cyc:m,a,b | quad:D,a,b | gauss:a,b")
+                        help=numfield.CANDIDATE_GRAMMAR)
     group = p_cert.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None)
     group.add_argument("--all-n", action="store_true")
     _add_common(p_cert, defaults)
 
     p_scan = sub.add_parser("scan", help="certify a rectangle of shifted candidates")
-    p_scan.add_argument("--kind", default="gauss", help="gauss | quad:D | cyc:m")
+    p_scan.add_argument("--kind", default="gauss", help=numfield.FAMILY_GRAMMAR)
     p_scan.add_argument("--a-range", required=True, help="LO:HI inclusive")
     p_scan.add_argument("--b-range", required=True, help="LO:HI inclusive")
     p_scan.add_argument("--n-max", type=int, default=30)

@@ -152,6 +152,10 @@ class _UnknownFamily(DomainError):
 # The classes by spec head; each takes D or m, then a and b.  gauss is quad:-1.
 _FAMILIES = {"quad": QuadraticShift, "cyc": CyclotomicShift}
 
+# The grammar as the CLI's help and the parse errors spell it.
+FAMILY_GRAMMAR = "gauss | quad:D | cyc:m"
+CANDIDATE_GRAMMAR = "cyc:m,a,b | quad:D,a,b | gauss:a,b"
+
 
 def candidate_family(kind: str):
     """The map (a, b) -> candidate of the family 'gauss', 'quad:D' or 'cyc:m'.
@@ -163,7 +167,7 @@ def candidate_family(kind: str):
         make = partial(_FAMILIES[head], int(tail))
     except (KeyError, ValueError):
         raise _UnknownFamily(
-            f"unknown grid kind {kind!r}; expected gauss | quad:D | cyc:m"
+            f"unknown grid kind {kind!r}; expected {FAMILY_GRAMMAR}"
         ) from None
     make(1, 0)  # a = 1 is valid in every family, so only D or m can fail
     return make
@@ -180,7 +184,7 @@ def parse_candidate(text: str) -> AlgebraicCandidate:
         if isinstance(exc, DomainError) and not isinstance(exc, _UnknownFamily):
             raise  # a well-formed spec with an invalid D or m
         raise DomainError(
-            f"malformed candidate {text!r}; expected cyc:m,a,b | quad:D,a,b | gauss:a,b"
+            f"malformed candidate {text!r}; expected {CANDIDATE_GRAMMAR}"
         ) from None
     return make(a, b)
 

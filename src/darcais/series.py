@@ -5,9 +5,11 @@ coefficient of q**n in exp(X * sum_{k>=1} g(k) q**k / k).  Scaled by n!
 it has integer coefficients, is monic of degree n, and has zero constant
 term for n >= 1.  Two independent routes are provided:
 
-* the recursion j*B_j = X * sum_k g(k) B_{j-k} on the scaled rows B_j =
-  A_j * n!/j!, whose multipliers are the small values g(k): O(n^3)
-  small-by-big products, a column at a time.  Only ``a_poly_list`` keeps
+* one recursion on the scaled rows B_j = A_j * n!/j!, a column of
+  coefficients at a time, from E*F' = X*N*F for the generating function F
+  (``_log_derivative_form``).  A_0..A_n costs O(n^2.5) small-by-big
+  products for sigma, whose E is Euler's pentagonal series, O(n^2) for the
+  identity and O(n^3) for a table.  Only ``a_poly_list`` keeps
   rows, in the store ``_a_cache``; callers that reuse rows call it
   (``certify_exact`` for n = 1, 2, ... per scanned point, ``polymod`` for
   A_r, r < p, ``hurwitz``, the real-axis scan row).  ``a_poly`` gives a
@@ -21,6 +23,7 @@ The oracle exists so the recursion can be cross-checked (``poly
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd
@@ -46,25 +49,87 @@ def _stored_rows(g: ArithmeticFunction, n: int) -> list[IntPoly]:
         return _a_cache.get(g) or [IntPoly.one()]
 
 
-def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Iterator[list[int]]:
-    """The columns u_1..u_n of the recursion on B_j = A_j * n!/j!.
+def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
+    """Integer series (N, E), cut to q**0..q**(n-1), with E(0) = 1 and
+    E * S' = N, where S = sum_k g(k) q**k / k.
 
-    If u_d[j] is the coefficient of X**d in B_j, then u_{d+1}[j] is one dot
-    product of g(j-d), ..., g(1) with u_d[d], ..., u_d[j-1], divided exactly
-    by j.  Entries of the given rows A_0.. are rescaled, not recomputed.
+    This is the only place that reads how g is given.  For sigma, E is
+    Euler's pentagonal series prod (1 - q**m), about 1.6*sqrt(n) terms, and
+    N = -E' since log E = -S; for the identity S' = 1/(1 - q)**2, so
+    E = (1 - q)**2 and N = 1; a table has E = 1 and N = S', whose i-th
+    coefficient is g(i + 1).
     """
+    E = [1] + [0] * n
+    if g.kind == "sigma":
+        k = 1
+        while (pent := k * (3 * k - 1) // 2) <= n:  # E[k(3k -/+ 1)/2] = (-1)**k
+            E[pent] = -1 if k % 2 else 1
+            if pent + k <= n:
+                E[pent + k] = E[pent]
+            k += 1
+        N = [-(i + 1) * E[i + 1] for i in range(n)]
+    elif g.kind == "identity":
+        E[1:3] = -2, 1
+        N = [1] + [0] * n
+    else:
+        N = [g(i) for i in range(1, n + 1)]
+    return N[:n], E[:n]
+
+
+def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
+    """For t = 0..n, the offsets -k of the k <= t in the ascending ``support``."""
+    prefixes = [tuple(-k for k in support[:c]) for c in range(len(support) + 1)]
+    return [prefixes[bisect_right(support, t)] for t in range(n + 1)]
+
+
+def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Iterator[list[int]]:
+    """The columns u_1..u_n of B_j = A_j * n!/j! = n! * P_j: u_d[j] is the
+    coefficient of X**d in B_j.
+
+    F = sum_j P_j q**j = exp(X*S) solves E*F' = X*N*F for the (N, E) of
+    ``_log_derivative_form``; at q**(j-1) and X**d, scaled by n!, this reads
+
+        j*u_d[j] = sum_i N[i]*u_{d-1}[j-1-i] - sum_{i>=1} E[i]*(j-i)*u_d[j-i],
+
+    divided exactly by j.  The column is built as j*u_d[j], so the E sum
+    adds entries already there, and is divided by j once it is complete.
+    When E != 1, both sums read only the nonzero terms of N and E, and the
+    E sum is one sum per value of E; when E = 1 (a table), the N sum is one
+    dot product per entry.  Entries of the given rows A_0.. are rescaled,
+    not recomputed.
+    """
+    N, E = _log_derivative_form(g, n)
+    e_groups = [(v, _back_offsets([i for i in range(1, n) if E[i] == v], n))
+                for v in set(E[1:]) - {0}]  # u_d[j-i], 1 <= i <= j-d
+    if e_groups:
+        n_support = [i for i in range(n) if N[i]]
+        n_values = [N[i] for i in n_support]
+        n_offsets = _back_offsets([i + 1 for i in n_support], n)  # u_{d-1}[j-1-i], i <= j-d
+    else:
+        n_desc = N[::-1]  # N[n-1], ..., N[0]
     known = len(rows)
-    g_desc = [g(k) for k in range(n, 0, -1)]  # g(n), ..., g(1)
     scale = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # scale[j] = n!/j!
-    col = [scale[0]] + [0] * n  # u_0: B_0 = n!, and A_j(0) = 0 for j >= 1
-    for d in range(n):
-        nxt = [0] * (n + 1)
-        for j in range(d + 1, known):
-            nxt[j] = rows[j].coeff(d + 1) * scale[j]
-        for j in range(max(d + 1, known), n + 1):
-            nxt[j] = sum(map(mul, g_desc[n - j + d :], col[d:j])) // j
-        yield nxt
-        col = nxt
+    prev = [scale[0]] + [0] * n  # u_0: B_0 = n!, and A_j(0) = 0 for j >= 1
+    for d in range(1, n + 1):
+        start = max(d, known)
+        col = [0] * d + [j * rows[j].coeff(d) * scale[j] for j in range(d, start)]
+        if e_groups:
+            past = prev[:start]  # u_{d-1}[0..j-1] at entry j
+            past_at, at = past.__getitem__, col.__getitem__
+            for j in range(start, n + 1):
+                t = j - d
+                s = sum(map(mul, n_values, map(past_at, n_offsets[t + 1])))
+                for v, offsets in e_groups:
+                    s -= v * sum(map(at, offsets[t]))
+                col.append(s)
+                past.append(prev[j])
+        else:
+            col += [sum(map(mul, n_desc[n - 1 - j + d :], prev[d - 1 : j]))
+                    for j in range(start, n + 1)]
+        for j in range(d, n + 1):
+            col[j] //= j
+        yield col
+        prev = col
 
 
 def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:

@@ -427,6 +427,35 @@ class TestInputPathsExitTwo:
 
     @pytest.mark.parametrize(
         "argv",
+        [("certify", "--candidate", "quad:D,1,0", "--n", "3"),
+         ("scan", "--kind", "quad:D", "--a-range=0:0", "--b-range=0:0"),
+         ("scan", "--kind", "quad:D", "--a-range=1:1", "--b-range=0:1", "--n-max", "1")],
+        ids=["certify", "scan-real-row", "scan"],
+    )
+    def test_huge_quadratic_d(self, capsys, monkeypatch, argv):
+        # A 20-digit D is refused before trial division up to sqrt|D| begins.
+        from darcais import arith
+
+        def factor(n):
+            raise AssertionError(f"trial division of {n}")
+
+        monkeypatch.setattr(arith, "_factorization", factor)
+        for D in (12345678901234567891, -10**19 - 1, 10**9 + 7):
+            code, out, err = run(capsys, *(a.replace("D", str(D)) for a in argv))
+            assert code == 2 and out == "", D
+            assert err == f"error: |D| must be at most 1000000000, got {D}\n"
+
+    def test_help_spells_the_grammar_of_numfield(self, capsys):
+        from darcais import numfield
+
+        for command, grammar in (("certify", numfield.CANDIDATE_GRAMMAR),
+                                 ("scan", numfield.FAMILY_GRAMMAR)):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert grammar in " ".join(capsys.readouterr().out.split()), command
+
+    @pytest.mark.parametrize(
+        "argv",
         [("certify", "--candidate", "quad:-2,1,0", "--n", "7"),
          ("scan", "--kind", "quad:-2", "--a-range=1:1", "--b-range=0:0")],
         ids=["certify", "scan"],

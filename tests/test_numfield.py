@@ -113,6 +113,15 @@ class TestCandidates:
             with pytest.raises(DomainError, match="^unknown grid kind .*; expected gauss \\|"):
                 candidate_family(kind)
 
+    def test_quadratic_d_is_capped(self):
+        for D in (999999937, -999999937, 999999929):  # primes below 10**9
+            assert QuadraticShift(D, 1, 0).D == D
+        for D in (10**9 + 7, -(10**9 + 7), 10**20 + 1):
+            with pytest.raises(DomainError, match="^\\|D\\| must be at most 1000000000"):
+                candidate_family(f"quad:{D}")
+            with pytest.raises(DomainError, match="^\\|D\\| must be at most 1000000000"):
+                min_poly_quadratic_shift(D, 1, 0)
+
     def test_invalid_field_keeps_the_class_message(self):
         # A well-formed spec or kind with a bad D, m or a is not "malformed".
         for text, message in (

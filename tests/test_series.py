@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import comb, factorial, isqrt, lcm
 
 import mpmath
 import numpy as np
@@ -22,7 +22,7 @@ from darcais import (
     tau,
     tau_list,
 )
-from darcais import series
+from darcais import arith, series
 from darcais.numfield import min_poly_quadratic_shift
 from darcais.series import _partitions, _square_truncated, a_poly_list
 
@@ -104,7 +104,7 @@ class TestPartitionOracle:
         assert a_poly_oracle(identity_g, 1) == IntPoly.x()
 
     def test_matches_recursion(self, sigma_g, identity_g):
-        for g in (sigma_g, identity_g, random_table(23, 16)):
+        for g in (sigma_g, identity_g, random_table(23, 16), *signed_tables()):
             for n in range(13):
                 assert a_poly_oracle(g, n) == a_poly(g, n)
 
@@ -127,8 +127,11 @@ class ZeroFirstValue:
 
     With g(2), g(3) != 0, A_j (j >= 2) has degree j // 2 < j, from the
     partitions of j into twos and at most one three, so its coefficient
-    list must come back stripped of the zeros above that degree.
+    list must come back stripped of the zeros above that degree.  It is
+    given as a table: E = 1 and N[i] = g(i + 1).
     """
+
+    kind = "table"
 
     def __init__(self, values):
         self.values = (0, *values)
@@ -176,12 +179,61 @@ class TestScaledRecursion:
             assert all(poly.coeff(0) == 0 for poly in a_poly_list(g, 80)[1:])
 
 
+def of_kind(kind):
+    """sigma, the identity, or the first of ``signed_tables``."""
+    if kind == "table":
+        return signed_tables()[0]
+    return {"sigma": ArithmeticFunction.sigma, "identity": ArithmeticFunction.identity}[kind]()
+
+
+class TestLogDerivativeRecursion:
+    """The one recursion E*F' = X*N*F, for each form (N, E) it is given."""
+
+    @pytest.mark.parametrize("kind", ["sigma", "identity", "table"])
+    def test_e_times_s_prime_is_n(self, kind):
+        g = of_kind(kind)
+        for n in (0, 1, 2, 3, 5, 7, 8, 99):
+            N, E = series._log_derivative_form(g, n)
+            assert len(N) == len(E) == n
+            s_prime = [g(i + 1) for i in range(n)]
+            assert [sum(E[k] * s_prime[i - k] for k in range(i + 1)) for i in range(n)] == N
+            assert E[:1] == [1][:n]
+
+    def test_sigma_form_is_the_pentagonal_product(self, sigma_g):
+        N, E = series._log_derivative_form(sigma_g, 200)
+        product = [1] + [0] * 200
+        for m in range(1, 201):  # multiply by 1 - q**m, cut at q**200
+            for i in range(200, m - 1, -1):
+                product[i] -= product[i - m]
+        assert E == product[:200]
+        assert sum(map(bool, E)) == 23  # 1 and the pentagonal numbers k(3k -/+ 1)/2 < 200
+        assert N == [-(i + 1) * product[i + 1] for i in range(200)]
+
+    def test_sigma_agrees_with_its_table(self, sigma_g):
+        # sigma(1..200) as a table: the same A_n by the E = 1 form.
+        table = ArithmeticFunction.from_table([arith.sigma(k) for k in range(1, 201)])
+        clear_library_caches()
+        assert a_poly_list(sigma_g, 200) == a_poly_list(table, 200)
+        for n in (0, 1, 5, 77, 200):
+            clear_library_caches()
+            assert a_poly(sigma_g, n) == a_poly(table, n), n
+
+    def test_identity_is_the_lah_closed_form(self, identity_g):
+        clear_library_caches()
+        got = a_poly_list(identity_g, 300)
+        for n, poly in enumerate(got[1:], start=1):
+            lah = [0] + [comb(n - 1, d - 1) * factorial(n) // factorial(d) for d in range(1, n + 1)]
+            assert poly.coeffs == tuple(lah), n
+        clear_library_caches()
+        assert a_poly(identity_g, 300) == got[300]
+
+
 class TestCacheGrowth:
     """Extending cached A_0..A_{m-1} to A_n gives the cold build."""
 
-    @pytest.mark.parametrize("table, top", [(False, 60), (True, 40)])
-    def test_every_prefix(self, table, top, sigma_g):
-        g = signed_tables()[0] if table else sigma_g
+    @pytest.mark.parametrize("kind, top", [("sigma", 60), ("identity", 60), ("table", 40)])
+    def test_every_prefix(self, kind, top):
+        g = of_kind(kind)
         cold = []
         for n in range(top + 1):
             clear_library_caches()
