@@ -63,7 +63,8 @@ def _config_from_args(args) -> CertifyConfig:
 
 
 def _run_header(args) -> dict:
-    """Full run configuration, embedded in every output document."""
+    """Full run configuration, embedded in every output document.  A key
+    whose flag the subcommand lacks shows its default (``_add_common``)."""
     return {
         "tool": "darcais",
         "version": __version__,
@@ -121,21 +122,43 @@ def _check_flag_defaults(config: dict) -> None:
         raise DomainError(f"config key 'format' must be one of {_FORMATS}")
 
 
-def _add_common(parser: argparse.ArgumentParser, defaults: dict) -> None:
-    parser.add_argument("--g", default=defaults["g"],
-                        help="arithmetic function: sigma | identity | table:FILE (default sigma)")
-    parser.add_argument("--primes", default=defaults["primes"],
-                        help="comma-separated primes for the obstruction search")
-    parser.add_argument("--exact-eval-bound", type=int, default=defaults["exact_eval_bound"],
-                        help="largest n for the exact-evaluation fallback")
-    parser.add_argument("--not-ramified-bound", type=int, default=defaults["not_ramified_bound"],
-                        help="prime search bound for the unramified criterion "
-                        f"(at most {MAX_NOT_RAMIFIED_PRIME_BOUND})")
-    parser.add_argument("--oracle-bound", type=int, default=defaults["oracle_bound"],
-                        help="cap for the partition oracle")
+# The common flags that only some subcommands read, and the ones each
+# subcommand reads; --seed, --format and --out are on every subcommand.
+_SOME_FLAGS = {
+    "g": ("--g", {"help": "arithmetic function: sigma | identity | table:FILE (default sigma)"}),
+    "primes": ("--primes", {"help": "comma-separated primes for the obstruction search"}),
+    "exact_eval_bound": ("--exact-eval-bound",
+                         {"type": int, "help": "largest n for the exact-evaluation fallback"}),
+    "not_ramified_bound": ("--not-ramified-bound", {
+        "type": int, "help": "prime search bound for the unramified criterion "
+        f"(at most {MAX_NOT_RAMIFIED_PRIME_BOUND})"}),
+    "oracle_bound": ("--oracle-bound", {"type": int, "help": "cap for the partition oracle"}),
+}
+_READS = {
+    "poly": ("g", "oracle_bound"),
+    "tau": (),
+    "certify": ("g", "primes", "exact_eval_bound", "not_ramified_bound"),
+    "scan": ("g", "primes", "exact_eval_bound", "not_ramified_bound"),
+    "minpoly": (),
+    "split": (),
+    "zmija": ("g",),
+    "hurwitz": ("g",),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, command: str, defaults: dict) -> None:
+    """Add the common flags ``command`` reads.  The keys of the others keep
+    their defaults, so the run header still echoes the full configuration."""
+    for key, (flag, options) in _SOME_FLAGS.items():
+        if key in _READS[command]:
+            parser.add_argument(flag, default=defaults[key], **options)
+        else:
+            parser.set_defaults(**{key: defaults[key]})
     parser.add_argument("--seed", type=int, default=defaults["seed"],
                         help="seed recorded into factorizations/certificates")
-    parser.add_argument("--format", choices=_FORMATS, default=defaults["format"])
+    # scan is the one command with a CSV form.
+    parser.add_argument("--format", default=defaults["format"],
+                        choices=_FORMATS if command == "scan" else ("json", "text"))
     parser.add_argument("--out", default=defaults["out"],
                         help="write output to FILE instead of stdout")
 
@@ -160,12 +183,10 @@ def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
                       help="print the rational polynomial (divide by n!)")
     p_an.add_argument("--oracle", action="store_true",
                       help="compute via the partition oracle instead of the recursion")
-    _add_common(p_an, defaults)
 
     p_tau = sub.add_parser("tau", help="Ramanujan tau values / desk-scale zero scan")
     p_tau.add_argument("n", type=int, nargs="?", default=None)
     p_tau.add_argument("--max", type=int, default=None, help="scan tau(1..N) for zeros")
-    _add_common(p_tau, defaults)
 
     p_cert = sub.add_parser("certify", help="produce a non-root certificate")
     p_cert.add_argument("--candidate", required=True,
@@ -173,31 +194,27 @@ def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
     group = p_cert.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None)
     group.add_argument("--all-n", action="store_true")
-    _add_common(p_cert, defaults)
 
     p_scan = sub.add_parser("scan", help="certify a rectangle of shifted candidates")
     p_scan.add_argument("--kind", default="gauss", help=numfield.FAMILY_GRAMMAR)
     p_scan.add_argument("--a-range", required=True, help="LO:HI inclusive")
     p_scan.add_argument("--b-range", required=True, help="LO:HI inclusive")
     p_scan.add_argument("--n-max", type=int, default=30)
-    _add_common(p_scan, defaults)
 
     p_min = sub.add_parser("minpoly", help="minimal polynomial and index of a candidate")
     p_min.add_argument("--candidate", required=True)
-    _add_common(p_min, defaults)
 
     p_split = sub.add_parser("split", help="Dedekind-Kummer splitting report")
     p_split.add_argument("--candidate", required=True)
     p_split.add_argument("--p", type=int, required=True)
-    _add_common(p_split, defaults)
 
-    p_zmija = sub.add_parser("zmija", help="audit the cyclotomic splitting conditions for g")
-    _add_common(p_zmija, defaults)
+    sub.add_parser("zmija", help="audit the cyclotomic splitting conditions for g")
 
     p_hur = sub.add_parser("hurwitz", help="Routh-Hurwitz check of P_n/X for n = 1..max")
     p_hur.add_argument("--max", type=int, default=30)
-    _add_common(p_hur, defaults)
 
+    for command, subparser in sub.choices.items():
+        _add_common(subparser, command, defaults)
     return parser
 
 
@@ -401,7 +418,7 @@ def main(argv=None) -> int:
     try:
         if "\0" in args.g + (args.out or ""):
             raise DomainError("a file name cannot hold a NUL byte")
-        g = _load_g(args.g)
+        g = _load_g(args.g) if "g" in _READS[args.command] else None
         return _COMMANDS[args.command](args, g)
     except TableExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -302,14 +302,6 @@ def is_irreducible(f: ModPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# typed=True here and below: an invalid float index must fail as it would
-# uncached, not hit the entry of the equal int.
-@lru_cache(maxsize=256, typed=True)
-def _a_r_mod(g: arith.ArithmeticFunction, r: int, p: int) -> ModPoly:
-    """A_r mod p for 0 <= r < p (memoized; its degree r is below p)."""
-    return reduce_mod(series.a_poly_list(g, r)[r], p)
-
-
 def _split_index(
     g: arith.ArithmeticFunction, n: int, p: int
 ) -> tuple[int, ModPoly, ModPoly | None]:
@@ -326,7 +318,7 @@ def _split_index(
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
     bracket = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1]) if ell else None
-    return ell, _a_r_mod(g, r, p), bracket
+    return ell, reduce_mod(series.a_poly_list(g, r)[r], p), bracket
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:
@@ -373,7 +365,8 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
 
 
 # A scan asks for the same (g, n, p) once per candidate; the result holds
-# O(p) factors whatever n is.
+# O(p) factors whatever n is.  typed=True: an invalid float index must fail
+# as it would uncached, not hit the entry of the equal int.
 @lru_cache(maxsize=4096, typed=True)
 def factor_a_poly_mod(
     g: arith.ArithmeticFunction, n: int, p: int, seed: int = 0

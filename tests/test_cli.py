@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darcais import ArithmeticFunction, DomainError, series
+from darcais import ArithmeticFunction, DomainError, __version__, series
 from darcais.cli import main
 from darcais.numfield import candidate_family, parse_candidate
 
@@ -409,9 +410,10 @@ class TestInputPathsExitTwo:
         code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))
         assert code == 2 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("flag", ["--g", "--out"])
-    def test_nul_in_file_name_is_usage_error(self, capsys, flag):
-        code, out, err = run(capsys, "tau", "2", flag, "a\0b")
+    @pytest.mark.parametrize("command, flag", [("poly", "--g"), ("tau", "--out")],
+                             ids=["--g", "--out"])
+    def test_nul_in_file_name_is_usage_error(self, capsys, command, flag):
+        code, out, err = run(capsys, command, "2", flag, "a\0b")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "NUL" in err
 
@@ -484,6 +486,112 @@ class TestInputPathsExitTwo:
         code, out, _ = run(capsys, "poly", "2")
         assert code == 0
         assert json.loads(out)["config"]["primes"] == [5, 7]
+
+
+class TestCommonFlags:
+    """Each subcommand takes only the common flags it reads."""
+
+    EVERYWHERE = {"--seed", "--format", "--out"}
+    CERTIFY_FLAGS = {"--g", "--primes", "--exact-eval-bound", "--not-ramified-bound"}
+    TAKES = {
+        "poly": EVERYWHERE | {"--g", "--oracle-bound"},
+        "tau": EVERYWHERE,
+        "certify": EVERYWHERE | CERTIFY_FLAGS,
+        "scan": EVERYWHERE | CERTIFY_FLAGS,
+        "minpoly": EVERYWHERE,
+        "split": EVERYWHERE,
+        "zmija": EVERYWHERE | {"--g"},
+        "hurwitz": EVERYWHERE | {"--g"},
+    }
+    COMMON = EVERYWHERE | CERTIFY_FLAGS | {"--oracle-bound"}
+    # A minimal valid invocation of each subcommand.
+    INVOCATIONS = {
+        "poly": ("poly", "3"),
+        "tau": ("tau", "2"),
+        "certify": ("certify", "--candidate", "gauss:2,1", "--n", "9"),
+        "scan": ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "3"),
+        "minpoly": ("minpoly", "--candidate", "cyc:5,1,0"),
+        "split": ("split", "--candidate", "cyc:4,3,0", "--p", "7"),
+        "zmija": ("zmija",),
+        "hurwitz": ("hurwitz", "--max", "3"),
+    }
+
+    @staticmethod
+    def help_text(capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_help_lists_exactly_the_flags_it_reads(self, capsys, command):
+        text = self.help_text(capsys, command)
+        listed = set(re.findall(r"^\s+(--[\w-]+)", text, re.MULTILINE))
+        assert listed & self.COMMON == self.TAKES[command]
+
+    def test_csv_is_a_format_of_scan_only(self, capsys):
+        for command in self.TAKES:
+            text = self.help_text(capsys, command)
+            assert ("csv" in text) == (command == "scan"), command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("tau", "2", "--g", "identity"),
+         ("minpoly", "--candidate", "cyc:5,1,0", "--primes", "5"),
+         ("split", "--candidate", "cyc:4,3,0", "--p", "7", "--not-ramified-bound", "9"),
+         ("zmija", "--exact-eval-bound", "3"),
+         ("hurwitz", "--max", "3", "--oracle-bound", "9"),
+         ("poly", "3", "--primes", "5"),
+         ("certify", "--candidate", "gauss:2,1", "--n", "9", "--oracle-bound", "9"),
+         ("scan", "--a-range=1:1", "--b-range=0:0", "--oracle-bound", "9"),
+         ("poly", "3", "--format", "csv")],
+    )
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "usage: " in err and "error: " in err and "Traceback" not in err
+
+    @staticmethod
+    def header(out: str) -> dict:
+        line = out.splitlines()[0]
+        doc = json.loads(line[2:] if line.startswith("# ") else out)
+        return {key: doc[key] for key in ("tool", "version", "seed", "config")}
+
+    @pytest.mark.parametrize("command", sorted(INVOCATIONS))
+    def test_run_header_echoes_every_config_key(self, capsys, tmp_path, monkeypatch, command):
+        code, out, _ = run(capsys, *self.INVOCATIONS[command])
+        assert code in (0, 1)
+        assert self.header(out) == {
+            "tool": "darcais", "version": __version__, "seed": 0,
+            "config": {"g": "sigma", "primes": [2, 3, 5, 7, 11, 13], "oracle_bound": 25,
+                       "exact_eval_bound": 30, "not_ramified_prime_bound": 50,
+                       "seed": 0, "format": "json"},
+        }
+        # A config file sets the keys a subcommand has no flag for as well.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": "identity", "primes": "5,7", "oracle_bound": 9,
+                                   "exact_eval_bound": 12, "not_ramified_bound": 20,
+                                   "seed": 7, "format": "csv"}))
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, _ = run(capsys, *self.INVOCATIONS[command])
+        assert code in (0, 1)
+        assert self.header(out) == {
+            "tool": "darcais", "version": __version__, "seed": 7,
+            "config": {"g": "identity", "primes": [5, 7], "oracle_bound": 9,
+                       "exact_eval_bound": 12, "not_ramified_prime_bound": 20,
+                       "seed": 7, "format": "csv"},
+        }
+
+    @pytest.mark.parametrize("command", ["tau", "minpoly", "split"])
+    def test_g_is_loaded_only_where_it_is_read(self, capsys, tmp_path, monkeypatch, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": str(tmp_path / "missing.txt")}))
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, err = run(capsys, *self.INVOCATIONS[command])
+        assert code == 0 and err == ""
+        assert self.header(out)["config"]["g"] == str(tmp_path / "missing.txt")
 
 
 _KEYS = ("g", "primes", "exact_eval_bound", "not_ramified_bound", "oracle_bound",
