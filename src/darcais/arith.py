@@ -24,7 +24,7 @@ def is_prime(n: int) -> bool:
         return False
     if n >= _PRIMALITY_LIMIT:
         raise DomainError(f"primality test is only deterministic below 2**64, got {n}")
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

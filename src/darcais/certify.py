@@ -134,7 +134,7 @@ class CertifyConfig(FrozenValue):
     primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     exact_eval_bound: int = 30
     not_ramified_prime_bound: int = 50
-    seed: int = 0
+    seed: int = polymod.DEFAULT_SEED
 
     def __post_init__(self) -> None:
         for p in self.primes:
@@ -698,7 +698,7 @@ class ZmijaReport(FrozenValue):
         }
 
 
-def check_zmija_conditions(g: ArithmeticFunction, seed: int = 0) -> ZmijaReport:
+def check_zmija_conditions(g: ArithmeticFunction, seed: int = DEFAULT_CONFIG.seed) -> ZmijaReport:
     """Audit the three local splitting conditions that force non-vanishing
     at every root of unity of order >= 3.
 

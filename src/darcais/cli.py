@@ -96,75 +96,59 @@ def _emit(args, document: dict, text: str | None = None) -> None:
         _write(args, json.dumps(document, sort_keys=True, indent=2) + "\n")
 
 
-_FLAG_DEFAULTS = {
-    "g": "sigma",
-    "primes": ",".join(str(p) for p in DEFAULT_CONFIG.primes),
-    "exact_eval_bound": DEFAULT_CONFIG.exact_eval_bound,
-    "not_ramified_bound": DEFAULT_CONFIG.not_ramified_prime_bound,
-    "oracle_bound": series.DEFAULT_ORACLE_BOUND,
-    "seed": DEFAULT_CONFIG.seed,
-    "format": "json",
-    "out": None,
-}
+# The common flags by config key: the default, the argparse options, and
+# the subcommands that read the flag ``--key`` (dashes for underscores).
+# A subcommand that does not read a key still keeps its default, so the
+# run header echoes the full configuration.
+_EVERY = ("poly", "tau", "certify", "scan", "minpoly", "split", "zmija", "hurwitz")
+_CERTIFYING = ("certify", "scan")
 _FORMATS = ("json", "csv", "text")
+_COMMON_FLAGS = {
+    "g": ("sigma", {"help": "arithmetic function: sigma | identity | table:FILE (default sigma)"},
+          ("poly", "certify", "scan", "zmija", "hurwitz")),
+    "primes": (",".join(str(p) for p in DEFAULT_CONFIG.primes),
+               {"help": "comma-separated primes for the obstruction search"}, _CERTIFYING),
+    "exact_eval_bound": (DEFAULT_CONFIG.exact_eval_bound, {
+        "type": int, "help": "largest n for the exact-evaluation fallback"}, _CERTIFYING),
+    "not_ramified_bound": (DEFAULT_CONFIG.not_ramified_prime_bound, {
+        "type": int, "help": "prime search bound for the unramified criterion "
+        f"(at most {MAX_NOT_RAMIFIED_PRIME_BOUND})"}, _CERTIFYING),
+    "oracle_bound": (series.DEFAULT_ORACLE_BOUND,
+                     {"type": int, "help": "cap for the partition oracle"}, ("poly",)),
+    "seed": (DEFAULT_CONFIG.seed,
+             {"type": int, "help": "seed recorded into factorizations/certificates"}, _EVERY),
+    # csv joins the choices on scan, the one command with a CSV form.
+    "format": ("json", {"choices": ("json", "text")}, _EVERY),
+    "out": (None, {"help": "write output to FILE instead of stdout"}, _EVERY),
+}
 
 
 def _check_flag_defaults(config: dict) -> None:
     """A config value must be one its flag accepts on the command line."""
-    unknown = set(config) - set(_FLAG_DEFAULTS)
+    unknown = set(config) - set(_COMMON_FLAGS)
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
-        want = int if isinstance(_FLAG_DEFAULTS[key], int) else str
+        want = int if isinstance(_COMMON_FLAGS[key][0], int) else str
         if type(value) is not want or (want is str and "\0" in value):
             raise DomainError(f"config key {key!r} does not take {value!r}")
     if config.get("format", "json") not in _FORMATS:
         raise DomainError(f"config key 'format' must be one of {_FORMATS}")
 
 
-# The common flags that only some subcommands read, and the ones each
-# subcommand reads; --seed, --format and --out are on every subcommand.
-_SOME_FLAGS = {
-    "g": ("--g", {"help": "arithmetic function: sigma | identity | table:FILE (default sigma)"}),
-    "primes": ("--primes", {"help": "comma-separated primes for the obstruction search"}),
-    "exact_eval_bound": ("--exact-eval-bound",
-                         {"type": int, "help": "largest n for the exact-evaluation fallback"}),
-    "not_ramified_bound": ("--not-ramified-bound", {
-        "type": int, "help": "prime search bound for the unramified criterion "
-        f"(at most {MAX_NOT_RAMIFIED_PRIME_BOUND})"}),
-    "oracle_bound": ("--oracle-bound", {"type": int, "help": "cap for the partition oracle"}),
-}
-_READS = {
-    "poly": ("g", "oracle_bound"),
-    "tau": (),
-    "certify": ("g", "primes", "exact_eval_bound", "not_ramified_bound"),
-    "scan": ("g", "primes", "exact_eval_bound", "not_ramified_bound"),
-    "minpoly": (),
-    "split": (),
-    "zmija": ("g",),
-    "hurwitz": ("g",),
-}
-
-
 def _add_common(parser: argparse.ArgumentParser, command: str, defaults: dict) -> None:
-    """Add the common flags ``command`` reads.  The keys of the others keep
-    their defaults, so the run header still echoes the full configuration."""
-    for key, (flag, options) in _SOME_FLAGS.items():
-        if key in _READS[command]:
-            parser.add_argument(flag, default=defaults[key], **options)
-        else:
+    """Add the common flags ``command`` reads; the others only set defaults."""
+    for key, (_, options, readers) in _COMMON_FLAGS.items():
+        if command not in readers:
             parser.set_defaults(**{key: defaults[key]})
-    parser.add_argument("--seed", type=int, default=defaults["seed"],
-                        help="seed recorded into factorizations/certificates")
-    # scan is the one command with a CSV form.
-    parser.add_argument("--format", default=defaults["format"],
-                        choices=_FORMATS if command == "scan" else ("json", "text"))
-    parser.add_argument("--out", default=defaults["out"],
-                        help="write output to FILE instead of stdout")
+            continue
+        if key == "format" and command == "scan":
+            options = {**options, "choices": _FORMATS}
+        parser.add_argument("--" + key.replace("_", "-"), default=defaults[key], **options)
 
 
 def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
-    defaults = dict(_FLAG_DEFAULTS)
+    defaults = {key: default for key, (default, _, _) in _COMMON_FLAGS.items()}
     if flag_defaults is not None:
         _check_flag_defaults(flag_defaults)
         defaults.update(flag_defaults)
@@ -418,7 +402,7 @@ def main(argv=None) -> int:
     try:
         if "\0" in args.g + (args.out or ""):
             raise DomainError("a file name cannot hold a NUL byte")
-        g = _load_g(args.g) if "g" in _READS[args.command] else None
+        g = _load_g(args.g) if args.command in _COMMON_FLAGS["g"][2] else None
         return _COMMANDS[args.command](args, g)
     except TableExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)

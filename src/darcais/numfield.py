@@ -19,40 +19,6 @@ from .polynomial import IntPoly, cyclotomic
 from .polymod import Factorization, ModPoly
 
 
-def min_poly_cyclotomic_shift(m: int, a: int, b: int) -> IntPoly:
-    """Monic integer minimal polynomial of a*zeta_m + b, degree phi(m).
-
-    Obtained by clearing denominators in Phi_m((X - b) / a).
-    """
-    if m < 3:
-        raise DomainError(f"cyclotomic shifts require m >= 3, got {m}")
-    if a == 0:
-        raise DomainError("a = 0 degenerates to a rational integer")
-    phi_m = cyclotomic(m)
-    deg = phi_m.degree
-    shift = IntPoly((-b, 1))  # X - b
-    result = IntPoly.zero()
-    power = IntPoly.one()  # (X - b)**j, built incrementally
-    for j, c in enumerate(phi_m.coeffs):
-        if c:
-            result = result + power * (c * a ** (deg - j))
-        power = power * shift
-    return result
-
-
-def min_poly_quadratic_shift(D: int, a: int, b: int) -> IntPoly:
-    """Monic integer minimal polynomial of a*w_D + b (degree 2)."""
-    arith.require_quadratic_d(D)
-    if a == 0:
-        raise DomainError("a = 0 degenerates to a rational integer")
-    if D % 4 == 1:
-        # w**2 = w + (D-1)/4, so (X-b)**2 - a(X-b) + a**2 (1-D)/4 kills a*w + b.
-        c0 = b * b + a * b + a * a * (1 - D) // 4
-        c1 = -2 * b - a
-        return IntPoly((c0, c1, 1))
-    return IntPoly((b * b - a * a * D, -2 * b, 1))
-
-
 class CyclotomicShift(FrozenValue):
     """Candidate a*zeta_m + b with m >= 3 and a != 0."""
 
@@ -74,7 +40,17 @@ class CyclotomicShift(FrozenValue):
 
     @cached_property
     def min_poly(self) -> IntPoly:
-        return min_poly_cyclotomic_shift(self.m, self.a, self.b)
+        """Monic, degree phi(m): Phi_m((X - b) / a) with denominators cleared."""
+        phi_m = cyclotomic(self.m)
+        deg = phi_m.degree
+        shift = IntPoly((-self.b, 1))  # X - b
+        result = IntPoly.zero()
+        power = IntPoly.one()  # (X - b)**j, built incrementally
+        for j, c in enumerate(phi_m.coeffs):
+            if c:
+                result = result + power * (c * self.a ** (deg - j))
+            power = power * shift
+        return result
 
     @cached_property
     def index(self) -> int:
@@ -112,7 +88,12 @@ class QuadraticShift(FrozenValue):
 
     @cached_property
     def min_poly(self) -> IntPoly:
-        return min_poly_quadratic_shift(self.D, self.a, self.b)
+        """Monic, degree 2."""
+        D, a, b = self.D, self.a, self.b
+        if D % 4 == 1:
+            # w**2 = w + (D-1)/4, so (X-b)**2 - a(X-b) + a**2 (1-D)/4 kills a*w + b.
+            return IntPoly((b * b + a * b + a * a * (1 - D) // 4, -2 * b - a, 1))
+        return IntPoly((b * b - a * a * D, -2 * b, 1))
 
     @property
     def index(self) -> int:
@@ -135,6 +116,16 @@ class QuadraticShift(FrozenValue):
 
 
 AlgebraicCandidate = CyclotomicShift | QuadraticShift
+
+
+def min_poly_cyclotomic_shift(m: int, a: int, b: int) -> IntPoly:
+    """Monic integer minimal polynomial of a*zeta_m + b, degree phi(m)."""
+    return CyclotomicShift(m, a, b).min_poly
+
+
+def min_poly_quadratic_shift(D: int, a: int, b: int) -> IntPoly:
+    """Monic integer minimal polynomial of a*w_D + b (degree 2)."""
+    return QuadraticShift(D, a, b).min_poly
 
 
 def candidate_from_json(doc: dict) -> AlgebraicCandidate:
@@ -243,7 +234,9 @@ class SplittingReport(FrozenValue):
         return doc
 
 
-def dedekind_kummer_split(c: AlgebraicCandidate, p: int, seed: int = 0) -> SplittingReport:
+def dedekind_kummer_split(
+    c: AlgebraicCandidate, p: int, seed: int = polymod.DEFAULT_SEED
+) -> SplittingReport:
     """Split p in Q(alpha) by factoring the minimal polynomial mod p.
 
     Only valid for p not dividing the index; such p yield a report with

@@ -34,6 +34,10 @@ from .polynomial import IntPoly, format_poly, _BasePoly, _strip
 # Single-precision moduli only; tiny primes are all the analysis ever needs.
 _MAX_MODULUS = 1 << 31
 
+# The equal-degree splitting seed when a caller names none; CertifyConfig,
+# and through it the CLI's --seed, default to it too.
+DEFAULT_SEED = 0
+
 
 @lru_cache(maxsize=None)
 def _check_modulus(p: int) -> tuple:
@@ -259,7 +263,7 @@ def _equal_degree(f: ModPoly, d: int, rng: random.Random) -> list[ModPoly]:
 # polynomial for every n of a scan, the same small pieces of A_n mod p)
 # are shared within a process.  The bound caps memory, not correctness.
 @lru_cache(maxsize=1024)
-def factor(f: ModPoly, seed: int = 0) -> Factorization:
+def factor(f: ModPoly, seed: int = DEFAULT_SEED) -> Factorization:
     """Complete factorization of a nonzero polynomial over F_p (memoized)."""
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
@@ -277,24 +281,10 @@ def factor(f: ModPoly, seed: int = 0) -> Factorization:
 
 
 def is_irreducible(f: ModPoly) -> bool:
-    """Rabin's irreducibility test on the monic normalization of f."""
+    """Whether f is irreducible over F_p: one factor, of multiplicity 1."""
     if f.is_zero:
         raise DomainError("the zero polynomial is not classified")
-    n = f.degree
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    f = f.monic()
-    p = f.p
-    x = ModPoly.x(p)
-    if pow_mod(x, p**n, f) != x % f:
-        return False
-    for ell in arith.prime_factors(n):
-        h = pow_mod(x, p ** (n // ell), f) - x
-        if poly_gcd(f, h).degree != 0:
-            return False
-    return True
+    return [mult for _, mult in factor(f).factors] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +359,7 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
 # as it would uncached, not hit the entry of the equal int.
 @lru_cache(maxsize=4096, typed=True)
 def factor_a_poly_mod(
-    g: arith.ArithmeticFunction, n: int, p: int, seed: int = 0
+    g: arith.ArithmeticFunction, n: int, p: int, seed: int = DEFAULT_SEED
 ) -> Factorization:
     """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from the
     factorizations of A_r and B, of degree at most p (memoized).

@@ -12,6 +12,10 @@ result for result, against the route kept here:
   that ``hurwitz_check`` replaced;
 * ``divides_a_poly_mod``: division of the fully expanded A_n mod p, against
   membership in ``factor_a_poly_mod`` (the generic obstruction);
+* ``is_irreducible_rabin``: Rabin's irreducibility test over F_p, against
+  ``is_irreducible``, which reads ``factor``; the tests that check the
+  factors ``factor`` returns are irreducible use it, so that ``factor``
+  does not check itself;
 * ``periodic_residues``: the periodic obstruction in membership form, the
   residues r mod p where one prime rules out every n = r mod p; the
   closed-form criteria and the genuine-root corpus are checked against it;
@@ -41,8 +45,8 @@ from darcais import (
     factor,
     reduce_mod,
 )
-from darcais.arith import divisors, require_prime, require_quadratic_d
-from darcais.polymod import ModPoly, pow_mod
+from darcais.arith import divisors, prime_factors, require_prime, require_quadratic_d
+from darcais.polymod import ModPoly, poly_gcd, pow_mod
 
 
 def a_poly_list_rows(g, n: int) -> list[IntPoly]:
@@ -166,6 +170,29 @@ def divides_a_poly_mod(q: ModPoly, g, n: int, p: int) -> bool:
     """Whether q divides A_n mod p, by long division of the whole
     ``a_poly_mod(g, n, p)`` (degree n)."""
     return q.divides(a_poly_mod(g, n, p))
+
+
+def is_irreducible_rabin(f: ModPoly) -> bool:
+    """Rabin's test on the monic normalization of f, of degree n >= 1: f
+    divides X**(p**n) - X and is coprime to X**(p**(n/l)) - X for each
+    prime l dividing n."""
+    if f.is_zero:
+        raise DomainError("the zero polynomial is not classified")
+    n = f.degree
+    if n == 0:
+        return False
+    if n == 1:
+        return True
+    f = f.monic()
+    p = f.p
+    x = ModPoly.x(p)
+    if pow_mod(x, p**n, f) != x % f:
+        return False
+    for ell in prime_factors(n):
+        h = pow_mod(x, p ** (n // ell), f) - x
+        if poly_gcd(f, h).degree != 0:
+            return False
+    return True
 
 
 def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:

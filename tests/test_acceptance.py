@@ -35,6 +35,7 @@ from oracles import (
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
     index_via_determinant,
+    is_irreducible_rabin,
     series_oracle,
 )
 
@@ -130,7 +131,7 @@ def test_ac06_desk_scale_lehmer():
 
 def test_ac07_gaussian_soundness_sweep():
     with budget("AC-07 Gaussian soundness sweep", 600):
-        from darcais import factor, is_irreducible
+        from darcais import factor
 
         # The mod-7 structure the Gaussian criterion rests on: away from the
         # classes 5 and 6 everything splits linearly; in class 5 the unique
@@ -141,10 +142,10 @@ def test_ac07_gaussian_soundness_sweep():
             nonlinear = [q for q, _ in fact.factors if q.degree > 1]
             if n % 7 == 5:
                 assert [q.coeffs for q in nonlinear] == [(1, 0, 1)]
-                assert is_irreducible(nonlinear[0])
+                assert is_irreducible_rabin(nonlinear[0])
             elif n % 7 == 6:
                 assert [q.coeffs for q in nonlinear] == [(4, 6, 6, 1)]
-                assert is_irreducible(nonlinear[0])
+                assert is_irreducible_rabin(nonlinear[0])
             else:
                 assert nonlinear == []
 

@@ -39,7 +39,12 @@ from darcais.certify import (
 from darcais.polymod import ModPoly
 
 from conftest import clear_library_caches, random_table
-from oracles import evaluate_at_cyclotomic, evaluate_at_quadratic, zmija_order_six
+from oracles import (
+    evaluate_at_cyclotomic,
+    evaluate_at_quadratic,
+    is_irreducible_rabin,
+    zmija_order_six,
+)
 
 ORACLE_GS = (
     ArithmeticFunction.sigma(),
@@ -670,14 +675,14 @@ class TestZmija:
     def test_order_six_criterion_matches_degree(self):
         # 11 has multiplicative order 6 mod 9, so the level-9 cyclotomic
         # polynomial stays irreducible of degree 6 over F_11
-        from darcais import cyclotomic, is_irreducible, reduce_mod
+        from darcais import cyclotomic, reduce_mod
 
         q6 = reduce_mod(cyclotomic(9), 11)
-        assert q6.degree == 6 and is_irreducible(q6)
+        assert q6.degree == 6 and is_irreducible_rabin(q6)
         assert zmija_order_six(q6)
         for coeffs in ((0, 1), (7, 1), (1, 0, 1), (4, 6, 6, 1)):
             q = ModPoly(11, coeffs)
-            assert is_irreducible(q)
+            assert is_irreducible_rabin(q)
             assert not zmija_order_six(q)
 
     def test_degree_rule_agrees_with_the_raw_criterion(self):

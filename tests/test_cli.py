@@ -4,17 +4,20 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darcais import ArithmeticFunction, DomainError, __version__, series
+from darcais import ArithmeticFunction, DomainError, __version__, cli, series
 from darcais.cli import main
 from darcais.numfield import candidate_family, parse_candidate
 
 from conftest import clear_library_caches
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -552,6 +555,18 @@ class TestCommonFlags:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert "usage: " in err and "error: " in err and "Traceback" not in err
+
+    def test_readme_flag_table_names_the_readers(self):
+        # README's `| flag | subcommands |` table, against the CLI's table of flags.
+        section = README.read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+        readme = {}
+        for flags, commands in re.findall(r"^\| (`--.*) \| (.*) \|$", section, re.MULTILINE):
+            readers = set(re.findall(r"`(\w+)`", commands))
+            if commands == "all":
+                readers = set(cli._COMMANDS)
+            readme.update((flag, readers) for flag in re.findall(r"`(--[\w-]+)`", flags))
+        assert readme == {"--" + key.replace("_", "-"): set(readers)
+                          for key, (_, _, readers) in cli._COMMON_FLAGS.items()}
 
     @staticmethod
     def header(out: str) -> dict:

@@ -63,6 +63,7 @@ def test_oracles_stay_out_of_the_library():
         "a_poly_list_rows",
         "hurwitz_check_fraction",
         "divides_a_poly_mod",
+        "is_irreducible_rabin",
         "periodic_residues",
         "zmija_order_six",
         "evaluate_at_quadratic",
@@ -80,6 +81,17 @@ def test_obstruction_search_reads_no_splitting_report():
     # The generic obstruction factors f mod p at every prime, p | index
     # included; the Dedekind-Kummer report serves ``split`` only.
     assert "dedekind_kummer_split" not in (PACKAGE / "certify.py").read_text()
+
+
+def test_irreducibility_is_read_from_factor():
+    # Rabin's test is the oracle ``is_irreducible_rabin``; the library reads
+    # irreducibility from its one factorization.
+    tree = ast.parse((PACKAGE / "polymod.py").read_text())
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "is_irreducible"]
+    called = {node.func.id for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "factor" in called and not called & {"pow_mod", "poly_gcd"}
 
 
 # What ``import darcais.cli`` must not add to a fresh interpreter: the

@@ -17,6 +17,7 @@ from darcais import (
     parse_candidate,
     ramifies,
 )
+from darcais import arith
 from darcais.arith import primes_up_to
 from darcais.numfield import candidate_family
 
@@ -82,6 +83,23 @@ class TestMinPolyQuadraticShift:
 
 
 class TestCandidates:
+    def test_inputs_checked_once(self, monkeypatch):
+        calls = []
+        squarefree = arith.is_squarefree
+        monkeypatch.setattr(arith, "is_squarefree", lambda n: calls.append(n) or squarefree(n))
+        assert QuadraticShift(-17, 2, 1).min_poly == IntPoly((69, -2, 1))
+        assert calls == [-17]
+        # The public functions build the candidate, so its checks keep their messages.
+        degenerate = "^a = 0 degenerates to a rational integer$"
+        for build, args, message in (
+            (min_poly_quadratic_shift, (4, 1, 0), "^D must be squarefree, got 4$"),
+            (min_poly_quadratic_shift, (-1, 0, 3), degenerate),
+            (min_poly_cyclotomic_shift, (2, 1, 0), "^cyclotomic shifts require m >= 3, got 2$"),
+            (min_poly_cyclotomic_shift, (5, 0, 3), degenerate),
+        ):
+            with pytest.raises(DomainError, match=message):
+                build(*args)
+
     def test_rejects_degenerate_a(self):
         with pytest.raises(DomainError):
             CyclotomicShift(5, 0, 3)

@@ -22,7 +22,7 @@ from darcais import (
 from darcais.polymod import ModPoly, poly_gcd, pow_mod
 
 from conftest import random_table
-from oracles import divides_a_poly_mod, multiplicative_order
+from oracles import divides_a_poly_mod, is_irreducible_rabin, multiplicative_order
 
 
 def random_mod_poly(rng, p, max_degree=8):
@@ -136,7 +136,7 @@ class TestFactor:
             assert sum(q.degree * m for q, m in fact.factors) == f.degree
             for q, _ in fact.factors:
                 assert q.leading == 1
-                assert is_irreducible(q)
+                assert is_irreducible_rabin(q)
             assert len({q for q, _ in fact.factors}) == len(fact.factors)
             done += 1
 
@@ -204,6 +204,14 @@ class TestIsIrreducible:
                     continue
                 assert is_irreducible(f) == brute_irreducible(f.monic()), (p, f.coeffs)
 
+    def test_agrees_with_rabin(self):
+        rng = random.Random(19)
+        for p in (2, 3, 5, 7, 11, 13):
+            for _ in range(40):
+                f = random_mod_poly(rng, p, max_degree=12)
+                if not f.is_zero:
+                    assert is_irreducible(f) == is_irreducible_rabin(f), (p, f.coeffs)
+
     def test_degree_zero_not_irreducible(self):
         assert not is_irreducible(ModPoly(3, (2,)))
 
@@ -242,7 +250,7 @@ class TestCyclotomic:
     def test_irreducible_mod_full_order_prime(self):
         for m, q in ((5, 2), (7, 3), (9, 2), (11, 2), (10, 7)):
             assert multiplicative_order(q, m) == euler_phi(m)
-            assert is_irreducible(reduce_mod(cyclotomic(m), q))
+            assert is_irreducible_rabin(reduce_mod(cyclotomic(m), q))
 
 
 class TestAPolyMod:
@@ -531,7 +539,7 @@ class TestLargeModulus:
     def test_single_precision_limit_boundary(self):
         p = 2**31 - 1  # Mersenne prime, the largest allowed modulus
         inert = ModPoly(p, (1, 0, 1))  # p = 3 mod 4, so X^2 + 1 stays prime
-        assert is_irreducible(inert)
+        assert is_irreducible_rabin(inert)
         assert factor(inert).degrees() == [2]
         split = ModPoly(p, (-2 % p, 0, 1))  # 2 is a square mod p (p = 7 mod 8)
         fact = factor(split)
