@@ -20,6 +20,13 @@ factorization-based ones.  Each method reads (g, c, n):
 
 ``certify``, ``certify_all_n`` and ``verify_certificate`` all read the
 table; when no method proves anything the result has method ``"none"``.
+``scan_grid`` asks the per-n methods in table order without a certificate
+per n, from facts computed once per point: a threshold in n, a case of n
+mod 7, witness primes p against n mod p, and a generic witness at p per
+class of n (n below p, p + n mod p from p on, as A_n = A_r * B**l mod p);
+only ``exact_evaluation`` runs per n.  A method that would raise
+``TableExhaustedError`` does not prove.  So past O(n_max) lookups per
+point, the cost of a scan does not depend on n_max.
 Every proven certificate carries enough recorded inputs (including seeds)
 to be re-derived bit for bit; ``verify_certificate`` does exactly that,
 under the g it is given.  Each method reads g and raises ``DomainError``
@@ -194,10 +201,11 @@ def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:
     return Fraction(margin * margin)
 
 
-def _exceeds_han_bound(abs_sq: Fraction, n: int) -> tuple[bool, Fraction]:
-    """Whether |alpha|**2 = abs_sq exceeds (9.7226 * (n - 1))**2, and that square."""
-    threshold_sq = _HAN_C_SQ * (n - 1) ** 2
-    return abs_sq > threshold_sq, threshold_sq
+def _han_reach(abs_sq: Fraction) -> int:
+    """The largest n with |alpha|**2 = abs_sq > (9.7226 * (n - 1))**2, or 0:
+    for t = abs_sq / 9.7226**2 > 0, (n - 1)**2 < t exactly when (n - 1)**2 <= ceil(t) - 1."""
+    t = abs_sq / _HAN_C_SQ
+    return isqrt(-(-t.numerator // t.denominator) - 1) + 1 if t > 0 else 0
 
 
 def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certificate:
@@ -210,12 +218,12 @@ def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> C
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
     lower_sq = abs_sq_lower_bound(c)
-    proven, threshold_sq = _exceeds_han_bound(lower_sq, n)
+    threshold_sq = _HAN_C_SQ * (n - 1) ** 2
     return Certificate(
         g_name=g.name,
         candidate=c,
         scope=Scope.single(n),
-        verdict=PROVEN if proven else INCONCLUSIVE,
+        verdict=PROVEN if n <= _han_reach(lower_sq) else INCONCLUSIVE,
         method="han_bound",
         details={"n": n},
         evidence={
@@ -397,9 +405,7 @@ def certify_theorem_not_ramified(
         raise DomainError("the unramified criterion applies to quadratic candidates only")
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    bound = prime_bound
-    if g.n_max is not None:
-        bound = min(bound, g.n_max)
+    bound = min(prime_bound, g.n_max or prime_bound)
     for p, case, gp, legendre in _unramified_witnesses(g, c, bound):
         if n % p not in (0, 1):
             continue
@@ -427,6 +433,20 @@ def certify_theorem_not_ramified(
 # ---------------------------------------------------------------------------
 # Generic local obstruction
 # ---------------------------------------------------------------------------
+
+
+def _generic_witness(g: ArithmeticFunction, c: AlgebraicCandidate, n: int, p: int, seed: int):
+    """(q, f mod p factored, A_n mod p factored) for the first irreducible
+    factor q of the minimal polynomial f mod p missing from A_n mod p, or
+    None.  For n = l*p + r with l >= 1 the factors of A_n mod p are those of
+    A_r and B = X**p - g(p)*X, so the answer at n is the answer at p + r."""
+    a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
+    min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=seed)
+    a_irreducibles = {poly for poly, _ in a_fact.factors}
+    for q, _ in min_fact.factors:
+        if q not in a_irreducibles:
+            return q, min_fact, a_fact
+    return None
 
 
 def certify_generic(
@@ -458,28 +478,26 @@ def certify_generic(
     skipped = []
     for p in primes:
         try:
-            a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
+            witness = _generic_witness(g, c, n, p, seed)
         except TableExhaustedError:
             skipped.append(p)
             continue
-        min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=seed)
-        a_irreducibles = {poly for poly, _ in a_fact.factors}
-        for q, _ in min_fact.factors:
-            if q not in a_irreducibles:
-                return Certificate(
-                    g_name=g.name,
-                    candidate=c,
-                    scope=Scope.single(n),
-                    verdict=PROVEN,
-                    method="generic_obstruction",
-                    details={"n": n, "p": p, "primes": list(primes), "seed": seed},
-                    evidence={
-                        "witness_factor": list(q.coeffs),
-                        "min_poly_mod_p": min_fact.to_json_dict(),
-                        "a_poly_mod_p": a_fact.to_json_dict(),
-                    },
-                    witness_prime=p,
-                )
+        if witness is not None:
+            q, min_fact, a_fact = witness
+            return Certificate(
+                g_name=g.name,
+                candidate=c,
+                scope=Scope.single(n),
+                verdict=PROVEN,
+                method="generic_obstruction",
+                details={"n": n, "p": p, "primes": list(primes), "seed": seed},
+                evidence={
+                    "witness_factor": list(q.coeffs),
+                    "min_poly_mod_p": min_fact.to_json_dict(),
+                    "a_poly_mod_p": a_fact.to_json_dict(),
+                },
+                witness_prime=p,
+            )
     return Certificate(
         g_name=g.name,
         candidate=c,
@@ -800,40 +818,80 @@ class GridResult(FrozenValue):
         return "\n".join(lines) + "\n"
 
 
-def _grid_point(a: int, b: int, methods: set, uncertified: list) -> GridPoint:
-    """Per-n outcome of one point, summarized by its status."""
-    if not uncertified:
-        status = STATUS_UP_TO_NMAX
-    elif methods:
-        status = STATUS_PARTIAL
-    else:
-        status = STATUS_UNKNOWN
+def _grid_point(a: int, b: int, tests: list, n_max: int) -> GridPoint:
+    """Settle n = 1..n_max by the first of the tests (method, n -> proves) that proves n."""
+    methods, uncertified = set(), []
+    for n in range(1, n_max + 1):
+        for method, proves in tests:
+            if proves(n):
+                methods.add(method)
+                break
+        else:
+            uncertified.append(n)
+    status = (STATUS_PARTIAL if methods else STATUS_UNKNOWN) if uncertified else STATUS_UP_TO_NMAX
     return GridPoint(
         a=a, b=b, status=status, methods=tuple(sorted(methods)), uncertified=tuple(uncertified)
     )
 
 
-def _scan_rational_integer(g: ArithmeticFunction, b: int, n_max: int) -> GridPoint:
-    """Real-axis point: certify n by the absolute bound or exact evaluation.
-
-    An n past the reach of g's table stays uncertified, as at a != 0.
-    """
-    methods = set()
-    uncertified = []
-    abs_sq = Fraction(b * b)
+def _rational_integer_tests(g: ArithmeticFunction, b: int, n_max: int) -> list:
+    """The absolute bound, then exact evaluation at the real-axis point b; an
+    n past the reach of g's table stays uncertified, as at a != 0."""
+    reach = _han_reach(Fraction(b * b)) if g.kind == "sigma" else 0
     top = n_max if g.n_max is None else min(n_max, g.n_max)
-    a_polys = None  # A_0..A_top, built once at the first n the bound leaves
-    for n in range(1, n_max + 1):
-        if g.kind == "sigma" and _exceeds_han_bound(abs_sq, n)[0]:
-            methods.add("han_bound")
-            continue
-        if n <= top:
-            a_polys = a_polys or series.a_poly_list(g, top)
-            if a_polys[n].evaluate(b) != 0:
-                methods.add("exact_evaluation")
-                continue
-        uncertified.append(n)
-    return _grid_point(0, b, methods, uncertified)
+    rows = series.a_poly_list(g, top) if reach < n_max else ()  # read past the bound only
+    return [
+        ("han_bound", lambda n: n <= reach),
+        ("exact_evaluation", lambda n: n <= top and rows[n].evaluate(b) != 0),
+    ]
+
+
+def _point_tests(g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig) -> list:
+    """The per-n chain at c as tests (method, n -> proves) in table order, from
+    facts computed once per point (see the module docstring).  Applicability
+    reads n only through exact evaluation's bound, so it is asked at n = 1.
+    ``translated_shift`` reads no n: the scan's all-n verdict stands for it."""
+    applicable = {method: applies(g, c, 1, config) for method, (applies, _) in _CHAIN.items()}
+    seen = {}  # (p, n below p, else p + n mod p) -> whether p has a witness there
+
+    def generic(n: int) -> bool:
+        for p in config.primes:
+            key = (p, n if n < p else p + n % p)
+            if key not in seen:
+                try:
+                    seen[key] = _generic_witness(g, c, key[1], p, config.seed) is not None
+                except TableExhaustedError:
+                    seen[key] = False
+            if seen[key]:
+                return True
+        return False
+
+    def exact(n: int) -> bool:
+        try:
+            return n <= config.exact_eval_bound and certify_exact(g, c, n).proven
+        except TableExhaustedError:
+            return False
+
+    tests = {"generic_obstruction": generic, "exact_evaluation": exact}
+    if applicable["han_bound"]:
+        reach = _han_reach(abs_sq_lower_bound(c))
+        tests["han_bound"] = lambda n: n <= reach
+    if applicable["gaussian_sigma"]:
+        # The criterion reads n through n mod 7 alone: one certificate per class.
+        proven = [certify_theorem_gaussian_sigma(g, c, r or 7).proven for r in range(7)]
+        tests["gaussian_sigma"] = lambda n: proven[n % 7]
+    if applicable["not_ramified"]:
+        bound = config.not_ramified_prime_bound
+        primes = [p for p, *_ in _unramified_witnesses(g, c, min(bound, g.n_max or bound))]
+
+        def not_ramified(n: int) -> bool:
+            for p in primes:
+                if n % p < 2:
+                    return True
+            return False
+
+        tests["not_ramified"] = not_ramified
+    return [(method, tests[method]) for method in _CHAIN if applicable[method] and method in tests]
 
 
 def scan_grid(
@@ -861,22 +919,14 @@ def scan_grid(
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             if a == 0:
-                points.append(_scan_rational_integer(g, b, n_max))
+                points.append(_grid_point(a, b, _rational_integer_tests(g, b, n_max), n_max))
                 continue
             c = make(a, b)
             cert = certify_all_n(g, c, config)
             if cert.proven:
                 points.append(GridPoint(a, b, STATUS_ALL_N, (cert.method,), ()))
                 continue
-            methods = set()
-            uncertified = []
-            for n in range(1, n_max + 1):
-                per_n = certify(g, c, n, config)
-                if per_n.proven:
-                    methods.add(per_n.method)
-                else:
-                    uncertified.append(n)
-            points.append(_grid_point(a, b, methods, uncertified))
+            points.append(_grid_point(a, b, _point_tests(g, c, config), n_max))
     return GridResult(
         g_name=g.name,
         kind=kind,

@@ -19,6 +19,9 @@ result for result, against the route kept here:
 * ``periodic_residues``: the periodic obstruction in membership form, the
   residues r mod p where one prime rules out every n = r mod p; the
   closed-form criteria and the genuine-root corpus are checked against it;
+* ``scan_grid_per_n``: the grid scan that runs the whole strategy chain,
+  one certificate per (point, n), against ``scan_grid``, which decides each
+  n by its class from facts computed once per point;
 * ``zmija_order_six``: the raw order criterion mod 11, against the degree
   rule of ``check_zmija_conditions``;
 * ``evaluate_at_quadratic`` and ``evaluate_at_cyclotomic``: evaluation in
@@ -46,7 +49,10 @@ from darcais import (
     reduce_mod,
 )
 from darcais.arith import divisors, prime_factors, require_prime, require_quadratic_d
+from darcais.certify import DEFAULT_CONFIG, GridPoint, GridResult, certify, certify_all_n
+from darcais.numfield import candidate_family
 from darcais.polymod import ModPoly, poly_gcd, pow_mod
+from darcais.series import a_poly_list
 
 
 def a_poly_list_rows(g, n: int) -> list[IntPoly]:
@@ -214,6 +220,45 @@ def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
     coprime = [q for q, _ in factor(reduce_mod(f, p), seed=seed).factors
                if not q.divides(bracket)]
     return frozenset(r for r in range(p) if any(not q.divides(a_r[r]) for q in coprime))
+
+
+def scan_grid_per_n(g, kind: str, a_range, b_range, n_max: int, config=DEFAULT_CONFIG):
+    """``scan_grid`` by one ``certify`` call per (point, n) once
+    ``certify_all_n`` is inconclusive; a point with a = 0 tries the absolute
+    bound (sigma only) and then exact evaluation at b, for each n."""
+    if n_max < 1:
+        raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
+    make = candidate_family(kind)
+    han_c_sq = Fraction(97226, 10000) ** 2
+    points = []
+    for a in range(a_range[0], a_range[1] + 1):
+        for b in range(b_range[0], b_range[1] + 1):
+            methods, uncertified = set(), []
+            if a == 0:
+                top = n_max if g.n_max is None else min(n_max, g.n_max)
+                for n in range(1, n_max + 1):
+                    if g.kind == "sigma" and b * b > han_c_sq * (n - 1) ** 2:
+                        methods.add("han_bound")
+                    elif n <= top and a_poly_list(g, top)[n].evaluate(b) != 0:
+                        methods.add("exact_evaluation")
+                    else:
+                        uncertified.append(n)
+            else:
+                c = make(a, b)
+                cert = certify_all_n(g, c, config)
+                if cert.proven:
+                    points.append(GridPoint(a, b, "all_n", (cert.method,), ()))
+                    continue
+                for n in range(1, n_max + 1):
+                    per_n = certify(g, c, n, config)
+                    if per_n.proven:
+                        methods.add(per_n.method)
+                    else:
+                        uncertified.append(n)
+            status = "up_to_nmax" if not uncertified else "partial" if methods else "unknown"
+            points.append(GridPoint(a, b, status, tuple(sorted(methods)), tuple(uncertified)))
+    return GridResult(g_name=g.name, kind=kind, a_range=tuple(a_range), b_range=tuple(b_range),
+                      n_max=n_max, config=config, points=tuple(points))
 
 
 _ZMIJA_EXPONENT = 11**6 - 1

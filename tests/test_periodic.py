@@ -10,6 +10,10 @@ three things:
 * it never covers a genuine root from ``tests/data/genuine_roots.json``,
   and that corpus does catch a variant that skips the q-coprime-to-B step;
 * each closed-form proof of ``certify`` is a periodic proof at its prime.
+
+The scan's generic test decides n >= p by the class of n mod p (ROADMAP
+item 1, stage a, in membership form); its coverage per residue is held to
+the oracle, to the corpus and to the closed forms in the same way.
 """
 
 import importlib.util
@@ -17,12 +21,15 @@ import json
 from functools import lru_cache
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 from darcais import (
     ArithmeticFunction,
+    CertifyConfig,
     CyclotomicShift,
     IntPoly,
     QuadraticShift,
+    TableExhaustedError,
     a_poly_mod,
     certify,
     certify_all_n,
@@ -34,6 +41,7 @@ from darcais import (
     reduce_mod,
 )
 from darcais.arith import primes_up_to
+from darcais.certify import DEFAULT_CONFIG, _generic_witness, _point_tests
 from darcais.series import a_poly_list
 
 from conftest import random_table
@@ -73,6 +81,23 @@ def residues_ignoring_bracket(g, f: IntPoly, p: int) -> frozenset[int]:
     return frozenset(
         r for r in range(p) if any(not q.divides(a_poly_mod(g, r, p)) for q in factors)
     )
+
+
+def library_residues(g, f: IntPoly, p: int) -> frozenset[int]:
+    """Residues r mod p where the library's generic witness at n = p + r,
+    which the scan reads for every n >= p in the class of r, exists."""
+    root_of_f = SimpleNamespace(min_poly=f)  # the witness reads the candidate's min_poly only
+    try:
+        return frozenset(r for r in range(p) if _generic_witness(g, root_of_f, p + r, p, 0))
+    except TableExhaustedError:
+        return frozenset()
+
+
+def scan_test(g, c, p: int):
+    """The scan's generic-obstruction test at c with p as the only prime."""
+    (test,) = [t for m, t in _point_tests(g, c, CertifyConfig(primes=(p,)))
+               if m == "generic_obstruction"]
+    return test
 
 
 def covered_roots(residues) -> list[tuple[str, int, IntPoly, int]]:
@@ -134,6 +159,9 @@ class TestGenuineRootCorpus:
     def test_periodic_residues_cover_no_root(self):
         assert covered_roots(periodic_residues) == []
 
+    def test_library_coverage_covers_no_root(self):
+        assert covered_roots(library_residues) == []
+
     def test_catches_the_variant_without_the_bracket_step(self):
         assert len(covered_roots(residues_ignoring_bracket)) > 0
 
@@ -180,6 +208,27 @@ class TestPeriodicResiduesAreSound:
         assert checks > 2000
 
 
+class TestLibraryCoverageIsTheOracle:
+    # Sigma, the identity, three seeded tables and one that stops short of
+    # the primes 11 and 13, where neither side covers anything.
+    GS = (*SOUND_GS[:2], *(random_table(seed, 40, -20, 20) for seed in (2, 4, 6)),
+          random_table(8, 8, -20, 20))
+
+    def test_per_residue_at_every_configured_prime(self):
+        covered = 0
+        for g in self.GS:
+            for c in SOUND_CANDIDATES:
+                for p in DEFAULT_CONFIG.primes:
+                    want = periodic_residues(g, c.min_poly, p)
+                    assert library_residues(g, c.min_poly, p) == want, (g.name, c, p)
+                    test = scan_test(g, c, p)
+                    for r in range(p):
+                        got = {test(n) for n in (p + r, 7 * p + r, 10**6 * p + r, 10**12 * p + r)}
+                        assert got == {r in want}, (g.name, c, p, r)
+                    covered += len(want)
+        assert covered > 3000
+
+
 # ROADMAP item 3, step 1, in residue-class form; the per-n form is
 # test_certify.TestClosedFormsAreGenericProofs.
 CLOSED_FORM_GS = (
@@ -200,7 +249,11 @@ CLOSED_FORM_CYCS = tuple(
 
 @lru_cache(maxsize=None)
 def residues(g, c, p: int) -> frozenset[int]:
-    return periodic_residues(g, c.min_poly, p)
+    """The oracle's coverage at p, checked against the scan's generic test."""
+    want = periodic_residues(g, c.min_poly, p)
+    test = scan_test(g, c, p)
+    assert frozenset(r for r in range(p) if test(p + r)) == want, (g.name, c, p)
+    return want
 
 
 class TestClosedFormsArePeriodicProofs:

@@ -1,0 +1,137 @@
+"""``scan_grid`` decides each n from facts computed once per point.
+
+The scan asks the strategy chain's methods in table order, as ``certify``
+does, but reads each answer from a threshold in n, a residue of n or a memo
+keyed by the class of n, instead of building a certificate per n.  These
+tests hold it to the per-n route it replaced:
+
+* the scan's JSON bytes equal those of ``oracles.scan_grid_per_n``, which
+  runs ``certify`` for every (point, n);
+* each method's per-point test equals ``.proven`` of the certificate its
+  chain entry builds, for every n <= 60;
+* a scan runs the all-n criterion once per point and never ``certify`` or
+  ``certify_generic``.
+"""
+
+import importlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from darcais import (
+    ArithmeticFunction,
+    QuadraticShift,
+    TableExhaustedError,
+    certify_han_bound,
+    scan_grid,
+)
+from darcais.certify import (
+    _CHAIN,
+    _HAN_C_SQ,
+    DEFAULT_CONFIG,
+    _han_reach,
+    _point_tests,
+    abs_sq_lower_bound,
+)
+
+from conftest import random_table
+from oracles import scan_grid_per_n
+from test_periodic import CLOSED_FORM_CYCS, CLOSED_FORM_GS, CLOSED_FORM_QUADS
+
+# The 8-entry table reaches below the primes 11 and 13 and below n_max.
+SCAN_GS = (
+    ArithmeticFunction.sigma(),
+    ArithmeticFunction.identity(),
+    random_table(11, 40, -20, 20),
+    random_table(12, 8, -20, 20),
+)
+SCAN_KINDS = ("gauss", "quad:-2", "quad:-17", "quad:-3", "quad:5", "cyc:5", "cyc:8", "cyc:12")
+
+
+def scan_bytes(scan, g, kind, a_range, b_range, n_max) -> str:
+    return json.dumps(scan(g, kind, a_range, b_range, n_max).to_json_dict(), sort_keys=True)
+
+
+class TestScanMatchesThePerNChain:
+    @pytest.mark.parametrize("g", SCAN_GS, ids=lambda g: g.name)
+    def test_small_rectangles(self, g):
+        for kind in SCAN_KINDS:
+            for n_max in (1, 7, 50):
+                args = (g, kind, (-1, 3), (-3, 3), n_max)
+                assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
+                    g.name, kind, n_max)
+
+    def test_deep_quadratic_scan(self, sigma_g):
+        args = (sigma_g, "quad:-2", (1, 4), (-4, 4), 400)
+        assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args)
+
+
+def chain_proves(method: str, g, c, n: int) -> bool:
+    """``.proven`` of the certificate the chain entry builds; a method the
+    chain skips with ``TableExhaustedError`` does not prove."""
+    try:
+        return _CHAIN[method][1](g, c, n, DEFAULT_CONFIG).proven
+    except TableExhaustedError:
+        return False
+
+
+class TestPointTestsMatchTheCertificates:
+    @pytest.mark.parametrize("g", CLOSED_FORM_GS, ids=lambda g: g.name)
+    def test_each_method_up_to_60(self, g):
+        asked = set()
+        for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
+            tests = _point_tests(g, c, DEFAULT_CONFIG)
+            applicable = [m for m, (applies, _) in _CHAIN.items()
+                          if applies(g, c, 1, DEFAULT_CONFIG)]
+            # translated_shift reads no n; the scan has its all-n verdict.
+            assert [m for m, _ in tests] == [m for m in applicable if m != "translated_shift"]
+            for method, proves in tests:
+                asked.add(method)
+                applies = _CHAIN[method][0]
+                for n in range(1, 61):
+                    want = applies(g, c, n, DEFAULT_CONFIG) and chain_proves(method, g, c, n)
+                    assert proves(n) == want, (g.name, c, method, n)
+        assert asked >= {"generic_obstruction", "exact_evaluation", "not_ramified"}
+
+    def test_han_reach_is_the_bound_of_the_certificate(self, sigma_g):
+        # (9.7226 * k)**2 itself sits on the boundary: it proves n = k, not k + 1.
+        eps = Fraction(1, 10**9)
+        rng = random.Random(0)
+        samples = [Fraction(0), eps]
+        samples += [_HAN_C_SQ * k * k + d for k in range(1, 8) for d in (-eps, 0, eps)]
+        samples += [Fraction(rng.randrange(10**6), rng.randrange(1, 10**3)) for _ in range(300)]
+        for abs_sq in samples:
+            # The bound weakens as n grows, so it holds at n = 1..reach.
+            reach = _han_reach(abs_sq)
+            assert reach == 0 or abs_sq > _HAN_C_SQ * (reach - 1) ** 2, abs_sq
+            assert not abs_sq > _HAN_C_SQ * reach**2, abs_sq
+        assert [_han_reach(_HAN_C_SQ * k * k) for k in range(1, 8)] == list(range(1, 8))
+        c = QuadraticShift.gaussian(40, 3)
+        reach = _han_reach(abs_sq_lower_bound(c))
+        assert reach > 1
+        proven = [certify_han_bound(sigma_g, c, n).proven for n in (reach, reach + 1)]
+        assert proven == [True, False]
+
+
+class TestScanRunsNoPerNChain:
+    def test_call_counts(self, monkeypatch):
+        # Counted through the module globals, which the chain calls.
+        certify_module = importlib.import_module("darcais.certify")
+        calls = {"certify_theorem_translated": 0, "certify": 0, "certify_generic": 0}
+        for name in calls:
+            original = getattr(certify_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(certify_module, name, counted)
+        points = 0
+        for g in SCAN_GS:
+            for kind in SCAN_KINDS:
+                grid = scan_grid(g, kind, (-1, 3), (-3, 3), 30)
+                points += sum(1 for pt in grid.points if pt.a != 0)
+        assert 0 < calls["certify_theorem_translated"] <= points
+        assert calls["certify"] == calls["certify_generic"] == 0
