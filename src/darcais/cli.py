@@ -136,6 +136,14 @@ def _check_flag_defaults(config: dict) -> None:
         raise DomainError(f"config key 'format' must be one of {_FORMATS}")
 
 
+def _check_bounds(args) -> None:
+    """The bounds are counts, whether set by flag or by config file."""
+    for key in ("exact_eval_bound", "not_ramified_bound", "oracle_bound"):
+        if (value := getattr(args, key)) < 0:
+            flag = "--" + key.replace("_", "-")
+            raise DomainError(f"{flag} (config key {key!r}) must be >= 0, got {value}")
+
+
 def _add_common(parser: argparse.ArgumentParser, command: str, defaults: dict) -> None:
     """Add the common flags ``command`` reads; the others only set defaults."""
     for key, (_, options, readers) in _COMMON_FLAGS.items():
@@ -402,6 +410,7 @@ def main(argv=None) -> int:
     try:
         if "\0" in args.g + (args.out or ""):
             raise DomainError("a file name cannot hold a NUL byte")
+        _check_bounds(args)
         g = _load_g(args.g) if args.command in _COMMON_FLAGS["g"][2] else None
         return _COMMANDS[args.command](args, g)
     except TableExhaustedError as exc:

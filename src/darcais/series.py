@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import factorial, gcd
 from operator import mul
 from typing import Iterator
@@ -261,18 +261,52 @@ def tau(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _routh(coeffs: list[int], bits: int | None) -> bool | None:
+    """Routh table of sum coeffs[i] X**i with c_d > 0: True iff every pivot
+    is > 0, False if one is <= 0, None if ``bits`` left a pivot's sign open.
+
+    A row is a pair (lo, hi) enclosing a positive multiple of the rational
+    table's row, so every sign agrees with that table.  While lo is hi the
+    row is exact: pivot*prev[1:] - prev[0]*cur[1:], divided by its content,
+    is alpha*beta*pivot times the rational row if prev and cur are alpha
+    and beta times theirs, as each pivot is shown > 0 before it is used.
+    Once an entry passes ``bits`` (never if None), both ends are shifted
+    right by one power of two, lo rounded down and hi up, and each update
+    multiplies the two pivots, both > 0, by the end that bounds each
+    product.  A zero pivot, an all-zero row included, reports False (a root
+    on or right of the imaginary axis) rather than being perturbed away.
+    """
+    d = len(coeffs) - 1
+    plo = phi = coeffs[d::-2]  # row for degree d:   c_d, c_{d-2}, ...
+    lo = hi = coeffs[d - 1 :: -2]  # row for degree d-1: c_{d-1}, c_{d-3}, ...
+    while True:
+        if hi[0] <= 0:
+            return False
+        if lo[0] <= 0:
+            return None
+        if len(plo) == 1:  # lo is row d, the last
+            return True
+        x, xh, y, yh = lo[0], hi[0], plo[0], phi[0]
+        nlo = [(x if p >= 0 else xh) * p - (yh if c >= 0 else y) * c
+               for p, c in zip_longest(plo[1:], hi[1:], fillvalue=0)]
+        if lo is hi:  # then prev is exact too
+            content = gcd(*nlo) or 1
+            nlo = nhi = [c // content for c in nlo]
+        else:
+            nhi = [(xh if p >= 0 else x) * p - (y if c >= 0 else yh) * c
+                   for p, c in zip_longest(phi[1:], lo[1:], fillvalue=0)]
+        if bits is not None and (s := max(max(nhi), -min(nlo)).bit_length() - bits) > 0:
+            nlo, nhi = [c >> s for c in nlo], [-(-c >> s) for c in nhi]
+        plo, phi, lo, hi = lo, hi, nlo, nhi
+
+
 def hurwitz_check(p: IntPoly) -> bool:
     """True iff every root of p has strictly negative real part.
 
-    Decided by a fraction-free Routh table over Z, so A_n/X answers for
-    P_n/X, its positive multiple by 1/n!.  Each new row pivot*prev[1:] -
-    prev[0]*cur[1:] is divided by its positive content.  Since pivot > 0
-    is checked first, each integer row is by induction a positive multiple
-    of the rational table's row (alpha*beta*pivot times it, if prev and cur
-    are alpha and beta times theirs), so every sign and zero test agrees
-    with that table.  A zero pivot or an all-zero row reports False (a
-    root on or right of the imaginary axis) rather than being perturbed
-    away.
+    Decided by ``_routh`` over Z, so A_n/X answers for P_n/X, its positive
+    multiple by 1/n!: first with rows cut to 8*deg + 64 bits, which decides
+    sigma and the identity to n = 120 at least, and exactly only if that
+    leaves a pivot's sign open.
     """
     if p.is_zero:
         raise DomainError("the zero polynomial has no stability type")
@@ -285,18 +319,5 @@ def hurwitz_check(p: IntPoly) -> bool:
     # All coefficients strictly positive is necessary for real polynomials.
     if any(c <= 0 for c in coeffs):
         return False
-    prev = coeffs[d::-2]  # row for degree d:   c_d, c_{d-2}, ...
-    cur = coeffs[d - 1 :: -2]  # row for degree d-1: c_{d-1}, c_{d-3}, ...
-    for _ in range(d - 1):
-        if not any(cur):
-            return False  # all-zero row: roots placed symmetrically about 0
-        pivot = cur[0]
-        if pivot <= 0:
-            return False  # zero pivot with a nonzero row, or a sign change
-        nxt = [
-            pivot * prev[j] - prev[0] * (cur[j] if j < len(cur) else 0)
-            for j in range(1, len(prev))
-        ]
-        content = gcd(*nxt) or 1  # an all-zero row ends the table next round
-        prev, cur = cur, [c // content for c in nxt]
-    return bool(cur) and cur[0] > 0
+    verdict = _routh(coeffs, 8 * d + 64)
+    return _routh(coeffs, None) if verdict is None else verdict

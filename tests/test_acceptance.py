@@ -29,6 +29,7 @@ from darcais import (
 )
 from darcais.numfield import CyclotomicShift, QuadraticShift
 from darcais.polymod import ModPoly
+from darcais.series import a_poly_list
 
 from conftest import SIGMA_FACTORED, expand_product, random_table
 from oracles import (
@@ -195,7 +196,8 @@ def test_ac09_cyclotomic_nonroot_spot_check():
 def test_ac10_hurwitz_exploration():
     with budget("AC-10 Hurwitz exploration", 60):
         # A_n/X = n! * P_n/X, a positive multiple with the same roots.
-        reduced = {n: IntPoly(a_poly(SIGMA, n).coeffs[1:]) for n in range(1, 31)}
+        rows = a_poly_list(SIGMA, 120)
+        reduced = {n: IntPoly(rows[n].coeffs[1:]) for n in range(1, 121)}
         failures = [n for n, h in reduced.items() if not hurwitz_check(h)]
         if failures:
             pytest.fail(

@@ -482,6 +482,23 @@ class TestInputPathsExitTwo:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "at most 1000000" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(("certify", "--candidate", "cyc:8,2,1", "--n", "3"), "exact_eval_bound"),
+         (("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "3"), "not_ramified_bound"),
+         (("poly", "0", "--oracle"), "oracle_bound")],
+        ids=["exact-eval-bound", "not-ramified-bound", "oracle-bound"],
+    )
+    def test_negative_bound(self, capsys, tmp_path, monkeypatch, argv, key):
+        flag = "--" + key.replace("_", "-")
+        want = f"error: {flag} (config key '{key}') must be >= 0, got -1\n"
+        assert run(capsys, *argv, flag, "-1") == (2, "", want)
+        assert run(capsys, *argv, flag, "0")[0] == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: -1}))
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        assert run(capsys, *argv) == (2, "", want)
+
     def test_valid_env_config_still_accepted(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 7, "primes": "5,7", "format": "json"}')

@@ -24,7 +24,7 @@ from darcais import (
 )
 from darcais import arith, series
 from darcais.numfield import min_poly_quadratic_shift
-from darcais.series import _partitions, _square_truncated, a_poly_list
+from darcais.series import _partitions, _routh, _square_truncated, a_poly_list
 
 from conftest import SIGMA_FACTORED, clear_library_caches, expand_product, random_table
 from oracles import (
@@ -600,6 +600,61 @@ class TestHurwitzOracle:
         assert hurwitz_outcome(hurwitz_check, p) == hurwitz_outcome(
             hurwitz_check_fraction, coeffs
         )
+
+
+def routh_sweep(seed: int, count: int) -> list[list[int]]:
+    """Integer polynomials (constant first, leading coefficient > 0) of
+    degree 1..12: random coefficients, a third of those of both signs, and
+    products of random linear and quadratic factors, whose tables hold
+    zero and near-zero pivots."""
+    rng = random.Random(seed)
+    polys = []
+    while len(polys) < count:
+        degree, k = rng.randint(1, 12), rng.choice((3, 30, 1000))
+        if rng.random() < 0.5:
+            low = rng.choice((-k, 1, 1))
+            polys.append([rng.randint(low, k) for _ in range(degree)] + [rng.randint(1, k)])
+            continue
+        factors = []
+        while sum(len(f) - 1 for f in factors) < degree:
+            factors.append(rng.choice(((rng.randint(1, 9), 1),
+                                       (rng.randint(1, 30), rng.randint(-1, 3), 1))))
+        polys.append(list(expand_product(factors).coeffs))
+    return polys
+
+
+class TestRouthIntervals:
+    def test_toy_precision_is_sound(self):
+        # Rows cut to a few bits decide little, so an endpoint rounded the
+        # wrong way shows as a wrong answer: flooring hi gives hundreds here.
+        examples = [[1, 1, 1, 1], [2, 2, 1, 1], [6, 2, 3, 1], [2, 2, 3, 1, 1], [1, 2, 2, 1, 1],
+                    [3, 1], [1, 0, 1]]
+        decided = total = 0
+        for coeffs in examples + routh_sweep(21, 2000):
+            want = _routh(coeffs, None)
+            for bits in (2, 4, 8, 16):
+                got = _routh(coeffs, bits)
+                assert got in (None, want), (coeffs, bits)
+                decided += got is not None
+                total += 1
+        assert decided > total // 2
+
+    def test_production_precision_never_needs_the_exact_table(self, sigma_g, identity_g,
+                                                              monkeypatch):
+        calls = []
+
+        def spy(coeffs, bits):
+            verdict = _routh(coeffs, bits)
+            calls.append((coeffs, bits, verdict))
+            return verdict
+
+        monkeypatch.setattr(series, "_routh", spy)
+        for g in (sigma_g, identity_g):
+            for h in a_poly_list(g, 80)[1:]:
+                assert hurwitz_check(IntPoly(h.coeffs[1:])) is True
+        assert len(calls) == 2 * 79  # A_1/X is a constant
+        for coeffs, bits, verdict in calls:
+            assert bits is not None and verdict is _routh(coeffs, None), len(coeffs)
 
 
 class TestTauCongruences:
