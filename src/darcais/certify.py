@@ -24,9 +24,9 @@ table; when no method proves anything the result has method ``"none"``.
 per n, from facts computed once per point: a threshold in n, a case of n
 mod 7, witness primes p against n mod p, and a generic witness at p per
 class of n (n below p, p + n mod p from p on, as A_n = A_r * B**l mod p);
-only ``exact_evaluation`` runs per n.  A method that would raise
-``TableExhaustedError`` does not prove.  So past O(n_max) lookups per
-point, the cost of a scan does not depend on n_max.
+only ``exact_evaluation`` runs per n, on rows held by the scan.  A method
+that would raise ``TableExhaustedError`` does not prove.  So past O(n_max)
+lookups per point, the cost of a scan does not depend on n_max.
 Every proven certificate carries enough recorded inputs (including seeds)
 to be re-derived bit for bit; ``verify_certificate`` does exactly that,
 under the g it is given.  Each method reads g and raises ``DomainError``
@@ -519,12 +519,13 @@ def certify_exact(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certi
     a nonzero remainder on the n-th integer D'Arcais polynomial.
 
     The candidate is a root exactly when f divides A_n; f is monic, so the
-    division runs over Z.  The evidence records the remainder (decimal
+    division runs over Z.  A_n is built alone (``series.a_poly``); a scan
+    holds its rows instead.  The evidence records the remainder (decimal
     strings, constant term first; empty at a root).
     """
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    remainder = series.a_poly_list(g, n)[n] % c.min_poly
+    remainder = series.a_poly(g, n) % c.min_poly
     return Certificate(
         g_name=g.name,
         candidate=c,
@@ -834,23 +835,36 @@ def _grid_point(a: int, b: int, tests: list, n_max: int) -> GridPoint:
     )
 
 
-def _rational_integer_tests(g: ArithmeticFunction, b: int, n_max: int) -> list:
-    """The absolute bound, then exact evaluation at the real-axis point b; an
-    n past the reach of g's table stays uncertified, as at a != 0."""
+def _held_rows(g: ArithmeticFunction):
+    """``row(n, upto)``: A_n for g from one held list, built as A_0..A_upto
+    (n <= upto) when n is past it.  A scan holds one for all its points."""
+    rows = []
+
+    def row(n: int, upto: int):
+        if n >= len(rows):
+            rows[:] = series.a_poly_list(g, upto)
+        return rows[n]
+
+    return row
+
+
+def _rational_integer_tests(g: ArithmeticFunction, b: int, n_max: int, row) -> list:
+    """The absolute bound, then exact evaluation at the real-axis point b of
+    ``row``; an n past the reach of g's table stays uncertified, as at a != 0."""
     reach = _han_reach(Fraction(b * b)) if g.kind == "sigma" else 0
     top = n_max if g.n_max is None else min(n_max, g.n_max)
-    rows = series.a_poly_list(g, top) if reach < n_max else ()  # read past the bound only
     return [
         ("han_bound", lambda n: n <= reach),
-        ("exact_evaluation", lambda n: n <= top and rows[n].evaluate(b) != 0),
+        ("exact_evaluation", lambda n: n <= top and row(n, top).evaluate(b) != 0),
     ]
 
 
-def _point_tests(g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig) -> list:
+def _point_tests(g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, row) -> list:
     """The per-n chain at c as tests (method, n -> proves) in table order, from
-    facts computed once per point (see the module docstring).  Applicability
-    reads n only through exact evaluation's bound, so it is asked at n = 1.
-    ``translated_shift`` reads no n: the scan's all-n verdict stands for it."""
+    facts computed once per point (see the module docstring) and ``row``.
+    Applicability reads n only through exact evaluation's bound, so it is
+    asked at n = 1.  ``translated_shift`` reads no n: the scan's all-n
+    verdict stands for it."""
     applicable = {method: applies(g, c, 1, config) for method, (applies, _) in _CHAIN.items()}
     seen = {}  # (p, n below p, else p + n mod p) -> whether p has a witness there
 
@@ -866,11 +880,10 @@ def _point_tests(g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyCo
                 return True
         return False
 
-    def exact(n: int) -> bool:
-        try:
-            return n <= config.exact_eval_bound and certify_exact(g, c, n).proven
-        except TableExhaustedError:
-            return False
+    last = config.exact_eval_bound if g.n_max is None else min(config.exact_eval_bound, g.n_max)
+
+    def exact(n: int) -> bool:  # certify_exact's verdict, past a table's reach too
+        return n <= last and not (row(n, last) % c.min_poly).is_zero
 
     tests = {"generic_obstruction": generic, "exact_evaluation": exact}
     if applicable["han_bound"]:
@@ -915,18 +928,21 @@ def scan_grid(
         if lo > hi:
             raise DomainError(f"scan_grid requires {name} LO <= HI, got {lo}:{hi}")
     make = candidate_family(kind)  # checks m or D even when every row has a = 0
+    # Off the real axis rows are read up to exact evaluation's bound, so only
+    # a real-axis row after such rows builds a second, longer list.
+    row = _held_rows(g)
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             if a == 0:
-                points.append(_grid_point(a, b, _rational_integer_tests(g, b, n_max), n_max))
+                points.append(_grid_point(a, b, _rational_integer_tests(g, b, n_max, row), n_max))
                 continue
             c = make(a, b)
             cert = certify_all_n(g, c, config)
             if cert.proven:
                 points.append(GridPoint(a, b, STATUS_ALL_N, (cert.method,), ()))
                 continue
-            points.append(_grid_point(a, b, _point_tests(g, c, config), n_max))
+            points.append(_grid_point(a, b, _point_tests(g, c, config, row), n_max))
     return GridResult(
         g_name=g.name,
         kind=kind,

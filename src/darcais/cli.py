@@ -117,8 +117,7 @@ _COMMON_FLAGS = {
                      {"type": int, "help": "cap for the partition oracle"}, ("poly",)),
     "seed": (DEFAULT_CONFIG.seed,
              {"type": int, "help": "seed recorded into factorizations/certificates"}, _EVERY),
-    # csv joins the choices on scan, the one command with a CSV form.
-    "format": ("json", {"choices": ("json", "text")}, _EVERY),
+    "format": ("json", {}, _EVERY),  # choices: _format_choices
     "out": (None, {"help": "write output to FILE instead of stdout"}, _EVERY),
 }
 
@@ -132,16 +131,23 @@ def _check_flag_defaults(config: dict) -> None:
         want = int if isinstance(_COMMON_FLAGS[key][0], int) else str
         if type(value) is not want or (want is str and "\0" in value):
             raise DomainError(f"config key {key!r} does not take {value!r}")
-    if config.get("format", "json") not in _FORMATS:
-        raise DomainError(f"config key 'format' must be one of {_FORMATS}")
 
 
-def _check_bounds(args) -> None:
-    """The bounds are counts, whether set by flag or by config file."""
+def _format_choices(command: str) -> tuple[str, ...]:
+    """csv joins the formats on scan, the one command with a CSV form."""
+    return _FORMATS if command == "scan" else ("json", "text")
+
+
+def _check_config(args) -> None:
+    """The bounds are counts and the format is one the command writes,
+    whether set by flag or by config file."""
     for key in ("exact_eval_bound", "not_ramified_bound", "oracle_bound"):
         if (value := getattr(args, key)) < 0:
             flag = "--" + key.replace("_", "-")
             raise DomainError(f"{flag} (config key {key!r}) must be >= 0, got {value}")
+    if args.format not in (choices := _format_choices(args.command)):
+        raise DomainError(f"{args.command} writes --format (config key 'format') "
+                          f"{' or '.join(choices)}, not {args.format!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser, command: str, defaults: dict) -> None:
@@ -150,8 +156,8 @@ def _add_common(parser: argparse.ArgumentParser, command: str, defaults: dict) -
         if command not in readers:
             parser.set_defaults(**{key: defaults[key]})
             continue
-        if key == "format" and command == "scan":
-            options = {**options, "choices": _FORMATS}
+        if key == "format":
+            options = {**options, "choices": _format_choices(command)}
         parser.add_argument("--" + key.replace("_", "-"), default=defaults[key], **options)
 
 
@@ -410,7 +416,7 @@ def main(argv=None) -> int:
     try:
         if "\0" in args.g + (args.out or ""):
             raise DomainError("a file name cannot hold a NUL byte")
-        _check_bounds(args)
+        _check_config(args)
         g = _load_g(args.g) if args.command in _COMMON_FLAGS["g"][2] else None
         return _COMMANDS[args.command](args, g)
     except TableExhaustedError as exc:

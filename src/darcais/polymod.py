@@ -298,8 +298,8 @@ def _split_index(
     """Write n = l*p + r with 0 <= r < p; return l, A_r mod p and the
     bracket B = X**p - g(p)*X (None when l = 0, so g(p) is read only then).
 
-    A_n = A_r * B**l mod p.  A_r is taken from the stored integer
-    recursion (``series.a_poly_list``); reduction mod p is a ring map, so this
+    A_n = A_r * B**l mod p.  A_r alone is built by the integer recursion
+    (``series.a_poly``) and reduced; reduction mod p is a ring map, so this
     is the recursion run over F_p.
     """
     _check_modulus(p)
@@ -308,7 +308,7 @@ def _split_index(
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
     bracket = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1]) if ell else None
-    return ell, reduce_mod(series.a_poly_list(g, r)[r], p), bracket
+    return ell, reduce_mod(series.a_poly(g, r), p), bracket
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:
@@ -337,8 +337,8 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     """n-th integer D'Arcais polynomial for g, reduced mod p.
 
     A_n = A_r * B**l (see ``_split_index``), so only A_r is built over Z
-    (degree r < p, from the memoized recursion) and reduced; B**l is
-    written down from its binomial coefficients.
+    (degree r < p) and reduced; B**l is written down from its binomial
+    coefficients.
     """
     ell, a_r, bracket = _split_index(g, n, p)
     if not ell:

@@ -9,11 +9,10 @@ term for n >= 1.  Two independent routes are provided:
   coefficients at a time, from E*F' = X*N*F for the generating function F
   (``_log_derivative_form``).  A_0..A_n costs O(n^2.5) small-by-big
   products for sigma, whose E is Euler's pentagonal series, O(n^2) for the
-  identity and O(n^3) for a table.  Only ``a_poly_list`` keeps
-  rows, in the store ``_a_cache``; callers that reuse rows call it
-  (``certify_exact`` for n = 1, 2, ... per scanned point, ``polymod`` for
-  A_r, r < p, ``hurwitz``, the real-axis scan row).  ``a_poly`` gives a
-  stored row or A_n alone from two columns;
+  identity and O(n^3) for a table.  ``a_poly_list`` returns A_0..A_n and
+  ``a_poly`` A_n alone from two columns; the module keeps no rows, so a
+  caller that reuses rows holds the list it asked for (``hurwitz`` and
+  ``certify.scan_grid`` each build one);
 * ``a_poly_oracle``- a sum over integer partitions, exact but exponential.
 
 The oracle exists so the recursion can be cross-checked (``poly
@@ -22,7 +21,6 @@ The oracle exists so the recursion can be cross-checked (``poly
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, zip_longest
@@ -34,19 +32,7 @@ from .arith import ArithmeticFunction
 from .errors import DomainError
 from .polynomial import IntPoly
 
-_cache_lock = threading.Lock()
-_a_cache: dict[ArithmeticFunction, list[IntPoly]] = {}
-
 DEFAULT_ORACLE_BOUND = 25
-
-
-def _stored_rows(g: ArithmeticFunction, n: int) -> list[IntPoly]:
-    """The rows A_0.. stored for g, once n and g's reach are checked."""
-    if n < 0:
-        raise DomainError(f"D'Arcais polynomials need n >= 0, got {n}")
-    g.require_up_to(max(n, 1))
-    with _cache_lock:
-        return _a_cache.get(g) or [IntPoly.one()]
 
 
 def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
@@ -82,9 +68,10 @@ def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
     return [prefixes[bisect_right(support, t)] for t in range(n + 1)]
 
 
-def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Iterator[list[int]]:
+def _scaled_columns(g: ArithmeticFunction, n: int) -> Iterator[list[int]]:
     """The columns u_1..u_n of B_j = A_j * n!/j! = n! * P_j: u_d[j] is the
-    coefficient of X**d in B_j.
+    coefficient of X**d in B_j.  n and g's reach are checked before the
+    first column.
 
     F = sum_j P_j q**j = exp(X*S) solves E*F' = X*N*F for the (N, E) of
     ``_log_derivative_form``; at q**(j-1) and X**d, scaled by n!, this reads
@@ -95,9 +82,11 @@ def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Itera
     adds entries already there, and is divided by j once it is complete.
     When E != 1, both sums read only the nonzero terms of N and E, and the
     E sum is one sum per value of E; when E = 1 (a table), the N sum is one
-    dot product per entry.  Entries of the given rows A_0.. are rescaled,
-    not recomputed.
+    dot product per entry.
     """
+    if n < 0:
+        raise DomainError(f"D'Arcais polynomials need n >= 0, got {n}")
+    g.require_up_to(max(n, 1))
     N, E = _log_derivative_form(g, n)
     e_groups = [(v, _back_offsets([i for i in range(1, n) if E[i] == v], n))
                 for v in set(E[1:]) - {0}]  # u_d[j-i], 1 <= i <= j-d
@@ -107,16 +96,14 @@ def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Itera
         n_offsets = _back_offsets([i + 1 for i in n_support], n)  # u_{d-1}[j-1-i], i <= j-d
     else:
         n_desc = N[::-1]  # N[n-1], ..., N[0]
-    known = len(rows)
     scale = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]  # scale[j] = n!/j!
     prev = [scale[0]] + [0] * n  # u_0: B_0 = n!, and A_j(0) = 0 for j >= 1
     for d in range(1, n + 1):
-        start = max(d, known)
-        col = [0] * d + [j * rows[j].coeff(d) * scale[j] for j in range(d, start)]
+        col = [0] * d
         if e_groups:
-            past = prev[:start]  # u_{d-1}[0..j-1] at entry j
+            past = prev[:d]  # u_{d-1}[0..j-1] at entry j
             past_at, at = past.__getitem__, col.__getitem__
-            for j in range(start, n + 1):
+            for j in range(d, n + 1):
                 t = j - d
                 s = sum(map(mul, n_values, map(past_at, n_offsets[t + 1])))
                 for v, offsets in e_groups:
@@ -125,7 +112,7 @@ def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Itera
                 past.append(prev[j])
         else:
             col += [sum(map(mul, n_desc[n - 1 - j + d :], prev[d - 1 : j]))
-                    for j in range(start, n + 1)]
+                    for j in range(d, n + 1)]
         for j in range(d, n + 1):
             col[j] //= j
         yield col
@@ -133,32 +120,20 @@ def _scaled_columns(g: ArithmeticFunction, n: int, rows: list[IntPoly]) -> Itera
 
 
 def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
-    """The integer D'Arcais polynomials A_0..A_n for g, read from or added
-    to the store: A_j has coefficient u_d[j] // (n!/j!) of X**d."""
-    polys = _stored_rows(g, n)
-    known = len(polys)
-    if known > n:
-        return polys[: n + 1]
-    # Extend outside the lock; only the final publish is guarded.
+    """The integer D'Arcais polynomials A_0..A_n for g: A_j has coefficient
+    u_d[j] // (n!/j!) of X**d."""
     scale = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]
-    rows = [[0] for _ in range(known, n + 1)]  # coefficients of A_known..A_n
-    for d, col in enumerate(_scaled_columns(g, n, polys)):
-        for j in range(max(d + 1, known), n + 1):
-            rows[j - known].append(col[j] // scale[j])
-    polys = polys + [IntPoly(row) for row in rows]
-    with _cache_lock:
-        if len(_a_cache.get(g, ())) < len(polys):
-            _a_cache[g] = polys
-    return polys[: n + 1]
+    rows = [[1]] + [[0] for _ in range(n)]  # coefficients of A_0..A_n
+    for d, col in enumerate(_scaled_columns(g, n), 1):
+        for j in range(d, n + 1):
+            rows[j].append(col[j] // scale[j])
+    return [IntPoly(row) for row in rows]
 
 
 def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
-    """n-th integer D'Arcais polynomial: the stored row, else entry n (n!/n!
-    = 1) of each scaled column, two columns live and the store untouched."""
-    rows = _stored_rows(g, n)
-    if n < len(rows):
-        return rows[n]
-    return IntPoly([0] + [col[n] for col in _scaled_columns(g, n, rows)])
+    """n-th integer D'Arcais polynomial: entry n (n!/n! = 1) of each scaled
+    column u_0..u_n, with two columns live."""
+    return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
 
 
 def _partitions(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import importlib
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,14 @@ def clear_library_caches() -> None:
     """Empty every process-wide memo of the library, as in a fresh process."""
     for memo in library_memos().values():
         memo.cache_clear()
-    series._a_cache.clear()
+
+
+@pytest.fixture
+def held_a_poly(monkeypatch):
+    """``series.a_poly`` memoized for one test: a test that asks the one-shot
+    callers (``certify_exact``, ``polymod``'s A_r mod p) at every n of many
+    candidates holds its rows, as a scan does.  No value changes."""
+    monkeypatch.setattr(series, "a_poly", cache(series.a_poly))
 
 
 @pytest.fixture

@@ -214,7 +214,7 @@ def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
     """
     try:
         bracket = a_poly_mod(g, p, p)
-        a_r = [a_poly_mod(g, r, p) for r in range(p)]
+        a_r = [reduce_mod(a, p) for a in a_poly_list(g, p - 1)]
     except TableExhaustedError:
         return frozenset()
     coprime = [q for q, _ in factor(reduce_mod(f, p), seed=seed).factors
@@ -225,21 +225,23 @@ def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
 def scan_grid_per_n(g, kind: str, a_range, b_range, n_max: int, config=DEFAULT_CONFIG):
     """``scan_grid`` by one ``certify`` call per (point, n) once
     ``certify_all_n`` is inconclusive; a point with a = 0 tries the absolute
-    bound (sigma only) and then exact evaluation at b, for each n."""
+    bound (sigma only) and then exact evaluation at b, for each n, of one
+    list A_0..A_top built per scan."""
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
     make = candidate_family(kind)
     han_c_sq = Fraction(97226, 10000) ** 2
+    top = n_max if g.n_max is None else min(n_max, g.n_max)
+    rows = a_poly_list(g, top) if a_range[0] <= 0 <= a_range[1] else None
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             methods, uncertified = set(), []
             if a == 0:
-                top = n_max if g.n_max is None else min(n_max, g.n_max)
                 for n in range(1, n_max + 1):
                     if g.kind == "sigma" and b * b > han_c_sq * (n - 1) ** 2:
                         methods.add("han_bound")
-                    elif n <= top and a_poly_list(g, top)[n].evaluate(b) != 0:
+                    elif n <= top and rows[n].evaluate(b) != 0:
                         methods.add("exact_evaluation")
                     else:
                         uncertified.append(n)

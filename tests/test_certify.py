@@ -345,6 +345,7 @@ class TestGenericObstruction:
         assert cert.verdict == PROVEN and cert.witness_prime == 3
         assert verify_certificate(sigma_g, cert)
 
+    @pytest.mark.usefixtures("held_a_poly")
     def test_proofs_at_primes_dividing_a_agree_with_exact_evaluation(self):
         # Every generic proof at p in {2, 3} with p | a, where a prime
         # ideal above p need not match a factor of f mod p.
@@ -415,6 +416,7 @@ class TestExactEvaluation:
         cert = certify_exact(sigma_g, QuadraticShift.gaussian(1, 0), 2)
         assert cert.evidence == {"remainder": ["-1", "3"], "exact_zero": False}
 
+    @pytest.mark.usefixtures("held_a_poly")
     def test_remainder_agrees_with_evaluation(self):
         # Range: sigma, identity and three random tables; every n <= 30;
         # quadratic a*w_D + b for D in {-1, -2, 3, 5}, 0 < |a| <= 2,
@@ -438,10 +440,11 @@ class TestExactEvaluation:
         roots = set()
         checked = 0
         for g in ORACLE_GS:
+            rows = series.a_poly_list(g, 30)
             for c in candidates:
                 for n in range(1, 31):
                     cert = certify_exact(g, c, n)
-                    value = evaluate_at(a_poly(g, n), c)
+                    value = evaluate_at(rows[n], c)
                     remainder = IntPoly(int(v) for v in cert.evidence["remainder"])
                     assert evaluate_at(remainder, c) == value, (g.name, c, n)
                     assert cert.proven == any(value) == (not cert.evidence["exact_zero"])
@@ -868,12 +871,12 @@ class TestShortTables:
         assert grid.points[2:] == scan_grid(g, "gauss", (1, 1), (0, 1), 5).points
 
     def test_scan_real_axis_builds_the_polynomials_once_per_point(self, sigma_g):
-        # n = 1 falls to the absolute bound at b != 0; every later n reads
-        # one list A_0..A_20.
+        # n = 1 falls to the absolute bound at b != 0; every later n, at
+        # every point, reads one list A_0..A_20.
         clear_library_caches()
         with mock.patch.object(series, "a_poly_list", wraps=series.a_poly_list) as spy:
             grid = scan_grid(sigma_g, "gauss", (0, 0), (-3, 3), 20)
-        assert spy.call_args_list == [mock.call(sigma_g, 20)] * 7
+        assert spy.call_args_list == [mock.call(sigma_g, 20)]
         assert grid.points[4].methods == ("exact_evaluation", "han_bound")
 
 

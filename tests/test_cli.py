@@ -316,6 +316,18 @@ class TestOtherCommands:
         assert code == 0
         assert spy.call_args_list[0] == mock.call(ArithmeticFunction.sigma(), 12)
 
+    def test_scan_builds_one_list_for_every_point(self, capsys):
+        # With 2 the only prime, exact evaluation settles some n at each of
+        # the 78 points; all of them divide rows of one list A_0..A_30.
+        clear_library_caches()
+        with mock.patch.object(series, "a_poly_list", wraps=series.a_poly_list) as spy:
+            code, out, _ = run(capsys, "scan", "--kind=quad:-2", "--a-range=1:6",
+                               "--b-range=-6:6", "--n-max", "30", "--primes", "2")
+        points = json.loads(out)["grid"]["points"]
+        assert code == 0 and len(points) == 78
+        assert all("exact_evaluation" in pt["methods"] for pt in points)
+        assert spy.call_args_list == [mock.call(ArithmeticFunction.sigma(), 30)]
+
 
 class TestGLoading:
     def test_table_file(self, capsys, tmp_path):
@@ -343,7 +355,7 @@ class TestGLoading:
         table.write_text("1\n3\n")
         clear_library_caches()
         code, _, _ = run(capsys, "hurwitz", "--max", "2", "--g", f"table:{table}")
-        assert code == 0 and [len(rows) for rows in series._a_cache.values()] == [3]
+        assert code == 0
         code, out, err = run(capsys, "poly", "5", "--g", f"table:{table}")
         assert code == 3 and out == "" and "tabulated up to 2" in err
 
@@ -384,6 +396,30 @@ class TestEnvConfig:
         monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
         code, _, err = run(capsys, "poly", "2")
         assert code == 2 and "unknown config keys" in err
+
+    @pytest.mark.parametrize("argv", [("tau", "5"), ("poly", "2"), ("hurwitz", "--max", "3"),
+                                      ("minpoly", "--candidate", "quad:-1,1,0")])
+    def test_csv_config_is_refused_off_scan(self, capsys, tmp_path, monkeypatch, argv):
+        # As on the command line, where --format csv exits 2 off scan.
+        with pytest.raises(SystemExit) as flag:
+            main([*argv, "--format", "csv"])
+        assert flag.value.code == 2 and "invalid choice: 'csv'" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"format": "csv"}')
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]} writes --format (config key 'format') json or text, " \
+                      "not 'csv'\n"
+
+    def test_csv_config_keeps_scan_writing_csv(self, capsys, tmp_path, monkeypatch):
+        argv = ("scan", "--a-range=0:0", "--b-range=0:1", "--n-max", "3")
+        code, want, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and want.splitlines()[1] == "a,b,status,methods"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"format": "csv"}')
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        assert run(capsys, *argv) == (0, want, "")
 
 
 class TestInputPathsExitTwo:
@@ -601,11 +637,13 @@ class TestCommonFlags:
                        "exact_eval_bound": 30, "not_ramified_prime_bound": 50,
                        "seed": 0, "format": "json"},
         }
-        # A config file sets the keys a subcommand has no flag for as well.
+        # A config file sets the keys a subcommand has no flag for as well;
+        # only scan writes csv, and text carries no header.
+        fmt = "csv" if command == "scan" else "json"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"g": "identity", "primes": "5,7", "oracle_bound": 9,
                                    "exact_eval_bound": 12, "not_ramified_bound": 20,
-                                   "seed": 7, "format": "csv"}))
+                                   "seed": 7, "format": fmt}))
         monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
         code, out, _ = run(capsys, *self.INVOCATIONS[command])
         assert code in (0, 1)
@@ -613,7 +651,7 @@ class TestCommonFlags:
             "tool": "darcais", "version": __version__, "seed": 7,
             "config": {"g": "identity", "primes": [5, 7], "oracle_bound": 9,
                        "exact_eval_bound": 12, "not_ramified_prime_bound": 20,
-                       "seed": 7, "format": "csv"},
+                       "seed": 7, "format": fmt},
         }
 
     @pytest.mark.parametrize("command", ["tau", "minpoly", "split"])

@@ -41,7 +41,7 @@ from darcais import (
     reduce_mod,
 )
 from darcais.arith import primes_up_to
-from darcais.certify import DEFAULT_CONFIG, _generic_witness, _point_tests
+from darcais.certify import DEFAULT_CONFIG, _generic_witness, _held_rows, _point_tests
 from darcais.series import a_poly_list
 
 from conftest import random_table
@@ -95,7 +95,7 @@ def library_residues(g, f: IntPoly, p: int) -> frozenset[int]:
 
 def scan_test(g, c, p: int):
     """The scan's generic-obstruction test at c with p as the only prime."""
-    (test,) = [t for m, t in _point_tests(g, c, CertifyConfig(primes=(p,)))
+    (test,) = [t for m, t in _point_tests(g, c, CertifyConfig(primes=(p,)), _held_rows(g))
                if m == "generic_obstruction"]
     return test
 

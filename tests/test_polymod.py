@@ -445,6 +445,7 @@ class TestDividesAPolyMod:
     """Membership in ``factor_a_poly_mod``, the one route the generic
     obstruction takes, against division of the expanded A_n mod p."""
 
+    @pytest.mark.usefixtures("held_a_poly")
     def test_matches_division_of_the_full_polynomial(self):
         # Range: every monic irreducible of degree <= 2 mod p for p in
         # ORACLE_PRIMES; sigma, identity and three random tables; every

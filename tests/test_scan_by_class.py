@@ -32,6 +32,7 @@ from darcais.certify import (
     _HAN_C_SQ,
     DEFAULT_CONFIG,
     _han_reach,
+    _held_rows,
     _point_tests,
     abs_sq_lower_bound,
 )
@@ -79,10 +80,11 @@ def chain_proves(method: str, g, c, n: int) -> bool:
 
 class TestPointTestsMatchTheCertificates:
     @pytest.mark.parametrize("g", CLOSED_FORM_GS, ids=lambda g: g.name)
+    @pytest.mark.usefixtures("held_a_poly")
     def test_each_method_up_to_60(self, g):
-        asked = set()
+        asked, row = set(), _held_rows(g)  # one list for every candidate, as in a scan
         for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
-            tests = _point_tests(g, c, DEFAULT_CONFIG)
+            tests = _point_tests(g, c, DEFAULT_CONFIG, row)
             applicable = [m for m, (applies, _) in _CHAIN.items()
                           if applies(g, c, 1, DEFAULT_CONFIG)]
             # translated_shift reads no n; the scan has its all-n verdict.
