@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from . import arith, polymod, series
@@ -367,7 +366,6 @@ def certify_theorem_gaussian_sigma(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
 def _unramified_witnesses(
     g: ArithmeticFunction, c: QuadraticShift, bound: int
 ) -> tuple[tuple[int, int, int, int | None], ...]:

@@ -1,9 +1,14 @@
 """Command-line interface.
 
-Every run embeds its full configuration (g, primes, bounds, seed, tool
-version) in the output document, so identical invocations produce
+Each ``_cmd_*`` handler takes the parsed arguments and g and returns the
+run's body (a dict), its ``--format text`` form and its exit code; it
+writes nothing.  ``main`` alone turns a run into output: it builds the
+run header (g, primes, bounds, seed, tool version) before dispatch and
+``_write_run`` merges it into the body, so identical invocations produce
 byte-identical files.  Exit codes: 0 success (or proven), 1 inconclusive
-(or a notable finding), 2 usage/domain error, 3 table exhaustion.
+(or a notable finding), 2 usage/domain error, 3 table exhaustion.  The
+one ``except`` in ``main`` maps ``TableExhaustedError`` to 3 and
+``DomainError`` or ``OSError`` to 2, with an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -81,19 +86,20 @@ def _run_header(args) -> dict:
     }
 
 
-def _write(args, payload: str) -> None:
+def _write_run(args, header: dict, body: dict, text: str) -> None:
+    """The one writer: ``{**header, **body}`` as JSON, or ``text`` under
+    ``--format text``, or ``text`` after a ``# <header>`` line under csv."""
+    if args.format == "csv":
+        payload = f"# {json.dumps(header, sort_keys=True)}\n{text}"
+    elif args.format == "text":
+        payload = text if text.endswith("\n") else text + "\n"
+    else:
+        payload = json.dumps({**header, **body}, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload)
-
-
-def _emit(args, document: dict, text: str | None = None) -> None:
-    if args.format == "text" and text is not None:
-        _write(args, text if text.endswith("\n") else text + "\n")
-    else:
-        _write(args, json.dumps(document, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(payload)  # looked up per call: callers may swap sys.stdout
 
 
 # The common flags by config key: the default, the argparse options, and
@@ -224,7 +230,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise DomainError(f"malformed range {text!r}; expected LO:HI") from None
 
 
-def _cmd_poly(args, g) -> int:
+def _cmd_poly(args, g) -> tuple[dict, str, int]:
     if args.n < 0:
         raise DomainError(f"n must be >= 0, got {args.n}")
     if args.factor and args.mod is None:
@@ -233,25 +239,21 @@ def _cmd_poly(args, g) -> int:
         raise DomainError("--rational cannot be combined with --mod")
     if args.oracle and args.mod is not None:
         raise DomainError("--oracle cannot be combined with --mod")
-    header = _run_header(args)
     if args.mod is not None:
+        body = {"n": args.n, "mod": args.mod}
         if args.factor:
             fact = polymod.factor_a_poly_mod(g, args.n, args.mod, seed=args.seed)
-            doc = {**header, "n": args.n, "mod": args.mod,
-                   "factorization": fact.to_json_dict()}
             text = " * ".join(
                 f"({format_poly(p.coeffs)})" + (f"^{m}" if m > 1 else "")
                 for p, m in fact.factors
             ) or "1"
             if fact.unit != 1:
                 text = f"{fact.unit} * {text}"
-            _emit(args, doc, f"{text} (mod {args.mod})")
-        else:
-            reduced = polymod.a_poly_mod(g, args.n, args.mod)
-            doc = {**header, "n": args.n, "mod": args.mod,
-                   "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}}
-            _emit(args, doc, str(reduced))
-        return EXIT_OK
+            return ({**body, "factorization": fact.to_json_dict()},
+                    f"{text} (mod {args.mod})", EXIT_OK)
+        reduced = polymod.a_poly_mod(g, args.n, args.mod)
+        return ({**body, "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}},
+                str(reduced), EXIT_OK)
     if args.oracle:
         poly = series.a_poly_oracle(g, args.n, max_n=args.oracle_bound)
     else:
@@ -262,43 +264,38 @@ def _cmd_poly(args, g) -> int:
         text = format_poly(coeffs)
     else:
         doc, text = poly.to_json_dict(), str(poly)
-    _emit(args, {**header, "n": args.n, "poly": doc}, text)
-    return EXIT_OK
+    return {"n": args.n, "poly": doc}, text, EXIT_OK
 
 
-def _cmd_tau(args, g) -> int:
-    header = _run_header(args)
+def _cmd_tau(args, g) -> tuple[dict, str, int]:
     if args.max is not None:
         values = series.tau_list(args.max)
         zeros = [i + 1 for i, v in enumerate(values) if v == 0]
-        doc = {**header, "scanned_up_to": args.max, "zeros": zeros}
         text = "no zero found" if not zeros else f"zero at n = {zeros}"
-        _emit(args, doc, f"tau(1..{args.max}): {text}")
-        return EXIT_OK if not zeros else EXIT_INCONCLUSIVE
+        return ({"scanned_up_to": args.max, "zeros": zeros}, f"tau(1..{args.max}): {text}",
+                EXIT_OK if not zeros else EXIT_INCONCLUSIVE)
     if args.n is None:
         raise DomainError("tau needs an index or --max N")
     value = series.tau(args.n)
-    _emit(args, {**header, "n": args.n, "tau": str(value)}, str(value))
-    return EXIT_OK
+    return {"n": args.n, "tau": str(value)}, str(value), EXIT_OK
 
 
-def _cmd_certify(args, g) -> int:
+def _cmd_certify(args, g) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
     config = _config_from_args(args)
     if args.all_n:
         cert = certify_all_n(g, candidate, config)
     else:
         cert = run_certify(g, candidate, args.n, config)
-    doc = {**_run_header(args), "certificate": cert.to_json_dict()}
     text = (
         f"{cert.verdict} for {candidate.describe()} ({cert.scope.describe()})"
         f" via {cert.method}"
     )
-    _emit(args, doc, text)
-    return EXIT_OK if cert.proven else EXIT_INCONCLUSIVE
+    return ({"certificate": cert.to_json_dict()}, text,
+            EXIT_OK if cert.proven else EXIT_INCONCLUSIVE)
 
 
-def _cmd_scan(args, g) -> int:
+def _cmd_scan(args, g) -> tuple[dict, str, int]:
     config = _config_from_args(args)
     grid = scan_grid(
         g,
@@ -308,31 +305,24 @@ def _cmd_scan(args, g) -> int:
         args.n_max,
         config,
     )
-    if args.format == "csv":
-        header_line = json.dumps(_run_header(args), sort_keys=True)
-        _write(args, f"# {header_line}\n{grid.to_csv()}")
-    else:
-        _emit(args, {**_run_header(args), "grid": grid.to_json_dict()}, grid.to_csv())
-    return EXIT_OK
+    return {"grid": grid.to_json_dict()}, grid.to_csv(), EXIT_OK
 
 
-def _cmd_minpoly(args, g) -> int:
+def _cmd_minpoly(args, g) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
-    doc = {
-        **_run_header(args),
+    body = {
         "candidate": candidate.to_json_dict(),
         "degree": candidate.degree,
         "min_poly": candidate.min_poly.to_json_dict(),
         "index": str(candidate.index),
     }
-    _emit(args, doc, f"{candidate.describe()}: {candidate.min_poly}, index {candidate.index}")
-    return EXIT_OK
+    return (body, f"{candidate.describe()}: {candidate.min_poly}, index {candidate.index}",
+            EXIT_OK)
 
 
-def _cmd_split(args, g) -> int:
+def _cmd_split(args, g) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
     report = numfield.dedekind_kummer_split(candidate, args.p, seed=args.seed)
-    doc = {**_run_header(args), "report": report.to_json_dict()}
     if report.applicable:
         shape = ", ".join(f"(e={e}, f={f})" for _, e, f in report.entries)
         text = f"p = {args.p} in Q({candidate.describe()}): {shape}" + (
@@ -340,23 +330,20 @@ def _cmd_split(args, g) -> int:
         )
     else:
         text = f"p = {args.p} divides the index {candidate.index}; not applicable"
-    _emit(args, doc, text)
-    return EXIT_OK
+    return {"report": report.to_json_dict()}, text, EXIT_OK
 
 
-def _cmd_zmija(args, g) -> int:
+def _cmd_zmija(args, g) -> tuple[dict, str, int]:
     report = check_zmija_conditions(g, seed=args.seed)
-    doc = {**_run_header(args), "zmija": report.to_json_dict()}
     text = (
         f"mod 5: {'ok' if report.cond_mod5 else 'FAIL'}; "
         f"mod 7: {'ok' if report.cond_mod7 else 'FAIL'}; "
         f"mod 11: {'ok' if report.cond_mod11 else 'FAIL'}"
     )
-    _emit(args, doc, text)
-    return EXIT_OK if report.passed else EXIT_INCONCLUSIVE
+    return {"zmija": report.to_json_dict()}, text, EXIT_OK if report.passed else EXIT_INCONCLUSIVE
 
 
-def _cmd_hurwitz(args, g) -> int:
+def _cmd_hurwitz(args, g) -> tuple[dict, str, int]:
     if args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     polys = series.a_poly_list(g, args.max)
@@ -366,15 +353,13 @@ def _cmd_hurwitz(args, g) -> int:
         # A root at the origin is not strictly in the left half-plane.
         results.append({"n": n, "hurwitz": bool(h.coeff(0)) and series.hurwitz_check(h)})
     all_true = all(r["hurwitz"] for r in results)
-    doc = {**_run_header(args), "max": args.max, "results": results,
-           "all_hurwitz": all_true}
     text = (
         f"P_n/X Hurwitz for all n <= {args.max}"
         if all_true
         else "NOTABLE: non-Hurwitz instance found; see JSON output"
     )
-    _emit(args, doc, text)
-    return EXIT_OK if all_true else EXIT_INCONCLUSIVE
+    return ({"max": args.max, "results": results, "all_hurwitz": all_true}, text,
+            EXIT_OK if all_true else EXIT_INCONCLUSIVE)
 
 
 _COMMANDS = {
@@ -407,24 +392,27 @@ def _env_config() -> dict | None:
 
 
 def main(argv=None) -> int:
+    # Python >= 3.11 caps int <-> str conversion at 4300 digits; a run reads
+    # and prints its integers in full, and hands the cap back when it ends.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser(_env_config())
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser(_env_config()).parse_args(argv)
         if "\0" in args.g + (args.out or ""):
             raise DomainError("a file name cannot hold a NUL byte")
         _check_config(args)
+        header = _run_header(args)
         g = _load_g(args.g) if args.command in _COMMON_FLAGS["g"][2] else None
-        return _COMMANDS[args.command](args, g)
-    except TableExhaustedError as exc:
+        body, text, code = _COMMANDS[args.command](args, g)
+        _write_run(args, header, body, text)
+        return code
+    except (DomainError, TableExhaustedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_RANGE if isinstance(exc, TableExhaustedError) else EXIT_USAGE
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darcais import ArithmeticFunction, DomainError, __version__, cli, series
+from darcais import (ArithmeticFunction, DomainError, __version__, certify, cli, series,
+                     verify_certificate)
 from darcais.cli import main
 from darcais.numfield import candidate_family, parse_candidate
 
@@ -664,6 +667,111 @@ class TestCommonFlags:
         assert self.header(out)["config"]["g"] == str(tmp_path / "missing.txt")
 
 
+@contextlib.contextmanager
+def uncapped():
+    """Lift Python's 4300-digit int <-> str cap (3.11+) to read big outputs."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+class TestIntegersPastTheDigitCap:
+    """Integers longer than Python's 4300-digit str cap are read and printed in full."""
+
+    HUGE = "9" * 4400  # past the cap
+
+    def test_minpoly_prints_the_whole_index(self, capsys):
+        code, out, err = run(capsys, "minpoly", "--candidate", "cyc:211,2,3")
+        assert (code, err) == (0, "")
+        text = run(capsys, "minpoly", "--candidate", "cyc:211,2,3", "--format", "text")
+        with uncapped():
+            doc = json.loads(out)
+            d = doc["degree"]
+            assert d == 210 and int(doc["index"]) == 2 ** (d * (d - 1) // 2)
+            assert text[0] == 0 and text[1].endswith(f", index {2 ** 21945}\n")
+
+    def test_split_text_names_the_whole_index(self, capsys):
+        code, out, err = run(capsys, "split", "--candidate", "cyc:1000,2,3", "--p", "2",
+                             "--format", "text")
+        assert (code, err) == (0, "")
+        with uncapped():
+            assert out == f"p = 2 divides the index {2 ** (400 * 399 // 2)}; not applicable\n"
+
+    def test_certify_writes_a_certificate_that_replays(self, capsys):
+        spec = f"quad:-1,{'7' * 3000},0"
+        code, out, err = run(capsys, "certify", "--candidate", spec, "--n", "1")
+        assert (code, err) == (0, "")
+        g = ArithmeticFunction.sigma()
+        with uncapped():
+            cert = certify(g, parse_candidate(spec), 1)
+            assert cert.method == "han_bound" and verify_certificate(g, cert)
+            assert json.loads(out)["certificate"] == json.loads(cert.canonical_json())
+
+    def test_huge_integer_inputs_parse(self, capsys, tmp_path):
+        table = tmp_path / "g.txt"
+        table.write_text(f"1\n{self.HUGE}\n")
+        code, out, err = run(capsys, "poly", "2", "--g", str(table))
+        assert (code, err) == (0, "")
+        seeded = run(capsys, "tau", "2", "--seed", self.HUGE)
+        with uncapped():
+            poly = series.a_poly(ArithmeticFunction.from_table([1, int(self.HUGE)]), 2)
+            assert json.loads(out)["poly"] == json.loads(json.dumps(poly.to_json_dict()))
+            assert seeded[0] == 0 and json.loads(seeded[1])["seed"] == int(self.HUGE)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit cap")
+    def test_a_run_hands_the_cap_back(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        run(capsys, "minpoly", "--candidate", "cyc:211,2,3")
+        with pytest.raises(SystemExit):
+            main(["tau", "--seed", "x"])
+        assert sys.get_int_max_str_digits() == cap
+
+
+class TestOneWriter:
+    """``main`` alone builds the run header, writes the document and reports errors."""
+
+    TREE = ast.parse(Path(cli.__file__).read_text())
+    OUTPUT = {"_run_header", "_write_run", "_emit", "_write"}
+
+    @staticmethod
+    def names(node) -> set[str]:
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                found.add(f"{sub.value.id}.{sub.attr}")
+        return found
+
+    def test_handlers_only_return_their_body(self):
+        handlers = [node for node in self.TREE.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+        assert {h.name[len("_cmd_"):] for h in handlers} == set(cli._COMMANDS)
+        for handler in handlers:
+            used = self.names(handler) & (self.OUTPUT | {"sys.stdout", "args.format", "args.out"})
+            assert not used, (handler.name, used)
+
+    def test_run_header_has_one_call_site(self):
+        calls = [node for node in ast.walk(self.TREE) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "_run_header"]
+        assert len(calls) == 1
+
+    def test_errors_are_printed_from_one_place(self):
+        literals = [node for node in ast.walk(self.TREE)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("error:")]
+        assert len(literals) == 1
+        (call,) = [node for node in ast.walk(self.TREE) if isinstance(node, ast.Call)
+                   and any(arg in ast.walk(node) for arg in literals)]
+        assert ast.unparse(call.func) == "print"
+        assert [ast.unparse(kw.value) for kw in call.keywords if kw.arg == "file"] == ["sys.stderr"]
+
+
 _KEYS = ("g", "primes", "exact_eval_bound", "not_ramified_bound", "oracle_bound",
          "seed", "format", "out", "other")
 _SMALL = st.integers(-20, 20)
@@ -704,6 +812,22 @@ def _run_isolated(argv, config=None) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+_SIGN = st.sampled_from(("", "-"))
+_PRIME = st.sampled_from((2, 3, 5, 7))
+_HUGE = st.integers(1, 9).map(lambda digit: str(digit) * 4400)  # past the digit cap
+# (spec, p) whose index may run to tens of thousands of digits: a large m
+# (p divides a, so split reports the index instead of factoring a
+# polynomial of degree phi(m) mod p), or a huge |a|.
+_LARGE_CASES = st.one_of(
+    st.builds(lambda m, sign, p, k: (f"cyc:{m},{sign}{p * k},1", p),
+              st.integers(100, 260), _SIGN, _PRIME, st.integers(1, 3)),
+    st.builds(lambda m, sign, a, b, p: (f"cyc:{m},{sign}{a},{b}", p),
+              st.sampled_from((3, 4, 5, 6, 8, 10, 12)), _SIGN, _HUGE, _SMALL, _PRIME),
+    st.builds(lambda D, sign, a, b, p: (f"quad:{D},{sign}{a},{b}", p),
+              st.sampled_from((-1, -2, -7, 2, 3, 5, 13)), _SIGN, _HUGE, _SMALL, _PRIME),
+)
+
+
 class TestFuzz:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -720,6 +844,15 @@ class TestFuzz:
         argv = list(command) + [tok for pair in flags for tok in pair]
         code, err = _run_isolated(argv)
         assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_LARGE_CASES)
+    def test_large_candidates(self, case):
+        spec, p = case
+        for argv in (("minpoly", "--candidate", spec),
+                     ("split", "--candidate", spec, "--p", str(p), "--format", "text")):
+            assert _run_isolated(argv) == (0, ""), argv
 
 
 class TestSubprocessEntryPoint:

@@ -199,6 +199,15 @@ class TestMemoGuard:
         # A change that adds or drops a memo updates README's list with it.
         assert readme_memo_names() == set(library_memos())
 
+    def test_the_scans_hit_every_memo(self):
+        # README: a memo stays only where the scans pay for it.
+        clear_library_caches()
+        g = ArithmeticFunction.sigma()
+        for grid in GRIDS:
+            scan_grid(g, *grid, SCAN_N_MAX)
+        hits = {name: memo.cache_info().hits for name, memo in library_memos().items()}
+        assert all(hits.values()), hits
+
 
 def _scan_bytes(g, kind, a_range, b_range) -> str:
     return json.dumps(scan_grid(g, kind, a_range, b_range, SCAN_N_MAX).to_json_dict())
