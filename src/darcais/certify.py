@@ -38,6 +38,7 @@ not a certificate.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
 
@@ -145,6 +146,7 @@ class CertifyConfig(FrozenValue):
     def __post_init__(self) -> None:
         for p in self.primes:
             arith.require_prime(p, "configured prime")
+            polymod._check_modulus(p)  # a modulus polymod takes: below 2**31
         if self.not_ramified_prime_bound > MAX_NOT_RAMIFIED_PRIME_BOUND:
             raise DomainError(
                 f"the not-ramified prime bound is at most {MAX_NOT_RAMIFIED_PRIME_BOUND}, "
@@ -368,18 +370,17 @@ def certify_theorem_gaussian_sigma(
 
 def _unramified_witnesses(
     g: ArithmeticFunction, c: QuadraticShift, bound: int
-) -> tuple[tuple[int, int, int, int | None], ...]:
-    """(p, case, g(p) mod p, (D|p) or None at p = 2) for each prime p <= bound
-    that meets case 1 or 2 of the unramified criterion; n plays no part."""
-    found = []
+) -> Iterator[tuple[int, int, int, int | None]]:
+    """Yield (p, case, g(p) mod p, (D|p) or None at p = 2), in prime order,
+    for each prime p <= bound that meets case 1 or 2 of the unramified
+    criterion; n plays no part, and g is evaluated only up to the last p asked."""
     for p in arith.primes_up_to(bound):
         gp = g(p) % p
         legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
         if gp == 0 and (2 * c.a * c.D) % p != 0:
-            found.append((p, 1, gp, legendre))
+            yield p, 1, gp, legendre
         elif gp == 1 and p != 2 and c.a % p != 0 and legendre == -1:
-            found.append((p, 2, gp, legendre))
-    return tuple(found)
+            yield p, 2, gp, legendre
 
 
 def certify_theorem_not_ramified(
@@ -833,36 +834,39 @@ def _grid_point(a: int, b: int, tests: list, n_max: int) -> GridPoint:
     )
 
 
-def _held_rows(g: ArithmeticFunction):
-    """``row(n, upto)``: A_n for g from one held list, built as A_0..A_upto
-    (n <= upto) when n is past it.  A scan holds one for all its points."""
+def _held_rows(g: ArithmeticFunction, top: int):
+    """``row(n)``: A_n for g, n <= top, from one list A_0..A_top built at the
+    first read.  A scan holds one for all its points."""
     rows = []
 
-    def row(n: int, upto: int):
-        if n >= len(rows):
-            rows[:] = series.a_poly_list(g, upto)
+    def row(n: int):
+        if not rows:
+            rows[:] = series.a_poly_list(g, top)
         return rows[n]
 
     return row
 
 
-def _rational_integer_tests(g: ArithmeticFunction, b: int, n_max: int, row) -> list:
+def _rational_integer_tests(g: ArithmeticFunction, b: int, top: int, row) -> list:
     """The absolute bound, then exact evaluation at the real-axis point b of
-    ``row``; an n past the reach of g's table stays uncertified, as at a != 0."""
+    ``row`` up to ``top``; an n past the reach of g's table stays
+    uncertified, as at a != 0."""
     reach = _han_reach(Fraction(b * b)) if g.kind == "sigma" else 0
-    top = n_max if g.n_max is None else min(n_max, g.n_max)
     return [
         ("han_bound", lambda n: n <= reach),
-        ("exact_evaluation", lambda n: n <= top and row(n, top).evaluate(b) != 0),
+        ("exact_evaluation", lambda n: n <= top and row(n).evaluate(b) != 0),
     ]
 
 
-def _point_tests(g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, row) -> list:
+def _point_tests(
+    g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, row, last: int
+) -> list:
     """The per-n chain at c as tests (method, n -> proves) in table order, from
-    facts computed once per point (see the module docstring) and ``row``.
-    Applicability reads n only through exact evaluation's bound, so it is
-    asked at n = 1.  ``translated_shift`` reads no n: the scan's all-n
-    verdict stands for it."""
+    facts computed once per point (see the module docstring), and exact
+    evaluation on ``row`` up to ``last``, which is at most its bound.
+    Applicability reads n only through exact
+    evaluation's bound, so it is asked at n = 1.  ``translated_shift`` reads
+    no n: the scan's all-n verdict stands for it."""
     applicable = {method: applies(g, c, 1, config) for method, (applies, _) in _CHAIN.items()}
     seen = {}  # (p, n below p, else p + n mod p) -> whether p has a witness there
 
@@ -878,10 +882,8 @@ def _point_tests(g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyCo
                 return True
         return False
 
-    last = config.exact_eval_bound if g.n_max is None else min(config.exact_eval_bound, g.n_max)
-
     def exact(n: int) -> bool:  # certify_exact's verdict, past a table's reach too
-        return n <= last and not (row(n, last) % c.min_poly).is_zero
+        return n <= last and not (row(n) % c.min_poly).is_zero
 
     tests = {"generic_obstruction": generic, "exact_evaluation": exact}
     if applicable["han_bound"]:
@@ -919,6 +921,10 @@ def scan_grid(
     types; they are handled by the absolute bound and exact evaluation
     (genuine integer roots show up in their uncertified list).  Points are
     emitted row-major (a ascending, then b) so output files are stable.
+    The bounds are resolved once: ``top``, the largest n asked (n_max, cut
+    to a table's reach), and ``last``, the largest n exact evaluation reads
+    at a != 0 (its bound, cut to ``top``).  The scan holds one list, built
+    at the first read: A_0..A_top if a row has a = 0, else A_0..A_last.
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
@@ -926,21 +932,21 @@ def scan_grid(
         if lo > hi:
             raise DomainError(f"scan_grid requires {name} LO <= HI, got {lo}:{hi}")
     make = candidate_family(kind)  # checks m or D even when every row has a = 0
-    # Off the real axis rows are read up to exact evaluation's bound, so only
-    # a real-axis row after such rows builds a second, longer list.
-    row = _held_rows(g)
+    top = n_max if g.n_max is None else min(n_max, g.n_max)
+    last = min(config.exact_eval_bound, top)
+    row = _held_rows(g, top if a_range[0] <= 0 <= a_range[1] else last)
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             if a == 0:
-                points.append(_grid_point(a, b, _rational_integer_tests(g, b, n_max, row), n_max))
+                points.append(_grid_point(a, b, _rational_integer_tests(g, b, top, row), n_max))
                 continue
             c = make(a, b)
             cert = certify_all_n(g, c, config)
             if cert.proven:
                 points.append(GridPoint(a, b, STATUS_ALL_N, (cert.method,), ()))
                 continue
-            points.append(_grid_point(a, b, _point_tests(g, c, config, row), n_max))
+            points.append(_grid_point(a, b, _point_tests(g, c, config, row, last), n_max))
     return GridResult(
         g_name=g.name,
         kind=kind,

@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Each ``_cmd_*`` handler takes the parsed arguments and g and returns the
-run's body (a dict), its ``--format text`` form and its exit code; it
-writes nothing.  ``main`` alone turns a run into output: it builds the
-run header (g, primes, bounds, seed, tool version) before dispatch and
-``_write_run`` merges it into the body, so identical invocations produce
-byte-identical files.  Exit codes: 0 success (or proven), 1 inconclusive
+Each ``_cmd_*`` handler takes the parsed arguments, g and the run's
+``CertifyConfig`` and returns the run's body (a dict), its ``--format text``
+form and its exit code; it writes nothing.  ``main`` alone checks the
+inputs and turns a run into output: it builds the config, whichever
+subcommand runs, and the run header that echoes it once, before g is
+loaded, and ``_write_run`` merges the header into the body, so identical
+invocations produce byte-identical files.  Exit codes: 0 success (or proven), 1 inconclusive
 (or a notable finding), 2 usage/domain error, 3 table exhaustion.  The
 one ``except`` in ``main`` maps ``TableExhaustedError`` to 3 and
 ``DomainError`` or ``OSError`` to 2, with an ``error:`` line on stderr.
@@ -59,30 +60,20 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _config_from_args(args) -> CertifyConfig:
-    return CertifyConfig(
-        primes=_parse_primes(args.primes),
-        exact_eval_bound=args.exact_eval_bound,
-        not_ramified_prime_bound=args.not_ramified_bound,
-        seed=args.seed,
-    )
+    return CertifyConfig(primes=_parse_primes(args.primes), exact_eval_bound=args.exact_eval_bound,
+                         not_ramified_prime_bound=args.not_ramified_bound, seed=args.seed)
 
 
-def _run_header(args) -> dict:
-    """Full run configuration, embedded in every output document.  A key
-    whose flag the subcommand lacks shows its default (``_add_common``)."""
+def _run_header(args, config: CertifyConfig) -> dict:
+    """Full run configuration, embedded in every output document: the
+    ``CertifyConfig`` and the other common flags.  A key whose flag the
+    subcommand lacks shows its default (``_add_common``)."""
     return {
         "tool": "darcais",
         "version": __version__,
-        "seed": args.seed,
-        "config": {
-            "g": args.g,
-            "primes": list(_parse_primes(args.primes)),
-            "oracle_bound": args.oracle_bound,
-            "exact_eval_bound": args.exact_eval_bound,
-            "not_ramified_prime_bound": args.not_ramified_bound,
-            "seed": args.seed,
-            "format": args.format,
-        },
+        "seed": config.seed,
+        "config": {**config.to_json_dict(), "g": args.g, "oracle_bound": args.oracle_bound,
+                   "format": args.format},
     }
 
 
@@ -145,8 +136,15 @@ def _format_choices(command: str) -> tuple[str, ...]:
 
 
 def _check_config(args) -> None:
-    """The bounds are counts and the format is one the command writes,
-    whether set by flag or by config file."""
+    """Each flag holds one value, file names hold no NUL, the bounds are
+    counts and the format is one the command writes, whether set by flag or
+    by config file.  argparse reads ``--flag=--`` as an empty list, and no
+    flag takes several values."""
+    for key, value in vars(args).items():
+        if isinstance(value, list):
+            raise DomainError(f"--{key.replace('_', '-')} expects one value, not '--'")
+    if "\0" in args.g + (args.out or ""):
+        raise DomainError("a file name cannot hold a NUL byte")
     for key in ("exact_eval_bound", "not_ramified_bound", "oracle_bound"):
         if (value := getattr(args, key)) < 0:
             flag = "--" + key.replace("_", "-")
@@ -230,7 +228,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise DomainError(f"malformed range {text!r}; expected LO:HI") from None
 
 
-def _cmd_poly(args, g) -> tuple[dict, str, int]:
+def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
     if args.n < 0:
         raise DomainError(f"n must be >= 0, got {args.n}")
     if args.factor and args.mod is None:
@@ -242,7 +240,7 @@ def _cmd_poly(args, g) -> tuple[dict, str, int]:
     if args.mod is not None:
         body = {"n": args.n, "mod": args.mod}
         if args.factor:
-            fact = polymod.factor_a_poly_mod(g, args.n, args.mod, seed=args.seed)
+            fact = polymod.factor_a_poly_mod(g, args.n, args.mod, seed=config.seed)
             text = " * ".join(
                 f"({format_poly(p.coeffs)})" + (f"^{m}" if m > 1 else "")
                 for p, m in fact.factors
@@ -267,7 +265,7 @@ def _cmd_poly(args, g) -> tuple[dict, str, int]:
     return {"n": args.n, "poly": doc}, text, EXIT_OK
 
 
-def _cmd_tau(args, g) -> tuple[dict, str, int]:
+def _cmd_tau(args, g, config) -> tuple[dict, str, int]:
     if args.max is not None:
         values = series.tau_list(args.max)
         zeros = [i + 1 for i, v in enumerate(values) if v == 0]
@@ -280,9 +278,8 @@ def _cmd_tau(args, g) -> tuple[dict, str, int]:
     return {"n": args.n, "tau": str(value)}, str(value), EXIT_OK
 
 
-def _cmd_certify(args, g) -> tuple[dict, str, int]:
+def _cmd_certify(args, g, config) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
-    config = _config_from_args(args)
     if args.all_n:
         cert = certify_all_n(g, candidate, config)
     else:
@@ -295,20 +292,13 @@ def _cmd_certify(args, g) -> tuple[dict, str, int]:
             EXIT_OK if cert.proven else EXIT_INCONCLUSIVE)
 
 
-def _cmd_scan(args, g) -> tuple[dict, str, int]:
-    config = _config_from_args(args)
-    grid = scan_grid(
-        g,
-        args.kind,
-        _parse_range(args.a_range),
-        _parse_range(args.b_range),
-        args.n_max,
-        config,
-    )
+def _cmd_scan(args, g, config) -> tuple[dict, str, int]:
+    grid = scan_grid(g, args.kind, _parse_range(args.a_range), _parse_range(args.b_range),
+                     args.n_max, config)
     return {"grid": grid.to_json_dict()}, grid.to_csv(), EXIT_OK
 
 
-def _cmd_minpoly(args, g) -> tuple[dict, str, int]:
+def _cmd_minpoly(args, g, config) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
     body = {
         "candidate": candidate.to_json_dict(),
@@ -320,9 +310,9 @@ def _cmd_minpoly(args, g) -> tuple[dict, str, int]:
             EXIT_OK)
 
 
-def _cmd_split(args, g) -> tuple[dict, str, int]:
+def _cmd_split(args, g, config) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
-    report = numfield.dedekind_kummer_split(candidate, args.p, seed=args.seed)
+    report = numfield.dedekind_kummer_split(candidate, args.p, seed=config.seed)
     if report.applicable:
         shape = ", ".join(f"(e={e}, f={f})" for _, e, f in report.entries)
         text = f"p = {args.p} in Q({candidate.describe()}): {shape}" + (
@@ -333,8 +323,8 @@ def _cmd_split(args, g) -> tuple[dict, str, int]:
     return {"report": report.to_json_dict()}, text, EXIT_OK
 
 
-def _cmd_zmija(args, g) -> tuple[dict, str, int]:
-    report = check_zmija_conditions(g, seed=args.seed)
+def _cmd_zmija(args, g, config) -> tuple[dict, str, int]:
+    report = check_zmija_conditions(g, seed=config.seed)
     text = (
         f"mod 5: {'ok' if report.cond_mod5 else 'FAIL'}; "
         f"mod 7: {'ok' if report.cond_mod7 else 'FAIL'}; "
@@ -343,7 +333,7 @@ def _cmd_zmija(args, g) -> tuple[dict, str, int]:
     return {"zmija": report.to_json_dict()}, text, EXIT_OK if report.passed else EXIT_INCONCLUSIVE
 
 
-def _cmd_hurwitz(args, g) -> tuple[dict, str, int]:
+def _cmd_hurwitz(args, g, config) -> tuple[dict, str, int]:
     if args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     polys = series.a_poly_list(g, args.max)
@@ -399,12 +389,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser(_env_config()).parse_args(argv)
-        if "\0" in args.g + (args.out or ""):
-            raise DomainError("a file name cannot hold a NUL byte")
         _check_config(args)
-        header = _run_header(args)
+        config = _config_from_args(args)
+        header = _run_header(args, config)
         g = _load_g(args.g) if args.command in _COMMON_FLAGS["g"][2] else None
-        body, text, code = _COMMANDS[args.command](args, g)
+        body, text, code = _COMMANDS[args.command](args, g, config)
         _write_run(args, header, body, text)
         return code
     except (DomainError, TableExhaustedError, OSError) as exc:

@@ -313,6 +313,17 @@ class TestNotRamified:
         with pytest.raises(DomainError):
             certify_theorem_not_ramified(sigma_g, CyclotomicShift(5, 1, 0), 3)
 
+    def test_stops_at_the_first_witness(self, sigma_g, monkeypatch):
+        # p = 5 proves n = 1: sigma(5) = 1 mod 5 and (-2|5) = -1.  The search
+        # evaluates g at no prime past it, however far the bound reaches.
+        asked, evaluate = [], ArithmeticFunction.__call__
+        monkeypatch.setattr(ArithmeticFunction, "__call__",
+                            lambda g, n: asked.append(n) or evaluate(g, n))
+        cert = certify_theorem_not_ramified(sigma_g, QuadraticShift(-2, 1, 1), 1,
+                                            prime_bound=10**5)
+        assert cert.verdict == PROVEN and cert.details["p"] == 5
+        assert asked == [2, 3, 5]
+
     def test_soundness_sample(self, identity_g):
         rng = random.Random(6)
         for _ in range(50):
@@ -604,6 +615,13 @@ class TestConfigBounds:
                 replace(CertifyConfig(), not_ramified_prime_bound=bound)
         for bound in (10**6, 0, -5):
             assert CertifyConfig(not_ramified_prime_bound=bound).not_ramified_prime_bound == bound
+
+    def test_primes_are_moduli_polymod_takes(self):
+        # Prime, and below polymod's single-precision bound 2**31.
+        for primes in ((4,), (2, 1), (2147483659,), (2, 2**61 - 1)):
+            with pytest.raises(DomainError):
+                CertifyConfig(primes=primes)
+        assert CertifyConfig(primes=(2, 2147483647)).primes == (2, 2147483647)
 
 
 class TestMalformedReplayInputs:

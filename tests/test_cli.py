@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -10,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from darcais import (ArithmeticFunction, DomainError, __version__, certify, cli, series,
@@ -162,6 +163,7 @@ class TestCertify:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(spec=st.text(max_size=16))
+    @example(spec="--")
     def test_any_unparsable_candidate_is_usage_error(self, capsys, spec):
         try:
             parse_candidate(spec)
@@ -538,6 +540,19 @@ class TestInputPathsExitTwo:
         monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
         assert run(capsys, *argv) == (2, "", want)
 
+    @pytest.mark.parametrize("config", [{"primes": "4"}, {"primes": "2147483659"},
+                                        {"not_ramified_bound": 2000000}],
+                             ids=["not-prime", "past-polymod", "past-the-sieve-cap"])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_certify_config_is_checked_on_every_command(self, capsys, tmp_path, monkeypatch,
+                                                        command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        code, out, err = run(capsys, *TestCommonFlags.INVOCATIONS[command])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_valid_env_config_still_accepted(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 7, "primes": "5,7", "format": "json"}')
@@ -667,6 +682,31 @@ class TestCommonFlags:
         assert self.header(out)["config"]["g"] == str(tmp_path / "missing.txt")
 
 
+def _every_flag() -> list[tuple[str, str]]:
+    """(subcommand, --flag) for each long option of each subcommand."""
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return [(command, flag) for command, parser in sub.choices.items()
+            for action in parser._actions for flag in action.option_strings
+            if flag.startswith("--")]
+
+
+class TestDashDashValue:
+    """argparse reads ``--flag=--`` as an empty list; no flag takes one."""
+
+    @pytest.mark.parametrize("command, flag", _every_flag())
+    def test_is_usage_error(self, capsys, tmp_path, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main([*TestCommonFlags.INVOCATIONS[command], f"{flag}=--"])
+        except SystemExit as exc:  # argparse's own refusals: --help=--, --all-n=--
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+        (line,) = [line for line in err.splitlines() if "error: " in line]
+        assert flag in line and "Traceback" not in err
+
+
 @contextlib.contextmanager
 def uncapped():
     """Lift Python's 4300-digit int <-> str cap (3.11+) to read big outputs."""
@@ -756,6 +796,28 @@ class TestOneWriter:
             used = self.names(handler) & (self.OUTPUT | {"sys.stdout", "args.format", "args.out"})
             assert not used, (handler.name, used)
 
+    def callers(self, name: str) -> list[str]:
+        """The functions of cli.py that call ``name``, once per call."""
+        return [fn.name for fn in self.TREE.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    def test_the_config_is_built_once_in_main(self):
+        assert self.callers("_config_from_args") == ["main"]
+        assert self.callers("_parse_primes") == ["_config_from_args"]
+
+    def test_run_header_echoes_the_certify_config(self):
+        # Its config section takes the CertifyConfig keys from to_json_dict.
+        (header,) = [fn for fn in self.TREE.body
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "_run_header"]
+        (section,) = [node.values[node.keys.index(key)] for node in ast.walk(header)
+                      if isinstance(node, ast.Dict) for key in node.keys
+                      if isinstance(key, ast.Constant) and key.value == "config"]
+        spelled = {key.value for key in section.keys if isinstance(key, ast.Constant)}
+        assert not spelled & set(cli.DEFAULT_CONFIG.to_json_dict())
+        read = {name.split(".")[1] for name in self.names(header) if name.startswith("args.")}
+        assert not read & {"primes", "exact_eval_bound", "not_ramified_bound", "seed"}
+
     def test_run_header_has_one_call_site(self):
         calls = [node for node in ast.walk(self.TREE) if isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name) and node.func.id == "_run_header"]
@@ -782,7 +844,7 @@ _JSON = st.recursive(
     max_leaves=5,
 )
 _CONFIGS = _JSON | st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=3)
-_VALUE = st.text(max_size=6) | _SMALL.map(str)
+_VALUE = st.text(max_size=6) | _SMALL.map(str) | st.just("--")
 _COMMANDS = (("tau", "2"), ("poly", "3"), ("minpoly", "--candidate", "cyc:5,1,0"))
 _FLAGS = ("--g", "--primes", "--exact-eval-bound", "--not-ramified-bound",
           "--oracle-bound", "--seed", "--format", "--mod", "--max", "--candidate")
@@ -839,9 +901,13 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(command=st.sampled_from(_COMMANDS),
-           flags=st.lists(st.tuples(st.sampled_from(_FLAGS), _VALUE), max_size=3))
+           flags=st.lists(st.tuples(st.sampled_from(_FLAGS), _VALUE, st.booleans()),
+                          max_size=3))
     def test_flag_values(self, command, flags):
-        argv = list(command) + [tok for pair in flags for tok in pair]
+        # Each flag as "--flag VALUE" or as "--flag=VALUE".
+        argv = list(command)
+        for flag, value, joined in flags:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
         code, err = _run_isolated(argv)
         assert code in (0, 1, 2, 3) and "Traceback" not in err
 

@@ -95,7 +95,9 @@ def library_residues(g, f: IntPoly, p: int) -> frozenset[int]:
 
 def scan_test(g, c, p: int):
     """The scan's generic-obstruction test at c with p as the only prime."""
-    (test,) = [t for m, t in _point_tests(g, c, CertifyConfig(primes=(p,)), _held_rows(g))
+    config = CertifyConfig(primes=(p,))
+    last = config.exact_eval_bound
+    (test,) = [t for m, t in _point_tests(g, c, config, _held_rows(g, last), last)
                if m == "generic_obstruction"]
     return test
 

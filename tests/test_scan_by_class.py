@@ -22,10 +22,12 @@ import pytest
 
 from darcais import (
     ArithmeticFunction,
+    CertifyConfig,
     QuadraticShift,
     TableExhaustedError,
     certify_han_bound,
     scan_grid,
+    series,
 )
 from darcais.certify import (
     _CHAIN,
@@ -51,8 +53,9 @@ SCAN_GS = (
 SCAN_KINDS = ("gauss", "quad:-2", "quad:-17", "quad:-3", "quad:5", "cyc:5", "cyc:8", "cyc:12")
 
 
-def scan_bytes(scan, g, kind, a_range, b_range, n_max) -> str:
-    return json.dumps(scan(g, kind, a_range, b_range, n_max).to_json_dict(), sort_keys=True)
+def scan_bytes(scan, *args) -> str:
+    """The JSON bytes of ``scan(g, kind, a_range, b_range, n_max[, config])``."""
+    return json.dumps(scan(*args).to_json_dict(), sort_keys=True)
 
 
 class TestScanMatchesThePerNChain:
@@ -69,6 +72,28 @@ class TestScanMatchesThePerNChain:
         assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args)
 
 
+class TestScanHoldsOneList:
+    """A scan builds A_0..A_N once, N the largest n it reads: exact
+    evaluation's bound cut to n_max off the real axis, n_max with a = 0."""
+
+    @pytest.mark.parametrize(
+        "a_range, config, n_max, built",
+        [((1, 2), CertifyConfig(primes=(2,), exact_eval_bound=400), 5, [5]),
+         ((-1, 1), CertifyConfig(primes=(2,)), 50, [50])],
+        ids=["bound-past-n-max", "real-axis-after-a-negative-row"],
+    )
+    def test_one_list_up_to_the_largest_n_read(self, sigma_g, monkeypatch, a_range, config,
+                                               n_max, built):
+        args = (sigma_g, "quad:-2", a_range, (-3, 3), n_max, config)
+        calls, a_poly_list = [], series.a_poly_list
+        with monkeypatch.context() as patched:
+            patched.setattr(series, "a_poly_list",
+                            lambda g, n: calls.append(n) or a_poly_list(g, n))
+            got = scan_bytes(scan_grid, *args)
+        assert calls == built
+        assert got == scan_bytes(scan_grid_per_n, *args)
+
+
 def chain_proves(method: str, g, c, n: int) -> bool:
     """``.proven`` of the certificate the chain entry builds; a method the
     chain skips with ``TableExhaustedError`` does not prove."""
@@ -82,9 +107,10 @@ class TestPointTestsMatchTheCertificates:
     @pytest.mark.parametrize("g", CLOSED_FORM_GS, ids=lambda g: g.name)
     @pytest.mark.usefixtures("held_a_poly")
     def test_each_method_up_to_60(self, g):
-        asked, row = set(), _held_rows(g)  # one list for every candidate, as in a scan
+        last = DEFAULT_CONFIG.exact_eval_bound  # below the reach of every table here
+        asked, row = set(), _held_rows(g, last)  # one list for every candidate, as in a scan
         for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
-            tests = _point_tests(g, c, DEFAULT_CONFIG, row)
+            tests = _point_tests(g, c, DEFAULT_CONFIG, row, last)
             applicable = [m for m, (applies, _) in _CHAIN.items()
                           if applies(g, c, 1, DEFAULT_CONFIG)]
             # translated_shift reads no n; the scan has its all-n verdict.
