@@ -41,8 +41,6 @@ from .numfield import (
     QuadraticShift,
     SplittingReport,
     dedekind_kummer_split,
-    min_poly_cyclotomic_shift,
-    min_poly_quadratic_shift,
     parse_candidate,
     ramifies,
 )
@@ -102,8 +100,6 @@ __all__ = [
     "is_irreducible",
     "is_prime",
     "legendre_symbol",
-    "min_poly_cyclotomic_shift",
-    "min_poly_quadratic_shift",
     "parse_candidate",
     "ramifies",
     "reduce_mod",

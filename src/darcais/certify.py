@@ -18,8 +18,11 @@ factorization-based ones.  Each method reads (g, c, n):
 6. ``exact_evaluation``: division of the n-th integer D'Arcais
    polynomial by the minimal polynomial over Z (bounded n).
 
-``certify``, ``certify_all_n`` and ``verify_certificate`` all read the
-table; when no method proves anything the result has method ``"none"``.
+Each method builds one certificate, proven or not, with the same details
+keys either way (null where no proof was found).  ``certify``,
+``certify_all_n`` and ``verify_certificate`` all read the table; when no
+method proves anything the result has method ``"none"``, whose evidence
+keeps each method's verdict and no inconclusive certificate.
 ``scan_grid`` asks the per-n methods in table order without a certificate
 per n, from facts computed once per point: a threshold in n, a case of n
 mod 7, witness primes p against n mod p, and a generic witness at p per
@@ -27,7 +30,7 @@ class of n (n below p, p + n mod p from p on, as A_n = A_r * B**l mod p);
 only ``exact_evaluation`` runs per n, on rows held by the scan.  A method
 that would raise ``TableExhaustedError`` does not prove.  So past O(n_max)
 lookups per point, the cost of a scan does not depend on n_max.
-Every proven certificate carries enough recorded inputs (including seeds)
+Every certificate carries enough recorded inputs (including seeds)
 to be re-derived bit for bit; ``verify_certificate`` does exactly that,
 under the g it is given.  Each method reads g and raises ``DomainError``
 for a g its criterion does not cover, so replay binds a proof to the g it
@@ -277,25 +280,15 @@ def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> 
             item, facts = 3, {"D_mod_8": c.D % 8}
         elif c.D % 3 == 2 and c.a % 3 != 0 and _g3_is_0_or_1_mod_3(g):
             item, facts = 4, {"D_mod_3": c.D % 3, "g3_mod_3": g(3) % 3}
-    if item is None:
-        return Certificate(
-            g_name=g.name,
-            candidate=c,
-            scope=Scope.all_n(),
-            verdict=INCONCLUSIVE,
-            method="translated_shift",
-            details={},
-            evidence={"reason": "no item hypothesis satisfied"},
-        )
     return Certificate(
         g_name=g.name,
         candidate=c,
         scope=Scope.all_n(),
-        verdict=PROVEN,
+        verdict=INCONCLUSIVE if item is None else PROVEN,
         method="translated_shift",
         details={"item": item},
         evidence=facts,
-        witness_prime=2 if item in (1, 3) else 3,
+        witness_prime=None if item is None else 2 if item in (1, 3) else 3,
     )
 
 
@@ -327,39 +320,29 @@ def certify_theorem_gaussian_sigma(
     a, b = c.a, c.b
     case = None
     if n % 7 != 5:
-        scope = Scope.residue_classes(7, _GAUSSIAN_OK_RESIDUES)
+        residues = _GAUSSIAN_OK_RESIDUES
         if a % 21 != 0:
             case = "1"
     else:
-        scope = Scope.residue_classes(7, (5,))
+        residues = (5,)
         if a % 3 != 0:
             case = "2i"
         elif a % 7 not in (0, 1, 6):
             case = "2ii"
         elif a % 7 != 0 and b % 7 != 0:
             case = "2iii"
-    if case is None:
-        return Certificate(
-            g_name=g.name,
-            candidate=c,
-            scope=Scope.single(n),
-            verdict=INCONCLUSIVE,
-            method="gaussian_sigma",
-            details={"n": n},
-            evidence={"reason": "outside the proven cases"},
-        )
     return Certificate(
         g_name=g.name,
         candidate=c,
-        scope=scope,
-        verdict=PROVEN,
+        scope=Scope.single(n) if case is None else Scope.residue_classes(7, residues),
+        verdict=INCONCLUSIVE if case is None else PROVEN,
         method="gaussian_sigma",
         details={"n": n, "case": case},
         evidence={"a_mod_21": a % 21, "a_mod_7": a % 7, "b_mod_7": b % 7},
         # The obstruction needs p not dividing a, the index of Z[a*i + b] in
         # Z[i]: p = 3 when 3 does not divide a, else p = 7 (case 1 with 3 | a,
         # and cases 2ii and 2iii).
-        witness_prime=3 if a % 3 else 7,
+        witness_prime=None if case is None else 3 if a % 3 else 7,
     )
 
 
@@ -373,8 +356,10 @@ def _unramified_witnesses(
 ) -> Iterator[tuple[int, int, int, int | None]]:
     """Yield (p, case, g(p) mod p, (D|p) or None at p = 2), in prime order,
     for each prime p <= bound that meets case 1 or 2 of the unramified
-    criterion; n plays no part, and g is evaluated only up to the last p asked."""
-    for p in arith.primes_up_to(bound):
+    criterion.  The bound is cut to the reach of a table-backed g here and
+    nowhere else; n plays no part, and g is evaluated only up to the last p
+    asked."""
+    for p in arith.primes_up_to(min(bound, g.n_max or bound)):
         gp = g(p) % p
         legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
         if gp == 0 and (2 * c.a * c.D) % p != 0:
@@ -404,28 +389,17 @@ def certify_theorem_not_ramified(
         raise DomainError("the unramified criterion applies to quadratic candidates only")
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    bound = min(prime_bound, g.n_max or prime_bound)
-    for p, case, gp, legendre in _unramified_witnesses(g, c, bound):
-        if n % p not in (0, 1):
-            continue
-        return Certificate(
-            g_name=g.name,
-            candidate=c,
-            scope=Scope.residue_classes(p, (0, 1)),
-            verdict=PROVEN,
-            method="not_ramified",
-            details={"n": n, "case": case, "p": p, "prime_bound": prime_bound},
-            evidence={"g_p_mod_p": gp, "legendre_D_p": legendre},
-            witness_prime=p,
-        )
+    witnesses = _unramified_witnesses(g, c, prime_bound)
+    p, case, gp, legendre = next((w for w in witnesses if n % w[0] in (0, 1)), (None,) * 4)
     return Certificate(
         g_name=g.name,
         candidate=c,
-        scope=Scope.single(n),
-        verdict=INCONCLUSIVE,
+        scope=Scope.single(n) if p is None else Scope.residue_classes(p, (0, 1)),
+        verdict=INCONCLUSIVE if p is None else PROVEN,
         method="not_ramified",
-        details={"n": n, "prime_bound": prime_bound},
-        evidence={"reason": f"no qualifying prime up to {bound}"},
+        details={"n": n, "case": case, "p": p, "prime_bound": prime_bound},
+        evidence={"g_p_mod_p": gp, "legendre_D_p": legendre},
+        witness_prime=p,
     )
 
 
@@ -475,36 +449,30 @@ def certify_generic(
     for p in primes:
         arith.require_prime(p, "obstruction prime")
     skipped = []
-    for p in primes:
+    p, evidence = None, {"skipped_primes": skipped}
+    for prime in primes:
         try:
-            witness = _generic_witness(g, c, n, p, seed)
+            witness = _generic_witness(g, c, n, prime, seed)
         except TableExhaustedError:
-            skipped.append(p)
+            skipped.append(prime)
             continue
         if witness is not None:
             q, min_fact, a_fact = witness
-            return Certificate(
-                g_name=g.name,
-                candidate=c,
-                scope=Scope.single(n),
-                verdict=PROVEN,
-                method="generic_obstruction",
-                details={"n": n, "p": p, "primes": list(primes), "seed": seed},
-                evidence={
-                    "witness_factor": list(q.coeffs),
-                    "min_poly_mod_p": min_fact.to_json_dict(),
-                    "a_poly_mod_p": a_fact.to_json_dict(),
-                },
-                witness_prime=p,
-            )
+            p, evidence = prime, {
+                "witness_factor": list(q.coeffs),
+                "min_poly_mod_p": min_fact.to_json_dict(),
+                "a_poly_mod_p": a_fact.to_json_dict(),
+            }
+            break
     return Certificate(
         g_name=g.name,
         candidate=c,
         scope=Scope.single(n),
-        verdict=INCONCLUSIVE,
+        verdict=INCONCLUSIVE if p is None else PROVEN,
         method="generic_obstruction",
-        details={"n": n, "primes": list(primes), "seed": seed},
-        evidence={"skipped_primes": skipped},
+        details={"n": n, "p": p, "primes": list(primes), "seed": seed},
+        evidence=evidence,
+        witness_prime=p,
     )
 
 
@@ -894,8 +862,7 @@ def _point_tests(
         proven = [certify_theorem_gaussian_sigma(g, c, r or 7).proven for r in range(7)]
         tests["gaussian_sigma"] = lambda n: proven[n % 7]
     if applicable["not_ramified"]:
-        bound = config.not_ramified_prime_bound
-        primes = [p for p, *_ in _unramified_witnesses(g, c, min(bound, g.n_max or bound))]
+        primes = [p for p, *_ in _unramified_witnesses(g, c, config.not_ramified_prime_bound)]
 
         def not_ramified(n: int) -> bool:
             for p in primes:

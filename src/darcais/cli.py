@@ -9,7 +9,8 @@ loaded, and ``_write_run`` merges the header into the body, so identical
 invocations produce byte-identical files.  Exit codes: 0 success (or proven), 1 inconclusive
 (or a notable finding), 2 usage/domain error, 3 table exhaustion.  The
 one ``except`` in ``main`` maps ``TableExhaustedError`` to 3 and
-``DomainError`` or ``OSError`` to 2, with an ``error:`` line on stderr.
+``DomainError``, ``OSError`` or ``OverflowError`` (a size no list can
+hold) to 2, with an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
         body, text, code = _COMMANDS[args.command](args, g, config)
         _write_run(args, header, body, text)
         return code
-    except (DomainError, TableExhaustedError, OSError) as exc:
+    except (DomainError, TableExhaustedError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE if isinstance(exc, TableExhaustedError) else EXIT_USAGE
     finally:

@@ -118,16 +118,6 @@ class QuadraticShift(FrozenValue):
 AlgebraicCandidate = CyclotomicShift | QuadraticShift
 
 
-def min_poly_cyclotomic_shift(m: int, a: int, b: int) -> IntPoly:
-    """Monic integer minimal polynomial of a*zeta_m + b, degree phi(m)."""
-    return CyclotomicShift(m, a, b).min_poly
-
-
-def min_poly_quadratic_shift(D: int, a: int, b: int) -> IntPoly:
-    """Monic integer minimal polynomial of a*w_D + b (degree 2)."""
-    return QuadraticShift(D, a, b).min_poly
-
-
 def candidate_from_json(doc: dict) -> AlgebraicCandidate:
     if doc["kind"] == "cyclotomic":
         return CyclotomicShift(m=doc["m"], a=doc["a"], b=doc["b"])

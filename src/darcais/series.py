@@ -169,7 +169,8 @@ def a_poly_oracle(
         raise DomainError(f"a_poly_oracle requires n >= 0, got {n}")
     if n > max_n:
         raise DomainError(
-            f"partition oracle capped at n <= {max_n} (asked for {n}); raise max_n to override"
+            f"partition oracle capped at n <= {max_n} (asked for {n}); raise max_n"
+            " (--oracle-bound on the command line) to override"
         )
     g.require_up_to(max(n, 1))
     fact_n = factorial(n)

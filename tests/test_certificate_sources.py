@@ -2,8 +2,9 @@
 
 In ``certify.py``, ``Certificate(...)`` is built only by ``_chain`` (its
 inconclusive ``"none"`` result) and by the functions the ``_CHAIN`` runners
-call, and ``verify_certificate`` names no method but ``"none"``: every
-other method is replayed through its table entry.
+call, each of which builds exactly one, proven or not; and
+``verify_certificate`` names no method but ``"none"``: every other method
+is replayed through its table entry.
 """
 
 import ast
@@ -52,6 +53,17 @@ def test_certificates_are_built_only_by_the_chain():
     allowed = {"_chain"} | {runner.body.func.id for runner in chain_runners().values()}
     assert "_chain" in certificate_builders()
     assert certificate_builders() <= allowed, certificate_builders() - allowed
+
+
+def test_each_chain_method_builds_one_certificate():
+    for method, runner in chain_runners().items():
+        builder = FUNCTIONS[runner.body.func.id]
+        literals = [
+            node
+            for node in ast.walk(builder)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "Certificate"
+        ]
+        assert len(literals) == 1, method
 
 
 def test_replay_names_no_method_but_none():

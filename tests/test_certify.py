@@ -34,6 +34,8 @@ from darcais.certify import (
     INCONCLUSIVE,
     PROVEN,
     Scope,
+    _held_rows,
+    _point_tests,
     abs_sq_lower_bound,
 )
 from darcais.polymod import ModPoly
@@ -336,6 +338,22 @@ class TestNotRamified:
                 assert exact_nonzero(identity_g, c, n)
 
 
+    def test_the_bound_is_cut_to_the_table(self, monkeypatch):
+        # g(p) = 2 mod p at p = 3, 5, 7, 11: no prime witnesses, so both the
+        # certificate and the scan's test run to the table's reach of 12.
+        g = ArithmeticFunction.from_table([1, 2, 2, 4, 2, 6, 2, 8, 9, 10, 2, 12], name="t12")
+        c, config = QuadraticShift(-2, 1, 1), CertifyConfig(not_ramified_prime_bound=50)
+        asked, evaluate = [], ArithmeticFunction.__call__
+        monkeypatch.setattr(ArithmeticFunction, "__call__",
+                            lambda g, n: asked.append(n) or evaluate(g, n))
+        cert = certify_theorem_not_ramified(g, c, 6, prime_bound=50)
+        assert not cert.proven and cert.details["prime_bound"] == 50
+        assert asked == [2, 3, 5, 7, 11]
+        asked.clear()
+        _point_tests(g, c, config, _held_rows(g, 1), 1)
+        assert asked == [2, 3, 5, 7, 11]
+
+
 class TestGenericObstruction:
     def test_spec_instance_mod7(self, sigma_g):
         cert = certify_generic(sigma_g, QuadraticShift.gaussian(3, 0), 4, primes=(7,))
@@ -549,6 +567,72 @@ class TestReplay:
         tampered["evidence"]["a_mod_7"] = 5
         bad = replace(cert, evidence=tampered["evidence"])
         assert not verify_certificate(sigma_g, bad)
+
+
+# Per chain method, a maker of an inconclusive and of a proven certificate under sigma.
+ONE_SHAPE = {
+    "han_bound": (
+        lambda g: certify_han_bound(g, QuadraticShift.gaussian(3, 4), 2),
+        lambda g: certify_han_bound(g, QuadraticShift.gaussian(1, 100), 2),
+    ),
+    "translated_shift": (
+        lambda g: certify_theorem_translated(g, QuadraticShift(-1, 3, 1)),
+        lambda g: certify_theorem_translated(g, QuadraticShift(5, 1, 0)),
+    ),
+    "gaussian_sigma": (
+        lambda g: certify_theorem_gaussian_sigma(g, QuadraticShift.gaussian(21, 0), 3),
+        lambda g: certify_theorem_gaussian_sigma(g, QuadraticShift.gaussian(2, 1), 9),
+    ),
+    "not_ramified": (
+        lambda g: certify_theorem_not_ramified(g, QuadraticShift(-1, 3, 0), 4),
+        lambda g: certify_theorem_not_ramified(g, QuadraticShift(-1, 3, 0), 7),
+    ),
+    "generic_obstruction": (
+        lambda g: certify_generic(g, QuadraticShift.gaussian(3, 0), 4, primes=(3,)),
+        lambda g: certify_generic(g, QuadraticShift.gaussian(3, 0), 4, primes=(7,)),
+    ),
+    "exact_evaluation": (
+        lambda g: certify_exact(g, QuadraticShift(409, 1, -11), 5),
+        lambda g: certify_exact(g, QuadraticShift.gaussian(1, 0), 1),
+    ),
+}
+
+
+class TestOneShapePerMethod:
+    """A method's certificate has the same keys whether it proves or not."""
+
+    def test_every_chain_method_is_covered(self):
+        from darcais.certify import _CHAIN
+
+        assert list(ONE_SHAPE) == list(_CHAIN)
+
+    @pytest.mark.parametrize("method", list(ONE_SHAPE))
+    def test_proven_and_inconclusive_share_their_keys(self, sigma_g, method):
+        inconclusive, proven = (make(sigma_g) for make in ONE_SHAPE[method])
+        assert (inconclusive.verdict, proven.verdict) == (INCONCLUSIVE, PROVEN)
+        assert inconclusive.method == proven.method == method
+        assert inconclusive.details.keys() == proven.details.keys()
+        if method == "generic_obstruction":  # the proof's factorizations, else what was skipped
+            assert inconclusive.evidence == {"skipped_primes": []}
+        elif method == "translated_shift":  # the facts of the item that holds: none
+            assert inconclusive.evidence == {}
+        else:
+            assert inconclusive.evidence.keys() == proven.evidence.keys()
+        assert inconclusive.witness_prime is None
+
+    @pytest.mark.parametrize("method", list(ONE_SHAPE))
+    def test_inconclusive_certificates_replay(self, sigma_g, method):
+        inconclusive, _ = ONE_SHAPE[method]
+        assert verify_certificate(sigma_g, inconclusive(sigma_g))
+
+    def test_what_no_proof_found_is_null(self, sigma_g):
+        nulls = {
+            method: sorted(k for k, v in make(sigma_g).details.items() if v is None)
+            for method, (make, _) in ONE_SHAPE.items()
+        }
+        assert nulls == {"han_bound": [], "translated_shift": ["item"],
+                         "gaussian_sigma": ["case"], "not_ramified": ["case", "p"],
+                         "generic_obstruction": ["p"], "exact_evaluation": []}
 
 
 class TestChainTableReplay:

@@ -114,6 +114,11 @@ class TestPoly:
         code, _, err = run(capsys, "poly", "5", "--oracle", "--mod", "7")
         assert code == 2 and "--oracle" in err
 
+    def test_oracle_cap_names_the_flag_that_raises_it(self, capsys):
+        code, out, err = run(capsys, "poly", "30", "--oracle")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--oracle-bound" in err
+
 
 class TestTau:
     def test_single_value(self, capsys):
@@ -449,6 +454,19 @@ class TestInputPathsExitTwo:
         monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
         code, _, err = run(capsys, "poly", "2")
         assert code == 2 and err.startswith("error: ")
+
+    # Sizes no list can hold: each of these fails before it allocates anything.
+    @pytest.mark.parametrize("size", [2**63, 10**20], ids=["2**63", "10**20"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("tau", "{}"), ("tau", "--max", "{}"), ("poly", "{}"), ("poly", "{}", "--rational"),
+         ("poly", "{}", "--mod", "5")],
+        ids=["tau", "tau-max", "poly", "poly-rational", "poly-mod"],
+    )
+    def test_size_past_any_list_is_usage_error(self, capsys, argv, size):
+        code, out, err = run(capsys, *(arg.format(size) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_directory_as_g(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))

@@ -12,8 +12,6 @@ from darcais import (
     dedekind_kummer_split,
     euler_phi,
     legendre_symbol,
-    min_poly_cyclotomic_shift,
-    min_poly_quadratic_shift,
     parse_candidate,
     ramifies,
 )
@@ -31,27 +29,27 @@ from oracles import (
 
 class TestMinPolyCyclotomicShift:
     def test_plain_phi4(self):
-        assert min_poly_cyclotomic_shift(4, 1, 0) == IntPoly((1, 0, 1))
+        assert CyclotomicShift(4, 1, 0).min_poly == IntPoly((1, 0, 1))
 
     def test_gaussian_shift_form(self):
         for a in (1, -2, 3, 7):
             for b in (-3, 0, 2):
                 want = IntPoly((b * b + a * a, -2 * b, 1))  # (X-b)^2 + a^2
-                assert min_poly_cyclotomic_shift(4, a, b) == want
+                assert CyclotomicShift(4, a, b).min_poly == want
 
     def test_scaled_cube_root(self):
-        assert min_poly_cyclotomic_shift(3, 2, 0) == IntPoly((4, 2, 1))
+        assert CyclotomicShift(3, 2, 0).min_poly == IntPoly((4, 2, 1))
 
     def test_monic_of_right_degree(self):
         for m in (3, 5, 8, 12, 15):
-            poly = min_poly_cyclotomic_shift(m, 3, -2)
+            poly = CyclotomicShift(m, 3, -2).min_poly
             assert poly.degree == euler_phi(m)
             assert poly.leading == 1
 
     def test_vanishes_at_generator(self):
         for m in (3, 4, 5, 7, 9, 12):
             for a, b in ((1, 0), (2, -3), (-1, 5), (3, 1)):
-                poly = min_poly_cyclotomic_shift(m, a, b)
+                poly = CyclotomicShift(m, a, b).min_poly
                 vec = evaluate_at_cyclotomic(poly, m, a, b)
                 assert not any(vec)
 
@@ -60,26 +58,26 @@ class TestMinPolyQuadraticShift:
     def test_gaussian(self):
         for a in (1, 2, -3):
             for b in (0, 4, -1):
-                assert min_poly_quadratic_shift(-1, a, b) == IntPoly(
+                assert QuadraticShift(-1, a, b).min_poly == IntPoly(
                     (b * b + a * a, -2 * b, 1)
                 )
 
     def test_golden_ratio(self):
-        assert min_poly_quadratic_shift(5, 1, 0) == IntPoly((-1, -1, 1))
+        assert QuadraticShift(5, 1, 0).min_poly == IntPoly((-1, -1, 1))
 
     def test_shifted_sqrt2(self):
-        assert min_poly_quadratic_shift(2, 3, 1) == IntPoly((-17, -2, 1))
+        assert QuadraticShift(2, 3, 1).min_poly == IntPoly((-17, -2, 1))
 
     def test_vanishes_at_generator(self):
         for D in (-1, -2, -3, 2, 3, 5, -7, 13, -11):
             for a, b in ((1, 0), (2, -3), (-3, 1)):
-                poly = min_poly_quadratic_shift(D, a, b)
+                poly = QuadraticShift(D, a, b).min_poly
                 assert evaluate_at_quadratic(poly, D, a, b) == (0, 0)
 
     def test_rejects_bad_d(self):
         for D in (0, 1, 4, 18):
             with pytest.raises(DomainError):
-                min_poly_quadratic_shift(D, 1, 0)
+                QuadraticShift(D, 1, 0).min_poly
 
 
 class TestCandidates:
@@ -89,16 +87,16 @@ class TestCandidates:
         monkeypatch.setattr(arith, "is_squarefree", lambda n: calls.append(n) or squarefree(n))
         assert QuadraticShift(-17, 2, 1).min_poly == IntPoly((69, -2, 1))
         assert calls == [-17]
-        # The public functions build the candidate, so its checks keep their messages.
+        # Reading the minimal polynomial goes through the class's checks and messages.
         degenerate = "^a = 0 degenerates to a rational integer$"
         for build, args, message in (
-            (min_poly_quadratic_shift, (4, 1, 0), "^D must be squarefree, got 4$"),
-            (min_poly_quadratic_shift, (-1, 0, 3), degenerate),
-            (min_poly_cyclotomic_shift, (2, 1, 0), "^cyclotomic shifts require m >= 3, got 2$"),
-            (min_poly_cyclotomic_shift, (5, 0, 3), degenerate),
+            (QuadraticShift, (4, 1, 0), "^D must be squarefree, got 4$"),
+            (QuadraticShift, (-1, 0, 3), degenerate),
+            (CyclotomicShift, (2, 1, 0), "^cyclotomic shifts require m >= 3, got 2$"),
+            (CyclotomicShift, (5, 0, 3), degenerate),
         ):
             with pytest.raises(DomainError, match=message):
-                build(*args)
+                build(*args).min_poly
 
     def test_rejects_degenerate_a(self):
         with pytest.raises(DomainError):
@@ -138,7 +136,7 @@ class TestCandidates:
             with pytest.raises(DomainError, match="^\\|D\\| must be at most 1000000000"):
                 candidate_family(f"quad:{D}")
             with pytest.raises(DomainError, match="^\\|D\\| must be at most 1000000000"):
-                min_poly_quadratic_shift(D, 1, 0)
+                QuadraticShift(D, 1, 0).min_poly
 
     def test_invalid_field_keeps_the_class_message(self):
         # A well-formed spec or kind with a bad D, m or a is not "malformed".
@@ -178,7 +176,7 @@ class TestCandidates:
     def test_min_poly_cached_and_consistent(self):
         c = CyclotomicShift(12, 2, 5)
         assert c.min_poly is c.min_poly
-        assert c.min_poly == min_poly_cyclotomic_shift(12, 2, 5)
+        assert c.min_poly == CyclotomicShift(12, 2, 5).min_poly
 
 
 class TestIndex:

@@ -23,7 +23,7 @@ from darcais import (
     tau_list,
 )
 from darcais import arith, series
-from darcais.numfield import min_poly_quadratic_shift
+from darcais.numfield import QuadraticShift
 from darcais.series import _partitions, _routh, _square_truncated, a_poly_list
 
 from conftest import SIGMA_FACTORED, clear_library_caches, expand_product, random_table
@@ -449,7 +449,7 @@ class TestEvaluateAtQuadratic:
             D = rng.choice([-1, -2, -3, 2, 3, 5, -7, 13])
             a = rng.choice([1, -1, 2, 3])
             b = rng.randint(-4, 4)
-            m = min_poly_quadratic_shift(D, a, b)
+            m = QuadraticShift(D, a, b).min_poly
             extra = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
             multiple = m * extra
             assert evaluate_at_quadratic(multiple, D, a, b) == (0, 0)
