@@ -408,18 +408,10 @@ def certify_theorem_not_ramified(
 # ---------------------------------------------------------------------------
 
 
-def _generic_witness(g: ArithmeticFunction, c: AlgebraicCandidate, n: int, p: int, seed: int):
-    """(q, f mod p factored, A_n mod p factored) for the first irreducible
-    factor q of the minimal polynomial f mod p missing from A_n mod p, or
-    None.  For n = l*p + r with l >= 1 the factors of A_n mod p are those of
-    A_r and B = X**p - g(p)*X, so the answer at n is the answer at p + r."""
-    a_fact = polymod.factor_a_poly_mod(g, n, p, seed=seed)
-    min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=seed)
-    a_irreducibles = {poly for poly, _ in a_fact.factors}
-    for q, _ in min_fact.factors:
-        if q not in a_irreducibles:
-            return q, min_fact, a_fact
-    return None
+def _generic_witness(min_fact: polymod.Factorization, a_irreducibles) -> polymod.ModPoly | None:
+    """The first factor of f mod p (``min_fact``, f the minimal polynomial)
+    missing from ``a_irreducibles``, the monic irreducibles of A_n mod p, or None."""
+    return next((q for q, _ in min_fact.factors if q not in a_irreducibles), None)
 
 
 def certify_generic(
@@ -452,12 +444,13 @@ def certify_generic(
     p, evidence = None, {"skipped_primes": skipped}
     for prime in primes:
         try:
-            witness = _generic_witness(g, c, n, prime, seed)
+            a_fact = polymod.factor_a_poly_mod(g, n, prime, seed=seed)
         except TableExhaustedError:
             skipped.append(prime)
             continue
-        if witness is not None:
-            q, min_fact, a_fact = witness
+        min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, prime), seed=seed)
+        q = _generic_witness(min_fact, {poly for poly, _ in a_fact.factors})
+        if q is not None:
             p, evidence = prime, {
                 "witness_factor": list(q.coeffs),
                 "min_poly_mod_p": min_fact.to_json_dict(),
@@ -804,7 +797,7 @@ def _grid_point(a: int, b: int, tests: list, n_max: int) -> GridPoint:
 
 def _held_rows(g: ArithmeticFunction, top: int):
     """``row(n)``: A_n for g, n <= top, from one list A_0..A_top built at the
-    first read.  A scan holds one for all its points."""
+    first read.  A scan holds one for all its points, and its pieces of A_n mod p."""
     rows = []
 
     def row(n: int):
@@ -827,12 +820,14 @@ def _rational_integer_tests(g: ArithmeticFunction, b: int, top: int, row) -> lis
 
 
 def _point_tests(
-    g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, row, last: int
+    g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, n_max: int, row,
+    last: int, pieces: dict
 ) -> list:
-    """The per-n chain at c as tests (method, n -> proves) in table order, from
-    facts computed once per point (see the module docstring), and exact
-    evaluation on ``row`` up to ``last``, which is at most its bound.
-    Applicability reads n only through exact
+    """The per-n chain at c, n = 1..n_max, as tests (method, n -> proves) in
+    table order, from facts computed once per point (see the module
+    docstring), exact evaluation on ``row`` up to ``last`` (at most its
+    bound) and the scan's ``pieces``: (p, class of n) -> the monic
+    irreducibles of A_n mod p.  Applicability reads n only through exact
     evaluation's bound, so it is asked at n = 1.  ``translated_shift`` reads
     no n: the scan's all-n verdict stands for it."""
     applicable = {method: applies(g, c, 1, config) for method, (applies, _) in _CHAIN.items()}
@@ -843,7 +838,11 @@ def _point_tests(
             key = (p, n if n < p else p + n % p)
             if key not in seen:
                 try:
-                    seen[key] = _generic_witness(g, c, key[1], p, config.seed) is not None
+                    if key not in pieces:
+                        fact = polymod.factor_a_poly_mod(g, key[1], p, seed=config.seed)
+                        pieces[key] = {q for q, _ in fact.factors}
+                    min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=config.seed)
+                    seen[key] = _generic_witness(min_fact, pieces[key]) is not None
                 except TableExhaustedError:
                     seen[key] = False
             if seen[key]:
@@ -862,7 +861,12 @@ def _point_tests(
         proven = [certify_theorem_gaussian_sigma(g, c, r or 7).proven for r in range(7)]
         tests["gaussian_sigma"] = lambda n: proven[n % 7]
     if applicable["not_ramified"]:
-        primes = [p for p, *_ in _unramified_witnesses(g, c, config.not_ramified_prime_bound)]
+        # A witness above n_max proves n = 1 alone (n mod p < 2): the first one is enough.
+        primes = []
+        for p, *_ in _unramified_witnesses(g, c, config.not_ramified_prime_bound):
+            primes.append(p)
+            if p > n_max:
+                break
 
         def not_ramified(n: int) -> bool:
             for p in primes:
@@ -891,7 +895,8 @@ def scan_grid(
     The bounds are resolved once: ``top``, the largest n asked (n_max, cut
     to a table's reach), and ``last``, the largest n exact evaluation reads
     at a != 0 (its bound, cut to ``top``).  The scan holds one list, built
-    at the first read: A_0..A_top if a row has a = 0, else A_0..A_last.
+    at the first read: A_0..A_top if a row has a = 0, else A_0..A_last,
+    and the monic irreducibles of A_n mod p per (p, class of n) its points ask.
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
@@ -902,6 +907,7 @@ def scan_grid(
     top = n_max if g.n_max is None else min(n_max, g.n_max)
     last = min(config.exact_eval_bound, top)
     row = _held_rows(g, top if a_range[0] <= 0 <= a_range[1] else last)
+    pieces = {}  # (p, class of n) -> the monic irreducibles of A_n mod p, for every point
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
@@ -913,7 +919,8 @@ def scan_grid(
             if cert.proven:
                 points.append(GridPoint(a, b, STATUS_ALL_N, (cert.method,), ()))
                 continue
-            points.append(_grid_point(a, b, _point_tests(g, c, config, row, last), n_max))
+            tests = _point_tests(g, c, config, n_max, row, last, pieces)
+            points.append(_grid_point(a, b, tests, n_max))
     return GridResult(
         g_name=g.name,
         kind=kind,

@@ -120,6 +120,14 @@ _COMMON_FLAGS = {
 }
 
 
+# The largest size each subcommand takes, by argument: the size whose peak
+# memory, from measured bytes per unit, reaches 64 GiB (rounded down).
+# ``tau_list(N)`` peaked at 270-300 bytes per index (N = 10**5..10**6); the
+# rows A_0..A_N that ``hurwitz`` holds took 0.245 * N**3 bytes (N = 200..800).
+# Python 3.11, x86-64.
+SIZE_CAPS = {("tau", "n"): 2 * 10**8, ("tau", "max"): 2 * 10**8, ("hurwitz", "max"): 6000}
+
+
 def _check_flag_defaults(config: dict) -> None:
     """A config value must be one its flag accepts on the command line."""
     unknown = set(config) - set(_COMMON_FLAGS)
@@ -138,9 +146,9 @@ def _format_choices(command: str) -> tuple[str, ...]:
 
 def _check_config(args) -> None:
     """Each flag holds one value, file names hold no NUL, the bounds are
-    counts and the format is one the command writes, whether set by flag or
-    by config file.  argparse reads ``--flag=--`` as an empty list, and no
-    flag takes several values."""
+    counts, sizes are within ``SIZE_CAPS`` and the format is one the command
+    writes, whether set by flag or by config file.  argparse reads
+    ``--flag=--`` as an empty list, and no flag takes several values."""
     for key, value in vars(args).items():
         if isinstance(value, list):
             raise DomainError(f"--{key.replace('_', '-')} expects one value, not '--'")
@@ -150,6 +158,10 @@ def _check_config(args) -> None:
         if (value := getattr(args, key)) < 0:
             flag = "--" + key.replace("_", "-")
             raise DomainError(f"{flag} (config key {key!r}) must be >= 0, got {value}")
+    for (command, key), cap in SIZE_CAPS.items():
+        if command == args.command and (value := getattr(args, key)) is not None and value > cap:
+            name = "N" if key == "n" else f"--{key}"
+            raise DomainError(f"{command} {name} is at most {cap} (memory cap), got {value}")
     if args.format not in (choices := _format_choices(args.command)):
         raise DomainError(f"{args.command} writes --format (config key 'format') "
                           f"{' or '.join(choices)}, not {args.format!r}")

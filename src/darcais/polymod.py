@@ -354,15 +354,11 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     return ModPoly(p, out)
 
 
-# A scan asks for the same (g, n, p) once per candidate; the result holds
-# O(p) factors whatever n is.  typed=True: an invalid float index must fail
-# as it would uncached, not hit the entry of the equal int.
-@lru_cache(maxsize=4096, typed=True)
 def factor_a_poly_mod(
     g: arith.ArithmeticFunction, n: int, p: int, seed: int = DEFAULT_SEED
 ) -> Factorization:
     """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from the
-    factorizations of A_r and B, of degree at most p (memoized).
+    factorizations of A_r and B, of degree at most p; a scan holds what it reuses.
 
     A_n = A_r * B**l (see ``_split_index``), so a factor q**m of B enters
     with multiplicity l*m, added to that of q in A_r.

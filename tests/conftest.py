@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import darcais
-from darcais import ArithmeticFunction, IntPoly, series
+from darcais import ArithmeticFunction, IntPoly, polymod, series
 
 PACKAGE = Path(darcais.__file__).parent
 LIBRARY_MODULES = tuple(
@@ -38,6 +38,14 @@ def held_a_poly(monkeypatch):
     callers (``certify_exact``, ``polymod``'s A_r mod p) at every n of many
     candidates holds its rows, as a scan does.  No value changes."""
     monkeypatch.setattr(series, "a_poly", cache(series.a_poly))
+
+
+@pytest.fixture
+def held_pieces(monkeypatch):
+    """``polymod.factor_a_poly_mod`` memoized for one test: a test that asks
+    the one-shot ``certify_generic`` at every n of many candidates holds the
+    pieces of A_n mod p, as a scan does.  No value changes."""
+    monkeypatch.setattr(polymod, "factor_a_poly_mod", cache(polymod.factor_a_poly_mod))
 
 
 @pytest.fixture

@@ -350,7 +350,7 @@ class TestNotRamified:
         assert not cert.proven and cert.details["prime_bound"] == 50
         assert asked == [2, 3, 5, 7, 11]
         asked.clear()
-        _point_tests(g, c, config, _held_rows(g, 1), 1)
+        _point_tests(g, c, config, 12, _held_rows(g, 1), 1, {})
         assert asked == [2, 3, 5, 7, 11]
 
 
@@ -374,7 +374,7 @@ class TestGenericObstruction:
         assert cert.verdict == PROVEN and cert.witness_prime == 3
         assert verify_certificate(sigma_g, cert)
 
-    @pytest.mark.usefixtures("held_a_poly")
+    @pytest.mark.usefixtures("held_a_poly", "held_pieces")
     def test_proofs_at_primes_dividing_a_agree_with_exact_evaluation(self):
         # Every generic proof at p in {2, 3} with p | a, where a prime
         # ideal above p need not match a factor of f mod p.
@@ -927,6 +927,7 @@ class TestClosedFormsAreGenericProofs:
                         assert certify_generic(sigma_g, c, n, primes=(p,)).proven, (c, n)
         assert cases > 1000
 
+    @pytest.mark.usefixtures("held_pieces")
     def test_not_ramified(self):
         cases = 0
         for g in WIDE_GS:

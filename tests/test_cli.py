@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -467,6 +468,28 @@ class TestInputPathsExitTwo:
         code, out, err = run(capsys, *(arg.format(size) for arg in argv))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    # Sizes past their cap: refused before anything is built.  Only cap + 1
+    # and 10**20 run here; a size between about 10**8 and the cap fills memory.
+    @pytest.mark.parametrize("over", [1, 10**20], ids=["cap+1", "10**20"])
+    @pytest.mark.parametrize("command, key", sorted(cli.SIZE_CAPS), ids="-".join)
+    def test_size_over_its_cap_is_usage_error(self, capsys, command, key, over):
+        cap = cli.SIZE_CAPS[command, key]
+        size = str(cap + over if over == 1 else over)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, command, *([size] if key == "n" else [f"--{key}", size]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and peak < 50 * 2**20
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"at most {cap} " in err
+
+    def test_size_caps_name_arguments_and_readme_lists_them(self):
+        parser, text = cli.build_parser(), README.read_text()
+        for (command, key), cap in cli.SIZE_CAPS.items():
+            assert hasattr(parser.parse_args([command]), key), (command, key)
+            assert f"| `{command} {'N' if key == 'n' else '--' + key}` | {cap} |" in text
 
     def test_directory_as_g(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))

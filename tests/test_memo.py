@@ -5,9 +5,12 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from darcais import (
     ArithmeticFunction,
     certify,
+    cli,
     certify_all_n,
     certify_theorem_translated,
     parse_candidate,
@@ -256,3 +259,33 @@ class TestOutputIgnoresCacheState:
         second = certify_theorem_translated(g, c)
         assert second.canonical_json() == want
         assert second.evidence == {"g3_mod_3": 1} and verify_certificate(g, second)
+
+
+# The seed-0 scan-grid workload of the benchmark, and one call of each other
+# caller of factor_a_poly_mod, with the number of times each runs it.
+PIECE_RUNS = (
+    (["scan", "--kind=quad:-17", "--a-range=1:3", "--b-range=-3:3", "--n-max", "50"], 11),
+    (["scan", "--kind=cyc:8", "--a-range=-6:-1", "--b-range=-3:3", "--n-max", "50"], 17),
+    (["scan", "--kind=quad:-2", "--a-range=1:4", "--b-range=-4:4", "--n-max", "50"], 12),
+    (["scan", "--kind=gauss", "--a-range=-3:1", "--b-range=-2:6", "--n-max", "50"], 0),
+    (["certify", "--candidate", "cyc:8,18,-8", "--n", "2501"], 3),
+    (["zmija"], 16),
+    (["poly", "40", "--mod", "7", "--factor"], 1),
+)
+
+
+class TestScanHoldsItsPieces:
+    """``factor_a_poly_mod`` has no memo: a scan holds the irreducibles of
+    A_n mod p per (p, class of n) for all its points, and the other callers
+    never ask for the same pieces twice."""
+
+    @pytest.mark.parametrize("argv, runs", PIECE_RUNS,
+                             ids=[" ".join(argv[:2]) for argv, _ in PIECE_RUNS])
+    def test_each_piece_is_assembled_once_per_run(self, monkeypatch, capsys, argv, runs):
+        clear_library_caches()
+        asked, assemble = [], polymod.factor_a_poly_mod
+        monkeypatch.setattr(polymod, "factor_a_poly_mod",
+                            lambda g, n, p, seed: asked.append((n, p)) or assemble(g, n, p, seed))
+        assert cli.main([*argv, "--seed", "61964"]) in (0, 1)
+        capsys.readouterr()
+        assert len(asked) == len(set(asked)) == runs, asked

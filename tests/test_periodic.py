@@ -21,7 +21,6 @@ import json
 from functools import lru_cache
 from math import isqrt
 from pathlib import Path
-from types import SimpleNamespace
 
 from darcais import (
     ArithmeticFunction,
@@ -83,21 +82,33 @@ def residues_ignoring_bracket(g, f: IntPoly, p: int) -> frozenset[int]:
     )
 
 
+@lru_cache(maxsize=None)
+def a_irreducibles(g, n: int, p: int) -> frozenset:
+    """The monic irreducibles of A_n mod p, held for every candidate as a scan holds them."""
+    return frozenset(q for q, _ in factor_a_poly_mod(g, n, p).factors)
+
+
 def library_residues(g, f: IntPoly, p: int) -> frozenset[int]:
     """Residues r mod p where the library's generic witness at n = p + r,
     which the scan reads for every n >= p in the class of r, exists."""
-    root_of_f = SimpleNamespace(min_poly=f)  # the witness reads the candidate's min_poly only
+    min_fact = factor(reduce_mod(f, p))
     try:
-        return frozenset(r for r in range(p) if _generic_witness(g, root_of_f, p + r, p, 0))
+        return frozenset(r for r in range(p)
+                         if _generic_witness(min_fact, a_irreducibles(g, p + r, p)) is not None)
     except TableExhaustedError:
         return frozenset()
 
 
+SCAN_PIECES = {}  # g -> the pieces a scan under g holds, shared by every scan_test
+
+
 def scan_test(g, c, p: int):
-    """The scan's generic-obstruction test at c with p as the only prime."""
+    """The scan's generic-obstruction test at c with p as the only prime,
+    for every n the tests here ask."""
     config = CertifyConfig(primes=(p,))
-    last = config.exact_eval_bound
-    (test,) = [t for m, t in _point_tests(g, c, config, _held_rows(g, last), last)
+    last, n_max = config.exact_eval_bound, 10**13 * p
+    pieces = SCAN_PIECES.setdefault(g, {})
+    (test,) = [t for m, t in _point_tests(g, c, config, n_max, _held_rows(g, last), last, pieces)
                if m == "generic_obstruction"]
     return test
 

@@ -150,6 +150,18 @@ class TestFactor:
             keys = [q.sort_key() for q, _ in fact.factors]
             assert keys == sorted(keys)
 
+    def test_seed_changes_no_factorization(self):
+        # The factors are sorted, so the seed reaches only the recorded field.
+        rng = random.Random(12)
+        for _ in range(300):
+            f = random_mod_poly(rng, rng.choice((2, 3, 5, 7, 11, 13)), max_degree=9)
+            if f.is_zero:
+                continue
+            want = factor(f, seed=0)
+            for seed in (1, 12345, 2**40):
+                got = factor(f, seed=seed)
+                assert (got.unit, got.factors, got.seed) == (want.unit, want.factors, seed)
+
     def test_same_seed_same_output(self):
         f = ModPoly(11, (3, 1, 4, 1, 5, 9, 2, 6, 1))
         assert factor(f, seed=42).to_json_dict() == factor(f, seed=42).to_json_dict()
@@ -381,8 +393,7 @@ class TestFactorAPolyMod:
         assert factor_a_poly_mod(g, 3, 5) == factor(a_poly_mod(g, 3, 5))
 
     def test_rejects_what_a_poly_mod_rejects(self, sigma_g):
-        # The memo is typed, so a float index fails as it would uncached
-        # even after the equal int is cached.
+        # A float index fails, even after the equal int has run.
         for fn in (a_poly_mod, factor_a_poly_mod):
             with pytest.raises(DomainError):
                 fn(sigma_g, -1, 5)

@@ -67,9 +67,38 @@ class TestScanMatchesThePerNChain:
                 assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
                     g.name, kind, n_max)
 
+    @pytest.mark.usefixtures("held_pieces")
     def test_deep_quadratic_scan(self, sigma_g):
         args = (sigma_g, "quad:-2", (1, 4), (-4, 4), 400)
         assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args)
+
+
+class TestNotRamifiedStopsPastNMax:
+    """A witness prime p > n_max proves only n = 1 (n mod p < 2 at n < p),
+    so the scan reads witnesses up to the first one above n_max, whatever
+    the prime bound."""
+
+    @pytest.mark.parametrize(
+        "g", (ArithmeticFunction.sigma(), ArithmeticFunction.identity(),
+              random_table(13, 3000, -20, 20)), ids=lambda g: g.name)
+    @pytest.mark.usefixtures("held_pieces")
+    def test_matches_the_per_n_chain_at_a_large_bound(self, g):
+        config = CertifyConfig(not_ramified_prime_bound=3000)
+        for kind in ("gauss", "quad:-2", "quad:5", "quad:-17"):
+            for n_max in (1, 4, 9):
+                args = (g, kind, (1, 2), (-2, 2), n_max, config)
+                assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
+                    g.name, kind, n_max)
+
+    def test_reads_g_up_to_the_first_witness_above_n_max(self, sigma_g, monkeypatch):
+        # sigma(p) = 1 mod p; -2 is a non-residue mod 5 and 7 and a residue mod 3.
+        c, config = QuadraticShift(-2, 1, 1), CertifyConfig(not_ramified_prime_bound=10**5)
+        asked, evaluate = [], ArithmeticFunction.__call__
+        monkeypatch.setattr(ArithmeticFunction, "__call__",
+                            lambda g, n: asked.append(n) or evaluate(g, n))
+        tests = dict(_point_tests(sigma_g, c, config, 5, _held_rows(sigma_g, 1), 1, {}))
+        assert asked == [2, 3, 5, 7]
+        assert [n for n in range(1, 6) if tests["not_ramified"](n)] == [1, 5]
 
 
 class TestScanHoldsOneList:
@@ -105,12 +134,13 @@ def chain_proves(method: str, g, c, n: int) -> bool:
 
 class TestPointTestsMatchTheCertificates:
     @pytest.mark.parametrize("g", CLOSED_FORM_GS, ids=lambda g: g.name)
-    @pytest.mark.usefixtures("held_a_poly")
+    @pytest.mark.usefixtures("held_a_poly", "held_pieces")
     def test_each_method_up_to_60(self, g):
         last = DEFAULT_CONFIG.exact_eval_bound  # below the reach of every table here
-        asked, row = set(), _held_rows(g, last)  # one list for every candidate, as in a scan
+        # One list and one set of pieces for every candidate, as in a scan.
+        asked, row, pieces = set(), _held_rows(g, last), {}
         for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
-            tests = _point_tests(g, c, DEFAULT_CONFIG, row, last)
+            tests = _point_tests(g, c, DEFAULT_CONFIG, 60, row, last, pieces)
             applicable = [m for m, (applies, _) in _CHAIN.items()
                           if applies(g, c, 1, DEFAULT_CONFIG)]
             # translated_shift reads no n; the scan has its all-n verdict.
