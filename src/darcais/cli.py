@@ -120,12 +120,46 @@ _COMMON_FLAGS = {
 }
 
 
-# The largest size each subcommand takes, by argument: the size whose peak
+# The largest size of each mode a run can be in: the size whose peak
 # memory, from measured bytes per unit, reaches 64 GiB (rounded down).
 # ``tau_list(N)`` peaked at 270-300 bytes per index (N = 10**5..10**6); the
-# rows A_0..A_N that ``hurwitz`` holds took 0.245 * N**3 bytes (N = 200..800).
-# Python 3.11, x86-64.
-SIZE_CAPS = {("tau", "n"): 2 * 10**8, ("tau", "max"): 2 * 10**8, ("hurwitz", "max"): 6000}
+# rows A_0..A_N that ``hurwitz`` or a scan holds took 0.245 * N**3 bytes
+# (N = 200..800); ``poly N`` printed A_N in 0.77 * N**2 * log2(N) bytes, and
+# A_N / N! in 1.42 * N**2 * log2(N) (N = 200..800); ``--mod p`` printed A_N
+# mod p in 84 bytes per degree (N = 10**5..10**6), and ``--factor`` took
+# 1.2 KB per degree factored (p = 101..401); a scan's walk took 132 bytes per
+# (point, n) (N = 10**4..10**5).  Python 3.11, x86-64, the larger of the
+# json and text peaks.  ``_sizes`` says which modes a run is in.
+SIZE_CAPS = {"tau N": 2 * 10**8, "tau --max": 2 * 10**8, "hurwitz --max": 6000,
+             "poly N": 70000, "poly N --rational": 50000, "poly N --mod p": 8 * 10**8,
+             "poly N --mod p --factor": 5 * 10**7, "scan rows": 6000, "scan --n-max": 5 * 10**8}
+
+
+def _sizes(args) -> list[tuple[str, str, int]]:
+    """(mode, size, value) for each ``SIZE_CAPS`` mode the run is in, its own
+    mode first.  ``poly N --mod p`` also builds A_r over Z, r = N mod p, as
+    ``poly N`` does A_N.  A scan holds the rows A_0..A_top, top = --n-max with
+    a row at a = 0 and at most --exact-eval-bound without one, and walks
+    n = 1..--n-max at every point."""
+    if args.command == "tau":
+        return [(f"tau {size}", size, value)
+                for size, value in (("N", args.n), ("--max", args.max)) if value is not None]
+    if args.command == "hurwitz":
+        return [("hurwitz --max", "--max", args.max)]
+    if args.command == "poly":
+        n, p = args.n, args.mod
+        if p is None:
+            return [("poly N --rational" if args.rational else "poly N", "N", n)]
+        own = (("poly N --mod p --factor", "min(N, p)", min(n, p)) if args.factor
+               else ("poly N --mod p", "N", n))
+        return [own] + ([("poly N", "N mod p", n % p)] if p > 0 else [])
+    if args.command == "scan":
+        (a_lo, a_hi), (b_lo, b_hi) = _parse_range(args.a_range), _parse_range(args.b_range)
+        rows = (("--n-max", args.n_max) if a_lo <= 0 <= a_hi else
+                ("min(--n-max, --exact-eval-bound)", min(args.n_max, args.exact_eval_bound)))
+        points = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
+        return [("scan rows", *rows), ("scan --n-max", "points x --n-max", points * args.n_max)]
+    return []
 
 
 def _check_flag_defaults(config: dict) -> None:
@@ -158,10 +192,9 @@ def _check_config(args) -> None:
         if (value := getattr(args, key)) < 0:
             flag = "--" + key.replace("_", "-")
             raise DomainError(f"{flag} (config key {key!r}) must be >= 0, got {value}")
-    for (command, key), cap in SIZE_CAPS.items():
-        if command == args.command and (value := getattr(args, key)) is not None and value > cap:
-            name = "N" if key == "n" else f"--{key}"
-            raise DomainError(f"{command} {name} is at most {cap} (memory cap), got {value}")
+    for mode, size, value in _sizes(args):
+        if value > (cap := SIZE_CAPS[mode]):
+            raise DomainError(f"{mode}: {size} is at most {cap} (memory cap), got {value}")
     if args.format not in (choices := _format_choices(args.command)):
         raise DomainError(f"{args.command} writes --format (config key 'format') "
                           f"{' or '.join(choices)}, not {args.format!r}")

@@ -237,7 +237,7 @@ def tau(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _routh(coeffs: list[int], bits: int | None) -> bool | None:
+def _routh(coeffs: list[int], bits: int) -> bool | None:
     """Routh table of sum coeffs[i] X**i with c_d > 0: True iff every pivot
     is > 0, False if one is <= 0, None if ``bits`` left a pivot's sign open.
 
@@ -246,11 +246,13 @@ def _routh(coeffs: list[int], bits: int | None) -> bool | None:
     row is exact: pivot*prev[1:] - prev[0]*cur[1:], divided by its content,
     is alpha*beta*pivot times the rational row if prev and cur are alpha
     and beta times theirs, as each pivot is shown > 0 before it is used.
-    Once an entry passes ``bits`` (never if None), both ends are shifted
-    right by one power of two, lo rounded down and hi up, and each update
-    multiplies the two pivots, both > 0, by the end that bounds each
-    product.  A zero pivot, an all-zero row included, reports False (a root
-    on or right of the imaginary axis) rather than being perturbed away.
+    Once an entry passes ``bits``, both ends are shifted right by one power
+    of two, lo rounded down and hi up, and each update multiplies the two
+    pivots, both > 0, by the end that bounds each product.  So no row is
+    cut, and the answer is never None, once ``bits`` passes every entry of
+    the exact table.  A zero pivot, an all-zero row included, reports False
+    (a root on or right of the imaginary axis) rather than being perturbed
+    away.  For d = 0 both rows are c_0, and the table reads True.
     """
     d = len(coeffs) - 1
     plo = phi = coeffs[d::-2]  # row for degree d:   c_d, c_{d-2}, ...
@@ -271,7 +273,7 @@ def _routh(coeffs: list[int], bits: int | None) -> bool | None:
         else:
             nhi = [(xh if p >= 0 else x) * p - (y if c >= 0 else yh) * c
                    for p, c in zip_longest(phi[1:], lo[1:], fillvalue=0)]
-        if bits is not None and (s := max(max(nhi), -min(nlo)).bit_length() - bits) > 0:
+        if (s := max(max(nhi), -min(nlo)).bit_length() - bits) > 0:
             nlo, nhi = [c >> s for c in nlo], [-(-c >> s) for c in nhi]
         plo, phi, lo, hi = lo, hi, nlo, nhi
 
@@ -280,20 +282,16 @@ def hurwitz_check(p: IntPoly) -> bool:
     """True iff every root of p has strictly negative real part.
 
     Decided by ``_routh`` over Z, so A_n/X answers for P_n/X, its positive
-    multiple by 1/n!: first with rows cut to 8*deg + 64 bits, which decides
-    sigma and the identity to n = 120 at least, and exactly only if that
-    leaves a pivot's sign open.
+    multiple by 1/n!: rows are cut to 8*deg + 64 bits, then 16*deg + 64,
+    32*deg + 64, ..., until every pivot's sign is settled, which it is by
+    the time no entry of the exact table is cut.
     """
     if p.is_zero:
         raise DomainError("the zero polynomial has no stability type")
     if not p.coeff(0):
         raise DomainError("polynomial has a root at the origin; strip it first")
-    d = p.degree
-    if d == 0:
-        return True
     coeffs = list(p.coeffs) if p.leading > 0 else [-c for c in p.coeffs]
-    # All coefficients strictly positive is necessary for real polynomials.
-    if any(c <= 0 for c in coeffs):
-        return False
-    verdict = _routh(coeffs, 8 * d + 64)
-    return _routh(coeffs, None) if verdict is None else verdict
+    per_degree = 8
+    while (verdict := _routh(coeffs, per_degree * p.degree + 64)) is None:
+        per_degree *= 2
+    return verdict

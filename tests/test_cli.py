@@ -470,26 +470,65 @@ class TestInputPathsExitTwo:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     # Sizes past their cap: refused before anything is built.  Only cap + 1
-    # and 10**20 run here; a size between about 10**8 and the cap fills memory.
-    @pytest.mark.parametrize("over", [1, 10**20], ids=["cap+1", "10**20"])
-    @pytest.mark.parametrize("command, key", sorted(cli.SIZE_CAPS), ids="-".join)
-    def test_size_over_its_cap_is_usage_error(self, capsys, command, key, over):
-        cap = cli.SIZE_CAPS[command, key]
-        size = str(cap + over if over == 1 else over)
+    # and 10**20 run here; a size just under a cap fills memory.
+    # By mode: the test id and the command line, "{}" for the size.
+    SIZE_ARGV = {
+        "tau N": ("tau-n", ("tau", "{}")),
+        "tau --max": ("tau-max", ("tau", "--max", "{}")),
+        "hurwitz --max": ("hurwitz-max", ("hurwitz", "--max", "{}")),
+        "poly N": ("poly-n", ("poly", "{}")),
+        "poly N --rational": ("poly-rational", ("poly", "{}", "--rational")),
+        "poly N --mod p": ("poly-mod", ("poly", "{}", "--mod", "5")),
+        "poly N --mod p --factor": ("poly-mod-factor",
+                                    ("poly", "{}", "--mod", "2147483647", "--factor")),
+        "scan rows": ("scan-rows", ("scan", "--a-range=0:0", "--b-range=0:0", "--n-max", "{}")),
+        "scan --n-max": ("scan-n-max",
+                         ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}")),
+    }
+
+    def run_within_memory(self, capsys, argv):
         tracemalloc.start()
         try:
-            code, out, err = run(capsys, command, *([size] if key == "n" else [f"--{key}", size]))
+            code, out, err = run(capsys, *argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2 and out == "" and peak < 50 * 2**20
-        assert err.startswith("error: ") and err.count("\n") == 1 and f"at most {cap} " in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
-    def test_size_caps_name_arguments_and_readme_lists_them(self):
-        parser, text = cli.build_parser(), README.read_text()
-        for (command, key), cap in cli.SIZE_CAPS.items():
-            assert hasattr(parser.parse_args([command]), key), (command, key)
-            assert f"| `{command} {'N' if key == 'n' else '--' + key}` | {cap} |" in text
+    @pytest.mark.parametrize("over", [1, 10**20], ids=["cap+1", "10**20"])
+    @pytest.mark.parametrize("mode", list(SIZE_ARGV), ids=[i for i, _ in SIZE_ARGV.values()])
+    def test_size_over_its_cap_is_usage_error(self, capsys, mode, over):
+        cap = cli.SIZE_CAPS[mode]
+        size = str(cap + over if over == 1 else over)
+        err = self.run_within_memory(capsys, [a.format(size) for a in self.SIZE_ARGV[mode][1]])
+        assert err.startswith(f"error: {mode}: ") and f"at most {cap} " in err
+
+    # Sizes derived from two flags: A_r over Z under --mod p (r = N mod p),
+    # the rows a scan holds for exact evaluation, and the points of a scan.
+    @pytest.mark.parametrize("mode, argv", [
+        ("poly N", ("poly", "{}", "--mod", "2147483647")),
+        ("scan rows", ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}",
+                       "--exact-eval-bound", "{}")),
+        ("scan --n-max", ("scan", "--a-range=1:{}", "--b-range=0:0", "--n-max", "1")),
+    ], ids=["poly-mod-r", "scan-exact-eval-rows", "scan-points"])
+    def test_derived_size_over_its_cap_is_usage_error(self, capsys, mode, argv):
+        cap = cli.SIZE_CAPS[mode]
+        err = self.run_within_memory(capsys, [a.format(cap + 1) for a in argv])
+        assert err.startswith(f"error: {mode}: ") and f"at most {cap} " in err
+
+    def test_sizes_under_the_new_caps_still_run(self, capsys):
+        code, out, _ = run(capsys, "scan", "--a-range=0:1", "--b-range=-1:1", "--n-max", "50")
+        assert code == 0 and len(json.loads(out)["grid"]["points"]) == 6
+        code, out, _ = run(capsys, "poly", "200", "--format", "text")
+        assert code == 0 and out.startswith("X^200 + ")
+
+    def test_size_caps_name_their_modes_and_readme_lists_them(self):
+        text = README.read_text()
+        assert set(cli.SIZE_CAPS) == set(self.SIZE_ARGV)
+        for mode, cap in cli.SIZE_CAPS.items():
+            assert f"| `{mode}` | {cap} |" in text, mode
 
     def test_directory_as_g(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))

@@ -623,7 +623,7 @@ class TestRouthIntervals:
                     [3, 1], [1, 0, 1]]
         decided = total = 0
         for coeffs in examples + routh_sweep(21, 2000):
-            want = _routh(coeffs, None)
+            want = bool(coeffs[0]) and hurwitz_check_fraction(coeffs)  # X | p: not stable
             for bits in (2, 4, 8, 16):
                 got = _routh(coeffs, bits)
                 assert got in (None, want), (coeffs, bits)
@@ -631,8 +631,8 @@ class TestRouthIntervals:
                 total += 1
         assert decided > total // 2
 
-    def test_production_precision_never_needs_the_exact_table(self, sigma_g, identity_g,
-                                                              monkeypatch):
+    @staticmethod
+    def spy_on_routh(monkeypatch) -> list[tuple[list[int], int, bool | None]]:
         calls = []
 
         def spy(coeffs, bits):
@@ -641,12 +641,26 @@ class TestRouthIntervals:
             return verdict
 
         monkeypatch.setattr(series, "_routh", spy)
+        return calls
+
+    def test_production_precision_never_needs_the_exact_table(self, sigma_g, identity_g,
+                                                              monkeypatch):
+        calls = self.spy_on_routh(monkeypatch)
         for g in (sigma_g, identity_g):
             for h in a_poly_list(g, 80)[1:]:
                 assert hurwitz_check(IntPoly(h.coeffs[1:])) is True
-        assert len(calls) == 2 * 79  # A_1/X is a constant
+        assert len(calls) == 2 * 80  # one width per n, A_1/X included
         for coeffs, bits, verdict in calls:
-            assert bits is not None and verdict is _routh(coeffs, None), len(coeffs)
+            assert bits == 8 * (len(coeffs) - 1) + 64 and verdict is True, len(coeffs)
+
+    @pytest.mark.parametrize("n", [149, 200])
+    def test_sigma_past_the_first_width_settles_at_the_second(self, sigma_g, monkeypatch, n):
+        # The exact table (1.65 s at n = 149, 9.85 s at 200, 2-vCPU Xeon) says True.
+        h = IntPoly(a_poly(sigma_g, n).coeffs[1:])
+        calls = self.spy_on_routh(monkeypatch)
+        assert hurwitz_check(h) is True
+        assert [(bits, verdict) for _, bits, verdict in calls] == [
+            (8 * (n - 1) + 64, None), (16 * (n - 1) + 64, True)]
 
 
 class TestTauCongruences:
