@@ -354,11 +354,30 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     return ModPoly(p, out)
 
 
+def _factor_bracket(bracket: ModPoly) -> tuple[tuple[ModPoly, int], ...]:
+    """``factor(bracket).factors`` for B = X**p - c*X, in closed form.
+
+    B = X**p if c = 0.  Otherwise, with e = ord_p(c), a root z of
+    X**(p-1) - c has z**p = c*z, so its Frobenius orbit z, c*z, ... has e
+    points and its minimal polynomial is X**e - z**e; hence
+    B = X * prod (X**e - b) over the (p - 1)/e values b with b**((p-1)/e) = c.
+    """
+    p, c = bracket.p, -bracket.coeff(1) % bracket.p
+    x = ModPoly.x(p)
+    if not c:
+        return ((x, p),)
+    e = next(e for e in range(1, p) if (p - 1) % e == 0 and pow(c, e, p) == 1)
+    found = [ModPoly(p, [-b] + [0] * (e - 1) + [1])
+             for b in range(1, p) if pow(b, (p - 1) // e, p) == c]
+    return tuple((q, 1) for q in sorted([x, *found], key=ModPoly.sort_key))
+
+
 def factor_a_poly_mod(
     g: arith.ArithmeticFunction, n: int, p: int, seed: int = DEFAULT_SEED
 ) -> Factorization:
     """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from the
-    factorizations of A_r and B, of degree at most p; a scan holds what it reuses.
+    factorizations of A_r (``factor``) and of B (``_factor_bracket``, in
+    closed form), of degree at most p; a scan holds what it reuses.
 
     A_n = A_r * B**l (see ``_split_index``), so a factor q**m of B enters
     with multiplicity l*m, added to that of q in A_r.
@@ -368,7 +387,7 @@ def factor_a_poly_mod(
     if not ell:
         return fact_r
     mults = dict(fact_r.factors)
-    for q, mult in factor(bracket, seed=seed).factors:
+    for q, mult in _factor_bracket(bracket):
         mults[q] = mults.get(q, 0) + ell * mult
     found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
     return Factorization(p=p, unit=fact_r.unit, seed=seed, factors=tuple(found))

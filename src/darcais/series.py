@@ -3,20 +3,25 @@
 The n-th D'Arcais polynomial for an arithmetic function g is the
 coefficient of q**n in exp(X * sum_{k>=1} g(k) q**k / k).  Scaled by n!
 it has integer coefficients, is monic of degree n, and has zero constant
-term for n >= 1.  Two independent routes are provided:
+term for n >= 1.  Both exact routes start from the integer form (N, E) of
+``_log_derivative_form``, with E*S' = N for S = sum_k g(k) q**k / k:
 
 * one recursion on the scaled rows B_j = A_j * n!/j!, a column of
   coefficients at a time, from E*F' = X*N*F for the generating function F
-  (``_log_derivative_form``).  A_0..A_n costs O(n^2.5) small-by-big
-  products for sigma, whose E is Euler's pentagonal series, O(n^2) for the
-  identity and O(n^3) for a table.  ``a_poly_list`` returns A_0..A_n and
-  ``a_poly`` A_n alone from two columns; the module keeps no rows, so a
-  caller that reuses rows holds the list it asked for (``hurwitz`` and
-  ``certify.scan_grid`` each build one);
+  (``_scaled_columns``).  A_0..A_n costs O(n^2.5) small-by-big products
+  for sigma, whose E is Euler's pentagonal series, O(n^2) for the identity
+  and O(n^3) for a table.  ``a_poly_list`` returns A_0..A_n, and ``a_poly``
+  takes A_n alone from two columns when N != -E'; the module keeps no
+  rows, so a caller that reuses rows holds the list it asked for
+  (``hurwitz`` and ``certify.scan_grid`` each build one);
+* when N = -E' (sigma), F = E**(-X) = sum_d C(X+d-1, d) * (1 - E)**d, and
+  ``a_poly`` sums A_n in the rising-factorial basis
+  (``_a_poly_from_powers``): O(n^2.5) additions of small integers for
+  the coefficients [q**n] (1 - E)**d, then O(n^2) bigint multiply-adds;
 * ``a_poly_oracle``- a sum over integer partitions, exact but exponential.
 
-The oracle exists so the recursion can be cross-checked (``poly
---oracle`` prints it); it shares no code path with the recursion.
+The oracle exists so the recursions can be cross-checked (``poly
+--oracle`` prints it); it shares no code path with them.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ DEFAULT_ORACLE_BOUND = 25
 
 def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
     """Integer series (N, E), cut to q**0..q**(n-1), with E(0) = 1 and
-    E * S' = N, where S = sum_k g(k) q**k / k.
+    E * S' = N, where S = sum_k g(k) q**k / k; n and g's reach are checked
+    first.
 
     This is the only place that reads how g is given.  For sigma, E is
     Euler's pentagonal series prod (1 - q**m), about 1.6*sqrt(n) terms, and
@@ -45,6 +51,9 @@ def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list
     E = (1 - q)**2 and N = 1; a table has E = 1 and N = S', whose i-th
     coefficient is g(i + 1).
     """
+    if n < 0:
+        raise DomainError(f"D'Arcais polynomials need n >= 0, got {n}")
+    g.require_up_to(max(n, 1))
     E = [1] + [0] * n
     if g.kind == "sigma":
         k = 1
@@ -71,7 +80,7 @@ def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
 def _scaled_columns(g: ArithmeticFunction, n: int) -> Iterator[list[int]]:
     """The columns u_1..u_n of B_j = A_j * n!/j! = n! * P_j: u_d[j] is the
     coefficient of X**d in B_j.  n and g's reach are checked before the
-    first column.
+    first column, by ``_log_derivative_form``.
 
     F = sum_j P_j q**j = exp(X*S) solves E*F' = X*N*F for the (N, E) of
     ``_log_derivative_form``; at q**(j-1) and X**d, scaled by n!, this reads
@@ -84,9 +93,6 @@ def _scaled_columns(g: ArithmeticFunction, n: int) -> Iterator[list[int]]:
     E sum is one sum per value of E; when E = 1 (a table), the N sum is one
     dot product per entry.
     """
-    if n < 0:
-        raise DomainError(f"D'Arcais polynomials need n >= 0, got {n}")
-    g.require_up_to(max(n, 1))
     N, E = _log_derivative_form(g, n)
     e_groups = [(v, _back_offsets([i for i in range(1, n) if E[i] == v], n))
                 for v in set(E[1:]) - {0}]  # u_d[j-i], 1 <= i <= j-d
@@ -130,9 +136,54 @@ def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
     return [IntPoly(row) for row in rows]
 
 
+def _a_poly_from_powers(Y: list[int], n: int) -> IntPoly:
+    """A_n for F = (1 - Y)**(-X), Y = Y[0..n] with Y[0] = 0 and entries in
+    {-1, 0, 1}.
+
+    (1 - Y)**(-X) = sum_d X(X+1)...(X+d-1)/d! * Y**d, so A_n is the sum of
+    t_d * n!/d! * X(X+1)...(X+d-1) over d = 1..n, t_d = [q**n] Y**d.  The
+    columns [q**m] Y**d, m <= n, are built one d at a time, each entry two
+    sums of the previous column, one per sign of Y; the sum over d is then
+    taken by Horner's rule: from R = t_n, R <- t_d * n!/d! + (X + d)*R for
+    d = n-1 down to 1, and A_n = X*R.
+    """
+    plus, minus = (_back_offsets([k for k in range(1, n + 1) if Y[k] == v], n)
+                   for v in (1, -1))  # Y**(d-1)[m-k], k <= m-d+1
+    t = [0] * (n + 1)
+    prev = [1] + [0] * n  # Y**0
+    for d in range(1, n + 1):
+        col = [0] * d
+        past = prev[:d]  # Y**(d-1)[0..m-1] at entry m
+        at = past.__getitem__
+        for m in range(d, n + 1):
+            col.append(sum(map(at, plus[m - d + 1])) - sum(map(at, minus[m - d + 1])))
+            past.append(prev[m])
+        t[d] = col[n]
+        prev = col
+    R, scale = [t[n]], 1  # scale = n!/d!
+    for d in range(n - 1, 0, -1):
+        scale *= d + 1
+        R = [d * a + b for a, b in zip(R + [0], [0] + R)]  # (X + d)*R
+        R[0] += t[d] * scale
+    return IntPoly([0] + R)
+
+
 def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
-    """n-th integer D'Arcais polynomial: entry n (n!/n! = 1) of each scaled
-    column u_0..u_n, with two columns live."""
+    """n-th integer D'Arcais polynomial.
+
+    With Y = 1 - E for the (N, E) of ``_log_derivative_form``, and E[n]
+    read as -N[n-1]/n so that g is read no further than g(n): if N = -E'
+    and Y has entries in {-1, 0, 1} (sigma), then S = -log E and
+    F = (1 - Y)**(-X), and A_n comes from the powers of Y
+    (``_a_poly_from_powers``) by O(n^2.5) small-integer additions and
+    O(n^2) bigint multiply-adds.  Otherwise A_n is entry n (n!/n! = 1) of
+    each scaled column u_0..u_n, with two columns live.
+    """
+    N, E = _log_derivative_form(g, n)
+    if n:  # N = -E' iff N[k-1] = k*Y[k] for k = 1..n
+        Y = [0, *(-e for e in E[1:]), N[-1] // n]
+        if N == [k * Y[k] for k in range(1, n + 1)] and set(Y) <= {-1, 0, 1}:
+            return _a_poly_from_powers(Y, n)
     return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
 
 

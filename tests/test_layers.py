@@ -94,6 +94,19 @@ def test_irreducibility_is_read_from_factor():
     assert "factor" in called and not called & {"pow_mod", "poly_gcd"}
 
 
+def test_series_reads_how_g_is_given_in_one_place():
+    # Every route of series is chosen from the form (N, E), not from g.kind.
+    tree = ast.parse((PACKAGE / "series.py").read_text())
+    (form,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_log_derivative_form"]
+
+    def kind_reads(root):
+        return sum(isinstance(node, ast.Attribute) and node.attr == "kind"
+                   for node in ast.walk(root))
+
+    assert kind_reads(tree) == kind_reads(form) > 0
+
+
 # What ``import darcais.cli`` must not add to a fresh interpreter: the
 # stdlib modules ``dataclasses`` pulls in at import.
 STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -19,7 +19,8 @@ from darcais import (
     parse_candidate,
     reduce_mod,
 )
-from darcais.polymod import ModPoly, poly_gcd, pow_mod
+from darcais import arith
+from darcais.polymod import ModPoly, _factor_bracket, poly_gcd, pow_mod
 
 from conftest import random_table
 from oracles import divides_a_poly_mod, is_irreducible_rabin, multiplicative_order
@@ -383,6 +384,14 @@ class TestFactorAPolyMod:
         fact = factor_a_poly_mod(sigma_g, 10**9 + 3, 7)
         assert sum(q.degree * m for q, m in fact.factors) == 10**9 + 3
         assert fact.unit == 1
+
+    @pytest.mark.parametrize("p", arith.primes_up_to(61))
+    def test_bracket_closed_form_is_its_factorization(self, p):
+        # B = X**p - c*X for every c mod p: X times X**e - b, e = ord_p(c).
+        for c in range(p):
+            bracket = ModPoly(p, [0, -c] + [0] * (p - 2) + [1])
+            want = factor(bracket)
+            assert want.unit == 1 and _factor_bracket(bracket) == want.factors, c
 
     def test_table_exhaustion_is_range_error(self):
         from darcais import TableExhaustedError

@@ -214,7 +214,7 @@ class TestLogDerivativeRecursion:
         table = ArithmeticFunction.from_table([arith.sigma(k) for k in range(1, 201)])
         clear_library_caches()
         assert a_poly_list(sigma_g, 200) == a_poly_list(table, 200)
-        for n in (0, 1, 5, 77, 200):
+        for n in (*range(61), 77, 200):
             clear_library_caches()
             assert a_poly(sigma_g, n) == a_poly(table, n), n
 
@@ -268,7 +268,7 @@ class TestCacheGrowth:
 
 
 class TestAPolyAlone:
-    """``a_poly``: two scaled columns, not A_0..A_n."""
+    """``a_poly``: A_n alone, from the powers of 1 - E or two scaled columns."""
 
     @staticmethod
     def generators():
@@ -289,6 +289,35 @@ class TestAPolyAlone:
             stored = a_poly_list(g, 40)
             assert a_poly(g, 90) == want[90], g.name
             assert stored == want[:41]
+
+    def test_sigma_from_the_powers_of_one_minus_e(self, sigma_g):
+        # The column recursion is the oracle for the route from (1 - E)**d.
+        clear_library_caches()
+        want = a_poly_list(sigma_g, 120)
+        for n in range(121):
+            assert a_poly(sigma_g, n) == want[n], n
+        for n in (200, 257, 400):
+            assert a_poly(sigma_g, n) == a_poly_list(sigma_g, n)[n], n
+
+    @pytest.mark.parametrize("kind, takes_columns", [
+        ("sigma", False), ("identity", True), ("table", True), ("sigma-table", True)])
+    def test_only_n_equal_minus_e_prime_skips_the_columns(self, monkeypatch, kind, takes_columns):
+        g = (ArithmeticFunction.from_table([arith.sigma(k) for k in range(1, 41)])
+             if kind == "sigma-table" else of_kind(kind))
+        want = a_poly_list(g, 40)
+        calls, columns = [], series._scaled_columns
+        monkeypatch.setattr(series, "_scaled_columns",
+                            lambda g, n: calls.append(n) or columns(g, n))
+        for n in (2, 17, 40):
+            assert a_poly(g, n) == want[n], n
+        assert calls == ([2, 17, 40] if takes_columns else [])
+
+    def test_table_of_exactly_n_entries(self):
+        for g in (random_table(9, 50, -20, 20),
+                  ArithmeticFunction.from_table([arith.sigma(k) for k in range(1, 51)])):
+            assert a_poly(g, 50) == a_poly_list_rows(g, 50)[50]
+            with pytest.raises(TableExhaustedError):
+                a_poly(g, 51)
 
     def test_short_table_still_exhausts(self):
         g = random_table(5, 30, -20, 20)
