@@ -25,11 +25,11 @@ method proves anything the result has method ``"none"``, whose evidence
 keeps each method's verdict and no inconclusive certificate.
 ``scan_grid`` asks the per-n methods in table order without a certificate
 per n, from facts computed once per point: a threshold in n, a case of n
-mod 7, witness primes p against n mod p, and a generic witness at p per
-class of n (n below p, p + n mod p from p on, as A_n = A_r * B**l mod p);
-only ``exact_evaluation`` runs per n, on rows held by the scan.  A method
-that would raise ``TableExhaustedError`` does not prove.  So past O(n_max)
-lookups per point, the cost of a scan does not depend on n_max.
+mod 7, and the searches the certificates read (witness primes p against n
+mod p; a witness at p per class of n, n below p and p + n mod p from p on,
+as A_n = A_r * B**l mod p); only ``exact_evaluation`` runs per n, on rows
+held by the scan.  A method that would raise ``TableExhaustedError`` does
+not prove.  So past O(n_max) lookups per point, a scan's cost does not depend on n_max.
 Every certificate carries enough recorded inputs (including seeds)
 to be re-derived bit for bit; ``verify_certificate`` does exactly that,
 under the g it is given.  Each method reads g and raises ``DomainError``
@@ -41,7 +41,6 @@ not a certificate.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
 
@@ -351,21 +350,35 @@ def certify_theorem_gaussian_sigma(
 # ---------------------------------------------------------------------------
 
 
-def _unramified_witnesses(
-    g: ArithmeticFunction, c: QuadraticShift, bound: int
-) -> Iterator[tuple[int, int, int, int | None]]:
-    """Yield (p, case, g(p) mod p, (D|p) or None at p = 2), in prime order,
-    for each prime p <= bound that meets case 1 or 2 of the unramified
-    criterion.  The bound is cut to the reach of a table-backed g here and
-    nowhere else; n plays no part, and g is evaluated only up to the last p
-    asked."""
-    for p in arith.primes_up_to(min(bound, g.n_max or bound)):
-        gp = g(p) % p
-        legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
-        if gp == 0 and (2 * c.a * c.D) % p != 0:
-            yield p, 1, gp, legendre
-        elif gp == 1 and p != 2 and c.a % p != 0 and legendre == -1:
-            yield p, 2, gp, legendre
+def _unramified_search(g: ArithmeticFunction, c: QuadraticShift, bound: int, sieve: list):
+    """``n ->`` the first witness (p, case, g(p) mod p, (D|p) or None at p = 2)
+    with n mod p < 2, or None.  Witnesses are the primes of ``sieve`` (one list
+    per scan: up to ``bound`` and a table's reach) that meet case 1 or 2, read
+    in order as searches need them, so g is read only up to the last p asked."""
+    if not sieve:
+        sieve.extend(arith.primes_up_to(min(bound, g.n_max or bound)))
+    found, unread = {}, iter(sieve)  # p -> its witness, for the primes read so far
+
+    def search(n: int):
+        for p in found:
+            if n % p < 2:
+                return found[p]
+        if found and p > n:  # the last witness read is above n: it ends the search
+            return None
+        for p in unread:
+            gp = g(p) % p
+            legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
+            if gp == 0 and (2 * c.a * c.D) % p != 0:
+                found[p] = p, 1, gp, legendre
+            elif gp == 1 and p != 2 and c.a % p != 0 and legendre == -1:
+                found[p] = p, 2, gp, legendre
+            if p in found and n % p < 2:
+                return found[p]
+            if p in found and p > n:
+                return None
+        return None
+
+    return search
 
 
 def certify_theorem_not_ramified(
@@ -389,8 +402,7 @@ def certify_theorem_not_ramified(
         raise DomainError("the unramified criterion applies to quadratic candidates only")
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
-    witnesses = _unramified_witnesses(g, c, prime_bound)
-    p, case, gp, legendre = next((w for w in witnesses if n % w[0] in (0, 1)), (None,) * 4)
+    p, case, gp, legendre = _unramified_search(g, c, prime_bound, [])(n) or (None,) * 4
     return Certificate(
         g_name=g.name,
         candidate=c,
@@ -408,10 +420,32 @@ def certify_theorem_not_ramified(
 # ---------------------------------------------------------------------------
 
 
-def _generic_witness(min_fact: polymod.Factorization, a_irreducibles) -> polymod.ModPoly | None:
-    """The first factor of f mod p (``min_fact``, f the minimal polynomial)
-    missing from ``a_irreducibles``, the monic irreducibles of A_n mod p, or None."""
-    return next((q for q, _ in min_fact.factors if q not in a_irreducibles), None)
+def _obstruction_search(g: ArithmeticFunction, f, primes, seed: int, pieces: dict):
+    """``n ->`` the first (p, q, f mod p factored, A_n mod p factored) over
+    ``primes`` with q a factor of f mod p missing from A_n mod p, or None.
+    ``pieces`` (one dict per scan) holds A_n mod p factored per (p, class of
+    n): n below p, p + n mod p from p on, as A_n = A_r * B**l mod p."""
+    found = {}  # (p, class of n) -> the witness there at f, or None
+
+    def search(n: int):
+        for p in primes:
+            key = (p, n if n < p else p + n % p)
+            w = found.get(key, False)
+            if w is False:
+                try:
+                    if key not in pieces:
+                        pieces[key] = polymod.factor_a_poly_mod(g, n, p, seed=seed)
+                    min_fact = polymod.factor(polymod.reduce_mod(f, p), seed=seed)
+                    a_irreducibles = {q for q, _ in pieces[key].factors}
+                    q = next((q for q, _ in min_fact.factors if q not in a_irreducibles), None)
+                    found[key] = w = None if q is None else (p, q, min_fact, pieces[key])
+                except TableExhaustedError:
+                    found[key] = w = None
+            if w is not None:
+                return w
+        return None
+
+    return search
 
 
 def certify_generic(
@@ -440,23 +474,17 @@ def certify_generic(
     primes = tuple(primes)
     for p in primes:
         arith.require_prime(p, "obstruction prime")
-    skipped = []
-    p, evidence = None, {"skipped_primes": skipped}
-    for prime in primes:
-        try:
-            a_fact = polymod.factor_a_poly_mod(g, n, prime, seed=seed)
-        except TableExhaustedError:
-            skipped.append(prime)
-            continue
-        min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, prime), seed=seed)
-        q = _generic_witness(min_fact, {poly for poly, _ in a_fact.factors})
-        if q is not None:
-            p, evidence = prime, {
-                "witness_factor": list(q.coeffs),
-                "min_poly_mod_p": min_fact.to_json_dict(),
-                "a_poly_mod_p": a_fact.to_json_dict(),
-            }
-            break
+    pieces = {}  # A_n mod p factored per (p, class of n), for each p within reach
+    search = _obstruction_search(g, c.min_poly, primes, seed, pieces)
+    p, q, min_fact, a_fact = search(n) or (None,) * 4
+    assembled = {prime for prime, _ in pieces}
+    evidence = {"skipped_primes": [prime for prime in primes if prime not in assembled]}
+    if p is not None:
+        evidence = {
+            "witness_factor": list(q.coeffs),
+            "min_poly_mod_p": min_fact.to_json_dict(),
+            "a_poly_mod_p": a_fact.to_json_dict(),
+        }
     return Certificate(
         g_name=g.name,
         candidate=c,
@@ -820,34 +848,16 @@ def _rational_integer_tests(g: ArithmeticFunction, b: int, top: int, row) -> lis
 
 
 def _point_tests(
-    g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, n_max: int, row,
-    last: int, pieces: dict
+    g: ArithmeticFunction, c: AlgebraicCandidate, config: CertifyConfig, row, last: int,
+    pieces: dict, sieve: list
 ) -> list:
-    """The per-n chain at c, n = 1..n_max, as tests (method, n -> proves) in
-    table order, from facts computed once per point (see the module
-    docstring), exact evaluation on ``row`` up to ``last`` (at most its
-    bound) and the scan's ``pieces``: (p, class of n) -> the monic
-    irreducibles of A_n mod p.  Applicability reads n only through exact
-    evaluation's bound, so it is asked at n = 1.  ``translated_shift`` reads
-    no n: the scan's all-n verdict stands for it."""
+    """The per-n chain at c as tests (method, n -> a proof or a falsy value)
+    in table order, each the method's own decision (see the module docstring)
+    from the scan's ``pieces``, ``sieve`` and ``row`` up to ``last``,
+    at most exact evaluation's bound: applicability reads n only there, so it
+    is asked at n = 1.  ``translated_shift`` reads no n: the all-n verdict stands."""
     applicable = {method: applies(g, c, 1, config) for method, (applies, _) in _CHAIN.items()}
-    seen = {}  # (p, n below p, else p + n mod p) -> whether p has a witness there
-
-    def generic(n: int) -> bool:
-        for p in config.primes:
-            key = (p, n if n < p else p + n % p)
-            if key not in seen:
-                try:
-                    if key not in pieces:
-                        fact = polymod.factor_a_poly_mod(g, key[1], p, seed=config.seed)
-                        pieces[key] = {q for q, _ in fact.factors}
-                    min_fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=config.seed)
-                    seen[key] = _generic_witness(min_fact, pieces[key]) is not None
-                except TableExhaustedError:
-                    seen[key] = False
-            if seen[key]:
-                return True
-        return False
+    generic = _obstruction_search(g, c.min_poly, config.primes, config.seed, pieces)
 
     def exact(n: int) -> bool:  # certify_exact's verdict, past a table's reach too
         return n <= last and not (row(n) % c.min_poly).is_zero
@@ -861,20 +871,7 @@ def _point_tests(
         proven = [certify_theorem_gaussian_sigma(g, c, r or 7).proven for r in range(7)]
         tests["gaussian_sigma"] = lambda n: proven[n % 7]
     if applicable["not_ramified"]:
-        # A witness above n_max proves n = 1 alone (n mod p < 2): the first one is enough.
-        primes = []
-        for p, *_ in _unramified_witnesses(g, c, config.not_ramified_prime_bound):
-            primes.append(p)
-            if p > n_max:
-                break
-
-        def not_ramified(n: int) -> bool:
-            for p in primes:
-                if n % p < 2:
-                    return True
-            return False
-
-        tests["not_ramified"] = not_ramified
+        tests["not_ramified"] = _unramified_search(g, c, config.not_ramified_prime_bound, sieve)
     return [(method, tests[method]) for method in _CHAIN if applicable[method] and method in tests]
 
 
@@ -895,8 +892,8 @@ def scan_grid(
     The bounds are resolved once: ``top``, the largest n asked (n_max, cut
     to a table's reach), and ``last``, the largest n exact evaluation reads
     at a != 0 (its bound, cut to ``top``).  The scan holds one list, built
-    at the first read: A_0..A_top if a row has a = 0, else A_0..A_last,
-    and the monic irreducibles of A_n mod p per (p, class of n) its points ask.
+    at the first read: A_0..A_top if a row has a = 0, else A_0..A_last, A_n
+    mod p factored per (p, class of n) its points ask, and one prime sieve.
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
@@ -907,7 +904,8 @@ def scan_grid(
     top = n_max if g.n_max is None else min(n_max, g.n_max)
     last = min(config.exact_eval_bound, top)
     row = _held_rows(g, top if a_range[0] <= 0 <= a_range[1] else last)
-    pieces = {}  # (p, class of n) -> the monic irreducibles of A_n mod p, for every point
+    pieces = {}  # (p, class of n) -> A_n mod p factored, for every point
+    sieve = []  # the primes not_ramified tries, for every point
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
@@ -919,7 +917,7 @@ def scan_grid(
             if cert.proven:
                 points.append(GridPoint(a, b, STATUS_ALL_N, (cert.method,), ()))
                 continue
-            tests = _point_tests(g, c, config, n_max, row, last, pieces)
+            tests = _point_tests(g, c, config, row, last, pieces, sieve)
             points.append(_grid_point(a, b, tests, n_max))
     return GridResult(
         g_name=g.name,

@@ -137,10 +137,10 @@ SIZE_CAPS = {"tau N": 2 * 10**8, "tau --max": 2 * 10**8, "hurwitz --max": 6000,
 
 def _sizes(args) -> list[tuple[str, str, int]]:
     """(mode, size, value) for each ``SIZE_CAPS`` mode the run is in, its own
-    mode first.  ``poly N --mod p`` also builds A_r over Z, r = N mod p, as
-    ``poly N`` does A_N.  A scan holds the rows A_0..A_top, top = --n-max with
-    a row at a = 0 and at most --exact-eval-bound without one, and walks
-    n = 1..--n-max at every point."""
+    mode first.  ``poly N --mod p`` builds A_r over Z, r = N mod p, and
+    ``certify --n N`` A_N once --exact-eval-bound >= N, as ``poly N`` does A_N.
+    A scan holds the rows A_0..A_top, top = --n-max with a row at a = 0 and
+    at most --exact-eval-bound without one, and walks n = 1..--n-max at every point."""
     if args.command == "tau":
         return [(f"tau {size}", size, value)
                 for size, value in (("N", args.n), ("--max", args.max)) if value is not None]
@@ -159,6 +159,8 @@ def _sizes(args) -> list[tuple[str, str, int]]:
                 ("min(--n-max, --exact-eval-bound)", min(args.n_max, args.exact_eval_bound)))
         points = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
         return [("scan rows", *rows), ("scan --n-max", "points x --n-max", points * args.n_max)]
+    if args.command == "certify" and args.n is not None and args.n <= args.exact_eval_bound:
+        return [("poly N", "--n", args.n)]
     return []
 
 

@@ -14,9 +14,9 @@ place that computes l, A_r mod p and B.
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
 equal-degree splitting (Cantor-Zassenhaus).  The equal-degree stage takes
-an explicit seed so factorizations are reproducible bit for bit; p = 2
-uses the trace-map variant because the (p**d - 1)/2 exponent trick needs
-odd characteristic.
+an explicit seed, but the factors are sorted, so the result does not
+depend on it; the seed is only recorded.  p = 2 uses the trace-map variant
+because the (p**d - 1)/2 exponent trick needs odd characteristic.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ class Factorization(FrozenValue):
     """Complete factorization over F_p: unit * prod(factor**multiplicity).
 
     Factors are monic, irreducible, pairwise distinct, and sorted by
-    (degree, coefficient tuple) so output is reproducible.  The seed fed
-    to the equal-degree splitter is recorded for replay.
+    (degree, coefficient tuple), so they do not depend on the seed fed to
+    the equal-degree splitter, which is only recorded.
     """
 
     p: int

@@ -12,6 +12,10 @@ result for result, against the route kept here:
   that ``hurwitz_check`` replaced;
 * ``divides_a_poly_mod``: division of the fully expanded A_n mod p, against
   membership in ``factor_a_poly_mod`` (the generic obstruction);
+* ``generic_obstruction_proves`` and ``not_ramified_proves``: the generic
+  obstruction at n, by membership in the factorization of the whole
+  ``a_poly_mod(g, n, p)``, and the unramified criterion written out from its
+  cases, against the searches that ``certify`` and ``scan_grid`` share;
 * ``is_irreducible_rabin``: Rabin's irreducibility test over F_p, against
   ``is_irreducible``, which reads ``factor``; the tests that check the
   factors ``factor`` returns are irreducible use it, so that ``factor``
@@ -19,9 +23,10 @@ result for result, against the route kept here:
 * ``periodic_residues``: the periodic obstruction in membership form, the
   residues r mod p where one prime rules out every n = r mod p; the
   closed-form criteria and the genuine-root corpus are checked against it;
-* ``scan_grid_per_n``: the grid scan that runs the whole strategy chain,
-  one certificate per (point, n), against ``scan_grid``, which decides each
-  n by its class from facts computed once per point;
+* ``scan_grid_per_n``: the grid scan that runs the whole strategy chain
+  per (point, n), the generic obstruction and the unramified criterion by
+  the two oracles above and every other method by its certificate, against
+  ``scan_grid``, which decides each n from facts computed once per point;
 * ``zmija_order_six``: the raw order criterion mod 11, against the degree
   rule of ``check_zmija_conditions``;
 * ``evaluate_at_quadratic`` and ``evaluate_at_cyclotomic``: evaluation in
@@ -37,6 +42,8 @@ None of these may be defined in the library (``tests/test_layers.py``).
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 from darcais import (
     DomainError,
@@ -49,7 +56,7 @@ from darcais import (
     reduce_mod,
 )
 from darcais.arith import divisors, prime_factors, require_prime, require_quadratic_d
-from darcais.certify import DEFAULT_CONFIG, GridPoint, GridResult, certify, certify_all_n
+from darcais.certify import _CHAIN, DEFAULT_CONFIG, GridPoint, GridResult, certify_all_n
 from darcais.numfield import candidate_family
 from darcais.polymod import ModPoly, poly_gcd, pow_mod
 from darcais.series import a_poly_list
@@ -178,6 +185,44 @@ def divides_a_poly_mod(q: ModPoly, g, n: int, p: int) -> bool:
     return q.divides(a_poly_mod(g, n, p))
 
 
+@lru_cache(maxsize=None)
+def _a_poly_mod_factors(g, n: int, p: int, seed: int) -> frozenset:
+    """The monic irreducibles of the whole A_n mod p, held across candidates."""
+    return frozenset(q for q, _ in factor(a_poly_mod(g, n, p), seed=seed).factors)
+
+
+def generic_obstruction_proves(g, f: IntPoly, n: int, primes, seed: int = 0) -> bool:
+    """Whether some p of ``primes`` has an irreducible factor of f mod p that
+    is missing from the factorization of ``a_poly_mod(g, n, p)`` (degree n,
+    built whole); a p past the reach of a table-backed g proves nothing."""
+    for p in primes:
+        try:
+            a_factors = _a_poly_mod_factors(g, n, p, seed)
+        except TableExhaustedError:
+            continue
+        if any(q not in a_factors for q, _ in factor(reduce_mod(f, p), seed=seed).factors):
+            return True
+    return False
+
+
+def not_ramified_proves(g, c, n: int, bound: int) -> bool:
+    """Whether a prime p <= bound, within the reach of a table-backed g and
+    found by trial division, has n = 0 or 1 mod p and meets case 1 (g(p) = 0
+    mod p, p dividing none of 2, a, D) or case 2 (g(p) = 1 mod p, p odd and
+    not dividing a, D a non-residue mod p by Euler's criterion) of the
+    unramified criterion at the quadratic candidate c = a*w_D + b."""
+    reach = bound if g.n_max is None else min(bound, g.n_max)
+    for p in range(2, (reach if n == 1 else min(reach, n)) + 1):  # n mod p = n > 1 past n
+        if n % p > 1 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        gp = g(p) % p
+        if gp == 0 and (2 * c.a * c.D) % p:
+            return True
+        if gp == 1 and p > 2 and c.a % p and pow(c.D, (p - 1) // 2, p) == p - 1:
+            return True
+    return False
+
+
 def is_irreducible_rabin(f: ModPoly) -> bool:
     """Rabin's test on the monic normalization of f, of degree n >= 1: f
     divides X**(p**n) - X and is coprime to X**(p**(n/l)) - X for each
@@ -222,8 +267,30 @@ def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
     return frozenset(r for r in range(p) if any(not q.divides(a_r[r]) for q in coprime))
 
 
+def _per_n_method(g, c, n: int, config=DEFAULT_CONFIG) -> str | None:
+    """The first method of the strategy chain that proves n at c, or None:
+    ``generic_obstruction`` and ``not_ramified`` by the oracles above, every
+    other method by its certificate; one that raises ``TableExhaustedError``
+    does not prove."""
+    for method, (applies, run) in _CHAIN.items():
+        if not applies(g, c, n, config):
+            continue
+        if method == "generic_obstruction":
+            proven = generic_obstruction_proves(g, c.min_poly, n, config.primes, config.seed)
+        elif method == "not_ramified":
+            proven = not_ramified_proves(g, c, n, config.not_ramified_prime_bound)
+        else:
+            try:
+                proven = run(g, c, n, config).proven
+            except TableExhaustedError:
+                proven = False
+        if proven:
+            return method
+    return None
+
+
 def scan_grid_per_n(g, kind: str, a_range, b_range, n_max: int, config=DEFAULT_CONFIG):
-    """``scan_grid`` by one ``certify`` call per (point, n) once
+    """``scan_grid`` by ``_per_n_method`` for every (point, n) once
     ``certify_all_n`` is inconclusive; a point with a = 0 tries the absolute
     bound (sigma only) and then exact evaluation at b, for each n, of one
     list A_0..A_top built per scan."""
@@ -252,9 +319,9 @@ def scan_grid_per_n(g, kind: str, a_range, b_range, n_max: int, config=DEFAULT_C
                     points.append(GridPoint(a, b, "all_n", (cert.method,), ()))
                     continue
                 for n in range(1, n_max + 1):
-                    per_n = certify(g, c, n, config)
-                    if per_n.proven:
-                        methods.add(per_n.method)
+                    method = _per_n_method(g, c, n, config)
+                    if method is not None:
+                        methods.add(method)
                     else:
                         uncertified.append(n)
             status = "up_to_nmax" if not uncertified else "partial" if methods else "unknown"

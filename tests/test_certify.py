@@ -350,8 +350,8 @@ class TestNotRamified:
         assert not cert.proven and cert.details["prime_bound"] == 50
         assert asked == [2, 3, 5, 7, 11]
         asked.clear()
-        _point_tests(g, c, config, 12, _held_rows(g, 1), 1, {})
-        assert asked == [2, 3, 5, 7, 11]
+        tests = dict(_point_tests(g, c, config, _held_rows(g, 1), 1, {}, []))
+        assert not tests["not_ramified"](6) and asked == [2, 3, 5, 7, 11]
 
 
 class TestGenericObstruction:

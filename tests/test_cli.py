@@ -471,19 +471,23 @@ class TestInputPathsExitTwo:
 
     # Sizes past their cap: refused before anything is built.  Only cap + 1
     # and 10**20 run here; a size just under a cap fills memory.
-    # By mode: the test id and the command line, "{}" for the size.
+    # By test id: the mode and the command line, "{}" for the size.
+    # ``certify --n N`` builds A_N over Z as ``poly N`` does once exact
+    # evaluation reaches N.
     SIZE_ARGV = {
-        "tau N": ("tau-n", ("tau", "{}")),
-        "tau --max": ("tau-max", ("tau", "--max", "{}")),
-        "hurwitz --max": ("hurwitz-max", ("hurwitz", "--max", "{}")),
-        "poly N": ("poly-n", ("poly", "{}")),
-        "poly N --rational": ("poly-rational", ("poly", "{}", "--rational")),
-        "poly N --mod p": ("poly-mod", ("poly", "{}", "--mod", "5")),
-        "poly N --mod p --factor": ("poly-mod-factor",
-                                    ("poly", "{}", "--mod", "2147483647", "--factor")),
-        "scan rows": ("scan-rows", ("scan", "--a-range=0:0", "--b-range=0:0", "--n-max", "{}")),
-        "scan --n-max": ("scan-n-max",
-                         ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}")),
+        "tau-n": ("tau N", ("tau", "{}")),
+        "tau-max": ("tau --max", ("tau", "--max", "{}")),
+        "hurwitz-max": ("hurwitz --max", ("hurwitz", "--max", "{}")),
+        "poly-n": ("poly N", ("poly", "{}")),
+        "poly-rational": ("poly N --rational", ("poly", "{}", "--rational")),
+        "poly-mod": ("poly N --mod p", ("poly", "{}", "--mod", "5")),
+        "poly-mod-factor": ("poly N --mod p --factor",
+                            ("poly", "{}", "--mod", "2147483647", "--factor")),
+        "scan-rows": ("scan rows", ("scan", "--a-range=0:0", "--b-range=0:0", "--n-max", "{}")),
+        "scan-n-max": ("scan --n-max",
+                       ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}")),
+        "certify-n": ("poly N", ("certify", "--candidate", "quad:-2,1,3", "--n", "{}",
+                                 "--exact-eval-bound", "{}")),
     }
 
     def run_within_memory(self, capsys, argv):
@@ -498,11 +502,12 @@ class TestInputPathsExitTwo:
         return err
 
     @pytest.mark.parametrize("over", [1, 10**20], ids=["cap+1", "10**20"])
-    @pytest.mark.parametrize("mode", list(SIZE_ARGV), ids=[i for i, _ in SIZE_ARGV.values()])
-    def test_size_over_its_cap_is_usage_error(self, capsys, mode, over):
+    @pytest.mark.parametrize("case", list(SIZE_ARGV))
+    def test_size_over_its_cap_is_usage_error(self, capsys, case, over):
+        mode, argv = self.SIZE_ARGV[case]
         cap = cli.SIZE_CAPS[mode]
         size = str(cap + over if over == 1 else over)
-        err = self.run_within_memory(capsys, [a.format(size) for a in self.SIZE_ARGV[mode][1]])
+        err = self.run_within_memory(capsys, [a.format(size) for a in argv])
         assert err.startswith(f"error: {mode}: ") and f"at most {cap} " in err
 
     # Sizes derived from two flags: A_r over Z under --mod p (r = N mod p),
@@ -526,7 +531,7 @@ class TestInputPathsExitTwo:
 
     def test_size_caps_name_their_modes_and_readme_lists_them(self):
         text = README.read_text()
-        assert set(cli.SIZE_CAPS) == set(self.SIZE_ARGV)
+        assert set(cli.SIZE_CAPS) == {mode for mode, _ in self.SIZE_ARGV.values()}
         for mode, cap in cli.SIZE_CAPS.items():
             assert f"| `{mode}` | {cap} |" in text, mode
 

@@ -94,6 +94,38 @@ def test_irreducibility_is_read_from_factor():
     assert "factor" in called and not called & {"pow_mod", "poly_gcd"}
 
 
+def test_each_chain_decision_is_made_in_one_place():
+    # The generic obstruction and the unramified criterion each decide in one
+    # search, which their certify_* functions and the scan's point tests
+    # call: _point_tests reaches no polymod or arith function of its own.
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module in ("arith", "polymod")
+                for alias in node.names}
+
+    def reads(name: str) -> set[str]:
+        """polymod.x, arith.x and bare names that the function reads."""
+        found = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                found.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Name):
+                found.add(node.id)
+        return found
+
+    point = reads("_point_tests")
+    assert not {name for name in point if name.split(".")[0] in ("polymod", "arith")}
+    assert not point & (imported - {"ArithmeticFunction"})  # annotations only
+    assert {"_obstruction_search", "_unramified_search"} <= point
+    assert "_obstruction_search" in reads("certify_generic")
+    assert "_unramified_search" in reads("certify_theorem_not_ramified")
+    # The prime loops themselves: A_n mod p factored and the witness cases.
+    assert [f for f in funcs if "polymod.factor_a_poly_mod" in reads(f)] == [
+        "_obstruction_search", "check_zmija_conditions"]
+    assert [f for f in funcs if "arith.legendre_symbol" in reads(f)] == ["_unramified_search"]
+
+
 def test_series_reads_how_g_is_given_in_one_place():
     # Every route of series is chosen from the form (N, E), not from g.kind.
     tree = ast.parse((PACKAGE / "series.py").read_text())

@@ -28,7 +28,6 @@ from darcais import (
     CyclotomicShift,
     IntPoly,
     QuadraticShift,
-    TableExhaustedError,
     a_poly_mod,
     certify,
     certify_all_n,
@@ -40,7 +39,7 @@ from darcais import (
     reduce_mod,
 )
 from darcais.arith import primes_up_to
-from darcais.certify import DEFAULT_CONFIG, _generic_witness, _held_rows, _point_tests
+from darcais.certify import DEFAULT_CONFIG, _held_rows, _obstruction_search, _point_tests
 from darcais.series import a_poly_list
 
 from conftest import random_table
@@ -82,35 +81,25 @@ def residues_ignoring_bracket(g, f: IntPoly, p: int) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
-def a_irreducibles(g, n: int, p: int) -> frozenset:
-    """The monic irreducibles of A_n mod p, held for every candidate as a scan holds them."""
-    return frozenset(q for q, _ in factor_a_poly_mod(g, n, p).factors)
+SCAN_PIECES = {}  # g -> the pieces a scan under g holds, shared by every search here
 
 
 def library_residues(g, f: IntPoly, p: int) -> frozenset[int]:
-    """Residues r mod p where the library's generic witness at n = p + r,
-    which the scan reads for every n >= p in the class of r, exists."""
-    min_fact = factor(reduce_mod(f, p))
-    try:
-        return frozenset(r for r in range(p)
-                         if _generic_witness(min_fact, a_irreducibles(g, p + r, p)) is not None)
-    except TableExhaustedError:
-        return frozenset()
-
-
-SCAN_PIECES = {}  # g -> the pieces a scan under g holds, shared by every scan_test
+    """Residues r mod p where the library's generic search finds a witness at
+    n = p + r, which a scan reads for every n >= p in the class of r; a p past
+    the reach of a table-backed g finds none."""
+    search = _obstruction_search(g, f, (p,), DEFAULT_CONFIG.seed, SCAN_PIECES.setdefault(g, {}))
+    return frozenset(r for r in range(p) if search(p + r) is not None)
 
 
 def scan_test(g, c, p: int):
     """The scan's generic-obstruction test at c with p as the only prime,
     for every n the tests here ask."""
     config = CertifyConfig(primes=(p,))
-    last, n_max = config.exact_eval_bound, 10**13 * p
-    pieces = SCAN_PIECES.setdefault(g, {})
-    (test,) = [t for m, t in _point_tests(g, c, config, n_max, _held_rows(g, last), last, pieces)
+    last, pieces = config.exact_eval_bound, SCAN_PIECES.setdefault(g, {})
+    (test,) = [t for m, t in _point_tests(g, c, config, _held_rows(g, last), last, pieces, [])
                if m == "generic_obstruction"]
-    return test
+    return lambda n: test(n) is not None
 
 
 def covered_roots(residues) -> list[tuple[str, int, IntPoly, int]]:

@@ -1,16 +1,22 @@
 """``scan_grid`` decides each n from facts computed once per point.
 
 The scan asks the strategy chain's methods in table order, as ``certify``
-does, but reads each answer from a threshold in n, a residue of n or a memo
-keyed by the class of n, instead of building a certificate per n.  These
-tests hold it to the per-n route it replaced:
+does, but reads each answer from a threshold in n, a residue of n, or the
+search that the method's certificate reads (``not_ramified``'s witness
+primes, sieved once per scan, and ``generic_obstruction``'s witnesses per
+class of n), instead of building a certificate per n.  These tests hold it
+to the per-n route it replaced:
 
 * the scan's JSON bytes equal those of ``oracles.scan_grid_per_n``, which
-  runs ``certify`` for every (point, n);
-* each method's per-point test equals ``.proven`` of the certificate its
-  chain entry builds, for every n <= 60;
-* a scan runs the all-n criterion once per point and never ``certify`` or
-  ``certify_generic``.
+  runs the chain for every (point, n), with the generic obstruction and the
+  unramified criterion decided from their definitions, also under two
+  obstruction primes, where the generic obstruction leaves some n open;
+* each method's per-point test equals, for every n <= 60, ``.proven`` of
+  the certificate its chain entry builds, and for the two methods that share
+  their search with the scan also the criterion from its definition
+  (``oracles.generic_obstruction_proves`` and ``not_ramified_proves``);
+* a scan runs the all-n criterion once per point, never ``certify`` or a
+  per-n ``certify_*`` function, and sieves the witness primes once.
 """
 
 import importlib
@@ -25,6 +31,7 @@ from darcais import (
     CertifyConfig,
     QuadraticShift,
     TableExhaustedError,
+    arith,
     certify_han_bound,
     scan_grid,
     series,
@@ -40,7 +47,7 @@ from darcais.certify import (
 )
 
 from conftest import random_table
-from oracles import scan_grid_per_n
+from oracles import generic_obstruction_proves, not_ramified_proves, scan_grid_per_n
 from test_periodic import CLOSED_FORM_CYCS, CLOSED_FORM_GS, CLOSED_FORM_QUADS
 
 # The 8-entry table reaches below the primes 11 and 13 and below n_max.
@@ -61,27 +68,29 @@ def scan_bytes(scan, *args) -> str:
 class TestScanMatchesThePerNChain:
     @pytest.mark.parametrize("g", SCAN_GS, ids=lambda g: g.name)
     def test_small_rectangles(self, g):
-        for kind in SCAN_KINDS:
-            for n_max in (1, 7, 50):
-                args = (g, kind, (-1, 3), (-3, 3), n_max)
-                assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
-                    g.name, kind, n_max)
+        # Under the primes 13 and 2 alone the generic obstruction leaves some
+        # n to exact evaluation under every g here (under the default primes
+        # it proves every n it is asked), and 13 lies past the 8-entry table.
+        for config in (DEFAULT_CONFIG, CertifyConfig(primes=(13, 2))):
+            for kind in SCAN_KINDS:
+                for n_max in (1, 7, 50):
+                    args = (g, kind, (-1, 3), (-3, 3), n_max, config)
+                    assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
+                        g.name, kind, n_max, config.primes)
 
-    @pytest.mark.usefixtures("held_pieces")
     def test_deep_quadratic_scan(self, sigma_g):
         args = (sigma_g, "quad:-2", (1, 4), (-4, 4), 400)
         assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args)
 
 
 class TestNotRamifiedStopsPastNMax:
-    """A witness prime p > n_max proves only n = 1 (n mod p < 2 at n < p),
-    so the scan reads witnesses up to the first one above n_max, whatever
-    the prime bound."""
+    """A witness prime p > n proves n only at n = 1 (n mod p < 2 at n < p),
+    so the scan reads witnesses up to the first one above the n it asks,
+    at most n_max, whatever the prime bound."""
 
     @pytest.mark.parametrize(
         "g", (ArithmeticFunction.sigma(), ArithmeticFunction.identity(),
               random_table(13, 3000, -20, 20)), ids=lambda g: g.name)
-    @pytest.mark.usefixtures("held_pieces")
     def test_matches_the_per_n_chain_at_a_large_bound(self, g):
         config = CertifyConfig(not_ramified_prime_bound=3000)
         for kind in ("gauss", "quad:-2", "quad:5", "quad:-17"):
@@ -96,9 +105,12 @@ class TestNotRamifiedStopsPastNMax:
         asked, evaluate = [], ArithmeticFunction.__call__
         monkeypatch.setattr(ArithmeticFunction, "__call__",
                             lambda g, n: asked.append(n) or evaluate(g, n))
-        tests = dict(_point_tests(sigma_g, c, config, 5, _held_rows(sigma_g, 1), 1, {}))
-        assert asked == [2, 3, 5, 7]
+        tests = dict(_point_tests(sigma_g, c, config, _held_rows(sigma_g, 1), 1, {}, []))
+        assert asked == []
         assert [n for n in range(1, 6) if tests["not_ramified"](n)] == [1, 5]
+        assert asked == [2, 3, 5]  # 5 proves n = 1 and 5, and ends the search at n = 2..4
+        # 9 = 4 mod 5 and 2 mod 7; 11 is no witness ((-2|11) = 1), 13 > 9 is.
+        assert not tests["not_ramified"](9) and asked == [2, 3, 5, 7, 11, 13]
 
 
 class TestScanHoldsOneList:
@@ -132,15 +144,25 @@ def chain_proves(method: str, g, c, n: int) -> bool:
         return False
 
 
+# The criterion from its definition, for the methods whose certificate reads
+# the scan's own search: comparing the two alone would prove nothing.
+DEFINITIONS = {
+    "generic_obstruction": lambda g, c, n: generic_obstruction_proves(
+        g, c.min_poly, n, DEFAULT_CONFIG.primes, DEFAULT_CONFIG.seed),
+    "not_ramified": lambda g, c, n: not_ramified_proves(
+        g, c, n, DEFAULT_CONFIG.not_ramified_prime_bound),
+}
+
+
 class TestPointTestsMatchTheCertificates:
     @pytest.mark.parametrize("g", CLOSED_FORM_GS, ids=lambda g: g.name)
     @pytest.mark.usefixtures("held_a_poly", "held_pieces")
     def test_each_method_up_to_60(self, g):
         last = DEFAULT_CONFIG.exact_eval_bound  # below the reach of every table here
-        # One list and one set of pieces for every candidate, as in a scan.
-        asked, row, pieces = set(), _held_rows(g, last), {}
+        # One list, one set of pieces and one sieve for every candidate, as in a scan.
+        asked, row, pieces, sieve = set(), _held_rows(g, last), {}, []
         for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
-            tests = _point_tests(g, c, DEFAULT_CONFIG, 60, row, last, pieces)
+            tests = _point_tests(g, c, DEFAULT_CONFIG, row, last, pieces, sieve)
             applicable = [m for m, (applies, _) in _CHAIN.items()
                           if applies(g, c, 1, DEFAULT_CONFIG)]
             # translated_shift reads no n; the scan has its all-n verdict.
@@ -150,7 +172,9 @@ class TestPointTestsMatchTheCertificates:
                 applies = _CHAIN[method][0]
                 for n in range(1, 61):
                     want = applies(g, c, n, DEFAULT_CONFIG) and chain_proves(method, g, c, n)
-                    assert proves(n) == want, (g.name, c, method, n)
+                    assert bool(proves(n)) == want, (g.name, c, method, n)
+                    if method in DEFINITIONS:
+                        assert DEFINITIONS[method](g, c, n) == want, (g.name, c, method, n)
         assert asked >= {"generic_obstruction", "exact_evaluation", "not_ramified"}
 
     def test_han_reach_is_the_bound_of_the_certificate(self, sigma_g):
@@ -177,7 +201,8 @@ class TestScanRunsNoPerNChain:
     def test_call_counts(self, monkeypatch):
         # Counted through the module globals, which the chain calls.
         certify_module = importlib.import_module("darcais.certify")
-        calls = {"certify_theorem_translated": 0, "certify": 0, "certify_generic": 0}
+        calls = {"certify_theorem_translated": 0, "certify": 0, "certify_generic": 0,
+                 "certify_theorem_not_ramified": 0}
         for name in calls:
             original = getattr(certify_module, name)
 
@@ -193,3 +218,20 @@ class TestScanRunsNoPerNChain:
                 points += sum(1 for pt in grid.points if pt.a != 0)
         assert 0 < calls["certify_theorem_translated"] <= points
         assert calls["certify"] == calls["certify_generic"] == 0
+        assert calls["certify_theorem_not_ramified"] == 0
+
+    @pytest.mark.parametrize("g, a_range, b_range, bound", [
+        (ArithmeticFunction.sigma(), (1, 1), (0, 0), 10**4),
+        (ArithmeticFunction.sigma(), (1, 4), (-4, 4), 10**4),
+        (random_table(11, 40, -20, 20), (1, 4), (-4, 4), 40),
+    ], ids=["1-point", "36-point", "table"])
+    def test_one_sieve_per_scan(self, monkeypatch, g, a_range, b_range, bound):
+        # The witness primes of not_ramified are sieved once per scan, not
+        # per point, up to the prime bound cut to a table's reach.
+        sieves, sieve = [], arith.primes_up_to
+        monkeypatch.setattr(arith, "primes_up_to",
+                            lambda bound: sieves.append(bound) or sieve(bound))
+        config = CertifyConfig(not_ramified_prime_bound=10**4)
+        grid = scan_grid(g, "quad:-2", a_range, b_range, 30, config)
+        assert "not_ramified" in {m for pt in grid.points for m in pt.methods}
+        assert sieves == [bound]
