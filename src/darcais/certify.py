@@ -30,12 +30,12 @@ mod p; a witness at p per class of n, n below p and p + n mod p from p on,
 as A_n = A_r * B**l mod p); only ``exact_evaluation`` runs per n, on rows
 held by the scan.  A method that would raise ``TableExhaustedError`` does
 not prove.  So past O(n_max) lookups per point, a scan's cost does not depend on n_max.
-Every certificate carries enough recorded inputs (including seeds)
-to be re-derived bit for bit; ``verify_certificate`` does exactly that,
-under the g it is given.  Each method reads g and raises ``DomainError``
-for a g its criterion does not cover, so replay binds a proof to the g it
-is checked under.  ``check_zmija_conditions`` is an audit report on g,
-not a certificate.
+Every certificate carries enough recorded inputs to be re-derived bit for
+bit (a seed it records is a label that no computation reads);
+``verify_certificate`` does exactly that, under the g it is given.  Each
+method reads g and raises ``DomainError`` for a g its criterion does not
+cover, so replay binds a proof to the g it is checked under.
+``check_zmija_conditions`` is an audit report on g, not a certificate.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class CertifyConfig(FrozenValue):
     primes: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
     exact_eval_bound: int = 30
     not_ramified_prime_bound: int = 50
-    seed: int = polymod.DEFAULT_SEED
+    seed: int = 0
 
     def __post_init__(self) -> None:
         for p in self.primes:
@@ -420,7 +420,7 @@ def certify_theorem_not_ramified(
 # ---------------------------------------------------------------------------
 
 
-def _obstruction_search(g: ArithmeticFunction, f, primes, seed: int, pieces: dict):
+def _obstruction_search(g: ArithmeticFunction, f, primes, pieces: dict):
     """``n ->`` the first (p, q, f mod p factored, A_n mod p factored) over
     ``primes`` with q a factor of f mod p missing from A_n mod p, or None.
     ``pieces`` (one dict per scan) holds A_n mod p factored per (p, class of
@@ -434,8 +434,8 @@ def _obstruction_search(g: ArithmeticFunction, f, primes, seed: int, pieces: dic
             if w is False:
                 try:
                     if key not in pieces:
-                        pieces[key] = polymod.factor_a_poly_mod(g, n, p, seed=seed)
-                    min_fact = polymod.factor(polymod.reduce_mod(f, p), seed=seed)
+                        pieces[key] = polymod.factor_a_poly_mod(g, n, p)
+                    min_fact = polymod.factor(polymod.reduce_mod(f, p))
                     a_irreducibles = {q for q, _ in pieces[key].factors}
                     q = next((q for q, _ in min_fact.factors if q not in a_irreducibles), None)
                     found[key] = w = None if q is None else (p, q, min_fact, pieces[key])
@@ -475,15 +475,15 @@ def certify_generic(
     for p in primes:
         arith.require_prime(p, "obstruction prime")
     pieces = {}  # A_n mod p factored per (p, class of n), for each p within reach
-    search = _obstruction_search(g, c.min_poly, primes, seed, pieces)
+    search = _obstruction_search(g, c.min_poly, primes, pieces)
     p, q, min_fact, a_fact = search(n) or (None,) * 4
     assembled = {prime for prime, _ in pieces}
     evidence = {"skipped_primes": [prime for prime in primes if prime not in assembled]}
     if p is not None:
         evidence = {
             "witness_factor": list(q.coeffs),
-            "min_poly_mod_p": min_fact.to_json_dict(),
-            "a_poly_mod_p": a_fact.to_json_dict(),
+            "min_poly_mod_p": min_fact.to_json_dict(seed),
+            "a_poly_mod_p": a_fact.to_json_dict(seed),
         }
     return Certificate(
         g_name=g.name,
@@ -705,7 +705,7 @@ class ZmijaReport(FrozenValue):
         }
 
 
-def check_zmija_conditions(g: ArithmeticFunction, seed: int = DEFAULT_CONFIG.seed) -> ZmijaReport:
+def check_zmija_conditions(g: ArithmeticFunction) -> ZmijaReport:
     """Audit the three local splitting conditions that force non-vanishing
     at every root of unity of order >= 3.
 
@@ -726,7 +726,7 @@ def check_zmija_conditions(g: ArithmeticFunction, seed: int = DEFAULT_CONFIG.see
         found = []
         profiles = {}
         for r in indices:
-            fact = polymod.factor_a_poly_mod(g, r, p, seed=seed)
+            fact = polymod.factor_a_poly_mod(g, r, p)
             profiles[str(r)] = fact.degrees()
             for q, _ in fact.factors:
                 if bad(q):
@@ -857,7 +857,7 @@ def _point_tests(
     at most exact evaluation's bound: applicability reads n only there, so it
     is asked at n = 1.  ``translated_shift`` reads no n: the all-n verdict stands."""
     applicable = {method: applies(g, c, 1, config) for method, (applies, _) in _CHAIN.items()}
-    generic = _obstruction_search(g, c.min_poly, config.primes, config.seed, pieces)
+    generic = _obstruction_search(g, c.min_poly, config.primes, pieces)
 
     def exact(n: int) -> bool:  # certify_exact's verdict, past a table's reach too
         return n <= last and not (row(n) % c.min_poly).is_zero

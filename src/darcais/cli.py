@@ -9,8 +9,8 @@ loaded, and ``_write_run`` merges the header into the body, so identical
 invocations produce byte-identical files.  Exit codes: 0 success (or proven), 1 inconclusive
 (or a notable finding), 2 usage/domain error, 3 table exhaustion.  The
 one ``except`` in ``main`` maps ``TableExhaustedError`` to 3 and
-``DomainError``, ``OSError`` or ``OverflowError`` (a size no list can
-hold) to 2, with an ``error:`` line on stderr.
+``DomainError``, ``OSError``, ``OverflowError`` (a size no list can
+hold) or ``MemoryError`` to 2, with an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -288,14 +288,14 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
     if args.mod is not None:
         body = {"n": args.n, "mod": args.mod}
         if args.factor:
-            fact = polymod.factor_a_poly_mod(g, args.n, args.mod, seed=config.seed)
+            fact = polymod.factor_a_poly_mod(g, args.n, args.mod)
             text = " * ".join(
                 f"({format_poly(p.coeffs)})" + (f"^{m}" if m > 1 else "")
                 for p, m in fact.factors
             ) or "1"
             if fact.unit != 1:
                 text = f"{fact.unit} * {text}"
-            return ({**body, "factorization": fact.to_json_dict()},
+            return ({**body, "factorization": fact.to_json_dict(config.seed)},
                     f"{text} (mod {args.mod})", EXIT_OK)
         reduced = polymod.a_poly_mod(g, args.n, args.mod)
         return ({**body, "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}},
@@ -360,7 +360,7 @@ def _cmd_minpoly(args, g, config) -> tuple[dict, str, int]:
 
 def _cmd_split(args, g, config) -> tuple[dict, str, int]:
     candidate = numfield.parse_candidate(args.candidate)
-    report = numfield.dedekind_kummer_split(candidate, args.p, seed=config.seed)
+    report = numfield.dedekind_kummer_split(candidate, args.p)
     if report.applicable:
         shape = ", ".join(f"(e={e}, f={f})" for _, e, f in report.entries)
         text = f"p = {args.p} in Q({candidate.describe()}): {shape}" + (
@@ -368,11 +368,11 @@ def _cmd_split(args, g, config) -> tuple[dict, str, int]:
         )
     else:
         text = f"p = {args.p} divides the index {candidate.index}; not applicable"
-    return {"report": report.to_json_dict()}, text, EXIT_OK
+    return {"report": report.to_json_dict(config.seed)}, text, EXIT_OK
 
 
 def _cmd_zmija(args, g, config) -> tuple[dict, str, int]:
-    report = check_zmija_conditions(g, seed=config.seed)
+    report = check_zmija_conditions(g)
     text = (
         f"mod 5: {'ok' if report.cond_mod5 else 'FAIL'}; "
         f"mod 7: {'ok' if report.cond_mod7 else 'FAIL'}; "
@@ -444,8 +444,8 @@ def main(argv=None) -> int:
         body, text, code = _COMMANDS[args.command](args, g, config)
         _write_run(args, header, body, text)
         return code
-    except (DomainError, TableExhaustedError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, TableExhaustedError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RANGE if isinstance(exc, TableExhaustedError) else EXIT_USAGE
     finally:
         if cap:

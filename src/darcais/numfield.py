@@ -19,6 +19,13 @@ from .polynomial import IntPoly, cyclotomic
 from .polymod import Factorization, ModPoly
 
 
+# The largest phi(m) whose minimal polynomial (and index) a run builds: the
+# degree at which ``minpoly --candidate cyc:m,2,3`` would peak at 64 GiB, from
+# its 2.48-2.65 bytes per phi(m)**2 (m = 1009..4001, Python 3.11, x86-64, the
+# larger of the json and text peaks), rounded down.
+MAX_CYCLOTOMIC_DEGREE = 160000
+
+
 class CyclotomicShift(FrozenValue):
     """Candidate a*zeta_m + b with m >= 3 and a != 0."""
 
@@ -38,9 +45,18 @@ class CyclotomicShift(FrozenValue):
     def degree(self) -> int:
         return arith.euler_phi(self.m)
 
+    def _capped_degree(self) -> int:
+        """phi(m), refused past ``MAX_CYCLOTOMIC_DEGREE`` before anything of
+        that size is built; the all-n criteria, which read m alone, have no cap."""
+        if self.degree > MAX_CYCLOTOMIC_DEGREE:
+            raise DomainError(f"cyc:m: phi(m) is at most {MAX_CYCLOTOMIC_DEGREE} (memory cap), "
+                              f"got {self.degree}")
+        return self.degree
+
     @cached_property
     def min_poly(self) -> IntPoly:
         """Monic, degree phi(m): Phi_m((X - b) / a) with denominators cleared."""
+        self._capped_degree()
         phi_m = cyclotomic(self.m)
         deg = phi_m.degree
         shift = IntPoly((-self.b, 1))  # X - b
@@ -54,7 +70,7 @@ class CyclotomicShift(FrozenValue):
 
     @cached_property
     def index(self) -> int:
-        d = self.degree
+        d = self._capped_degree()
         return abs(self.a) ** (d * (d - 1) // 2)
 
     def describe(self) -> str:
@@ -210,7 +226,7 @@ class SplittingReport(FrozenValue):
             (poly, mult, poly.degree) for poly, mult in self.factorization.factors
         )
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, seed: int) -> dict:
         doc = {
             "candidate": self.candidate.to_json_dict(),
             "p": self.p,
@@ -220,13 +236,11 @@ class SplittingReport(FrozenValue):
             "f": [f for _, _, f in self.entries],
         }
         if self.factorization is not None:
-            doc["factorization"] = self.factorization.to_json_dict()
+            doc["factorization"] = self.factorization.to_json_dict(seed)
         return doc
 
 
-def dedekind_kummer_split(
-    c: AlgebraicCandidate, p: int, seed: int = polymod.DEFAULT_SEED
-) -> SplittingReport:
+def dedekind_kummer_split(c: AlgebraicCandidate, p: int) -> SplittingReport:
     """Split p in Q(alpha) by factoring the minimal polynomial mod p.
 
     Only valid for p not dividing the index; such p yield a report with
@@ -234,6 +248,6 @@ def dedekind_kummer_split(
     """
     ram = ramifies(c, p)
     applicable = c.index % p != 0
-    fact = polymod.factor(polymod.reduce_mod(c.min_poly, p), seed=seed) if applicable else None
+    fact = polymod.factor(polymod.reduce_mod(c.min_poly, p)) if applicable else None
     return SplittingReport(candidate=c, p=p, applicable=applicable, ramified=ram,
                            factorization=fact)

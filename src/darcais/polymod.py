@@ -13,10 +13,10 @@ place that computes l, A_r mod p and B.
 
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
-equal-degree splitting (Cantor-Zassenhaus).  The equal-degree stage takes
-an explicit seed, but the factors are sorted, so the result does not
-depend on it; the seed is only recorded.  p = 2 uses the trace-map variant
-because the (p**d - 1)/2 exponent trick needs odd characteristic.
+equal-degree splitting (Cantor-Zassenhaus).  Monic irreducible factors are
+unique and sorted, so the splitter's random choices change no result and
+it takes no seed.  p = 2 uses the trace-map variant because the
+(p**d - 1)/2 exponent trick needs odd characteristic.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .polynomial import IntPoly, format_poly, _BasePoly, _strip
 
 # Single-precision moduli only; tiny primes are all the analysis ever needs.
 _MAX_MODULUS = 1 << 31
-
-# The equal-degree splitting seed when a caller names none; CertifyConfig,
-# and through it the CLI's --seed, default to it too.
-DEFAULT_SEED = 0
 
 
 @lru_cache(maxsize=None)
@@ -147,13 +143,12 @@ class Factorization(FrozenValue):
     """Complete factorization over F_p: unit * prod(factor**multiplicity).
 
     Factors are monic, irreducible, pairwise distinct, and sorted by
-    (degree, coefficient tuple), so they do not depend on the seed fed to
-    the equal-degree splitter, which is only recorded.
+    (degree, coefficient tuple), so they are unique.  The JSON form prints
+    the seed of the document that holds it.
     """
 
     p: int
     unit: int
-    seed: int
     factors: tuple[tuple[ModPoly, int], ...]
 
     def product(self) -> ModPoly:
@@ -165,11 +160,11 @@ class Factorization(FrozenValue):
     def degrees(self) -> list[int]:
         return [poly.degree for poly, _ in self.factors]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, seed: int) -> dict:
         return {
             "p": self.p,
             "unit": self.unit,
-            "seed": self.seed,
+            "seed": seed,
             "factors": [
                 {"coeffs": list(poly.coeffs), "mult": mult} for poly, mult in self.factors
             ],
@@ -263,7 +258,7 @@ def _equal_degree(f: ModPoly, d: int, rng: random.Random) -> list[ModPoly]:
 # polynomial for every n of a scan, the same small pieces of A_n mod p)
 # are shared within a process.  The bound caps memory, not correctness.
 @lru_cache(maxsize=1024)
-def factor(f: ModPoly, seed: int = DEFAULT_SEED) -> Factorization:
+def factor(f: ModPoly) -> Factorization:
     """Complete factorization of a nonzero polynomial over F_p (memoized)."""
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
@@ -271,13 +266,13 @@ def factor(f: ModPoly, seed: int = DEFAULT_SEED) -> Factorization:
     unit = f.leading
     f = f.monic()
     found: list[tuple[ModPoly, int]] = []
-    rng = random.Random(seed)
+    rng = random.Random(0)  # the sorted factors do not depend on the seed
     for part, mult in _squarefree_parts(f):
         for block, d in _distinct_degree(part):
             for irr in _equal_degree(block, d, rng):
                 found.append((irr, mult))
     found.sort(key=lambda pair: pair[0].sort_key())
-    return Factorization(p=p, unit=unit, seed=seed, factors=tuple(found))
+    return Factorization(p=p, unit=unit, factors=tuple(found))
 
 
 def is_irreducible(f: ModPoly) -> bool:
@@ -372,10 +367,8 @@ def _factor_bracket(bracket: ModPoly) -> tuple[tuple[ModPoly, int], ...]:
     return tuple((q, 1) for q in sorted([x, *found], key=ModPoly.sort_key))
 
 
-def factor_a_poly_mod(
-    g: arith.ArithmeticFunction, n: int, p: int, seed: int = DEFAULT_SEED
-) -> Factorization:
-    """Exactly ``factor(a_poly_mod(g, n, p), seed)``, assembled from the
+def factor_a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> Factorization:
+    """Exactly ``factor(a_poly_mod(g, n, p))``, assembled from the
     factorizations of A_r (``factor``) and of B (``_factor_bracket``, in
     closed form), of degree at most p; a scan holds what it reuses.
 
@@ -383,11 +376,11 @@ def factor_a_poly_mod(
     with multiplicity l*m, added to that of q in A_r.
     """
     ell, a_r, bracket = _split_index(g, n, p)
-    fact_r = factor(a_r, seed=seed)
+    fact_r = factor(a_r)
     if not ell:
         return fact_r
     mults = dict(fact_r.factors)
     for q, mult in _factor_bracket(bracket):
         mults[q] = mults.get(q, 0) + ell * mult
     found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
-    return Factorization(p=p, unit=fact_r.unit, seed=seed, factors=tuple(found))
+    return Factorization(p=p, unit=fact_r.unit, factors=tuple(found))

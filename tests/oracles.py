@@ -186,21 +186,21 @@ def divides_a_poly_mod(q: ModPoly, g, n: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _a_poly_mod_factors(g, n: int, p: int, seed: int) -> frozenset:
+def _a_poly_mod_factors(g, n: int, p: int) -> frozenset:
     """The monic irreducibles of the whole A_n mod p, held across candidates."""
-    return frozenset(q for q, _ in factor(a_poly_mod(g, n, p), seed=seed).factors)
+    return frozenset(q for q, _ in factor(a_poly_mod(g, n, p)).factors)
 
 
-def generic_obstruction_proves(g, f: IntPoly, n: int, primes, seed: int = 0) -> bool:
+def generic_obstruction_proves(g, f: IntPoly, n: int, primes) -> bool:
     """Whether some p of ``primes`` has an irreducible factor of f mod p that
     is missing from the factorization of ``a_poly_mod(g, n, p)`` (degree n,
     built whole); a p past the reach of a table-backed g proves nothing."""
     for p in primes:
         try:
-            a_factors = _a_poly_mod_factors(g, n, p, seed)
+            a_factors = _a_poly_mod_factors(g, n, p)
         except TableExhaustedError:
             continue
-        if any(q not in a_factors for q, _ in factor(reduce_mod(f, p), seed=seed).factors):
+        if any(q not in a_factors for q, _ in factor(reduce_mod(f, p)).factors):
             return True
     return False
 
@@ -246,7 +246,7 @@ def is_irreducible_rabin(f: ModPoly) -> bool:
     return True
 
 
-def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
+def periodic_residues(g, f: IntPoly, p: int) -> frozenset[int]:
     """Residues r mod p at which p proves that no root of the monic,
     irreducible f is a root of any A_n with n >= 1 and n = r mod p.
 
@@ -262,7 +262,7 @@ def periodic_residues(g, f: IntPoly, p: int, seed: int = 0) -> frozenset[int]:
         a_r = [reduce_mod(a, p) for a in a_poly_list(g, p - 1)]
     except TableExhaustedError:
         return frozenset()
-    coprime = [q for q, _ in factor(reduce_mod(f, p), seed=seed).factors
+    coprime = [q for q, _ in factor(reduce_mod(f, p)).factors
                if not q.divides(bracket)]
     return frozenset(r for r in range(p) if any(not q.divides(a_r[r]) for q in coprime))
 
@@ -276,7 +276,7 @@ def _per_n_method(g, c, n: int, config=DEFAULT_CONFIG) -> str | None:
         if not applies(g, c, n, config):
             continue
         if method == "generic_obstruction":
-            proven = generic_obstruction_proves(g, c.min_poly, n, config.primes, config.seed)
+            proven = generic_obstruction_proves(g, c.min_poly, n, config.primes)
         elif method == "not_ramified":
             proven = not_ramified_proves(g, c, n, config.not_ramified_prime_bound)
         else:

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from darcais import (ArithmeticFunction, DomainError, __version__, certify, cli, series,
-                     verify_certificate)
+from darcais import (ArithmeticFunction, CertifyConfig, DomainError,
+                     __version__, certify, cli, series, verify_certificate)
 from darcais.cli import main
-from darcais.numfield import candidate_family, parse_candidate
+from darcais.numfield import MAX_CYCLOTOMIC_DEGREE, candidate_family, parse_candidate
 
 from conftest import clear_library_caches
 
@@ -65,9 +65,9 @@ class TestPoly:
         from darcais import ArithmeticFunction, a_poly_mod, factor
 
         code, out, _ = run(capsys, "poly", "64", "--mod", "5", "--factor", "--seed", "3")
-        want = factor(a_poly_mod(ArithmeticFunction.sigma(), 64, 5), seed=3)
+        want = factor(a_poly_mod(ArithmeticFunction.sigma(), 64, 5))
         assert code == 0
-        assert json.loads(out)["factorization"] == want.to_json_dict()
+        assert json.loads(out)["factorization"] == want.to_json_dict(3)
 
     def test_factor_requires_mod(self, capsys):
         code, _, err = run(capsys, "poly", "5", "--factor")
@@ -340,6 +340,47 @@ class TestOtherCommands:
         assert spy.call_args_list == [mock.call(ArithmeticFunction.sigma(), 30)]
 
 
+def seeds(doc) -> list:
+    """Every value under a key ``seed`` in a JSON document, in document order."""
+    if isinstance(doc, dict):
+        return [v for k, v in doc.items() if k == "seed"] + [
+            s for k, v in doc.items() if k != "seed" for s in seeds(v)]
+    return [s for v in doc for s in seeds(v)] if isinstance(doc, list) else []
+
+
+def unseeded(doc):
+    """``doc`` with every value under a key ``seed`` set to None."""
+    if isinstance(doc, dict):
+        return {k: None if k == "seed" else unseeded(v) for k, v in doc.items()}
+    return [unseeded(v) for v in doc] if isinstance(doc, list) else doc
+
+
+class TestSeedIsALabel:
+    """The seed is printed, never read: ``factor`` takes none, since monic
+    irreducible factors are unique and sorted.  This replaces a polymod test
+    that factored under several seeds and compared the factors."""
+
+    # A factorization, a splitting report, and a generic_obstruction
+    # certificate at p = 5, whose evidence holds two factorizations.
+    ARGV = (("poly", "64", "--mod", "5", "--factor"),
+            ("split", "--candidate", "cyc:12,5,3", "--p", "7"),
+            ("certify", "--candidate", "cyc:8,18,-8", "--n", "2501"))
+
+    def test_documents_differ_only_in_the_seed(self, capsys):
+        for argv in self.ARGV:
+            (code0, out0, _), (code7, out7, _) = (run(capsys, *argv, "--seed", s)
+                                                  for s in ("0", "7"))
+            doc0, doc7 = json.loads(out0), json.loads(out7)
+            assert code0 == code7 == 0, argv
+            assert set(seeds(doc0)) == {0} and set(seeds(doc7)) == {7}, argv
+            assert unseeded(doc0) == unseeded(doc7), argv
+        g = ArithmeticFunction.sigma()
+        cert = certify(g, parse_candidate("cyc:8,18,-8"), 2501, CertifyConfig(seed=7))
+        assert cert.method == "generic_obstruction" and cert.witness_prime == 5
+        assert json.loads(out7)["certificate"] == json.loads(cert.canonical_json())
+        assert len(seeds(doc7)) == 5 and verify_certificate(g, cert)
+
+
 class TestGLoading:
     def test_table_file(self, capsys, tmp_path):
         table = tmp_path / "g.txt"
@@ -522,6 +563,38 @@ class TestInputPathsExitTwo:
         cap = cli.SIZE_CAPS[mode]
         err = self.run_within_memory(capsys, [a.format(cap + 1) for a in argv])
         assert err.startswith(f"error: {mode}: ") and f"at most {cap} " in err
+
+    # The level m of a cyc: candidate: phi(m) is refused where the minimal
+    # polynomial or the index would be built.  At m = 1000000007 both are
+    # refused before anything is built: the cyclotomic polynomial alone has
+    # 10**9 coefficients.  certify reaches the minimal polynomial through
+    # generic_obstruction, and split through the index (2**(phi(phi-1)/2)).
+    CYC_ARGV = {
+        "minpoly": ("minpoly", "--candidate", "cyc:1000000007,1,1"),
+        "split": ("split", "--candidate", "cyc:1000000007,2,1", "--p", "3"),
+        "certify": ("certify", "--candidate", "cyc:1000000007,6,1", "--n", "5"),
+        "scan": ("scan", "--kind", "cyc:1000000007", "--a-range=6:6", "--b-range=1:1",
+                 "--n-max", "5"),
+    }
+
+    @pytest.mark.parametrize("case", list(CYC_ARGV))
+    def test_cyclotomic_degree_over_its_cap_is_usage_error(self, capsys, case):
+        err = self.run_within_memory(capsys, self.CYC_ARGV[case])
+        assert err == (f"error: cyc:m: phi(m) is at most {MAX_CYCLOTOMIC_DEGREE} "
+                       "(memory cap), got 1000000006\n")
+
+    def test_cyclotomic_cap_spares_the_all_n_criteria(self, capsys):
+        # translated_shift reads m alone, so it still proves at any level.
+        code, out, _ = run(capsys, "certify", "--candidate", "cyc:1000000007,1,1", "--n", "5")
+        assert code == 0 and json.loads(out)["certificate"]["method"] == "translated_shift"
+        assert f"| `phi(m)` of `cyc:m,a,b` | {MAX_CYCLOTOMIC_DEGREE} |" in README.read_text()
+
+    def test_memory_error_is_usage_error(self, capsys, monkeypatch):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr(series, "tau_list", exhausted)
+        assert run(capsys, "tau", "--max", "10") == (2, "", "error: out of memory\n")
 
     def test_sizes_under_the_new_caps_still_run(self, capsys):
         code, out, _ = run(capsys, "scan", "--a-range=0:1", "--b-range=-1:1", "--n-max", "50")

@@ -126,6 +126,36 @@ def test_each_chain_decision_is_made_in_one_place():
     assert [f for f in funcs if "arith.legendre_symbol" in reads(f)] == ["_unramified_search"]
 
 
+def seed_holders(node, prefix: str) -> set[str]:
+    """Qualified names of the functions with a parameter ``seed`` and the
+    classes with a field ``seed``, in and below ``node``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            params = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+            if "seed" in {arg.arg for arg in params}:
+                found.add(name)
+        elif isinstance(child, ast.ClassDef):
+            if any(isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "seed"
+                   for stmt in child.body):
+                found.add(name)
+        found |= seed_holders(child, name if hasattr(child, "name") else prefix)
+    return found
+
+
+def test_only_the_documents_that_print_a_seed_take_one():
+    # A factorization over F_p is unique and sorted, so no computation reads
+    # the seed: only the certificate that records it, the two JSON writers
+    # that print it and the configuration that holds the one default do.
+    found = set()
+    for module in LAYERS:
+        found |= seed_holders(ast.parse((PACKAGE / f"{module}.py").read_text()), module)
+    assert found == {"certify.certify_generic", "certify.CertifyConfig",
+                     "polymod.Factorization.to_json_dict",
+                     "numfield.SplittingReport.to_json_dict"}
+
+
 def test_series_reads_how_g_is_given_in_one_place():
     # Every route of series is chosen from the form (N, E), not from g.kind.
     tree = ast.parse((PACKAGE / "series.py").read_text())

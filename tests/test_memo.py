@@ -285,7 +285,7 @@ class TestScanHoldsItsPieces:
         clear_library_caches()
         asked, assemble = [], polymod.factor_a_poly_mod
         monkeypatch.setattr(polymod, "factor_a_poly_mod",
-                            lambda g, n, p, seed: asked.append((n, p)) or assemble(g, n, p, seed))
+                            lambda g, n, p: asked.append((n, p)) or assemble(g, n, p))
         assert cli.main([*argv, "--seed", "61964"]) in (0, 1)
         capsys.readouterr()
         assert len(asked) == len(set(asked)) == runs, asked

@@ -309,10 +309,10 @@ class TestDedekindKummer:
                     assert shape == [(2, 1)]
 
     def test_json_shape(self):
-        doc = dedekind_kummer_split(CyclotomicShift(4, 3, 0), 7, seed=5).to_json_dict()
+        doc = dedekind_kummer_split(CyclotomicShift(4, 3, 0), 7).to_json_dict(5)
         assert doc["applicable"] is True
         assert doc["p"] == 7
         assert doc["e"] == [1] and doc["f"] == [2]
         assert doc["factorization"]["seed"] == 5
-        inapp = dedekind_kummer_split(QuadraticShift(5, 3, 1), 3).to_json_dict()
+        inapp = dedekind_kummer_split(QuadraticShift(5, 3, 1), 3).to_json_dict(0)
         assert inapp["applicable"] is False and "factorization" not in inapp

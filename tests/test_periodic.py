@@ -88,7 +88,7 @@ def library_residues(g, f: IntPoly, p: int) -> frozenset[int]:
     """Residues r mod p where the library's generic search finds a witness at
     n = p + r, which a scan reads for every n >= p in the class of r; a p past
     the reach of a table-backed g finds none."""
-    search = _obstruction_search(g, f, (p,), DEFAULT_CONFIG.seed, SCAN_PIECES.setdefault(g, {}))
+    search = _obstruction_search(g, f, (p,), SCAN_PIECES.setdefault(g, {}))
     return frozenset(r for r in range(p) if search(p + r) is not None)
 
 

@@ -148,7 +148,7 @@ def chain_proves(method: str, g, c, n: int) -> bool:
 # the scan's own search: comparing the two alone would prove nothing.
 DEFINITIONS = {
     "generic_obstruction": lambda g, c, n: generic_obstruction_proves(
-        g, c.min_poly, n, DEFAULT_CONFIG.primes, DEFAULT_CONFIG.seed),
+        g, c.min_poly, n, DEFAULT_CONFIG.primes),
     "not_ramified": lambda g, c, n: not_ramified_proves(
         g, c, n, DEFAULT_CONFIG.not_ramified_prime_bound),
 }
