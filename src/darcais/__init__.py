@@ -56,7 +56,6 @@ from .polymod import (
 from .polynomial import IntPoly, cyclotomic, format_poly
 from .series import (
     a_poly,
-    a_poly_oracle,
     hurwitz_check,
     tau,
     tau_list,
@@ -80,7 +79,6 @@ __all__ = [
     "ZmijaReport",
     "a_poly",
     "a_poly_mod",
-    "a_poly_oracle",
     "certify",
     "certify_all_n",
     "certify_exact",

@@ -172,10 +172,10 @@ DEFAULT_CONFIG = CertifyConfig()
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_bracket(D: int, scale: int = 10**8) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(D) <= hi for D > 0."""
-    s = isqrt(D * scale * scale)
-    return Fraction(s, scale), Fraction(s + 1, scale)
+def _sqrt_bracket(D: int) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(D) <= hi for D > 0, with hi - lo = 10**-8."""
+    s = isqrt(D * 10**16)
+    return Fraction(s, 10**8), Fraction(s + 1, 10**8)
 
 
 def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:

@@ -68,12 +68,15 @@ def _config_from_args(args) -> CertifyConfig:
 def _run_header(args, config: CertifyConfig) -> dict:
     """Full run configuration, embedded in every output document: the
     ``CertifyConfig`` and the other common flags.  A key whose flag the
-    subcommand lacks shows its default (``_add_common``)."""
+    subcommand lacks shows its default (``_add_common``).  ``oracle_bound``
+    is a recorded constant that no flag sets and no computation reads: it
+    leaves, with the seed, when the bench's output digests are re-recorded
+    (ROADMAP item 20)."""
     return {
         "tool": "darcais",
         "version": __version__,
         "seed": config.seed,
-        "config": {**config.to_json_dict(), "g": args.g, "oracle_bound": args.oracle_bound,
+        "config": {**config.to_json_dict(), "g": args.g, "oracle_bound": 25,
                    "format": args.format},
     }
 
@@ -111,8 +114,6 @@ _COMMON_FLAGS = {
     "not_ramified_bound": (DEFAULT_CONFIG.not_ramified_prime_bound, {
         "type": int, "help": "prime search bound for the unramified criterion "
         f"(at most {MAX_NOT_RAMIFIED_PRIME_BOUND})"}, _CERTIFYING),
-    "oracle_bound": (series.DEFAULT_ORACLE_BOUND,
-                     {"type": int, "help": "cap for the partition oracle"}, ("poly",)),
     "seed": (DEFAULT_CONFIG.seed,
              {"type": int, "help": "seed recorded into factorizations/certificates"}, _EVERY),
     "format": ("json", {}, _EVERY),  # choices: _format_choices
@@ -190,7 +191,7 @@ def _check_config(args) -> None:
             raise DomainError(f"--{key.replace('_', '-')} expects one value, not '--'")
     if "\0" in args.g + (args.out or ""):
         raise DomainError("a file name cannot hold a NUL byte")
-    for key in ("exact_eval_bound", "not_ramified_bound", "oracle_bound"):
+    for key in ("exact_eval_bound", "not_ramified_bound"):
         if (value := getattr(args, key)) < 0:
             flag = "--" + key.replace("_", "-")
             raise DomainError(f"{flag} (config key {key!r}) must be >= 0, got {value}")
@@ -231,8 +232,6 @@ def build_parser(flag_defaults: dict | None = None) -> argparse.ArgumentParser:
     p_an.add_argument("--factor", action="store_true", help="factor the mod-p polynomial")
     p_an.add_argument("--rational", action="store_true",
                       help="print the rational polynomial (divide by n!)")
-    p_an.add_argument("--oracle", action="store_true",
-                      help="compute via the partition oracle instead of the recursion")
 
     p_tau = sub.add_parser("tau", help="Ramanujan tau values / desk-scale zero scan")
     p_tau.add_argument("n", type=int, nargs="?", default=None)
@@ -283,8 +282,6 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
         raise DomainError("--factor requires --mod")
     if args.rational and args.mod is not None:
         raise DomainError("--rational cannot be combined with --mod")
-    if args.oracle and args.mod is not None:
-        raise DomainError("--oracle cannot be combined with --mod")
     if args.mod is not None:
         body = {"n": args.n, "mod": args.mod}
         if args.factor:
@@ -300,10 +297,7 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
         reduced = polymod.a_poly_mod(g, args.n, args.mod)
         return ({**body, "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}},
                 str(reduced), EXIT_OK)
-    if args.oracle:
-        poly = series.a_poly_oracle(g, args.n, max_n=args.oracle_bound)
-    else:
-        poly = series.a_poly(g, args.n)
+    poly = series.a_poly(g, args.n)
     if args.rational:  # P_n = A_n / n!, the one place Q coefficients appear
         coeffs = [Fraction(c, factorial(args.n)) for c in poly.coeffs]
         doc = {"degree": poly.degree, "coeffs": [str(c) for c in coeffs]}

@@ -25,6 +25,13 @@ from .polymod import Factorization, ModPoly
 # larger of the json and text peaks), rounded down.
 MAX_CYCLOTOMIC_DEGREE = 160000
 
+# The largest level m a candidate takes.  phi(m) and the prime factors of m
+# come from trial division up to sqrt(m) (``arith._factorization``), which
+# took 0.002 s at m = 1000000007, 0.048 s at 999999999989 and 1.39 s at
+# 10**15 + 37 (m prime, Python 3.11, 2-vCPU Xeon), so m is refused past this
+# before it is factored.
+MAX_CYCLOTOMIC_LEVEL = 10**12
+
 
 class CyclotomicShift(FrozenValue):
     """Candidate a*zeta_m + b with m >= 3 and a != 0."""
@@ -38,6 +45,9 @@ class CyclotomicShift(FrozenValue):
     def __post_init__(self) -> None:
         if self.m < 3:
             raise DomainError(f"cyclotomic shifts require m >= 3, got {self.m}")
+        if self.m > MAX_CYCLOTOMIC_LEVEL:
+            raise DomainError(f"cyc:m: m is at most {MAX_CYCLOTOMIC_LEVEL} "
+                              f"(trial-division cap), got {self.m}")
         if self.a == 0:
             raise DomainError("a = 0 degenerates to a rational integer")
 

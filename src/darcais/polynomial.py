@@ -26,7 +26,7 @@ def _strip(coeffs: Sequence) -> tuple:
     return tuple(coeffs[:n])
 
 
-def format_poly(coeffs: Sequence, var: str = "X") -> str:
+def format_poly(coeffs: Sequence) -> str:
     """Human-readable form, highest degree first, e.g. 'X^2 + 21*X + 8'."""
     if not any(coeffs):
         return "0"
@@ -40,7 +40,7 @@ def format_poly(coeffs: Sequence, var: str = "X") -> str:
         else:
             mag = abs(c) if c < 0 else c
             head = "" if mag == 1 else f"{mag}*"
-            term = f"{head}{var}" + (f"^{k}" if k > 1 else "")
+            term = f"{head}X" + (f"^{k}" if k > 1 else "")
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:

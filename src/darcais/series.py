@@ -17,27 +17,24 @@ term for n >= 1.  Both exact routes start from the integer form (N, E) of
 * when N = -E' (sigma), F = E**(-X) = sum_d C(X+d-1, d) * (1 - E)**d, and
   ``a_poly`` sums A_n in the rising-factorial basis
   (``_a_poly_from_powers``): O(n^2.5) additions of small integers for
-  the coefficients [q**n] (1 - E)**d, then O(n^2) bigint multiply-adds;
-* ``a_poly_oracle``- a sum over integer partitions, exact but exponential.
+  the coefficients [q**n] (1 - E)**d, then O(n^2) bigint multiply-adds.
 
-The oracle exists so the recursions can be cross-checked (``poly
---oracle`` prints it); it shares no code path with them.
+The sum over integer partitions, exact but exponential, is the test oracle
+``a_poly_oracle`` in ``tests/oracles.py``; it shares no code path with
+either route.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 from typing import Iterator
 
 from .arith import ArithmeticFunction
 from .errors import DomainError
 from .polynomial import IntPoly
-
-DEFAULT_ORACLE_BOUND = 25
 
 
 def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
@@ -185,57 +182,6 @@ def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
         if N == [k * Y[k] for k in range(1, n + 1)] and set(Y) <= {-1, 0, 1}:
             return _a_poly_from_powers(Y, n)
     return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
-
-
-def _partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Multiplicity vectors (m_1, ..., m_n) with sum k*m_k = n."""
-
-    def rec(remaining: int, largest: int, mults: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(mults)
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            count = remaining // part
-            for m in range(count, 0, -1):
-                mults[part - 1] = m
-                yield from rec(remaining - part * m, part - 1, mults)
-            mults[part - 1] = 0
-
-    if n == 0:
-        yield ()
-        return
-    yield from rec(n, n, [0] * n)
-
-
-def a_poly_oracle(
-    g: ArithmeticFunction, n: int, max_n: int = DEFAULT_ORACLE_BOUND
-) -> IntPoly:
-    """n-th integer D'Arcais polynomial by direct summation over partitions.
-
-    Exponential in n; guarded by ``max_n`` so it stays a test oracle.
-    Each partition with m_j copies of j contributes
-    n! * prod_j (g(j)/j)**m_j / m_j!  to the coefficient of X**(sum m_j).
-    """
-    if n < 0:
-        raise DomainError(f"a_poly_oracle requires n >= 0, got {n}")
-    if n > max_n:
-        raise DomainError(
-            f"partition oracle capped at n <= {max_n} (asked for {n}); raise max_n"
-            " (--oracle-bound on the command line) to override"
-        )
-    g.require_up_to(max(n, 1))
-    fact_n = factorial(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    gv = [Fraction(0)] + [Fraction(g(j), j) for j in range(1, n + 1)]
-    for mults in _partitions(n):
-        weight = Fraction(fact_n)
-        size = 0
-        for j, m in enumerate(mults, start=1):
-            if m:
-                weight *= gv[j] ** m / factorial(m)
-                size += m
-        coeffs[size] += weight
-    return IntPoly(coeffs)  # rejects a coefficient that is not an integer
 
 
 def _square_truncated(a: list[int], n: int) -> list[int]:

@@ -3,6 +3,9 @@
 The library answers each question by one route; the tests compare it,
 result for result, against the route kept here:
 
+* ``a_poly_oracle``: the n-th D'Arcais polynomial as a sum over the
+  integer partitions of n, exact but exponential in n (capped at
+  ``max_n``), against both routes of ``a_poly``;
 * ``a_poly_list_rows``: the row recursion with factorial weights that
   the n!/j!-scaled column recursion of ``a_poly_list`` replaced;
 * ``tau_list_recurrence``: the O(N^2) integer recurrence that
@@ -43,7 +46,8 @@ None of these may be defined in the library (``tests/test_layers.py``).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import factorial, isqrt
+from typing import Iterator
 
 from darcais import (
     DomainError,
@@ -84,6 +88,57 @@ def a_poly_list_rows(g, n: int) -> list[IntPoly]:
             c *= j - k
         polys.append(IntPoly([0] + acc))  # multiply by X
     return polys
+
+
+def _partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Multiplicity vectors (m_1, ..., m_n) with sum k*m_k = n."""
+
+    def rec(remaining: int, largest: int, mults: list[int]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(mults)
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            count = remaining // part
+            for m in range(count, 0, -1):
+                mults[part - 1] = m
+                yield from rec(remaining - part * m, part - 1, mults)
+            mults[part - 1] = 0
+
+    if n == 0:
+        yield ()
+        return
+    yield from rec(n, n, [0] * n)
+
+
+DEFAULT_ORACLE_BOUND = 25
+
+
+def a_poly_oracle(g, n: int, max_n: int = DEFAULT_ORACLE_BOUND) -> IntPoly:
+    """n-th integer D'Arcais polynomial by direct summation over partitions.
+
+    Exponential in n; guarded by ``max_n`` so it stays a test oracle.
+    Each partition with m_j copies of j contributes
+    n! * prod_j (g(j)/j)**m_j / m_j!  to the coefficient of X**(sum m_j).
+    """
+    if n < 0:
+        raise DomainError(f"a_poly_oracle requires n >= 0, got {n}")
+    if n > max_n:
+        raise DomainError(
+            f"partition oracle capped at n <= {max_n} (asked for {n}); raise max_n to override"
+        )
+    g.require_up_to(max(n, 1))
+    fact_n = factorial(n)
+    coeffs = [Fraction(0)] * (n + 1)
+    gv = [Fraction(0)] + [Fraction(g(j), j) for j in range(1, n + 1)]
+    for mults in _partitions(n):
+        weight = Fraction(fact_n)
+        size = 0
+        for j, m in enumerate(mults, start=1):
+            if m:
+                weight *= gv[j] ** m / factorial(m)
+                size += m
+        coeffs[size] += weight
+    return IntPoly(coeffs)  # rejects a coefficient that is not an integer
 
 
 def _sigma_sieve(N: int) -> list[int]:

@@ -17,7 +17,6 @@ from darcais import (
     IntPoly,
     a_poly,
     a_poly_mod,
-    a_poly_oracle,
     certify,
     certify_all_n,
     check_zmija_conditions,
@@ -33,6 +32,7 @@ from darcais.series import a_poly_list
 
 from conftest import SIGMA_FACTORED, expand_product, random_table
 from oracles import (
+    a_poly_oracle,
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
     index_via_determinant,

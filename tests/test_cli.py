@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from darcais import (ArithmeticFunction, CertifyConfig, DomainError,
                      __version__, certify, cli, series, verify_certificate)
 from darcais.cli import main
-from darcais.numfield import MAX_CYCLOTOMIC_DEGREE, candidate_family, parse_candidate
+from darcais.numfield import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_LEVEL, candidate_family,
+                              parse_candidate)
 
 from conftest import clear_library_caches
 
@@ -89,36 +90,16 @@ class TestPoly:
         code, out, _ = run(capsys, "poly", "0", "--rational")
         assert code == 0 and json.loads(out)["poly"] == {"degree": 0, "coeffs": ["1"]}
 
-    def test_oracle_path(self, capsys):
-        code_a, out_a, _ = run(capsys, "poly", "7", "--format", "text")
-        code_b, out_b, _ = run(capsys, "poly", "7", "--oracle", "--format", "text")
-        assert code_a == code_b == 0 and out_a == out_b
-
-    def test_oracle_rational_uses_the_oracle(self, capsys, monkeypatch):
-        from darcais import series
-
-        want = run(capsys, "poly", "6", "--rational")[1]
-
-        def recursion(*args, **kwargs):
-            raise AssertionError("--oracle must not run the recursion")
-
-        monkeypatch.setattr(series, "a_poly", recursion)
-        for fmt in ("json", "text"):
-            code, out, _ = run(capsys, "poly", "6", "--oracle", "--rational", "--format", fmt)
-            assert code == 0
-            if fmt == "json":
-                assert out == want
-            else:
-                assert out.startswith("1/720*X^6 + ")
-
-    def test_oracle_conflicts_with_mod(self, capsys):
-        code, _, err = run(capsys, "poly", "5", "--oracle", "--mod", "7")
-        assert code == 2 and "--oracle" in err
-
-    def test_oracle_cap_names_the_flag_that_raises_it(self, capsys):
-        code, out, err = run(capsys, "poly", "30", "--oracle")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "--oracle-bound" in err
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(("poly", "5", "--oracle"), None), (("poly", "5", "--oracle-bound", "9"), None),
+         (("poly", "5"), {"oracle_bound": 9})],
+        ids=["oracle", "oracle-bound", "config-key"],
+    )
+    def test_no_flag_or_key_picks_the_partition_oracle(self, argv, config):
+        # The sum over partitions is a test oracle (tests/oracles.py), not a CLI route.
+        code, err = _run_isolated(argv, config)
+        assert code == 2 and sum("error:" in line for line in err.splitlines()) == 1
 
 
 class TestTau:
@@ -589,6 +570,27 @@ class TestInputPathsExitTwo:
         assert code == 0 and json.loads(out)["certificate"]["method"] == "translated_shift"
         assert f"| `phi(m)` of `cyc:m,a,b` | {MAX_CYCLOTOMIC_DEGREE} |" in README.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--candidate", "cyc:M,1,1", "--all-n"),
+        ("minpoly", "--candidate", "cyc:M,1,1"),
+        ("scan", "--kind", "cyc:M", "--a-range=1:1", "--b-range=1:1", "--n-max", "5"),
+    ], ids=["certify", "minpoly", "scan"])
+    def test_cyclotomic_level_over_its_cap_is_refused_unfactored(self, capsys, monkeypatch,
+                                                                 argv):
+        # m = 10**15 + 37 is prime: trial division up to sqrt(m) would take seconds.
+        from darcais import arith
+
+        def factor(n):
+            raise AssertionError(f"trial division of {n}")
+
+        monkeypatch.setattr(arith, "_factorization", factor)
+        m = 1000000000000037
+        code, out, err = run(capsys, *(a.replace("M", str(m)) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cyc:m: m is at most {MAX_CYCLOTOMIC_LEVEL} "
+                       f"(trial-division cap), got {m}\n")
+        assert f"| `m` of `cyc:m,a,b` | {MAX_CYCLOTOMIC_LEVEL} |" in README.read_text()
+
     def test_memory_error_is_usage_error(self, capsys, monkeypatch):
         def exhausted(n):
             raise MemoryError
@@ -684,9 +686,8 @@ class TestInputPathsExitTwo:
     @pytest.mark.parametrize(
         "argv, key",
         [(("certify", "--candidate", "cyc:8,2,1", "--n", "3"), "exact_eval_bound"),
-         (("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "3"), "not_ramified_bound"),
-         (("poly", "0", "--oracle"), "oracle_bound")],
-        ids=["exact-eval-bound", "not-ramified-bound", "oracle-bound"],
+         (("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "3"), "not_ramified_bound")],
+        ids=["exact-eval-bound", "not-ramified-bound"],
     )
     def test_negative_bound(self, capsys, tmp_path, monkeypatch, argv, key):
         flag = "--" + key.replace("_", "-")
@@ -726,7 +727,7 @@ class TestCommonFlags:
     EVERYWHERE = {"--seed", "--format", "--out"}
     CERTIFY_FLAGS = {"--g", "--primes", "--exact-eval-bound", "--not-ramified-bound"}
     TAKES = {
-        "poly": EVERYWHERE | {"--g", "--oracle-bound"},
+        "poly": EVERYWHERE | {"--g"},
         "tau": EVERYWHERE,
         "certify": EVERYWHERE | CERTIFY_FLAGS,
         "scan": EVERYWHERE | CERTIFY_FLAGS,
@@ -735,7 +736,7 @@ class TestCommonFlags:
         "zmija": EVERYWHERE | {"--g"},
         "hurwitz": EVERYWHERE | {"--g"},
     }
-    COMMON = EVERYWHERE | CERTIFY_FLAGS | {"--oracle-bound"}
+    COMMON = EVERYWHERE | CERTIFY_FLAGS
     # A minimal valid invocation of each subcommand.
     INVOCATIONS = {
         "poly": ("poly", "3"),
@@ -817,7 +818,7 @@ class TestCommonFlags:
         # only scan writes csv, and text carries no header.
         fmt = "csv" if command == "scan" else "json"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"g": "identity", "primes": "5,7", "oracle_bound": 9,
+        cfg.write_text(json.dumps({"g": "identity", "primes": "5,7",
                                    "exact_eval_bound": 12, "not_ramified_bound": 20,
                                    "seed": 7, "format": fmt}))
         monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
@@ -825,7 +826,7 @@ class TestCommonFlags:
         assert code in (0, 1)
         assert self.header(out) == {
             "tool": "darcais", "version": __version__, "seed": 7,
-            "config": {"g": "identity", "primes": [5, 7], "oracle_bound": 9,
+            "config": {"g": "identity", "primes": [5, 7], "oracle_bound": 25,
                        "exact_eval_bound": 12, "not_ramified_prime_bound": 20,
                        "seed": 7, "format": fmt},
         }
@@ -992,8 +993,8 @@ class TestOneWriter:
         assert [ast.unparse(kw.value) for kw in call.keywords if kw.arg == "file"] == ["sys.stderr"]
 
 
-_KEYS = ("g", "primes", "exact_eval_bound", "not_ramified_bound", "oracle_bound",
-         "seed", "format", "out", "other")
+_KEYS = ("g", "primes", "exact_eval_bound", "not_ramified_bound", "seed", "format", "out",
+         "other")
 _SMALL = st.integers(-20, 20)
 _JSON = st.recursive(
     st.none() | st.booleans() | _SMALL | st.floats(allow_nan=False) | st.text(max_size=6),
@@ -1004,8 +1005,8 @@ _JSON = st.recursive(
 _CONFIGS = _JSON | st.dictionaries(st.sampled_from(_KEYS), _JSON, max_size=3)
 _VALUE = st.text(max_size=6) | _SMALL.map(str) | st.just("--")
 _COMMANDS = (("tau", "2"), ("poly", "3"), ("minpoly", "--candidate", "cyc:5,1,0"))
-_FLAGS = ("--g", "--primes", "--exact-eval-bound", "--not-ramified-bound",
-          "--oracle-bound", "--seed", "--format", "--mod", "--max", "--candidate")
+_FLAGS = ("--g", "--primes", "--exact-eval-bound", "--not-ramified-bound", "--seed",
+          "--format", "--mod", "--max", "--candidate")
 
 
 def _run_isolated(argv, config=None) -> tuple[int, str]:

@@ -7,8 +7,9 @@ three things:
 
 * the claims are sound, against the expanded A_n mod p and against exact
   division over Z;
-* it never covers a genuine root from ``tests/data/genuine_roots.json``,
-  and that corpus does catch a variant that skips the q-coprime-to-B step;
+* it never covers a genuine root from ``tests/data/genuine_roots.json``
+  (``tests/test_variants.py`` holds the variant that skips the
+  q-coprime-to-B step, which that corpus catches);
 * each closed-form proof of ``certify`` is a periodic proof at its prime.
 
 The scan's generic test decides n >= p by the class of n mod p (ROADMAP
@@ -28,7 +29,6 @@ from darcais import (
     CyclotomicShift,
     IntPoly,
     QuadraticShift,
-    a_poly_mod,
     certify,
     certify_all_n,
     certify_theorem_gaussian_sigma,
@@ -70,15 +70,6 @@ def quadratic_shift(f: IntPoly) -> QuadraticShift:
     if D % 4 == 1:  # roots (-c1 +- k*sqrt(D))/2 = k*w - (c1 + k)/2
         return QuadraticShift(D, k, -(c1 + k) // 2)
     return QuadraticShift(D, k // 2, -c1 // 2)
-
-
-def residues_ignoring_bracket(g, f: IntPoly, p: int) -> frozenset[int]:
-    """``periodic_residues`` without its step that sets aside the factors
-    of f mod p shared with B = X**p - g(p)*X; it is unsound."""
-    factors = [q for q, _ in factor(reduce_mod(f, p)).factors]
-    return frozenset(
-        r for r in range(p) if any(not q.divides(a_poly_mod(g, r, p)) for q in factors)
-    )
 
 
 SCAN_PIECES = {}  # g -> the pieces a scan under g holds, shared by every search here
@@ -163,9 +154,6 @@ class TestGenuineRootCorpus:
 
     def test_library_coverage_covers_no_root(self):
         assert covered_roots(library_residues) == []
-
-    def test_catches_the_variant_without_the_bracket_step(self):
-        assert len(covered_roots(residues_ignoring_bracket)) > 0
 
 
 # Candidates, functions and primes for the soundness checks; the primes run

@@ -10,7 +10,6 @@ from darcais import (
     IntPoly,
     a_poly,
     a_poly_mod,
-    a_poly_oracle,
     cyclotomic,
     euler_phi,
     factor,
@@ -23,7 +22,12 @@ from darcais import arith
 from darcais.polymod import ModPoly, _factor_bracket, poly_gcd, pow_mod
 
 from conftest import random_table
-from oracles import divides_a_poly_mod, is_irreducible_rabin, multiplicative_order
+from oracles import (
+    a_poly_oracle,
+    divides_a_poly_mod,
+    is_irreducible_rabin,
+    multiplicative_order,
+)
 
 
 def random_mod_poly(rng, p, max_degree=8):

@@ -14,7 +14,8 @@ to the per-n route it replaced:
 * each method's per-point test equals, for every n <= 60, ``.proven`` of
   the certificate its chain entry builds, and for the two methods that share
   their search with the scan also the criterion from its definition
-  (``oracles.generic_obstruction_proves`` and ``not_ramified_proves``);
+  (``oracles.generic_obstruction_proves`` and ``not_ramified_proves``),
+  under the default primes and under two, as above;
 * a scan runs the all-n criterion once per point, never ``certify`` or a
   per-n ``certify_*`` function, and sieves the witness primes once.
 """
@@ -135,11 +136,11 @@ class TestScanHoldsOneList:
         assert got == scan_bytes(scan_grid_per_n, *args)
 
 
-def chain_proves(method: str, g, c, n: int) -> bool:
+def chain_proves(method: str, g, c, n: int, config) -> bool:
     """``.proven`` of the certificate the chain entry builds; a method the
     chain skips with ``TableExhaustedError`` does not prove."""
     try:
-        return _CHAIN[method][1](g, c, n, DEFAULT_CONFIG).proven
+        return _CHAIN[method][1](g, c, n, config).proven
     except TableExhaustedError:
         return False
 
@@ -147,10 +148,10 @@ def chain_proves(method: str, g, c, n: int) -> bool:
 # The criterion from its definition, for the methods whose certificate reads
 # the scan's own search: comparing the two alone would prove nothing.
 DEFINITIONS = {
-    "generic_obstruction": lambda g, c, n: generic_obstruction_proves(
-        g, c.min_poly, n, DEFAULT_CONFIG.primes),
-    "not_ramified": lambda g, c, n: not_ramified_proves(
-        g, c, n, DEFAULT_CONFIG.not_ramified_prime_bound),
+    "generic_obstruction": lambda g, c, n, config: generic_obstruction_proves(
+        g, c.min_poly, n, config.primes),
+    "not_ramified": lambda g, c, n, config: not_ramified_proves(
+        g, c, n, config.not_ramified_prime_bound),
 }
 
 
@@ -158,24 +159,31 @@ class TestPointTestsMatchTheCertificates:
     @pytest.mark.parametrize("g", CLOSED_FORM_GS, ids=lambda g: g.name)
     @pytest.mark.usefixtures("held_a_poly", "held_pieces")
     def test_each_method_up_to_60(self, g):
-        last = DEFAULT_CONFIG.exact_eval_bound  # below the reach of every table here
-        # One list, one set of pieces and one sieve for every candidate, as in a scan.
-        asked, row, pieces, sieve = set(), _held_rows(g, last), {}, []
-        for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
-            tests = _point_tests(g, c, DEFAULT_CONFIG, row, last, pieces, sieve)
-            applicable = [m for m, (applies, _) in _CHAIN.items()
-                          if applies(g, c, 1, DEFAULT_CONFIG)]
-            # translated_shift reads no n; the scan has its all-n verdict.
-            assert [m for m, _ in tests] == [m for m in applicable if m != "translated_shift"]
-            for method, proves in tests:
-                asked.add(method)
-                applies = _CHAIN[method][0]
-                for n in range(1, 61):
-                    want = applies(g, c, n, DEFAULT_CONFIG) and chain_proves(method, g, c, n)
-                    assert bool(proves(n)) == want, (g.name, c, method, n)
-                    if method in DEFINITIONS:
-                        assert DEFINITIONS[method](g, c, n) == want, (g.name, c, method, n)
-        assert asked >= {"generic_obstruction", "exact_evaluation", "not_ramified"}
+        # Under the primes 13 and 2 alone the generic obstruction leaves some n
+        # open under every g here, so its definition can tell a search that
+        # proves too much from the real one; under the default primes it
+        # leaves at most one (candidate, n) open here.
+        for config in (CertifyConfig(primes=(13, 2)), DEFAULT_CONFIG):
+            last = config.exact_eval_bound  # below the reach of every table here
+            # One list, one set of pieces and one sieve for every candidate, as in a scan.
+            asked, row, pieces, sieve = set(), _held_rows(g, last), {}, []
+            for c in CLOSED_FORM_QUADS + CLOSED_FORM_CYCS:
+                tests = _point_tests(g, c, config, row, last, pieces, sieve)
+                applicable = [m for m, (applies, _) in _CHAIN.items()
+                              if applies(g, c, 1, config)]
+                # translated_shift reads no n; the scan has its all-n verdict.
+                assert [m for m, _ in tests] == [m for m in applicable
+                                                 if m != "translated_shift"]
+                for method, proves in tests:
+                    asked.add(method)
+                    applies = _CHAIN[method][0]
+                    for n in range(1, 61):
+                        want = applies(g, c, n, config) and chain_proves(method, g, c, n, config)
+                        assert bool(proves(n)) == want, (g.name, c, method, n, config.primes)
+                        if method in DEFINITIONS:
+                            assert DEFINITIONS[method](g, c, n, config) == want, (
+                                g.name, c, method, n, config.primes)
+            assert asked >= {"generic_obstruction", "exact_evaluation", "not_ramified"}
 
     def test_han_reach_is_the_bound_of_the_certificate(self, sigma_g):
         # (9.7226 * k)**2 itself sits on the boundary: it proves n = k, not k + 1.

@@ -17,18 +17,19 @@ from darcais import (
     IntPoly,
     TableExhaustedError,
     a_poly,
-    a_poly_oracle,
     hurwitz_check,
     tau,
     tau_list,
 )
 from darcais import arith, series
 from darcais.numfield import QuadraticShift
-from darcais.series import _partitions, _routh, _square_truncated, a_poly_list
+from darcais.series import _routh, _square_truncated, a_poly_list
 
 from conftest import SIGMA_FACTORED, clear_library_caches, expand_product, random_table
 from oracles import (
+    _partitions,
     a_poly_list_rows,
+    a_poly_oracle,
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
     hurwitz_check_fraction,
