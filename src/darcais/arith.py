@@ -107,12 +107,13 @@ def sigma(n: int) -> int:
     return sum(divisors(n))
 
 
-def euler_phi(m: int) -> int:
-    """Count of 1 <= k <= m coprime to m."""
+def euler_phi(m: int, primes=None) -> int:
+    """Count of 1 <= k <= m coprime to m; ``primes``, when given, are the
+    distinct prime factors of m, which then is not factored again."""
     if m < 1:
         raise DomainError(f"euler_phi requires m >= 1, got {m}")
     result = m
-    for p, _ in _factorization(m):
+    for p in prime_factors(m) if primes is None else primes:
         result -= result // p
     return result
 

@@ -28,8 +28,9 @@ per n, from facts computed once per point: a threshold in n, a case of n
 mod 7, and the searches the certificates read (witness primes p against n
 mod p; a witness at p per class of n, n below p and p + n mod p from p on,
 as A_n = A_r * B**l mod p); only ``exact_evaluation`` runs per n, on rows
-held by the scan.  A method that would raise ``TableExhaustedError`` does
-not prove.  So past O(n_max) lookups per point, a scan's cost does not depend on n_max.
+the scan holds (integers at a = 0).  A method that would raise
+``TableExhaustedError`` does not prove.  So past O(n_max) lookups per point,
+and the integer rows at a = 0, a scan's cost does not depend on n_max.
 Every certificate carries enough recorded inputs to be re-derived bit for
 bit (a seed it records is a label that no computation reads);
 ``verify_certificate`` does exactly that, under the g it is given.  Each
@@ -41,8 +42,7 @@ cover, so replay binds a proof to the g it is checked under.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import arith, polymod, series
 from .arith import ArithmeticFunction, FrozenValue, replace
@@ -52,8 +52,9 @@ from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift, candi
 PROVEN = "proven_nonroot"
 INCONCLUSIVE = "inconclusive"
 
-# Exact square of the literal constant 9.7226.
-_HAN_C_SQ = Fraction(97226, 10000) ** 2
+# Bounds on |alpha|**2 are numerators over _ABS_SQ_DEN; 9.7226**2 = _HAN_C_SQ_NUM / _HAN_C_SQ_DEN.
+_ABS_SQ_DEN = 4 * 10**16
+_HAN_C_SQ_NUM, _HAN_C_SQ_DEN = 97226**2, 10**8
 
 
 class Scope(FrozenValue):
@@ -172,56 +173,54 @@ DEFAULT_CONFIG = CertifyConfig()
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_bracket(D: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(D) <= hi for D > 0, with hi - lo = 10**-8."""
-    s = isqrt(D * 10**16)
-    return Fraction(s, 10**8), Fraction(s + 1, 10**8)
+def _ratio(num: int, den: int) -> str:
+    """num/den >= 0, den > 0, in lowest terms, as ``str(Fraction(num, den))`` spells it."""
+    d = gcd(num, den)
+    return str(num // d) if d == den else f"{num // d}/{den // d}"
 
 
-def abs_sq_lower_bound(c: AlgebraicCandidate) -> Fraction:
-    """A sound rational lower bound for |alpha|**2 (exact where possible)."""
+def abs_sq_lower_bound(c: AlgebraicCandidate) -> int:
+    """A sound lower bound for |alpha|**2 (exact where possible), over ``_ABS_SQ_DEN``."""
     if isinstance(c, QuadraticShift):
         D, a, b = c.D, c.a, c.b
         if D < 0:
-            if D % 4 == 1:
-                return (Fraction(b) + Fraction(a, 2)) ** 2 + Fraction(a * a * abs(D), 4)
-            return Fraction(b * b + a * a * abs(D))
-        lo, hi = _sqrt_bracket(D)
-        if D % 4 == 1:
-            lo, hi = (1 + lo) / 2, (1 + hi) / 2
-        ends = sorted((a * lo + b, a * hi + b))
-        if ends[0] <= 0 <= ends[1]:
-            return Fraction(0)
-        closest = min(abs(ends[0]), abs(ends[1]))
-        return closest * closest
+            if D % 4 == 1:  # |b + a/2 + a*sqrt(D)/2|**2
+                return ((2 * b + a) ** 2 + a * a * -D) * 10**16
+            return (b * b - a * a * D) * _ABS_SQ_DEN
+        # s/10**8 <= sqrt(D) <= (s + 1)/10**8: a*w + b lies between ends over 2 * 10**8.
+        s = isqrt(D * 10**16)
+        if D % 4 == 1:  # w = (1 + sqrt(D))/2
+            ends = sorted(a * (10**8 + t) + 2 * b * 10**8 for t in (s, s + 1))
+        else:
+            ends = sorted(2 * (a * t + b * 10**8) for t in (s, s + 1))
+        return 0 if ends[0] <= 0 <= ends[1] else min(abs(ends[0]), abs(ends[1])) ** 2
     # |a*zeta + b|**2 = a**2 + b**2 + a*b*(zeta + 1/zeta), exact when the
     # trace zeta + 1/zeta is an integer (-1, 0, 1 for m = 3, 4, 6).
     trace = {3: -1, 4: 0, 6: 1}.get(c.m)
     if trace is not None:
-        return Fraction(c.a * c.a + trace * c.a * c.b + c.b * c.b)
+        return (c.a * c.a + trace * c.a * c.b + c.b * c.b) * _ABS_SQ_DEN
     # |a*zeta + b| >= ||b| - |a|| because |zeta| = 1.
-    margin = abs(abs(c.b) - abs(c.a))
-    return Fraction(margin * margin)
+    return (abs(c.b) - abs(c.a)) ** 2 * _ABS_SQ_DEN
 
 
-def _han_reach(abs_sq: Fraction) -> int:
-    """The largest n with |alpha|**2 = abs_sq > (9.7226 * (n - 1))**2, or 0:
-    for t = abs_sq / 9.7226**2 > 0, (n - 1)**2 < t exactly when (n - 1)**2 <= ceil(t) - 1."""
-    t = abs_sq / _HAN_C_SQ
-    return isqrt(-(-t.numerator // t.denominator) - 1) + 1 if t > 0 else 0
+def _han_reach(abs_sq: int) -> int:
+    """The largest n with abs_sq / _ABS_SQ_DEN > (9.7226 * (n - 1))**2, or 0: for t the
+    left side over 9.7226**2 > 0, (n - 1)**2 < t exactly when (n - 1)**2 <= ceil(t) - 1."""
+    ceil_t = -(-abs_sq * _HAN_C_SQ_DEN // (_ABS_SQ_DEN * _HAN_C_SQ_NUM))
+    return isqrt(ceil_t - 1) + 1 if abs_sq > 0 else 0
 
 
 def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certificate:
     """Non-root when |alpha| provably exceeds 9.7226 * (n - 1); sigma only.
 
-    The comparison is done on exact squares so there is no boundary fuzz.
+    The comparison is done on exact squares, as integer numerators over
+    fixed denominators, so there is no boundary fuzz.
     """
     if g.kind != "sigma":
         raise DomainError(f"the absolute-value bound holds for sigma only, got g={g.name!r}")
     if n < 1:
         raise DomainError(f"certification requires n >= 1, got {n}")
     lower_sq = abs_sq_lower_bound(c)
-    threshold_sq = _HAN_C_SQ * (n - 1) ** 2
     return Certificate(
         g_name=g.name,
         candidate=c,
@@ -230,8 +229,8 @@ def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> C
         method="han_bound",
         details={"n": n},
         evidence={
-            "abs_sq_lower_bound": str(lower_sq),
-            "threshold_sq": str(threshold_sq),
+            "abs_sq_lower_bound": _ratio(lower_sq, _ABS_SQ_DEN),
+            "threshold_sq": _ratio(_HAN_C_SQ_NUM * (n - 1) ** 2, _HAN_C_SQ_DEN),
         },
     )
 
@@ -265,7 +264,7 @@ def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> 
     item = None
     facts: dict = {}
     if isinstance(c, CyclotomicShift):
-        odd_primes = [p for p in arith.prime_factors(c.m) if p != 2]
+        odd_primes = [p for p in c.level_primes if p != 2]
         if odd_primes and c.a % 2 != 0:
             item, facts = 1, {"odd_prime_divisor": odd_primes[0]}
         elif (
@@ -836,15 +835,15 @@ def _held_rows(g: ArithmeticFunction, top: int):
     return row
 
 
-def _rational_integer_tests(g: ArithmeticFunction, b: int, top: int, row) -> list:
-    """The absolute bound, then exact evaluation at the real-axis point b of
-    ``row`` up to ``top``; an n past the reach of g's table stays
-    uncertified, as at a != 0."""
-    reach = _han_reach(Fraction(b * b)) if g.kind == "sigma" else 0
-    return [
-        ("han_bound", lambda n: n <= reach),
-        ("exact_evaluation", lambda n: n <= top and row(n).evaluate(b) != 0),
-    ]
+def _rational_integer_tests(g: ArithmeticFunction, b: int, top: int) -> list:
+    """The absolute bound, then exact evaluation at the real-axis point b up
+    to ``top`` from the integer row of b (``series.row_at``: 0 exactly where
+    A_n(b) is), built if the bound leaves some n <= top; an n past the reach
+    of g's table stays uncertified, as at a != 0."""
+    reach = _han_reach(b * b * _ABS_SQ_DEN) if g.kind == "sigma" else 0
+    values = series.row_at(g, b, top) if reach < top else ()
+    return [("han_bound", lambda n: n <= reach),
+            ("exact_evaluation", lambda n: n <= top and values[n] != 0)]
 
 
 def _point_tests(
@@ -891,9 +890,10 @@ def scan_grid(
     emitted row-major (a ascending, then b) so output files are stable.
     The bounds are resolved once: ``top``, the largest n asked (n_max, cut
     to a table's reach), and ``last``, the largest n exact evaluation reads
-    at a != 0 (its bound, cut to ``top``).  The scan holds one list, built
-    at the first read: A_0..A_top if a row has a = 0, else A_0..A_last, A_n
-    mod p factored per (p, class of n) its points ask, and one prime sieve.
+    at a != 0 (its bound, cut to ``top``).  The scan holds A_0..A_last over
+    Z, built at the first read, A_n mod p factored per (p, class of n) its
+    points ask, and one prime sieve; a point with a = 0 reads one integer
+    row of values at b up to ``top`` instead of polynomials.
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
@@ -903,14 +903,14 @@ def scan_grid(
     make = candidate_family(kind)  # checks m or D even when every row has a = 0
     top = n_max if g.n_max is None else min(n_max, g.n_max)
     last = min(config.exact_eval_bound, top)
-    row = _held_rows(g, top if a_range[0] <= 0 <= a_range[1] else last)
+    row = _held_rows(g, last)
     pieces = {}  # (p, class of n) -> A_n mod p factored, for every point
     sieve = []  # the primes not_ramified tries, for every point
     points = []
     for a in range(a_range[0], a_range[1] + 1):
         for b in range(b_range[0], b_range[1] + 1):
             if a == 0:
-                points.append(_grid_point(a, b, _rational_integer_tests(g, b, top, row), n_max))
+                points.append(_grid_point(a, b, _rational_integer_tests(g, b, top), n_max))
                 continue
             c = make(a, b)
             cert = certify_all_n(g, c, config)

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
 from . import __version__, numfield, polymod, series
@@ -125,7 +124,9 @@ _COMMON_FLAGS = {
 # memory, from measured bytes per unit, reaches 64 GiB (rounded down).
 # ``tau_list(N)`` peaked at 270-300 bytes per index (N = 10**5..10**6); the
 # rows A_0..A_N that ``hurwitz`` or a scan holds took 0.245 * N**3 bytes
-# (N = 200..800); ``poly N`` printed A_N in 0.77 * N**2 * log2(N) bytes, and
+# (N = 200..800), and ``scan rows`` still caps --n-max by that rule across
+# a = 0, where a scan now holds one integer row per b instead (not yet
+# re-derived); ``poly N`` printed A_N in 0.77 * N**2 * log2(N) bytes, and
 # A_N / N! in 1.42 * N**2 * log2(N) (N = 200..800); ``--mod p`` printed A_N
 # mod p in 84 bytes per degree (N = 10**5..10**6), and ``--factor`` took
 # 1.2 KB per degree factored (p = 101..401); a scan's walk took 132 bytes per
@@ -140,8 +141,10 @@ def _sizes(args) -> list[tuple[str, str, int]]:
     """(mode, size, value) for each ``SIZE_CAPS`` mode the run is in, its own
     mode first.  ``poly N --mod p`` builds A_r over Z, r = N mod p, and
     ``certify --n N`` A_N once --exact-eval-bound >= N, as ``poly N`` does A_N.
-    A scan holds the rows A_0..A_top, top = --n-max with a row at a = 0 and
-    at most --exact-eval-bound without one, and walks n = 1..--n-max at every point."""
+    A scan holds the rows A_0..A_top over Z, top = min(--n-max,
+    --exact-eval-bound), and one integer row up to --n-max per b at a = 0,
+    which ``scan rows`` bounds as it did the rows A_0..A_{--n-max}; it walks
+    n = 1..--n-max at every point."""
     if args.command == "tau":
         return [(f"tau {size}", size, value)
                 for size, value in (("N", args.n), ("--max", args.max)) if value is not None]
@@ -299,6 +302,8 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
                 str(reduced), EXIT_OK)
     poly = series.a_poly(g, args.n)
     if args.rational:  # P_n = A_n / n!, the one place Q coefficients appear
+        from fractions import Fraction  # imported here: no other run loads it
+
         coeffs = [Fraction(c, factorial(args.n)) for c in poly.coeffs]
         doc = {"degree": poly.degree, "coeffs": [str(c) for c in coeffs]}
         text = format_poly(coeffs)

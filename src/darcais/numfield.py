@@ -52,8 +52,14 @@ class CyclotomicShift(FrozenValue):
             raise DomainError("a = 0 degenerates to a rational integer")
 
     @cached_property
+    def level_primes(self) -> tuple[int, ...]:
+        """The distinct prime factors of m, ascending, by one trial division
+        that the candidates of a family share (``candidate_family``)."""
+        return tuple(arith.prime_factors(self.m))
+
+    @cached_property
     def degree(self) -> int:
-        return arith.euler_phi(self.m)
+        return arith.euler_phi(self.m, self.level_primes)
 
     def _capped_degree(self) -> int:
         """phi(m), refused past ``MAX_CYCLOTOMIC_DEGREE`` before anything of
@@ -168,6 +174,9 @@ def candidate_family(kind: str):
     """The map (a, b) -> candidate of the family 'gauss', 'quad:D' or 'cyc:m'.
 
     D or m is checked here, once, with the candidate class's own message.
+    The level m is factored once, at the family's first candidate, and
+    every candidate holds that factorization: a cached property lives in
+    the instance dict, outside the fields that ==, hash, repr and JSON read.
     """
     head, _, tail = ("quad:-1" if kind == "gauss" else kind).partition(":")
     try:
@@ -177,7 +186,18 @@ def candidate_family(kind: str):
             f"unknown grid kind {kind!r}; expected {FAMILY_GRAMMAR}"
         ) from None
     make(1, 0)  # a = 1 is valid in every family, so only D or m can fail
-    return make
+    if head != "cyc":
+        return make
+    held = []  # the prime factors of m, from the family's first candidate
+
+    def make_sharing(a: int, b: int) -> CyclotomicShift:
+        c = make(a, b)
+        if not held:
+            held.append(c.level_primes)
+        c.__dict__["level_primes"] = held[0]
+        return c
+
+    return make_sharing
 
 
 def parse_candidate(text: str) -> AlgebraicCandidate:

@@ -64,6 +64,10 @@ class ModPoly(_BasePoly):
     def _inverse(self, value: int) -> int:
         return pow(value, self.p - 2, self.p)
 
+    def _divider(self, lead: int):
+        inv, p = self._inverse(lead), self.p
+        return lambda value: value * inv % p
+
     def _same(self, other):
         if not isinstance(other, ModPoly):
             return None

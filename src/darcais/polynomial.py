@@ -5,13 +5,13 @@ trailing zeros stripped so that representations are canonical.  IntPoly
 holds Python ints; ``polymod.ModPoly`` (ints reduced into [0, p)) derives
 from the same base, so Z and F_p polynomials share one implementation of
 the ring operations and one long division (``divmod``, ``//``, ``%``).
-Over Z a division whose quotient is not integral raises ``DomainError``;
-a monic divisor never does.  All of them are immutable and hashable.
+Over Z each quotient coefficient is an exact integer division, and one
+that leaves a remainder raises ``DomainError``; a monic divisor never
+does.  All of them are immutable and hashable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -54,7 +54,8 @@ class _BasePoly:
     ``_ring`` holds the constructor arguments that come before the
     coefficients (none over Z, the modulus over F_p), so every
     polynomial is built as ``cls(*ring, coeffs)``.  ``_coerce`` maps a
-    scalar into the coefficient domain.
+    scalar into the coefficient domain, and ``_divider(lead)`` gives the
+    map c -> c / lead that long division takes each quotient coefficient by.
     """
 
     __slots__ = ("_coeffs",)
@@ -64,6 +65,9 @@ class _BasePoly:
 
     @staticmethod
     def _coerce(value):  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def _divider(self, lead):  # pragma: no cover - overridden
         raise NotImplementedError
 
     def __init__(self, coeffs: Iterable = ()) -> None:
@@ -194,16 +198,12 @@ class _BasePoly:
             n >>= 1
         return result
 
-    def _inverse(self, value):
-        """Inverse of a nonzero coefficient over Z: a rational, except that
-        the units 1 and -1 are their own inverse and stay integers."""
-        return value if value in (1, -1) else Fraction(1, value)
-
     def _divmod(self, den):
         """Long division by ``den``, a polynomial of this type and ring.
 
-        Each quotient coefficient passes through ``_coerce``: over F_p that
-        reduces it mod p, and over Z it rejects one that is not an integer.
+        Each quotient coefficient is the leading remainder coefficient taken
+        by ``_divider``: times the inverse of the lead mod p over F_p, and
+        over Z an exact integer division that rejects a remainder.
         """
         if den.is_zero:
             raise DomainError("division by the zero polynomial")
@@ -212,11 +212,10 @@ class _BasePoly:
         qdeg = len(rem) - len(dc)
         if qdeg < 0:
             return self._new(()), self
-        inv_lead = self._inverse(den.leading)
-        coerce, top = self._coerce, len(dc) - 1
+        divide, top = self._divider(den.leading), len(dc) - 1
         quot = [0] * (qdeg + 1)
         for k in range(qdeg, -1, -1):
-            q = coerce(rem[k + top] * inv_lead)
+            q = divide(rem[k + top])
             quot[k] = q
             if q:
                 for i, c in enumerate(dc):
@@ -283,10 +282,18 @@ class IntPoly(_BasePoly):
     @staticmethod
     def _coerce(value):
         if isinstance(value, bool) or not isinstance(value, int):
-            if isinstance(value, Fraction) and value.denominator == 1:
-                return int(value)
             raise DomainError(f"integer coefficient expected, got {value!r}")
         return value
+
+    @staticmethod
+    def _divider(lead: int):
+        def divide(value: int) -> int:
+            q, r = divmod(value, lead)
+            if r:
+                raise DomainError(f"quotient coefficient {value}/{lead} is not an integer")
+            return q
+
+        return divide
 
     @classmethod
     def monomial(cls, degree: int, coeff=1):

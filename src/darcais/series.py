@@ -19,6 +19,12 @@ term for n >= 1.  Both exact routes start from the integer form (N, E) of
   (``_a_poly_from_powers``): O(n^2.5) additions of small integers for
   the coefficients [q**n] (1 - E)**d, then O(n^2) bigint multiply-adds.
 
+At an integer x no polynomial is built: ``row_at`` reads E*F' = X*N*F
+at X = x, one integer per q**j, each P_j(x) times one scale for the row.
+Under sigma the scale is 1 and P_j(x) is the coefficient of E**(-x)
+(x = -24 gives tau), in O(n^1.5) small-by-big products; the scan's
+real-axis points read it (``certify.scan_grid``).
+
 The sum over integer partitions, exact but exponential, is the test oracle
 ``a_poly_oracle`` in ``tests/oracles.py``; it shares no code path with
 either route.
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, zip_longest
-from math import gcd
+from math import factorial, gcd
 from operator import mul
 from typing import Iterator
 
@@ -66,6 +72,14 @@ def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list
     else:
         N = [g(i) for i in range(1, n + 1)]
     return N[:n], E[:n]
+
+
+def _minus_log(N: list[int], E: list[int]) -> list[int] | None:
+    """Y = 1 - E when N = -E', that is S = -log E (sigma), else None; E[n]
+    is read as -N[n-1]/n, n = len(N) >= 1, so that g is read no further than g(n)."""
+    n = len(N)
+    Y = [0, *(-e for e in E[1:]), N[-1] // n]
+    return Y if N == [k * Y[k] for k in range(1, n + 1)] else None
 
 
 def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
@@ -177,11 +191,38 @@ def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
     each scaled column u_0..u_n, with two columns live.
     """
     N, E = _log_derivative_form(g, n)
-    if n:  # N = -E' iff N[k-1] = k*Y[k] for k = 1..n
-        Y = [0, *(-e for e in E[1:]), N[-1] // n]
-        if N == [k * Y[k] for k in range(1, n + 1)] and set(Y) <= {-1, 0, 1}:
-            return _a_poly_from_powers(Y, n)
+    if n and (Y := _minus_log(N, E)) is not None and set(Y) <= {-1, 0, 1}:
+        return _a_poly_from_powers(Y, n)
     return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
+
+
+def row_at(g: ArithmeticFunction, x: int, n: int) -> list[int]:
+    """s*P_0(x), ..., s*P_n(x) at the integer x, for one scale s > 0: s = 1
+    when N = -E' (sigma), where P_j(x) is the integer [q**j] E**(-x), and
+    s = n! otherwise, where A_j(x) = s*P_j(x) // (n!/j!).  So the j-th entry
+    is 0 exactly when A_j(x) is.  n and g's reach are checked first.
+
+    At X = x, E*F' = X*N*F for F = sum_j F_j q**j, F_0 = s, reads at q**(j-1)
+
+        j*F_j = x * sum_i N[i]*F_{j-1-i} - sum_{i>=1} E[i]*(j-i)*F_{j-i},
+
+    over the nonzero terms of N and E, divided exactly by j.  The list G
+    holds j*F_j, so the E sum reads G[j-i]; at step j both lists hold
+    entries 0..j-1, so the offsets -k of ``_back_offsets`` read F[j-k].
+    """
+    N, E = _log_derivative_form(g, n)
+    F = [1 if n == 0 or _minus_log(N, E) is not None else factorial(n)]
+    G = [0]
+    n_support = [i + 1 for i in range(n) if N[i]]  # F_{j-k}, k = i + 1 <= j
+    n_values, n_offsets = [N[k - 1] for k in n_support], _back_offsets(n_support, n)
+    e_support = [i for i in range(1, n) if E[i]]  # G_{j-i}, G_0 = 0
+    e_values, e_offsets = [E[i] for i in e_support], _back_offsets(e_support, n)
+    for j in range(1, n + 1):
+        s = (x * sum(map(mul, n_values, map(F.__getitem__, n_offsets[j])))
+             - sum(map(mul, e_values, map(G.__getitem__, e_offsets[j]))))
+        G.append(s)
+        F.append(s // j)
+    return F
 
 
 def _square_truncated(a: list[int], n: int) -> list[int]:

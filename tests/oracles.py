@@ -26,10 +26,16 @@ result for result, against the route kept here:
 * ``periodic_residues``: the periodic obstruction in membership form, the
   residues r mod p where one prime rules out every n = r mod p; the
   closed-form criteria and the genuine-root corpus are checked against it;
+* ``abs_sq_lower_bound_fraction`` and ``han_reach_fraction``: the absolute
+  bound in ``Fraction`` arithmetic, the reach found by stepping along n,
+  against the integer numerators and the one integer division of
+  ``certify_han_bound``;
 * ``scan_grid_per_n``: the grid scan that runs the whole strategy chain
   per (point, n), the generic obstruction and the unramified criterion by
-  the two oracles above and every other method by its certificate, against
-  ``scan_grid``, which decides each n from facts computed once per point;
+  the two oracles above and every other method by its certificate, and the
+  points with a = 0 by evaluating the polynomials A_n at b, against
+  ``scan_grid``, which decides each n from facts computed once per point
+  and reads an integer row per b (``series.row_at``);
 * ``zmija_order_six``: the raw order criterion mod 11, against the degree
   rule of ``check_zmija_conditions``;
 * ``evaluate_at_quadratic`` and ``evaluate_at_cyclotomic``: evaluation in
@@ -61,7 +67,7 @@ from darcais import (
 )
 from darcais.arith import divisors, prime_factors, require_prime, require_quadratic_d
 from darcais.certify import _CHAIN, DEFAULT_CONFIG, GridPoint, GridResult, certify_all_n
-from darcais.numfield import candidate_family
+from darcais.numfield import QuadraticShift, candidate_family
 from darcais.polymod import ModPoly, poly_gcd, pow_mod
 from darcais.series import a_poly_list
 
@@ -138,7 +144,9 @@ def a_poly_oracle(g, n: int, max_n: int = DEFAULT_ORACLE_BOUND) -> IntPoly:
                 weight *= gv[j] ** m / factorial(m)
                 size += m
         coeffs[size] += weight
-    return IntPoly(coeffs)  # rejects a coefficient that is not an integer
+    if any(c.denominator != 1 for c in coeffs):  # IntPoly takes ints only
+        raise DomainError(f"partition sum for n = {n}: a coefficient is not an integer")
+    return IntPoly(c.numerator for c in coeffs)
 
 
 def _sigma_sieve(N: int) -> list[int]:
@@ -322,6 +330,47 @@ def periodic_residues(g, f: IntPoly, p: int) -> frozenset[int]:
     return frozenset(r for r in range(p) if any(not q.divides(a_r[r]) for q in coprime))
 
 
+# The exact square of the constant 9.7226 of the absolute bound.
+HAN_C_SQ = Fraction(97226, 10000) ** 2
+
+
+def abs_sq_lower_bound_fraction(c) -> Fraction:
+    """A sound rational lower bound for |alpha|**2: exact for complex
+    quadratic c and for m = 3, 4, 6, from a bracket of width 10**-8 around
+    sqrt(D) for real quadratic c, and ||b| - |a||**2 otherwise."""
+    if isinstance(c, QuadraticShift):
+        D, a, b = c.D, c.a, c.b
+        if D < 0:
+            if D % 4 == 1:
+                return (Fraction(b) + Fraction(a, 2)) ** 2 + Fraction(a * a * abs(D), 4)
+            return Fraction(b * b + a * a * abs(D))
+        s = isqrt(D * 10**16)
+        lo, hi = Fraction(s, 10**8), Fraction(s + 1, 10**8)
+        if D % 4 == 1:
+            lo, hi = (1 + lo) / 2, (1 + hi) / 2
+        ends = sorted((a * lo + b, a * hi + b))
+        if ends[0] <= 0 <= ends[1]:
+            return Fraction(0)
+        return min(abs(ends[0]), abs(ends[1])) ** 2
+    trace = {3: -1, 4: 0, 6: 1}.get(c.m)
+    if trace is not None:
+        return Fraction(c.a * c.a + trace * c.a * c.b + c.b * c.b)
+    return Fraction((abs(c.b) - abs(c.a)) ** 2)
+
+
+def han_reach_fraction(abs_sq: Fraction) -> int:
+    """The largest n >= 1 with abs_sq > HAN_C_SQ * (n - 1)**2, or 0 when
+    there is none: stepped to from a guess, by the inequality itself."""
+    if not abs_sq > 0:
+        return 0
+    n = isqrt(int(abs_sq / HAN_C_SQ)) + 1
+    while abs_sq > HAN_C_SQ * n**2:
+        n += 1
+    while not abs_sq > HAN_C_SQ * (n - 1) ** 2:
+        n -= 1
+    return n
+
+
 def _per_n_method(g, c, n: int, config=DEFAULT_CONFIG) -> str | None:
     """The first method of the strategy chain that proves n at c, or None:
     ``generic_obstruction`` and ``not_ramified`` by the oracles above, every
@@ -352,7 +401,6 @@ def scan_grid_per_n(g, kind: str, a_range, b_range, n_max: int, config=DEFAULT_C
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
     make = candidate_family(kind)
-    han_c_sq = Fraction(97226, 10000) ** 2
     top = n_max if g.n_max is None else min(n_max, g.n_max)
     rows = a_poly_list(g, top) if a_range[0] <= 0 <= a_range[1] else None
     points = []
@@ -361,7 +409,7 @@ def scan_grid_per_n(g, kind: str, a_range, b_range, n_max: int, config=DEFAULT_C
             methods, uncertified = set(), []
             if a == 0:
                 for n in range(1, n_max + 1):
-                    if g.kind == "sigma" and b * b > han_c_sq * (n - 1) ** 2:
+                    if g.kind == "sigma" and b * b > HAN_C_SQ * (n - 1) ** 2:
                         methods.add("han_bound")
                     elif n <= top and rows[n].evaluate(b) != 0:
                         methods.add("exact_evaluation")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from unittest import mock
 
@@ -31,9 +32,11 @@ from darcais import (
 )
 from darcais.arith import replace
 from darcais.certify import (
+    _ABS_SQ_DEN,
     INCONCLUSIVE,
     PROVEN,
     Scope,
+    _han_reach,
     _held_rows,
     _point_tests,
     abs_sq_lower_bound,
@@ -42,8 +45,11 @@ from darcais.polymod import ModPoly
 
 from conftest import clear_library_caches, random_table
 from oracles import (
+    HAN_C_SQ,
+    abs_sq_lower_bound_fraction,
     evaluate_at_cyclotomic,
     evaluate_at_quadratic,
+    han_reach_fraction,
     is_irreducible_rabin,
     zmija_order_six,
 )
@@ -112,6 +118,49 @@ class TestHanBound:
         assert certify_han_bound(sigma_g, c(6, 8), 2).verdict == PROVEN
         assert certify_han_bound(sigma_g, c(3, 4), 2).verdict == INCONCLUSIVE
 
+    def test_integer_bound_is_the_fraction_definition(self, sigma_g):
+        # 10**4 seeded candidates: complex and real quadratic, D = 1 mod 4 and
+        # not, real points near 0 (where the bracket of sqrt(D) decides),
+        # cyclotomic with an exact trace (m = 3, 4, 6) and by the margin.
+        rng = random.Random(34)
+        complex_d, real_d = (-1, -2, -3, -5, -7, -15, -21, -23), (2, 3, 5, 6, 13, 17, 21, 33)
+        cases = []
+        for _ in range(2000):
+            a, b = rng.choice((1, -1)) * rng.randint(1, 10**4), rng.randint(-10**4, 10**4)
+            cases.append(QuadraticShift(rng.choice(complex_d), a, b))
+            D = rng.choice(real_d)
+            cases.append(QuadraticShift(D, a, b))
+            w = (1 + math.sqrt(D)) / 2 if D % 4 == 1 else math.sqrt(D)
+            cases.append(QuadraticShift(D, a, -round(a * w) + rng.randint(-2, 2)))
+            cases.append(CyclotomicShift(rng.choice((3, 4, 6)), a, b))
+            m = rng.choice((5, 7, 8, 9, 12, 15))
+            cases.append(CyclotomicShift(m, a, rng.choice((b, a, -a, a + 1))))
+        for D in real_d:  # the convergents -b/a of w = (P + sqrt(D))/Q, a < 10**7
+            P, Q = (1, 2) if D % 4 == 1 else (0, 1)
+            h, h0, k, k0 = 1, 0, 0, 1
+            while k < 10**7:
+                t = (P + math.isqrt(D)) // Q
+                h, h0, k, k0 = t * h + h0, h, t * k + k0, k
+                P, Q = t * Q - P, (D - (t * Q - P) ** 2) // Q
+                cases += [QuadraticShift(D, k, d - h) for d in (-1, 0, 1)]
+        assert len(cases) >= 10**4
+        # Some brackets of a*w + b straddle 0 with |alpha| > 0.
+        assert any(c.D > 0 and abs_sq_lower_bound(c) == 0 for c in cases[10**4:])
+        for c in cases:
+            lower = abs_sq_lower_bound_fraction(c)
+            reach = _han_reach(abs_sq_lower_bound(c))
+            assert reach == han_reach_fraction(lower), c
+            for n in {1, max(reach, 1), reach + 1}:
+                cert = certify_han_bound(sigma_g, c, n)
+                assert cert.proven == (n <= reach), (c, n)
+                assert cert.evidence == {"abs_sq_lower_bound": str(lower),
+                                         "threshold_sq": str(HAN_C_SQ * (n - 1) ** 2)}, (c, n)
+        assert {_han_reach(abs_sq_lower_bound(c)) for c in cases} >= {0, 1}
+        c = QuadraticShift.gaussian(1, 0)
+        for n in range(1, 3000):
+            want = str(HAN_C_SQ * (n - 1) ** 2)
+            assert certify_han_bound(sigma_g, c, n).evidence["threshold_sq"] == want, n
+
     def test_lower_bounds_are_sound(self):
         # exact for complex quadratic, bracketing for real, reverse triangle
         # inequality for cyclotomic; all must stay below the true modulus
@@ -136,7 +185,7 @@ class TestHanBound:
             else:
                 zeta = complex(math.cos(2 * math.pi / c.m), math.sin(2 * math.pi / c.m))
                 alpha = c.a * zeta + c.b
-            assert float(lower) <= abs(alpha) ** 2 + 1e-9
+            assert lower / _ABS_SQ_DEN <= abs(alpha) ** 2 + 1e-9
 
     def test_quadratic_roots_of_unity_are_exact(self):
         # zeta_4 = i and zeta_3 = w_{-3} - 1, so a*zeta_4 + b is gauss:a,b and
@@ -148,12 +197,15 @@ class TestHanBound:
                 continue
             for b in range(-10, 11):
                 m3, m4, m6 = (abs_sq_lower_bound(CyclotomicShift(m, a, b)) for m in (3, 4, 6))
-                assert m4 == abs_sq_lower_bound(QuadraticShift.gaussian(a, b)) == a * a + b * b
-                assert m3 == abs_sq_lower_bound(QuadraticShift(-3, a, b - a)) == a * a - a * b + b * b
-                assert m6 == abs_sq_lower_bound(CyclotomicShift(3, a, a + b)) == a * a + a * b + b * b
+                assert m4 == abs_sq_lower_bound(QuadraticShift.gaussian(a, b))
+                assert m3 == abs_sq_lower_bound(QuadraticShift(-3, a, b - a))
+                assert m6 == abs_sq_lower_bound(CyclotomicShift(3, a, a + b))
+                assert m4 == (a * a + b * b) * _ABS_SQ_DEN
+                assert m3 == (a * a - a * b + b * b) * _ABS_SQ_DEN
+                assert m6 == (a * a + a * b + b * b) * _ABS_SQ_DEN
                 for m, value in ((3, m3), (4, m4), (6, m6)):
                     alpha = a * cmath.exp(2j * cmath.pi / m) + b
-                    assert abs(float(value) - abs(alpha) ** 2) < 1e-9, (m, a, b)
+                    assert abs(value / _ABS_SQ_DEN - abs(alpha) ** 2) < 1e-9, (m, a, b)
 
     def test_cyclotomic_and_gaussian_spellings_agree(self, sigma_g):
         # |3i - 3|**2 = 18 proves n = 1 under both spellings (the reverse
@@ -973,13 +1025,15 @@ class TestShortTables:
         assert real[1].methods == ("exact_evaluation",)
         assert grid.points[2:] == scan_grid(g, "gauss", (1, 1), (0, 1), 5).points
 
-    def test_scan_real_axis_builds_the_polynomials_once_per_point(self, sigma_g):
-        # n = 1 falls to the absolute bound at b != 0; every later n, at
-        # every point, reads one list A_0..A_20.
+    def test_scan_real_axis_builds_one_integer_row_per_point(self, sigma_g):
+        # n = 1 falls to the absolute bound at b != 0; every later n at b
+        # reads one integer row up to 20, and no polynomial is built.
         clear_library_caches()
-        with mock.patch.object(series, "a_poly_list", wraps=series.a_poly_list) as spy:
+        with (mock.patch.object(series, "a_poly_list", wraps=series.a_poly_list) as spy,
+              mock.patch.object(series, "row_at", wraps=series.row_at) as rows):
             grid = scan_grid(sigma_g, "gauss", (0, 0), (-3, 3), 20)
-        assert spy.call_args_list == [mock.call(sigma_g, 20)]
+        assert spy.call_args_list == []
+        assert rows.call_args_list == [mock.call(sigma_g, b, 20) for b in range(-3, 4)]
         assert grid.points[4].methods == ("exact_evaluation", "han_bound")
 
 

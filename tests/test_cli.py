@@ -591,6 +591,20 @@ class TestInputPathsExitTwo:
                        f"(trial-division cap), got {m}\n")
         assert f"| `m` of `cyc:m,a,b` | {MAX_CYCLOTOMIC_LEVEL} |" in README.read_text()
 
+    def test_cyclotomic_scan_factors_its_level_once(self, capsys, monkeypatch):
+        # Every point reads the prime factors of m, from one trial division.
+        from darcais import arith
+
+        calls, factorization = [], arith._factorization
+        monkeypatch.setattr(arith, "_factorization",
+                            lambda n: calls.append(n) or factorization(n))
+        code, out, _ = run(capsys, "scan", "--kind", "cyc:999999999989", "--a-range=1:5",
+                           "--b-range=1:10", "--n-max", "5")
+        points = json.loads(out)["grid"]["points"]
+        assert code == 0 and len(points) == 50
+        assert {pt["status"] for pt in points} == {"all_n"}
+        assert calls == [999999999989]
+
     def test_memory_error_is_usage_error(self, capsys, monkeypatch):
         def exhausted(n):
             raise MemoryError

@@ -173,8 +173,28 @@ def test_series_reads_how_g_is_given_in_one_place():
 
 
 # What ``import darcais.cli`` must not add to a fresh interpreter: the
-# stdlib modules ``dataclasses`` pulls in at import.
-STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# stdlib modules ``dataclasses`` pulls in at import, and ``fractions`` with
+# the modules it loads, which only ``poly --rational`` imports.
+RATIONAL_ONLY = ("fractions", "decimal", "numbers")
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", *RATIONAL_ONLY)
+
+# The seed-0 argv of the benchmark's three workloads, the absolute bound
+# proving a real quadratic point from its bracket of sqrt(D), and a gauss
+# scan crossing a = 0: all of their exact arithmetic is over the integers.
+RUN_PATH_ARGV = (
+    ["scan", "--kind=quad:-17", "--a-range=1:3", "--b-range=-3:3", "--n-max", "50"],
+    ["scan", "--kind=cyc:8", "--a-range=-6:-1", "--b-range=-3:3", "--n-max", "50"],
+    ["scan", "--kind=quad:-2", "--a-range=1:4", "--b-range=-4:4", "--n-max", "50"],
+    ["scan", "--kind=gauss", "--a-range=-3:1", "--b-range=-2:6", "--n-max", "50"],
+    ["certify", "--candidate", "cyc:8,18,-8", "--n", "2501"],
+    ["certify", "--candidate", "cyc:12,42,-5", "--n", "3001"],
+    ["certify", "--candidate", "cyc:8,-12,9", "--n", "3502"],
+    ["hurwitz", "--max", "55"],
+    ["tau", "--max", "3012"],
+    ["poly", "200"],
+    ["certify", "--candidate", "quad:3,1000,-3", "--n", "3"],
+    ["scan", "--kind", "gauss", "--a-range=-1:1", "--b-range=-3:3", "--n-max", "200"],
+)
 
 
 def test_cli_import_loads_every_layer_and_no_code_generation():
@@ -189,3 +209,25 @@ def test_cli_import_loads_every_layer_and_no_code_generation():
     loaded = set(json.loads(out))
     assert {f"darcais.{layer}" for layer in LAYERS} <= loaded
     assert not loaded & set(STARTUP_EXCLUDED)
+
+
+def test_only_poly_rational_loads_fractions():
+    # One fresh interpreter runs every argv in turn, and reports after each
+    # run which of the modules it loaded.
+    script = (
+        "import json, os, sys\n"
+        "from darcais import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = cli.main([*argv, '--out', os.devnull])\n"
+        "    print(json.dumps([code, sorted(m for m in sys.modules if m in sys.argv[2:])]))\n"
+    )
+    argvs = [*RUN_PATH_ARGV, ["poly", "5", "--rational"]]
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs), *RATIONAL_ONLY],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == len(argvs)
+    for argv, (code, loaded) in zip(RUN_PATH_ARGV, reports):
+        assert code == 0 and loaded == [], argv
+    assert reports[-1] == [0, sorted(RATIONAL_ONLY)]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -172,6 +173,22 @@ class TestCandidates:
         else:
             assert parse_candidate(spec) == expected
             assert parse_candidate(expected.spec_string()) == expected
+
+    def test_a_family_factors_its_level_once(self, monkeypatch):
+        calls, factorization = [], arith._factorization
+        monkeypatch.setattr(arith, "_factorization",
+                            lambda n: calls.append(n) or factorization(n))
+        make = candidate_family("cyc:15")
+        family = [make(a, b) for a in (-2, 1, 3) for b in (-1, 0, 4)]
+        assert [(c.level_primes, c.degree) for c in family] == [((3, 5), 8)] * 9
+        assert calls == [15]
+        # The held factorization is no field: the candidate is the one spelled out.
+        for c in family:
+            twin = CyclotomicShift(15, c.a, c.b)
+            assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+            assert c.to_json_dict() == twin.to_json_dict()
+            assert pickle.loads(pickle.dumps(c)) == twin
+        assert calls == [15]
 
     def test_min_poly_cached_and_consistent(self):
         c = CyclotomicShift(12, 2, 5)

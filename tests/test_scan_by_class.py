@@ -23,7 +23,6 @@ to the per-n route it replaced:
 import importlib
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -38,8 +37,10 @@ from darcais import (
     series,
 )
 from darcais.certify import (
+    _ABS_SQ_DEN,
     _CHAIN,
-    _HAN_C_SQ,
+    _HAN_C_SQ_DEN,
+    _HAN_C_SQ_NUM,
     DEFAULT_CONFIG,
     _han_reach,
     _held_rows,
@@ -79,6 +80,15 @@ class TestScanMatchesThePerNChain:
                     assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
                         g.name, kind, n_max, config.primes)
 
+    @pytest.mark.parametrize("g", SCAN_GS, ids=lambda g: g.name)
+    def test_real_axis_rows(self, g):
+        # The a = 0 points read one integer row per b; the oracle evaluates
+        # the polynomials A_n at b.  Both tables end before n_max.
+        for n_max in (1, 300):
+            args = (g, "gauss", (0, 0), (-6, 6), n_max)
+            assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args), (
+                g.name, n_max)
+
     def test_deep_quadratic_scan(self, sigma_g):
         args = (sigma_g, "quad:-2", (1, 4), (-4, 4), 400)
         assert scan_bytes(scan_grid, *args) == scan_bytes(scan_grid_per_n, *args)
@@ -115,24 +125,28 @@ class TestNotRamifiedStopsPastNMax:
 
 
 class TestScanHoldsOneList:
-    """A scan builds A_0..A_N once, N the largest n it reads: exact
-    evaluation's bound cut to n_max off the real axis, n_max with a = 0."""
+    """A scan builds A_0..A_N once, N the largest n exact evaluation reads
+    off the real axis: its bound cut to n_max.  A point with a = 0 reads an
+    integer row up to n_max (``series.row_at``) instead."""
 
     @pytest.mark.parametrize(
-        "a_range, config, n_max, built",
-        [((1, 2), CertifyConfig(primes=(2,), exact_eval_bound=400), 5, [5]),
-         ((-1, 1), CertifyConfig(primes=(2,)), 50, [50])],
+        "a_range, config, n_max, built, rows",
+        [((1, 2), CertifyConfig(primes=(2,), exact_eval_bound=400), 5, [5], []),
+         ((-1, 1), CertifyConfig(primes=(2,)), 50, [30], [(b, 50) for b in range(-3, 4)])],
         ids=["bound-past-n-max", "real-axis-after-a-negative-row"],
     )
     def test_one_list_up_to_the_largest_n_read(self, sigma_g, monkeypatch, a_range, config,
-                                               n_max, built):
+                                               n_max, built, rows):
         args = (sigma_g, "quad:-2", a_range, (-3, 3), n_max, config)
         calls, a_poly_list = [], series.a_poly_list
+        row_calls, row_at = [], series.row_at
         with monkeypatch.context() as patched:
             patched.setattr(series, "a_poly_list",
                             lambda g, n: calls.append(n) or a_poly_list(g, n))
+            patched.setattr(series, "row_at",
+                            lambda g, b, n: row_calls.append((b, n)) or row_at(g, b, n))
             got = scan_bytes(scan_grid, *args)
-        assert calls == built
+        assert calls == built and row_calls == rows
         assert got == scan_bytes(scan_grid_per_n, *args)
 
 
@@ -187,17 +201,25 @@ class TestPointTestsMatchTheCertificates:
 
     def test_han_reach_is_the_bound_of_the_certificate(self, sigma_g):
         # (9.7226 * k)**2 itself sits on the boundary: it proves n = k, not k + 1.
-        eps = Fraction(1, 10**9)
+        # Squares are numerators over _ABS_SQ_DEN, where 9.7226**2 is c_sq.
+        c_sq, eps = _HAN_C_SQ_NUM * _ABS_SQ_DEN // _HAN_C_SQ_DEN, _ABS_SQ_DEN // 10**9
+        assert c_sq * _HAN_C_SQ_DEN == _HAN_C_SQ_NUM * _ABS_SQ_DEN
+
+        def exceeds(abs_sq: int, k: int) -> bool:  # |alpha|**2 > (9.7226 * k)**2
+            return abs_sq * _HAN_C_SQ_DEN > _HAN_C_SQ_NUM * k * k * _ABS_SQ_DEN
+
         rng = random.Random(0)
-        samples = [Fraction(0), eps]
-        samples += [_HAN_C_SQ * k * k + d for k in range(1, 8) for d in (-eps, 0, eps)]
-        samples += [Fraction(rng.randrange(10**6), rng.randrange(1, 10**3)) for _ in range(300)]
+        samples = [0, eps]
+        samples += [c_sq * k * k + d for k in range(1, 8) for d in (-eps, 0, eps)]
+        # p/q rounded down onto the grid of numerators
+        samples += [rng.randrange(10**6) * _ABS_SQ_DEN // rng.randrange(1, 10**3)
+                    for _ in range(300)]
         for abs_sq in samples:
             # The bound weakens as n grows, so it holds at n = 1..reach.
             reach = _han_reach(abs_sq)
-            assert reach == 0 or abs_sq > _HAN_C_SQ * (reach - 1) ** 2, abs_sq
-            assert not abs_sq > _HAN_C_SQ * reach**2, abs_sq
-        assert [_han_reach(_HAN_C_SQ * k * k) for k in range(1, 8)] == list(range(1, 8))
+            assert reach == 0 or exceeds(abs_sq, reach - 1), abs_sq
+            assert not exceeds(abs_sq, reach), abs_sq
+        assert [_han_reach(c_sq * k * k) for k in range(1, 8)] == list(range(1, 8))
         c = QuadraticShift.gaussian(40, 3)
         reach = _han_reach(abs_sq_lower_bound(c))
         assert reach > 1

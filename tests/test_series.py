@@ -372,6 +372,36 @@ class TestSeriesOracle:
                     assert coeffs[n] == p_value(g, n, x)
 
 
+class TestRowAt:
+    """``row_at`` against the polynomials it replaces at an integer b: its
+    entry j is P_j(b) under sigma and n! * P_j(b) = A_j(b) * n!/j! otherwise."""
+
+    @pytest.mark.parametrize("g", [ArithmeticFunction.sigma(), ArithmeticFunction.identity(),
+                                   random_table(41, 201), random_table(42, 201, 0, 12)],
+                             ids=["sigma", "identity", "signed-table", "table"])
+    def test_row_is_the_polynomials_at_b(self, g):
+        polys = a_poly_list(g, 200)
+        for n in (0, 1, 2, 7, 200):
+            scale = 1 if g.kind == "sigma" else factorial(n)
+            for b in range(-6, 7):
+                want = [Fraction(scale * polys[j].evaluate(b), factorial(j)) for j in range(n + 1)]
+                assert series.row_at(g, b, n) == want, (g.name, n, b)
+
+    def test_sigma_row_is_the_eta_power(self, sigma_g):
+        # P_j(x) = [q**j] prod (1 - q**k)**(-x): tau at x = -24, partitions at x = 1.
+        assert series.row_at(sigma_g, -24, 3011) == tau_list(3012)
+        assert series.row_at(sigma_g, 1, 10) == PARTITION_COUNTS
+        assert series.row_at(sigma_g, -24, 5) == series_oracle(sigma_g, -24, 5)
+
+    def test_reads_g_no_further_than_n(self):
+        g = random_table(43, 12)
+        assert series.row_at(g, 3, 12) == [factorial(12) * v for v in series_oracle(g, 3, 12)]
+        with pytest.raises(TableExhaustedError):
+            series.row_at(g, 3, 13)
+        with pytest.raises(DomainError):
+            series.row_at(g, 3, -1)
+
+
 class TestTau:
     def test_first_values_against_product_oracle(self):
         assert tau_list(6) == eta24_expansion(5)
@@ -618,7 +648,7 @@ class TestHurwitzOracle:
     def test_matches_fraction_table(self, coeffs):
         # Scaling by the positive lcm of the denominators moves no root.
         scale = lcm(*(Fraction(c).denominator for c in coeffs))
-        p = IntPoly(Fraction(c) * scale for c in coeffs)
+        p = IntPoly(int(Fraction(c) * scale) for c in coeffs)
         assert hurwitz_outcome(hurwitz_check, p) == hurwitz_outcome(
             hurwitz_check_fraction, coeffs
         )
