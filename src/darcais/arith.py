@@ -6,11 +6,11 @@ verified, never assumed.
 
 from __future__ import annotations
 
+import os
 from math import isqrt
 from operator import attrgetter
-from pathlib import Path
 
-from .errors import DomainError, TableExhaustedError
+from .errors import DomainError, TableExhaustedError, require_at_most
 
 # Deterministic Miller-Rabin witness set for n < 3.3 * 10**24 (covers 2**64).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -128,8 +128,7 @@ def require_quadratic_d(D: int) -> None:
     ``MAX_QUADRATIC_D``, which is checked first."""
     if D in (0, 1):
         raise DomainError(f"D must avoid 0 and 1, got {D}")
-    if abs(D) > MAX_QUADRATIC_D:
-        raise DomainError(f"|D| must be at most {MAX_QUADRATIC_D}, got {D}")
+    require_at_most("|D|", abs(D), MAX_QUADRATIC_D, "trial-division")
     if not is_squarefree(D):
         raise DomainError(f"D must be squarefree, got {D}")
 
@@ -251,10 +250,12 @@ class ArithmeticFunction(FrozenValue):
 
     @classmethod
     def from_file(cls, path) -> "ArithmeticFunction":
-        """Load a table: one integer per line, line k holding g(k)."""
-        path = Path(path)
+        """Load a table: one integer per line, line k holding g(k); the
+        table is named after the file's stem."""
+        path = os.fspath(path)
         try:
-            text = path.read_text()
+            with open(path) as fh:
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not a text file: {exc}") from None
         values = []
@@ -268,7 +269,9 @@ class ArithmeticFunction(FrozenValue):
                 raise DomainError(f"{path}:{lineno}: not an integer: {line!r}") from None
         if not values:
             raise DomainError(f"{path}: empty g-table")
-        return cls.from_table(values, name=path.stem)
+        base = os.path.basename(path)
+        dot = base.rfind(".")  # the stem: a leading or trailing dot is no suffix
+        return cls.from_table(values, name=base[:dot] if 0 < dot < len(base) - 1 else base)
 
     @property
     def n_max(self) -> int | None:

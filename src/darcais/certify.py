@@ -46,7 +46,7 @@ from math import gcd, isqrt
 
 from . import arith, polymod, series
 from .arith import ArithmeticFunction, FrozenValue, replace
-from .errors import DomainError, TableExhaustedError
+from .errors import DomainError, TableExhaustedError, require_at_most
 from .numfield import AlgebraicCandidate, CyclotomicShift, QuadraticShift, candidate_family
 
 PROVEN = "proven_nonroot"
@@ -150,11 +150,8 @@ class CertifyConfig(FrozenValue):
         for p in self.primes:
             arith.require_prime(p, "configured prime")
             polymod._check_modulus(p)  # a modulus polymod takes: below 2**31
-        if self.not_ramified_prime_bound > MAX_NOT_RAMIFIED_PRIME_BOUND:
-            raise DomainError(
-                f"the not-ramified prime bound is at most {MAX_NOT_RAMIFIED_PRIME_BOUND}, "
-                f"got {self.not_ramified_prime_bound}"
-            )
+        require_at_most("the not-ramified prime bound", self.not_ramified_prime_bound,
+                        MAX_NOT_RAMIFIED_PRIME_BOUND, "sieve")
 
     def to_json_dict(self) -> dict:
         return {
@@ -874,14 +871,14 @@ def _point_tests(
     return [(method, tests[method]) for method in _CHAIN if applicable[method] and method in tests]
 
 
-def scan_grid(
-    g: ArithmeticFunction,
-    kind: str,
-    a_range: tuple[int, int],
-    b_range: tuple[int, int],
-    n_max: int,
-    config: CertifyConfig = DEFAULT_CONFIG,
-) -> GridResult:
+# The largest walk of a scan, points x n_max: 132 bytes per (point, n)
+# (n_max = 10**4..10**5), 64 GiB at this cap, rounded down.
+MAX_SCAN_WALK = 5 * 10**8
+
+
+def scan_grid(g: ArithmeticFunction, kind: str, a_range: tuple[int, int],
+              b_range: tuple[int, int], n_max: int,
+              config: CertifyConfig = DEFAULT_CONFIG) -> GridResult:
     """Certify every lattice point of the rectangle, n = 1..n_max.
 
     Points with a = 0 are rational integers and fall outside the candidate
@@ -893,7 +890,8 @@ def scan_grid(
     at a != 0 (its bound, cut to ``top``).  The scan holds A_0..A_last over
     Z, built at the first read, A_n mod p factored per (p, class of n) its
     points ask, and one prime sieve; a point with a = 0 reads one integer
-    row of values at b up to ``top`` instead of polynomials.
+    row of values at b up to ``top`` instead of polynomials.  The caps of
+    both rows and of the walk are checked before the first point.
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
@@ -903,6 +901,12 @@ def scan_grid(
     make = candidate_family(kind)  # checks m or D even when every row has a = 0
     top = n_max if g.n_max is None else min(n_max, g.n_max)
     last = min(config.exact_eval_bound, top)
+    if any(a_range):  # some a != 0: exact evaluation reads A_0..A_last
+        require_at_most("scan_grid: min(n_max, exact_eval_bound)", last, series.MAX_ROWS_N)
+    if a_range[0] <= 0 <= a_range[1]:
+        series.row_form(g, top)
+    walk = (a_range[1] - a_range[0] + 1) * (b_range[1] - b_range[0] + 1) * n_max
+    require_at_most("scan_grid: points x n_max", walk, MAX_SCAN_WALK)
     row = _held_rows(g, last)
     pieces = {}  # (p, class of n) -> A_n mod p factored, for every point
     sieve = []  # the primes not_ramified tries, for every point
@@ -919,12 +923,5 @@ def scan_grid(
                 continue
             tests = _point_tests(g, c, config, row, last, pieces, sieve)
             points.append(_grid_point(a, b, tests, n_max))
-    return GridResult(
-        g_name=g.name,
-        kind=kind,
-        a_range=tuple(a_range),
-        b_range=tuple(b_range),
-        n_max=n_max,
-        config=config,
-        points=tuple(points),
-    )
+    return GridResult(g.name, kind, tuple(a_range), tuple(b_range), n_max, config,
+                      tuple(points))

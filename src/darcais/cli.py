@@ -3,10 +3,12 @@
 Each ``_cmd_*`` handler takes the parsed arguments, g and the run's
 ``CertifyConfig`` and returns the run's body (a dict), its ``--format text``
 form and its exit code; it writes nothing.  ``main`` alone checks the
-inputs and turns a run into output: it builds the config, whichever
+flags and turns a run into output: it builds the config, whichever
 subcommand runs, and the run header that echoes it once, before g is
 loaded, and ``_write_run`` merges the header into the body, so identical
-invocations produce byte-identical files.  Exit codes: 0 success (or proven), 1 inconclusive
+invocations produce byte-identical files.  A size past its cap is refused
+by the library function that builds it; ``_cmd_poly`` checks the caps on
+what it prints.  Exit codes: 0 success (or proven), 1 inconclusive
 (or a notable finding), 2 usage/domain error, 3 table exhaustion.  The
 one ``except`` in ``main`` maps ``TableExhaustedError`` to 3 and
 ``DomainError``, ``OSError``, ``OverflowError`` (a size no list can
@@ -32,7 +34,7 @@ from .certify import (
     check_zmija_conditions,
     scan_grid,
 )
-from .errors import DomainError, TableExhaustedError
+from .errors import DomainError, TableExhaustedError, require_at_most
 from .polynomial import IntPoly, format_poly
 
 EXIT_OK = 0
@@ -120,52 +122,12 @@ _COMMON_FLAGS = {
 }
 
 
-# The largest size of each mode a run can be in: the size whose peak
-# memory, from measured bytes per unit, reaches 64 GiB (rounded down).
-# ``tau_list(N)`` peaked at 270-300 bytes per index (N = 10**5..10**6); the
-# rows A_0..A_N that ``hurwitz`` or a scan holds took 0.245 * N**3 bytes
-# (N = 200..800), and ``scan rows`` still caps --n-max by that rule across
-# a = 0, where a scan now holds one integer row per b instead (not yet
-# re-derived); ``poly N`` printed A_N in 0.77 * N**2 * log2(N) bytes, and
-# A_N / N! in 1.42 * N**2 * log2(N) (N = 200..800); ``--mod p`` printed A_N
-# mod p in 84 bytes per degree (N = 10**5..10**6), and ``--factor`` took
-# 1.2 KB per degree factored (p = 101..401); a scan's walk took 132 bytes per
-# (point, n) (N = 10**4..10**5).  Python 3.11, x86-64, the larger of the
-# json and text peaks.  ``_sizes`` says which modes a run is in.
-SIZE_CAPS = {"tau N": 2 * 10**8, "tau --max": 2 * 10**8, "hurwitz --max": 6000,
-             "poly N": 70000, "poly N --rational": 50000, "poly N --mod p": 8 * 10**8,
-             "poly N --mod p --factor": 5 * 10**7, "scan rows": 6000, "scan --n-max": 5 * 10**8}
-
-
-def _sizes(args) -> list[tuple[str, str, int]]:
-    """(mode, size, value) for each ``SIZE_CAPS`` mode the run is in, its own
-    mode first.  ``poly N --mod p`` builds A_r over Z, r = N mod p, and
-    ``certify --n N`` A_N once --exact-eval-bound >= N, as ``poly N`` does A_N.
-    A scan holds the rows A_0..A_top over Z, top = min(--n-max,
-    --exact-eval-bound), and one integer row up to --n-max per b at a = 0,
-    which ``scan rows`` bounds as it did the rows A_0..A_{--n-max}; it walks
-    n = 1..--n-max at every point."""
-    if args.command == "tau":
-        return [(f"tau {size}", size, value)
-                for size, value in (("N", args.n), ("--max", args.max)) if value is not None]
-    if args.command == "hurwitz":
-        return [("hurwitz --max", "--max", args.max)]
-    if args.command == "poly":
-        n, p = args.n, args.mod
-        if p is None:
-            return [("poly N --rational" if args.rational else "poly N", "N", n)]
-        own = (("poly N --mod p --factor", "min(N, p)", min(n, p)) if args.factor
-               else ("poly N --mod p", "N", n))
-        return [own] + ([("poly N", "N mod p", n % p)] if p > 0 else [])
-    if args.command == "scan":
-        (a_lo, a_hi), (b_lo, b_hi) = _parse_range(args.a_range), _parse_range(args.b_range)
-        rows = (("--n-max", args.n_max) if a_lo <= 0 <= a_hi else
-                ("min(--n-max, --exact-eval-bound)", min(args.n_max, args.exact_eval_bound)))
-        points = max(a_hi - a_lo + 1, 0) * max(b_hi - b_lo + 1, 0)
-        return [("scan rows", *rows), ("scan --n-max", "points x --n-max", points * args.n_max)]
-    if args.command == "certify" and args.n is not None and args.n <= args.exact_eval_bound:
-        return [("poly N", "--n", args.n)]
-    return []
+# The largest N ``poly`` prints, where the run's peak reaches 64 GiB,
+# rounded down: A_N took 0.65-0.77 * N**2 * log2(N) bytes and A_N / N!
+# 1.42-1.49 (N = 200..3200; Python 3.11, x86-64, the larger of the json and
+# text peaks).  Every other size is capped by the function that builds it.
+MAX_POLY_N = 70000
+MAX_RATIONAL_POLY_N = 50000
 
 
 def _check_flag_defaults(config: dict) -> None:
@@ -186,9 +148,9 @@ def _format_choices(command: str) -> tuple[str, ...]:
 
 def _check_config(args) -> None:
     """Each flag holds one value, file names hold no NUL, the bounds are
-    counts, sizes are within ``SIZE_CAPS`` and the format is one the command
-    writes, whether set by flag or by config file.  argparse reads
-    ``--flag=--`` as an empty list, and no flag takes several values."""
+    counts and the format is one the command writes, whether set by flag or
+    by config file.  argparse reads ``--flag=--`` as an empty list, and no
+    flag takes several values."""
     for key, value in vars(args).items():
         if isinstance(value, list):
             raise DomainError(f"--{key.replace('_', '-')} expects one value, not '--'")
@@ -198,9 +160,6 @@ def _check_config(args) -> None:
         if (value := getattr(args, key)) < 0:
             flag = "--" + key.replace("_", "-")
             raise DomainError(f"{flag} (config key {key!r}) must be >= 0, got {value}")
-    for mode, size, value in _sizes(args):
-        if value > (cap := SIZE_CAPS[mode]):
-            raise DomainError(f"{mode}: {size} is at most {cap} (memory cap), got {value}")
     if args.format not in (choices := _format_choices(args.command)):
         raise DomainError(f"{args.command} writes --format (config key 'format') "
                           f"{' or '.join(choices)}, not {args.format!r}")
@@ -300,6 +259,8 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
         reduced = polymod.a_poly_mod(g, args.n, args.mod)
         return ({**body, "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}},
                 str(reduced), EXIT_OK)
+    require_at_most(f"poly N{' --rational' * args.rational}: N", args.n,
+                    MAX_RATIONAL_POLY_N if args.rational else MAX_POLY_N)
     poly = series.a_poly(g, args.n)
     if args.rational:  # P_n = A_n / n!, the one place Q coefficients appear
         from fractions import Fraction  # imported here: no other run loads it

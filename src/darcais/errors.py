@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one refusal of a size past its cap."""
 
 
 class DarcaisError(Exception):
@@ -12,3 +12,10 @@ class DomainError(DarcaisError, ValueError):
 class TableExhaustedError(DarcaisError, LookupError):
     """A table-backed arithmetic function was queried beyond its last entry."""
 
+
+def require_at_most(quantity: str, value: int, cap: int, kind: str = "memory") -> None:
+    """Refuse ``value`` past ``cap``.  Each cap is a constant beside the
+    function whose allocation (or time) it bounds, checked at its entry
+    before anything of that size is built."""
+    if value > cap:
+        raise DomainError(f"{quantity} is at most {cap} ({kind} cap), got {value}")

@@ -14,7 +14,7 @@ from functools import cached_property, partial
 
 from . import arith, polymod
 from .arith import FrozenValue
-from .errors import DomainError
+from .errors import DomainError, require_at_most
 from .polynomial import IntPoly, cyclotomic
 from .polymod import Factorization, ModPoly
 
@@ -45,9 +45,7 @@ class CyclotomicShift(FrozenValue):
     def __post_init__(self) -> None:
         if self.m < 3:
             raise DomainError(f"cyclotomic shifts require m >= 3, got {self.m}")
-        if self.m > MAX_CYCLOTOMIC_LEVEL:
-            raise DomainError(f"cyc:m: m is at most {MAX_CYCLOTOMIC_LEVEL} "
-                              f"(trial-division cap), got {self.m}")
+        require_at_most("cyc:m: m", self.m, MAX_CYCLOTOMIC_LEVEL, "trial-division")
         if self.a == 0:
             raise DomainError("a = 0 degenerates to a rational integer")
 
@@ -64,9 +62,7 @@ class CyclotomicShift(FrozenValue):
     def _capped_degree(self) -> int:
         """phi(m), refused past ``MAX_CYCLOTOMIC_DEGREE`` before anything of
         that size is built; the all-n criteria, which read m alone, have no cap."""
-        if self.degree > MAX_CYCLOTOMIC_DEGREE:
-            raise DomainError(f"cyc:m: phi(m) is at most {MAX_CYCLOTOMIC_DEGREE} (memory cap), "
-                              f"got {self.degree}")
+        require_at_most("cyc:m: phi(m)", self.degree, MAX_CYCLOTOMIC_DEGREE)
         return self.degree
 
     @cached_property

@@ -28,11 +28,20 @@ from operator import index
 
 from . import arith, series
 from .arith import FrozenValue
-from .errors import DomainError
+from .errors import DomainError, require_at_most
 from .polynomial import IntPoly, format_poly, _BasePoly, _strip
 
 # Single-precision moduli only; tiny primes are all the analysis ever needs.
 _MAX_MODULUS = 1 << 31
+
+# The largest degree built or factored, where the peak of the CLI run that
+# prints the result reaches 64 GiB, rounded down (Python 3.11, x86-64, the
+# larger of the json and text peaks).  ``a_poly_mod``: A_n mod p printed in
+# 84 bytes per degree (n = 10**5..10**6).  ``factor``: 1.2 KB per degree
+# factored (A_n mod p, p = 101..401); ``factor_a_poly_mod`` reads it for
+# min(n, p), which bounds the degrees of A_r and of B that it builds.
+MAX_A_POLY_MOD_N = 8 * 10**8
+MAX_FACTOR_DEGREE = 5 * 10**7
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +273,7 @@ def _equal_degree(f: ModPoly, d: int, rng: random.Random) -> list[ModPoly]:
 @lru_cache(maxsize=1024)
 def factor(f: ModPoly) -> Factorization:
     """Complete factorization of a nonzero polynomial over F_p (memoized)."""
+    require_at_most("factor: degree", f.degree, MAX_FACTOR_DEGREE)
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     p = f.p
@@ -339,6 +349,7 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     (degree r < p) and reduced; B**l is written down from its binomial
     coefficients.
     """
+    require_at_most("a_poly_mod: n", n, MAX_A_POLY_MOD_N)
     ell, a_r, bracket = _split_index(g, n, p)
     if not ell:
         return a_r
@@ -379,6 +390,7 @@ def factor_a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> Factorizat
     A_n = A_r * B**l (see ``_split_index``), so a factor q**m of B enters
     with multiplicity l*m, added to that of q in A_r.
     """
+    require_at_most("factor_a_poly_mod: min(n, p)", min(n, p), MAX_FACTOR_DEGREE)
     ell, a_r, bracket = _split_index(g, n, p)
     fact_r = factor(a_r)
     if not ell:

@@ -12,8 +12,8 @@ does.  All of them are immutable and hashable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from . import arith
 from .errors import DomainError

@@ -33,14 +33,35 @@ either route.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from itertools import accumulate, zip_longest
 from math import factorial, gcd
-from operator import mul
-from typing import Iterator
+from operator import eq, mul, neg
 
 from .arith import ArithmeticFunction
-from .errors import DomainError
+from .errors import DomainError, require_at_most
 from .polynomial import IntPoly
+
+# The largest size each function below builds: the size at which its traced
+# peak, from measured bytes per unit, reaches 64 GiB, rounded down (Python
+# 3.11, x86-64).  Each function checks its cap at entry.
+# ``tau_list(N)``: 270-300 bytes per index (N = 10**5..10**6).
+MAX_TAU_N = 2 * 10**8
+# ``a_poly_list(g, n)``, the rows A_0..A_n: 0.245 * n**3 bytes (n = 200..800).
+# ``hurwitz --max`` builds them, and ``certify.scan_grid`` holds them for
+# exact evaluation, each under this cap.
+MAX_ROWS_N = 6000
+# ``a_poly(g, n)``, A_n alone: 0.18-0.30 * n**2 * log2(n) bytes from the powers
+# of 1 - E (sigma, n = 200..800), 0.30-0.40 by the columns (the identity,
+# n = 200..1600, and a table, n = 200..800).
+MAX_A_POLY_N = 100000
+# ``row_at(g, x, n)``, one integer per q**j: scaled by 1 (sigma), at most
+# 0.85-1.17 * n**2 bytes at the x a scan reads, |x| <= 9.7226*(n - 1), where
+# the absolute bound does not settle every n (n = 500..2000; 0.05 * n**2 at
+# |x| <= 3); scaled by n! (the identity, a table), 0.24-0.26 * n**2 * log2(n)
+# bytes at |x| <= 1000 (n = 1000..4000).
+MAX_ROW_N = 240000
+MAX_SCALED_ROW_N = 120000
 
 
 def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
@@ -78,8 +99,8 @@ def _minus_log(N: list[int], E: list[int]) -> list[int] | None:
     """Y = 1 - E when N = -E', that is S = -log E (sigma), else None; E[n]
     is read as -N[n-1]/n, n = len(N) >= 1, so that g is read no further than g(n)."""
     n = len(N)
-    Y = [0, *(-e for e in E[1:]), N[-1] // n]
-    return Y if N == [k * Y[k] for k in range(1, n + 1)] else None
+    Y = [0, *map(neg, E[1:]), N[-1] // n]
+    return Y if all(map(eq, N, map(mul, range(1, n + 1), Y[1:]))) else None
 
 
 def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
@@ -139,6 +160,7 @@ def _scaled_columns(g: ArithmeticFunction, n: int) -> Iterator[list[int]]:
 def a_poly_list(g: ArithmeticFunction, n: int) -> list[IntPoly]:
     """The integer D'Arcais polynomials A_0..A_n for g: A_j has coefficient
     u_d[j] // (n!/j!) of X**d."""
+    require_at_most("a_poly_list: n", n, MAX_ROWS_N)
     scale = list(accumulate(range(n, 0, -1), mul, initial=1))[::-1]
     rows = [[1]] + [[0] for _ in range(n)]  # coefficients of A_0..A_n
     for d, col in enumerate(_scaled_columns(g, n), 1):
@@ -190,17 +212,32 @@ def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
     O(n^2) bigint multiply-adds.  Otherwise A_n is entry n (n!/n! = 1) of
     each scaled column u_0..u_n, with two columns live.
     """
+    require_at_most("a_poly: n", n, MAX_A_POLY_N)
     N, E = _log_derivative_form(g, n)
     if n and (Y := _minus_log(N, E)) is not None and set(Y) <= {-1, 0, 1}:
         return _a_poly_from_powers(Y, n)
     return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
 
 
+def row_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int], bool]:
+    """The (N, E) of ``_log_derivative_form`` for ``row_at``'s row up to n,
+    and whether its scale is 1 (N = -E') rather than n!.  n is refused past
+    ``MAX_ROW_N`` before (N, E) is built, and past ``MAX_SCALED_ROW_N`` when
+    the scale is n!, before the row is."""
+    require_at_most("row_at: n", n, MAX_ROW_N)
+    N, E = _log_derivative_form(g, n)
+    unit = n == 0 or _minus_log(N, E) is not None
+    if not unit:
+        require_at_most("row_at: n (scaled by n!)", n, MAX_SCALED_ROW_N)
+    return N, E, unit
+
+
 def row_at(g: ArithmeticFunction, x: int, n: int) -> list[int]:
     """s*P_0(x), ..., s*P_n(x) at the integer x, for one scale s > 0: s = 1
     when N = -E' (sigma), where P_j(x) is the integer [q**j] E**(-x), and
     s = n! otherwise, where A_j(x) = s*P_j(x) // (n!/j!).  So the j-th entry
-    is 0 exactly when A_j(x) is.  n and g's reach are checked first.
+    is 0 exactly when A_j(x) is.  n, its cap and g's reach are checked first
+    (``row_form``).
 
     At X = x, E*F' = X*N*F for F = sum_j F_j q**j, F_0 = s, reads at q**(j-1)
 
@@ -210,8 +247,8 @@ def row_at(g: ArithmeticFunction, x: int, n: int) -> list[int]:
     holds j*F_j, so the E sum reads G[j-i]; at step j both lists hold
     entries 0..j-1, so the offsets -k of ``_back_offsets`` read F[j-k].
     """
-    N, E = _log_derivative_form(g, n)
-    F = [1 if n == 0 or _minus_log(N, E) is not None else factorial(n)]
+    N, E, unit = row_form(g, n)
+    F = [1 if unit else factorial(n)]
     G = [0]
     n_support = [i + 1 for i in range(n) if N[i]]  # F_{j-k}, k = i + 1 <= j
     n_values, n_offsets = [N[k - 1] for k in n_support], _back_offsets(n_support, n)
@@ -252,6 +289,7 @@ def tau_list(N: int) -> list[int]:
     """
     if N < 1:
         raise DomainError(f"tau_list requires N >= 1, got {N}")
+    require_at_most("tau_list: N", N, MAX_TAU_N)
     values = [0] * N
     k = t = 0  # t = k(k+1)/2
     while t < N:

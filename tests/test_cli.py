@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from darcais import (ArithmeticFunction, CertifyConfig, DomainError,
-                     __version__, certify, cli, series, verify_certificate)
+                     __version__, certify, cli, polymod, series, verify_certificate)
+from darcais.certify import MAX_SCAN_WALK
 from darcais.cli import main
 from darcais.numfield import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_LEVEL, candidate_family,
                               parse_candidate)
@@ -242,6 +243,20 @@ class TestScan:
             code, out, err = run(capsys, "scan", *ranges, "--format", "csv")
             assert code == 2 and out == "", ranges
             assert err.startswith("error: ") and "LO <= HI" in err, ranges
+
+    @pytest.mark.parametrize("g, n_maxes", [("sigma", (7000, 20000)), ("identity", (7000,))])
+    def test_real_axis_scans_run_past_6000(self, capsys, g, n_maxes):
+        # One integer row per b at a = 0; each point's zeros up to 6000 are
+        # the zeros of the scan to 6000.
+        def uncertified(n_max):
+            code, out, _ = run(capsys, "scan", "--g", g, "--a-range=0:0", "--b-range=-3:3",
+                               "--n-max", str(n_max))
+            assert code == 0, n_max
+            return [pt["uncertified"] for pt in json.loads(out)["grid"]["points"]]
+
+        base = uncertified(6000)
+        for n_max in n_maxes:
+            assert [[n for n in zeros if n <= 6000] for zeros in uncertified(n_max)] == base
 
 
 class TestOtherCommands:
@@ -493,23 +508,48 @@ class TestInputPathsExitTwo:
 
     # Sizes past their cap: refused before anything is built.  Only cap + 1
     # and 10**20 run here; a size just under a cap fills memory.
-    # By test id: the mode and the command line, "{}" for the size.
-    # ``certify --n N`` builds A_N over Z as ``poly N`` does once exact
-    # evaluation reaches N.
+    # By test id: the CLI mode, the cap, the quantity the refusal names at
+    # cap + 1 and at 10**20, and the command line, "{}" for the size.
+    # ``certify --n N`` builds A_N over Z once exact evaluation reaches N, so
+    # the primes and the unramified search are cut until nothing proves N first.
     SIZE_ARGV = {
-        "tau-n": ("tau N", ("tau", "{}")),
-        "tau-max": ("tau --max", ("tau", "--max", "{}")),
-        "hurwitz-max": ("hurwitz --max", ("hurwitz", "--max", "{}")),
-        "poly-n": ("poly N", ("poly", "{}")),
-        "poly-rational": ("poly N --rational", ("poly", "{}", "--rational")),
-        "poly-mod": ("poly N --mod p", ("poly", "{}", "--mod", "5")),
-        "poly-mod-factor": ("poly N --mod p --factor",
+        "tau-n": ("tau N", series.MAX_TAU_N, "tau_list: N", ("tau", "{}")),
+        "tau-max": ("tau --max", series.MAX_TAU_N, "tau_list: N", ("tau", "--max", "{}")),
+        "hurwitz-max": ("hurwitz --max", series.MAX_ROWS_N, "a_poly_list: n",
+                        ("hurwitz", "--max", "{}")),
+        "poly-n": ("poly N", cli.MAX_POLY_N, "poly N: N", ("poly", "{}")),
+        "poly-rational": ("poly N --rational", cli.MAX_RATIONAL_POLY_N, "poly N --rational: N",
+                          ("poly", "{}", "--rational")),
+        "poly-mod": ("poly N --mod p", polymod.MAX_A_POLY_MOD_N, "a_poly_mod: n",
+                     ("poly", "{}", "--mod", "5")),
+        "poly-mod-factor": ("poly N --mod p --factor", polymod.MAX_FACTOR_DEGREE,
+                            "factor_a_poly_mod: min(n, p)",
                             ("poly", "{}", "--mod", "2147483647", "--factor")),
-        "scan-rows": ("scan rows", ("scan", "--a-range=0:0", "--b-range=0:0", "--n-max", "{}")),
-        "scan-n-max": ("scan --n-max",
+        "scan-rows": ("scan (a = 0, sigma)", series.MAX_ROW_N, "row_at: n",
+                      ("scan", "--a-range=0:0", "--b-range=0:0", "--n-max", "{}")),
+        "scan-n-max": ("scan", MAX_SCAN_WALK, "scan_grid: points x n_max",
                        ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}")),
-        "certify-n": ("poly N", ("certify", "--candidate", "quad:-2,1,3", "--n", "{}",
-                                 "--exact-eval-bound", "{}")),
+        "certify-n": ("certify --n N", series.MAX_A_POLY_N, "a_poly: n",
+                      ("certify", "--candidate", "quad:-2,1,3", "--primes", "2",
+                       "--not-ramified-bound", "0", "--n", "{}", "--exact-eval-bound", "{}")),
+    }
+
+    # Sizes derived from two flags, or from g: A_r over Z under --mod p
+    # (r = N mod p), the rows a scan holds for exact evaluation, the points
+    # of a scan, and the a = 0 row scaled by n! (the identity).  Cap + 1 only.
+    DERIVED_ARGV = {
+        "poly-mod-r": ("poly N --mod p", series.MAX_A_POLY_N, "a_poly: n",
+                       ("poly", "{}", "--mod", "2147483647")),
+        "scan-exact-eval-rows": ("scan (a != 0)", series.MAX_ROWS_N,
+                                 "scan_grid: min(n_max, exact_eval_bound)",
+                                 ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}",
+                                  "--exact-eval-bound", "{}")),
+        "scan-points": ("scan", MAX_SCAN_WALK, "scan_grid: points x n_max",
+                        ("scan", "--a-range=1:{}", "--b-range=0:0", "--n-max", "1")),
+        "scan-scaled-row": ("scan (a = 0, identity or table)", series.MAX_SCALED_ROW_N,
+                            "row_at: n (scaled by n!)",
+                            ("scan", "--g", "identity", "--a-range=0:0", "--b-range=0:0",
+                             "--n-max", "{}")),
     }
 
     def run_within_memory(self, capsys, argv):
@@ -526,24 +566,16 @@ class TestInputPathsExitTwo:
     @pytest.mark.parametrize("over", [1, 10**20], ids=["cap+1", "10**20"])
     @pytest.mark.parametrize("case", list(SIZE_ARGV))
     def test_size_over_its_cap_is_usage_error(self, capsys, case, over):
-        mode, argv = self.SIZE_ARGV[case]
-        cap = cli.SIZE_CAPS[mode]
+        _, cap, quantity, argv = self.SIZE_ARGV[case]
         size = str(cap + over if over == 1 else over)
         err = self.run_within_memory(capsys, [a.format(size) for a in argv])
-        assert err.startswith(f"error: {mode}: ") and f"at most {cap} " in err
+        assert err.startswith(f"error: {quantity} is at most {cap} (memory cap), got ")
 
-    # Sizes derived from two flags: A_r over Z under --mod p (r = N mod p),
-    # the rows a scan holds for exact evaluation, and the points of a scan.
-    @pytest.mark.parametrize("mode, argv", [
-        ("poly N", ("poly", "{}", "--mod", "2147483647")),
-        ("scan rows", ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}",
-                       "--exact-eval-bound", "{}")),
-        ("scan --n-max", ("scan", "--a-range=1:{}", "--b-range=0:0", "--n-max", "1")),
-    ], ids=["poly-mod-r", "scan-exact-eval-rows", "scan-points"])
-    def test_derived_size_over_its_cap_is_usage_error(self, capsys, mode, argv):
-        cap = cli.SIZE_CAPS[mode]
+    @pytest.mark.parametrize("case", list(DERIVED_ARGV))
+    def test_derived_size_over_its_cap_is_usage_error(self, capsys, case):
+        _, cap, quantity, argv = self.DERIVED_ARGV[case]
         err = self.run_within_memory(capsys, [a.format(cap + 1) for a in argv])
-        assert err.startswith(f"error: {mode}: ") and f"at most {cap} " in err
+        assert err == f"error: {quantity} is at most {cap} (memory cap), got {cap + 1}\n"
 
     # The level m of a cyc: candidate: phi(m) is refused where the minimal
     # polynomial or the index would be built.  At m = 1000000007 both are
@@ -619,10 +651,12 @@ class TestInputPathsExitTwo:
         assert code == 0 and out.startswith("X^200 + ")
 
     def test_size_caps_name_their_modes_and_readme_lists_them(self):
+        # One README row per CLI mode and cap, naming the quantity its error
+        # line names; the caps are read from the modules that check them.
         text = README.read_text()
-        assert set(cli.SIZE_CAPS) == {mode for mode, _ in self.SIZE_ARGV.values()}
-        for mode, cap in cli.SIZE_CAPS.items():
-            assert f"| `{mode}` | {cap} |" in text, mode
+        for mode, cap, quantity, _ in [*self.SIZE_ARGV.values(), *self.DERIVED_ARGV.values()]:
+            assert f"| `{mode}` | {cap} | `{quantity}` |" in text, mode
+        assert not hasattr(cli, "SIZE_CAPS") and not hasattr(cli, "_sizes")
 
     def test_directory_as_g(self, capsys, tmp_path):
         code, _, err = run(capsys, "poly", "2", "--g", str(tmp_path))
@@ -663,7 +697,7 @@ class TestInputPathsExitTwo:
         for D in (12345678901234567891, -10**19 - 1, 10**9 + 7):
             code, out, err = run(capsys, *(a.replace("D", str(D)) for a in argv))
             assert code == 2 and out == "", D
-            assert err == f"error: |D| must be at most 1000000000, got {D}\n"
+            assert err == f"error: |D| is at most 1000000000 (trial-division cap), got {abs(D)}\n"
 
     def test_help_spells_the_grammar_of_numfield(self, capsys):
         from darcais import numfield

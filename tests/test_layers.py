@@ -6,9 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import darcais
+from darcais.errors import DomainError
 
 LAYERS = ("errors", "arith", "polynomial", "series", "polymod", "numfield", "certify", "cli")
 # The package facade and the ``python -m`` entry point sit above every layer.
@@ -209,6 +214,93 @@ def test_cli_import_loads_every_layer_and_no_code_generation():
     loaded = set(json.loads(out))
     assert {f"darcais.{layer}" for layer in LAYERS} <= loaded
     assert not loaded & set(STARTUP_EXCLUDED)
+
+
+def test_cli_import_without_site_loads_no_annotation_or_path_modules():
+    # Under ``python -S`` no site hook imports these first: annotation names
+    # come from collections.abc, and a g-table is read with open and os.path.
+    script = "import sys; import darcais.cli; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", script],
+                                env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, check=True).stdout.split())
+    assert {"darcais.cli", "random"} <= loaded  # polymod.factor splits with random
+    assert not loaded & {"typing", "pathlib", "fnmatch", "ntpath", "urllib.parse", "ipaddress"}
+
+
+# Each size cap at the function that checks it, called at cap + 1: the call,
+# a builder it must not reach, and the quantity and cap of its error.  A
+# scan's rows are refused before its first point (a = -1), so before
+# ``certify_all_n``.
+series, polymod, certify = (importlib.import_module(f"darcais.{name}")
+                            for name in ("series", "polymod", "certify"))
+SIGMA, IDENTITY = darcais.ArithmeticFunction.sigma(), darcais.ArithmeticFunction.identity()
+LIBRARY_CAPS = {
+    "tau_list": (lambda: series.tau_list(series.MAX_TAU_N + 1),
+                 (series, "_square_truncated"), "tau_list: N", series.MAX_TAU_N),
+    "a_poly_list": (lambda: series.a_poly_list(SIGMA, series.MAX_ROWS_N + 1),
+                    (series, "_scaled_columns"), "a_poly_list: n", series.MAX_ROWS_N),
+    "a_poly": (lambda: series.a_poly(IDENTITY, series.MAX_A_POLY_N + 1),
+               (series, "_log_derivative_form"), "a_poly: n", series.MAX_A_POLY_N),
+    "row_at": (lambda: series.row_at(SIGMA, 3, series.MAX_ROW_N + 1),
+               (series, "_log_derivative_form"), "row_at: n", series.MAX_ROW_N),
+    "row_at-scaled": (lambda: series.row_at(IDENTITY, 3, series.MAX_SCALED_ROW_N + 1),
+                      (series, "factorial"), "row_at: n (scaled by n!)",
+                      series.MAX_SCALED_ROW_N),
+    "a_poly_mod": (lambda: polymod.a_poly_mod(SIGMA, polymod.MAX_A_POLY_MOD_N + 1, 5),
+                   (polymod, "_split_index"), "a_poly_mod: n", polymod.MAX_A_POLY_MOD_N),
+    "factor_a_poly_mod": (
+        lambda: polymod.factor_a_poly_mod(SIGMA, polymod.MAX_FACTOR_DEGREE + 1, 2147483647),
+        (polymod, "_split_index"), "factor_a_poly_mod: min(n, p)", polymod.MAX_FACTOR_DEGREE),
+    "scan_grid-rows": (
+        lambda: certify.scan_grid(SIGMA, "gauss", (-1, 1), (0, 0), series.MAX_ROWS_N + 1,
+                                  certify.CertifyConfig(exact_eval_bound=10**9)),
+        (certify, "certify_all_n"), "scan_grid: min(n_max, exact_eval_bound)",
+        series.MAX_ROWS_N),
+    "scan_grid-row": (
+        lambda: certify.scan_grid(SIGMA, "gauss", (-1, 0), (0, 0), series.MAX_ROW_N + 1),
+        (certify, "certify_all_n"), "row_at: n", series.MAX_ROW_N),
+    "scan_grid-scaled-row": (
+        lambda: certify.scan_grid(IDENTITY, "gauss", (-1, 0), (0, 0),
+                                  series.MAX_SCALED_ROW_N + 1),
+        (certify, "certify_all_n"), "row_at: n (scaled by n!)", series.MAX_SCALED_ROW_N),
+    "scan_grid-walk": (
+        lambda: certify.scan_grid(SIGMA, "gauss", (-1, certify.MAX_SCAN_WALK - 1), (0, 0), 1),
+        (certify, "certify_all_n"), "scan_grid: points x n_max", certify.MAX_SCAN_WALK),
+}
+
+
+def refusal(call) -> str:
+    """The message of the DomainError ``call`` raises, within 0.1 s and 50 MB traced."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError) as info:
+            call()
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 50 * 2**20
+    return str(info.value)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("built past its cap")
+
+
+@pytest.mark.parametrize("case", list(LIBRARY_CAPS))
+def test_each_cap_refuses_at_its_function_before_building(monkeypatch, case):
+    call, (module, builder), quantity, cap = LIBRARY_CAPS[case]
+    monkeypatch.setattr(module, builder, forbidden)
+    assert refusal(call) == f"{quantity} is at most {cap} (memory cap), got {cap + 1}"
+
+
+def test_factor_refuses_past_its_degree_cap(monkeypatch):
+    # A polynomial of degree 5 * 10**7 + 1 is itself past 50 MB; the cap is lowered.
+    monkeypatch.setattr(polymod, "MAX_FACTOR_DEGREE", 3)
+    monkeypatch.setattr(polymod, "_squarefree_parts", forbidden)
+    f = polymod.ModPoly(5, (1, 2, 3, 4, 1))
+    assert refusal(lambda: polymod.factor(f)) == "factor: degree is at most 3 (memory cap), got 4"
 
 
 def test_only_poly_rational_loads_fractions():
