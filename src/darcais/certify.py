@@ -41,6 +41,7 @@ cover, so replay binds a proof to the g it is checked under.
 
 from __future__ import annotations
 
+import itertools
 import json
 from math import gcd, isqrt
 
@@ -170,6 +171,11 @@ DEFAULT_CONFIG = CertifyConfig()
 # ---------------------------------------------------------------------------
 
 
+def _require_n(n: int) -> None:
+    if n < 1:
+        raise DomainError(f"certification requires n >= 1, got {n}")
+
+
 def _ratio(num: int, den: int) -> str:
     """num/den >= 0, den > 0, in lowest terms, as ``str(Fraction(num, den))`` spells it."""
     d = gcd(num, den)
@@ -215,8 +221,7 @@ def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> C
     """
     if g.kind != "sigma":
         raise DomainError(f"the absolute-value bound holds for sigma only, got g={g.name!r}")
-    if n < 1:
-        raise DomainError(f"certification requires n >= 1, got {n}")
+    _require_n(n)
     lower_sq = abs_sq_lower_bound(c)
     return Certificate(
         g_name=g.name,
@@ -238,10 +243,7 @@ def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> C
 
 
 def _g3_is_0_or_1_mod_3(g: ArithmeticFunction) -> bool:
-    try:
-        return g(3) % 3 in (0, 1)
-    except TableExhaustedError:
-        return False
+    return (g.n_max is None or g.n_max >= 3) and g(3) % 3 in (0, 1)
 
 
 def certify_theorem_translated(g: ArithmeticFunction, c: AlgebraicCandidate) -> Certificate:
@@ -310,8 +312,7 @@ def certify_theorem_gaussian_sigma(
             f"the Gaussian criterion holds for sigma at a*i + b only,"
             f" got g={g.name!r} at {c.describe()}"
         )
-    if n < 1:
-        raise DomainError(f"certification requires n >= 1, got {n}")
+    _require_n(n)
     a, b = c.a, c.b
     case = None
     if n % 7 != 5:
@@ -356,21 +357,19 @@ def _unramified_search(g: ArithmeticFunction, c: QuadraticShift, bound: int, sie
     found, unread = {}, iter(sieve)  # p -> its witness, for the primes read so far
 
     def search(n: int):
-        for p in found:
+        for p in itertools.chain(tuple(found), unread):  # the witnesses read so far first
+            if p not in found:
+                gp = g(p) % p
+                legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
+                if gp == 0 and (2 * c.a * c.D) % p != 0:
+                    found[p] = p, 1, gp, legendre
+                elif gp == 1 and p != 2 and c.a % p != 0 and legendre == -1:
+                    found[p] = p, 2, gp, legendre
+                else:
+                    continue
             if n % p < 2:
                 return found[p]
-        if found and p > n:  # the last witness read is above n: it ends the search
-            return None
-        for p in unread:
-            gp = g(p) % p
-            legendre = arith.legendre_symbol(c.D, p) if p != 2 else None
-            if gp == 0 and (2 * c.a * c.D) % p != 0:
-                found[p] = p, 1, gp, legendre
-            elif gp == 1 and p != 2 and c.a % p != 0 and legendre == -1:
-                found[p] = p, 2, gp, legendre
-            if p in found and n % p < 2:
-                return found[p]
-            if p in found and p > n:
+            if p > n:  # witnesses ascend: the first above n ends the search
                 return None
         return None
 
@@ -396,8 +395,7 @@ def certify_theorem_not_ramified(
     """
     if not isinstance(c, QuadraticShift):
         raise DomainError("the unramified criterion applies to quadratic candidates only")
-    if n < 1:
-        raise DomainError(f"certification requires n >= 1, got {n}")
+    _require_n(n)
     p, case, gp, legendre = _unramified_search(g, c, prime_bound, [])(n) or (None,) * 4
     return Certificate(
         g_name=g.name,
@@ -465,8 +463,7 @@ def certify_generic(
     the factorization of A_n mod p, which ``polymod.factor_a_poly_mod``
     assembles from pieces of degree at most p; A_n mod p is never built.
     """
-    if n < 1:
-        raise DomainError(f"certification requires n >= 1, got {n}")
+    _require_n(n)
     primes = tuple(primes)
     for p in primes:
         arith.require_prime(p, "obstruction prime")
@@ -507,8 +504,7 @@ def certify_exact(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certi
     holds its rows instead.  The evidence records the remainder (decimal
     strings, constant term first; empty at a root).
     """
-    if n < 1:
-        raise DomainError(f"certification requires n >= 1, got {n}")
+    _require_n(n)
     remainder = series.a_poly(g, n) % c.min_poly
     return Certificate(
         g_name=g.name,
@@ -606,8 +602,7 @@ def certify(
     config: CertifyConfig = DEFAULT_CONFIG,
 ) -> Certificate:
     """Try every method in order of increasing cost; first proof wins."""
-    if n < 1:
-        raise DomainError(f"certification requires n >= 1, got {n}")
+    _require_n(n)
     return _chain(g, c, n, config)
 
 
@@ -728,14 +723,12 @@ def check_zmija_conditions(g: ArithmeticFunction) -> ZmijaReport:
                 if bad(q):
                     found.append({"index": r, "factor": list(q.coeffs)})
         evidence[f"mod{p}_degree_profiles"] = profiles
+        evidence[f"mod{p}_offenders"] = found
         return found
 
     bad5 = offenders(5, (3, 4), lambda q: q.degree == 2)
     bad7 = offenders(7, range(2, 7), lambda q: q.degree == 4)
     bad11 = offenders(11, range(2, 11), lambda q: q.degree == 6)
-    evidence["mod5_offenders"] = bad5
-    evidence["mod7_offenders"] = bad7
-    evidence["mod11_offenders"] = bad11
     evidence["mod11_raw_criterion"] = (
         "factor divides X^(11^6-1)-1 and no X^(11^d-1)-1 for d=1..10, d!=6"
     )
@@ -797,10 +790,8 @@ class GridResult(FrozenValue):
         }
 
     def to_csv(self) -> str:
-        lines = ["a,b,status,methods"]
-        for pt in self.points:
-            lines.append(f"{pt.a},{pt.b},{pt.status},{';'.join(pt.methods)}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{pt.a},{pt.b},{pt.status},{';'.join(pt.methods)}\n" for pt in self.points)
+        return "a,b,status,methods\n" + "".join(rows)
 
 
 def _grid_point(a: int, b: int, tests: list, n_max: int) -> GridPoint:
@@ -821,7 +812,8 @@ def _grid_point(a: int, b: int, tests: list, n_max: int) -> GridPoint:
 
 def _held_rows(g: ArithmeticFunction, top: int):
     """``row(n)``: A_n for g, n <= top, from one list A_0..A_top built at the
-    first read.  A scan holds one for all its points, and its pieces of A_n mod p."""
+    first read (top is checked now).  A scan holds one for all its points."""
+    require_at_most("scan_grid: min(n_max, exact_eval_bound)", top, series.MAX_ROWS_N)
     rows = []
 
     def row(n: int):
@@ -876,9 +868,14 @@ def _point_tests(
 MAX_SCAN_WALK = 5 * 10**8
 
 
-def scan_grid(g: ArithmeticFunction, kind: str, a_range: tuple[int, int],
-              b_range: tuple[int, int], n_max: int,
-              config: CertifyConfig = DEFAULT_CONFIG) -> GridResult:
+def scan_grid(
+    g: ArithmeticFunction,
+    kind: str,
+    a_range: tuple[int, int],
+    b_range: tuple[int, int],
+    n_max: int,
+    config: CertifyConfig = DEFAULT_CONFIG,
+) -> GridResult:
     """Certify every lattice point of the rectangle, n = 1..n_max.
 
     Points with a = 0 are rational integers and fall outside the candidate
@@ -901,13 +898,12 @@ def scan_grid(g: ArithmeticFunction, kind: str, a_range: tuple[int, int],
     make = candidate_family(kind)  # checks m or D even when every row has a = 0
     top = n_max if g.n_max is None else min(n_max, g.n_max)
     last = min(config.exact_eval_bound, top)
-    if any(a_range):  # some a != 0: exact evaluation reads A_0..A_last
-        require_at_most("scan_grid: min(n_max, exact_eval_bound)", last, series.MAX_ROWS_N)
-    if a_range[0] <= 0 <= a_range[1]:
-        series.row_form(g, top)
+    row = _held_rows(g, last if any(a_range) else 0)  # exact evaluation at a != 0 reads them
+    if a_range[0] <= 0 <= a_range[1]:  # a b builds its row unless sigma's bound settles it
+        far = max(map(abs, b_range))  # the bound settles every n <= top from |b| = 10*top
+        series.row_form(g, top, min(far, 10 * top) if g.kind == "sigma" else far)
     walk = (a_range[1] - a_range[0] + 1) * (b_range[1] - b_range[0] + 1) * n_max
     require_at_most("scan_grid: points x n_max", walk, MAX_SCAN_WALK)
-    row = _held_rows(g, last)
     pieces = {}  # (p, class of n) -> A_n mod p factored, for every point
     sieve = []  # the primes not_ramified tries, for every point
     points = []
@@ -923,5 +919,12 @@ def scan_grid(g: ArithmeticFunction, kind: str, a_range: tuple[int, int],
                 continue
             tests = _point_tests(g, c, config, row, last, pieces, sieve)
             points.append(_grid_point(a, b, tests, n_max))
-    return GridResult(g.name, kind, tuple(a_range), tuple(b_range), n_max, config,
-                      tuple(points))
+    return GridResult(
+        g_name=g.name,
+        kind=kind,
+        a_range=tuple(a_range),
+        b_range=tuple(b_range),
+        n_max=n_max,
+        config=config,
+        points=tuple(points),
+    )

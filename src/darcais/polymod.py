@@ -316,8 +316,8 @@ def _split_index(
         raise DomainError(f"a_poly_mod requires n >= 0, got {n}")
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
-    bracket = ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1]) if ell else None
-    return ell, reduce_mod(series.a_poly(g, r), p), bracket
+    a_r = reduce_mod(series.a_poly(g, r), p)  # r is refused past its cap before B is built
+    return ell, a_r, ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1]) if ell else None
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:

@@ -36,7 +36,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate, zip_longest
 from math import factorial, gcd
-from operator import eq, mul, neg
+from operator import mul
 
 from .arith import ArithmeticFunction
 from .errors import DomainError, require_at_most
@@ -55,13 +55,16 @@ MAX_ROWS_N = 6000
 # of 1 - E (sigma, n = 200..800), 0.30-0.40 by the columns (the identity,
 # n = 200..1600, and a table, n = 200..800).
 MAX_A_POLY_N = 100000
-# ``row_at(g, x, n)``, one integer per q**j: scaled by 1 (sigma), at most
-# 0.85-1.17 * n**2 bytes at the x a scan reads, |x| <= 9.7226*(n - 1), where
-# the absolute bound does not settle every n (n = 500..2000; 0.05 * n**2 at
-# |x| <= 3); scaled by n! (the identity, a table), 0.24-0.26 * n**2 * log2(n)
-# bytes at |x| <= 1000 (n = 1000..4000).
+# ``row_at(g, x, n)``, n + 1 integers, each at most about s*x**n, s the
+# row's scale (1 for sigma, n! otherwise).  On n alone: sigma's row at the
+# |x| a scan reads, |x| <= 9.7226*(n - 1), where the absolute bound does not
+# settle every n, peaks at 0.85-1.17 * n**2 bytes (n = 500..2000).  On the
+# row's size, n * bits(s * x**n) = n * (n * bit_length(n) [s = n!] +
+# n * max(1, bit_length(x))) bits: the traced peak stayed within 2/8 byte
+# per bit (sigma, the identity and a random table, n = 1000..2000,
+# |x| <= 10**100).
 MAX_ROW_N = 240000
-MAX_SCALED_ROW_N = 120000
+MAX_ROW_BITS = 25 * 10**10
 
 
 def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
@@ -99,8 +102,8 @@ def _minus_log(N: list[int], E: list[int]) -> list[int] | None:
     """Y = 1 - E when N = -E', that is S = -log E (sigma), else None; E[n]
     is read as -N[n-1]/n, n = len(N) >= 1, so that g is read no further than g(n)."""
     n = len(N)
-    Y = [0, *map(neg, E[1:]), N[-1] // n]
-    return Y if all(map(eq, N, map(mul, range(1, n + 1), Y[1:]))) else None
+    Y = [0, *(-e for e in E[1:]), N[-1] // n]
+    return Y if N == [k * Y[k] for k in range(1, n + 1)] else None
 
 
 def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
@@ -219,16 +222,16 @@ def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
     return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
 
 
-def row_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int], bool]:
-    """The (N, E) of ``_log_derivative_form`` for ``row_at``'s row up to n,
-    and whether its scale is 1 (N = -E') rather than n!.  n is refused past
-    ``MAX_ROW_N`` before (N, E) is built, and past ``MAX_SCALED_ROW_N`` when
-    the scale is n!, before the row is."""
+def row_form(g: ArithmeticFunction, n: int, x: int) -> tuple[list[int], list[int], bool]:
+    """The (N, E) of ``_log_derivative_form`` for ``row_at``'s row at x up
+    to n, and whether its scale is 1 (N = -E') rather than n!.  n is
+    refused past ``MAX_ROW_N`` before (N, E) is built, and the row's size
+    past ``MAX_ROW_BITS`` before the row is."""
     require_at_most("row_at: n", n, MAX_ROW_N)
     N, E = _log_derivative_form(g, n)
     unit = n == 0 or _minus_log(N, E) is not None
-    if not unit:
-        require_at_most("row_at: n (scaled by n!)", n, MAX_SCALED_ROW_N)
+    bits = n * (0 if unit else n * n.bit_length()) + n * n * max(1, abs(x).bit_length())
+    require_at_most("row_at: n * bits(s * x**n)", bits, MAX_ROW_BITS)
     return N, E, unit
 
 
@@ -236,8 +239,8 @@ def row_at(g: ArithmeticFunction, x: int, n: int) -> list[int]:
     """s*P_0(x), ..., s*P_n(x) at the integer x, for one scale s > 0: s = 1
     when N = -E' (sigma), where P_j(x) is the integer [q**j] E**(-x), and
     s = n! otherwise, where A_j(x) = s*P_j(x) // (n!/j!).  So the j-th entry
-    is 0 exactly when A_j(x) is.  n, its cap and g's reach are checked first
-    (``row_form``).
+    is 0 exactly when A_j(x) is.  n, the row's size and g's reach are
+    checked first (``row_form``).
 
     At X = x, E*F' = X*N*F for F = sum_j F_j q**j, F_0 = s, reads at q**(j-1)
 
@@ -245,17 +248,20 @@ def row_at(g: ArithmeticFunction, x: int, n: int) -> list[int]:
 
     over the nonzero terms of N and E, divided exactly by j.  The list G
     holds j*F_j, so the E sum reads G[j-i]; at step j both lists hold
-    entries 0..j-1, so the offsets -k of ``_back_offsets`` read F[j-k].
+    entries 0..j-1, so an offset -k, k <= j, reads F[j-k] or G[j-k]: the
+    first ``bisect_right`` offsets of N's support (a table's N is dense, so
+    no tuple per j is held), and those of ``_back_offsets`` for E.
     """
-    N, E, unit = row_form(g, n)
+    N, E, unit = row_form(g, n, x)
     F = [1 if unit else factorial(n)]
     G = [0]
     n_support = [i + 1 for i in range(n) if N[i]]  # F_{j-k}, k = i + 1 <= j
-    n_values, n_offsets = [N[k - 1] for k in n_support], _back_offsets(n_support, n)
+    n_values, n_offsets = [N[k - 1] for k in n_support], [-k for k in n_support]
     e_support = [i for i in range(1, n) if E[i]]  # G_{j-i}, G_0 = 0
     e_values, e_offsets = [E[i] for i in e_support], _back_offsets(e_support, n)
     for j in range(1, n + 1):
-        s = (x * sum(map(mul, n_values, map(F.__getitem__, n_offsets[j])))
+        k = bisect_right(n_support, j)
+        s = (x * sum(map(mul, n_values, map(F.__getitem__, n_offsets[:k])))
              - sum(map(mul, e_values, map(G.__getitem__, e_offsets[j]))))
         G.append(s)
         F.append(s // j)

@@ -525,7 +525,7 @@ class TestInputPathsExitTwo:
         "poly-mod-factor": ("poly N --mod p --factor", polymod.MAX_FACTOR_DEGREE,
                             "factor_a_poly_mod: min(n, p)",
                             ("poly", "{}", "--mod", "2147483647", "--factor")),
-        "scan-rows": ("scan (a = 0, sigma)", series.MAX_ROW_N, "row_at: n",
+        "scan-rows": ("scan (a = 0)", series.MAX_ROW_N, "row_at: n",
                       ("scan", "--a-range=0:0", "--b-range=0:0", "--n-max", "{}")),
         "scan-n-max": ("scan", MAX_SCAN_WALK, "scan_grid: points x n_max",
                        ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}")),
@@ -534,22 +534,33 @@ class TestInputPathsExitTwo:
                        "--not-ramified-bound", "0", "--n", "{}", "--exact-eval-bound", "{}")),
     }
 
-    # Sizes derived from two flags, or from g: A_r over Z under --mod p
-    # (r = N mod p), the rows a scan holds for exact evaluation, the points
-    # of a scan, and the a = 0 row scaled by n! (the identity).  Cap + 1 only.
+    # Sizes derived from two flags, or from g and b: A_r over Z under --mod p
+    # (r = N mod p, with l = N // p = 0 and 1), the rows a scan holds for
+    # exact evaluation, the points of a scan, and the a = 0 row, whose size
+    # n * bits(s * x**n) grows with |b| and, scaled by s = n! (the identity),
+    # with n.  Each case gives the value its error names; "{}" is that value.
+    ROW_B = 10**100
     DERIVED_ARGV = {
         "poly-mod-r": ("poly N --mod p", series.MAX_A_POLY_N, "a_poly: n",
-                       ("poly", "{}", "--mod", "2147483647")),
+                       ("poly", "{}", "--mod", "2147483647"), series.MAX_A_POLY_N + 1),
+        "poly-mod-r-past-p": ("poly N --mod p", series.MAX_A_POLY_N, "a_poly: n",
+                              ("poly", "800000000", "--mod", "400000009"), 399999991),
         "scan-exact-eval-rows": ("scan (a != 0)", series.MAX_ROWS_N,
                                  "scan_grid: min(n_max, exact_eval_bound)",
                                  ("scan", "--a-range=1:1", "--b-range=0:0", "--n-max", "{}",
-                                  "--exact-eval-bound", "{}")),
+                                  "--exact-eval-bound", "{}"), series.MAX_ROWS_N + 1),
         "scan-points": ("scan", MAX_SCAN_WALK, "scan_grid: points x n_max",
-                        ("scan", "--a-range=1:{}", "--b-range=0:0", "--n-max", "1")),
-        "scan-scaled-row": ("scan (a = 0, identity or table)", series.MAX_SCALED_ROW_N,
-                            "row_at: n (scaled by n!)",
+                        ("scan", "--a-range=1:{}", "--b-range=0:0", "--n-max", "1"),
+                        MAX_SCAN_WALK + 1),
+        "scan-row-size-b": ("scan (a = 0, the row's size)", series.MAX_ROW_BITS,
+                            "row_at: n * bits(s * x**n)",
+                            ("scan", "--g", "identity", "--a-range=0:0",
+                             f"--b-range={ROW_B}:{ROW_B}", "--n-max", "120000"),
+                            120000 * (120000 * 17 + 120000 * ROW_B.bit_length())),
+        "scan-row-size-n": ("scan (a = 0, the row's size)", series.MAX_ROW_BITS,
+                            "row_at: n * bits(s * x**n)",
                             ("scan", "--g", "identity", "--a-range=0:0", "--b-range=0:0",
-                             "--n-max", "{}")),
+                             "--n-max", "120000"), 120000 * (120000 * 17 + 120000 * 1)),
     }
 
     def run_within_memory(self, capsys, argv):
@@ -573,9 +584,9 @@ class TestInputPathsExitTwo:
 
     @pytest.mark.parametrize("case", list(DERIVED_ARGV))
     def test_derived_size_over_its_cap_is_usage_error(self, capsys, case):
-        _, cap, quantity, argv = self.DERIVED_ARGV[case]
-        err = self.run_within_memory(capsys, [a.format(cap + 1) for a in argv])
-        assert err == f"error: {quantity} is at most {cap} (memory cap), got {cap + 1}\n"
+        _, cap, quantity, argv, got = self.DERIVED_ARGV[case]
+        err = self.run_within_memory(capsys, [a.format(got) for a in argv])
+        assert err == f"error: {quantity} is at most {cap} (memory cap), got {got}\n"
 
     # The level m of a cyc: candidate: phi(m) is refused where the minimal
     # polynomial or the index would be built.  At m = 1000000007 both are
@@ -654,7 +665,7 @@ class TestInputPathsExitTwo:
         # One README row per CLI mode and cap, naming the quantity its error
         # line names; the caps are read from the modules that check them.
         text = README.read_text()
-        for mode, cap, quantity, _ in [*self.SIZE_ARGV.values(), *self.DERIVED_ARGV.values()]:
+        for mode, cap, quantity, *_ in [*self.SIZE_ARGV.values(), *self.DERIVED_ARGV.values()]:
             assert f"| `{mode}` | {cap} | `{quantity}` |" in text, mode
         assert not hasattr(cli, "SIZE_CAPS") and not hasattr(cli, "_sizes")
 

@@ -228,45 +228,64 @@ def test_cli_import_without_site_loads_no_annotation_or_path_modules():
     assert not loaded & {"typing", "pathlib", "fnmatch", "ntpath", "urllib.parse", "ipaddress"}
 
 
-# Each size cap at the function that checks it, called at cap + 1: the call,
-# a builder it must not reach, and the quantity and cap of its error.  A
+# Each size cap at the function that checks it, called past its cap: the
+# call, a builder it must not reach, the quantity and cap of its error, and
+# the value the error names (cap + 1 where the call sets it directly).  A
 # scan's rows are refused before its first point (a = -1), so before
-# ``certify_all_n``.
+# ``certify_all_n``.  The a = 0 row's size, n * bits(s * x**n), grows with
+# |x| and, scaled by s = n! (the identity), with n.
 series, polymod, certify = (importlib.import_module(f"darcais.{name}")
                             for name in ("series", "polymod", "certify"))
 SIGMA, IDENTITY = darcais.ArithmeticFunction.sigma(), darcais.ArithmeticFunction.identity()
+ROW_X = 10**100
+ROW_SIZE = 120000 * (120000 * 17 + 120000 * ROW_X.bit_length())
 LIBRARY_CAPS = {
     "tau_list": (lambda: series.tau_list(series.MAX_TAU_N + 1),
-                 (series, "_square_truncated"), "tau_list: N", series.MAX_TAU_N),
+                 (series, "_square_truncated"), "tau_list: N", series.MAX_TAU_N,
+                 series.MAX_TAU_N + 1),
     "a_poly_list": (lambda: series.a_poly_list(SIGMA, series.MAX_ROWS_N + 1),
-                    (series, "_scaled_columns"), "a_poly_list: n", series.MAX_ROWS_N),
+                    (series, "_scaled_columns"), "a_poly_list: n", series.MAX_ROWS_N,
+                    series.MAX_ROWS_N + 1),
     "a_poly": (lambda: series.a_poly(IDENTITY, series.MAX_A_POLY_N + 1),
-               (series, "_log_derivative_form"), "a_poly: n", series.MAX_A_POLY_N),
+               (series, "_log_derivative_form"), "a_poly: n", series.MAX_A_POLY_N,
+               series.MAX_A_POLY_N + 1),
     "row_at": (lambda: series.row_at(SIGMA, 3, series.MAX_ROW_N + 1),
-               (series, "_log_derivative_form"), "row_at: n", series.MAX_ROW_N),
-    "row_at-scaled": (lambda: series.row_at(IDENTITY, 3, series.MAX_SCALED_ROW_N + 1),
-                      (series, "factorial"), "row_at: n (scaled by n!)",
-                      series.MAX_SCALED_ROW_N),
+               (series, "_log_derivative_form"), "row_at: n", series.MAX_ROW_N,
+               series.MAX_ROW_N + 1),
+    "row_at-size-x": (lambda: series.row_at(IDENTITY, ROW_X, 120000),
+                      (series, "factorial"), "row_at: n * bits(s * x**n)", series.MAX_ROW_BITS,
+                      ROW_SIZE),
+    "row_at-size-n": (lambda: series.row_at(IDENTITY, 1, 120000),
+                      (series, "factorial"), "row_at: n * bits(s * x**n)", series.MAX_ROW_BITS,
+                      120000 * (120000 * 17 + 120000 * 1)),
     "a_poly_mod": (lambda: polymod.a_poly_mod(SIGMA, polymod.MAX_A_POLY_MOD_N + 1, 5),
-                   (polymod, "_split_index"), "a_poly_mod: n", polymod.MAX_A_POLY_MOD_N),
+                   (polymod, "_split_index"), "a_poly_mod: n", polymod.MAX_A_POLY_MOD_N,
+                   polymod.MAX_A_POLY_MOD_N + 1),
+    # r = N mod p past its cap with l = N // p = 1: refused before B, of degree p, is built.
+    "a_poly_mod-r": (lambda: polymod.a_poly_mod(SIGMA, 800000000, 400000009),
+                     (polymod, "ModPoly"), "a_poly: n", series.MAX_A_POLY_N, 399999991),
     "factor_a_poly_mod": (
         lambda: polymod.factor_a_poly_mod(SIGMA, polymod.MAX_FACTOR_DEGREE + 1, 2147483647),
-        (polymod, "_split_index"), "factor_a_poly_mod: min(n, p)", polymod.MAX_FACTOR_DEGREE),
+        (polymod, "_split_index"), "factor_a_poly_mod: min(n, p)", polymod.MAX_FACTOR_DEGREE,
+        polymod.MAX_FACTOR_DEGREE + 1),
+    "factor_a_poly_mod-r": (lambda: polymod.factor_a_poly_mod(SIGMA, 40000000, 30000001),
+                            (polymod, "ModPoly"), "a_poly: n", series.MAX_A_POLY_N, 9999999),
     "scan_grid-rows": (
         lambda: certify.scan_grid(SIGMA, "gauss", (-1, 1), (0, 0), series.MAX_ROWS_N + 1,
                                   certify.CertifyConfig(exact_eval_bound=10**9)),
         (certify, "certify_all_n"), "scan_grid: min(n_max, exact_eval_bound)",
-        series.MAX_ROWS_N),
+        series.MAX_ROWS_N, series.MAX_ROWS_N + 1),
     "scan_grid-row": (
         lambda: certify.scan_grid(SIGMA, "gauss", (-1, 0), (0, 0), series.MAX_ROW_N + 1),
-        (certify, "certify_all_n"), "row_at: n", series.MAX_ROW_N),
-    "scan_grid-scaled-row": (
-        lambda: certify.scan_grid(IDENTITY, "gauss", (-1, 0), (0, 0),
-                                  series.MAX_SCALED_ROW_N + 1),
-        (certify, "certify_all_n"), "row_at: n (scaled by n!)", series.MAX_SCALED_ROW_N),
+        (certify, "certify_all_n"), "row_at: n", series.MAX_ROW_N, series.MAX_ROW_N + 1),
+    "scan_grid-row-size": (
+        lambda: certify.scan_grid(IDENTITY, "gauss", (-1, 0), (ROW_X, ROW_X), 120000),
+        (certify, "certify_all_n"), "row_at: n * bits(s * x**n)", series.MAX_ROW_BITS,
+        ROW_SIZE),
     "scan_grid-walk": (
         lambda: certify.scan_grid(SIGMA, "gauss", (-1, certify.MAX_SCAN_WALK - 1), (0, 0), 1),
-        (certify, "certify_all_n"), "scan_grid: points x n_max", certify.MAX_SCAN_WALK),
+        (certify, "certify_all_n"), "scan_grid: points x n_max", certify.MAX_SCAN_WALK,
+        certify.MAX_SCAN_WALK + 1),
 }
 
 
@@ -290,9 +309,9 @@ def forbidden(*args, **kwargs):
 
 @pytest.mark.parametrize("case", list(LIBRARY_CAPS))
 def test_each_cap_refuses_at_its_function_before_building(monkeypatch, case):
-    call, (module, builder), quantity, cap = LIBRARY_CAPS[case]
+    call, (module, builder), quantity, cap, got = LIBRARY_CAPS[case]
     monkeypatch.setattr(module, builder, forbidden)
-    assert refusal(call) == f"{quantity} is at most {cap} (memory cap), got {cap + 1}"
+    assert refusal(call) == f"{quantity} is at most {cap} (memory cap), got {got}"
 
 
 def test_factor_refuses_past_its_degree_cap(monkeypatch):

@@ -401,6 +401,24 @@ class TestRowAt:
         with pytest.raises(DomainError):
             series.row_at(g, 3, -1)
 
+    @pytest.mark.parametrize("g", [ArithmeticFunction.sigma(), ArithmeticFunction.identity(),
+                                   random_table(44, 500, 0, 49)],
+                             ids=["sigma", "identity", "table"])
+    def test_peak_is_within_the_size_its_cap_reads(self, g):
+        # row_form's size n * (log2 s + n * log2|x|) bits, at 2/8 byte per bit
+        # (and 128 KiB of list overhead): a table's dense N holds no offsets per j.
+        n = 500
+        for x in (0, 3, -10**30):
+            scale_bits = 0 if g.kind == "sigma" else n * n.bit_length()
+            bits = n * scale_bits + n * n * max(1, abs(x).bit_length())
+            tracemalloc.start()
+            try:
+                series.row_at(g, x, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bits / 4 + 2**17, (g.name, x, peak, bits)
+
 
 class TestTau:
     def test_first_values_against_product_oracle(self):
