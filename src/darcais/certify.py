@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from . import arith, polymod, series
 from .arith import ArithmeticFunction, FrozenValue, replace
@@ -211,6 +211,13 @@ def _han_reach(abs_sq: int) -> int:
     left side over 9.7226**2 > 0, (n - 1)**2 < t exactly when (n - 1)**2 <= ceil(t) - 1."""
     ceil_t = -(-abs_sq * _HAN_C_SQ_DEN // (_ABS_SQ_DEN * _HAN_C_SQ_NUM))
     return isqrt(ceil_t - 1) + 1 if abs_sq > 0 else 0
+
+
+def _han_open(top: int) -> int:
+    """The largest |b| with ``_han_reach(b*b*_ABS_SQ_DEN)`` < top, top >= 1: the reach
+    is at least top exactly when the integer b*b > (9.7226 * (top - 1))**2, that is
+    when b*b passes the floor of that square."""
+    return isqrt((top - 1) ** 2 * _HAN_C_SQ_NUM // _HAN_C_SQ_DEN)
 
 
 def certify_han_bound(g: ArithmeticFunction, c: AlgebraicCandidate, n: int) -> Certificate:
@@ -888,7 +895,10 @@ def scan_grid(
     Z, built at the first read, A_n mod p factored per (p, class of n) its
     points ask, and one prime sieve; a point with a = 0 reads one integer
     row of values at b up to ``top`` instead of polynomials.  The caps of
-    both rows and of the walk are checked before the first point.
+    both rows and of the walk are checked before the first point, the a = 0
+    row's at the largest |b| of the range whose row is built: under sigma,
+    at most ``_han_open(top)``, past which the absolute bound settles every
+    n <= top, and no check when it settles every b of the range.
     """
     if n_max < 1:
         raise DomainError(f"scan_grid requires n_max >= 1, got {n_max}")
@@ -900,8 +910,9 @@ def scan_grid(
     last = min(config.exact_eval_bound, top)
     row = _held_rows(g, last if any(a_range) else 0)  # exact evaluation at a != 0 reads them
     if a_range[0] <= 0 <= a_range[1]:  # a b builds its row unless sigma's bound settles it
-        far = max(map(abs, b_range))  # the bound settles every n <= top from |b| = 10*top
-        series.row_form(g, top, min(far, 10 * top) if g.kind == "sigma" else far)
+        built = min(max(map(abs, b_range)), _han_open(top) if g.kind == "sigma" else inf)
+        if max(b_range[0], -b_range[1], 0) <= built:  # some b of the range builds it
+            series.row_form(g, top, built)
     walk = (a_range[1] - a_range[0] + 1) * (b_range[1] - b_range[0] + 1) * n_max
     require_at_most("scan_grid: points x n_max", walk, MAX_SCAN_WALK)
     pieces = {}  # (p, class of n) -> A_n mod p factored, for every point

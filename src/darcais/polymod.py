@@ -9,7 +9,7 @@ F_p stays here: the modulus, ``monic`` and ``divides``, reduced powers
 
 These two read one identity over F_p: with n = l*p + r, 0 <= r < p, and
 B = X**p - g(p)*X, A_n = A_r * B**l (mod p).  ``_split_index`` is the one
-place that computes l, A_r mod p and B.
+place that computes l, A_r mod p and g(p) mod p.
 
 Factorization follows the classical pipeline: squarefree decomposition,
 then distinct-degree splitting via the Frobenius map, then randomized
@@ -303,21 +303,23 @@ def is_irreducible(f: ModPoly) -> bool:
 
 def _split_index(
     g: arith.ArithmeticFunction, n: int, p: int
-) -> tuple[int, ModPoly, ModPoly | None]:
-    """Write n = l*p + r with 0 <= r < p; return l, A_r mod p and the
-    bracket B = X**p - g(p)*X (None when l = 0, so g(p) is read only then).
+) -> tuple[int, ModPoly, int | None]:
+    """Write n = l*p + r with 0 <= r < p; return l, A_r mod p and g(p) mod p,
+    the c of the bracket B = X**p - c*X (None when l = 0, so g(p) is read
+    only then).
 
     A_n = A_r * B**l mod p.  A_r alone is built by the integer recursion
     (``series.a_poly``) and reduced; reduction mod p is a ring map, so this
-    is the recursion run over F_p.
+    is the recursion run over F_p.  B itself is never built: its readers
+    need c alone.
     """
     _check_modulus(p)
     if n < 0:
         raise DomainError(f"a_poly_mod requires n >= 0, got {n}")
     ell, r = divmod(n, p)
     g.require_up_to(max(r, p if ell else 0))
-    a_r = reduce_mod(series.a_poly(g, r), p)  # r is refused past its cap before B is built
-    return ell, a_r, ModPoly(p, [0, -g(p)] + [0] * (p - 2) + [1]) if ell else None
+    a_r = reduce_mod(series.a_poly(g, r), p)  # r is refused past its cap before A_r is built
+    return ell, a_r, g(p) % p if ell else None
 
 
 def _binomial_power(u: int, ell: int, p: int) -> list[int]:
@@ -350,13 +352,13 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     coefficients.
     """
     require_at_most("a_poly_mod: n", n, MAX_A_POLY_MOD_N)
-    ell, a_r, bracket = _split_index(g, n, p)
+    ell, a_r, c = _split_index(g, n, p)
     if not ell:
         return a_r
     # B**l = X**l * (X**(p-1) + u)**l = sum_k C(l, k) u**(l-k) X**(l + (p-1)*k),
-    # where u = -g(p) is the coefficient of X in B.
+    # where u = -c is the coefficient of X in B.
     out = [0] * (ell * p + a_r.degree + 1)
-    for k, t in enumerate(_binomial_power(bracket.coeff(1), ell, p)):
+    for k, t in enumerate(_binomial_power(-c % p, ell, p)):
         if t:
             base = ell + (p - 1) * k
             for i, a in enumerate(a_r.coeffs):
@@ -364,15 +366,14 @@ def a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> ModPoly:
     return ModPoly(p, out)
 
 
-def _factor_bracket(bracket: ModPoly) -> tuple[tuple[ModPoly, int], ...]:
-    """``factor(bracket).factors`` for B = X**p - c*X, in closed form.
+def _factor_bracket(p: int, c: int) -> tuple[tuple[ModPoly, int], ...]:
+    """``factor(B).factors`` for B = X**p - c*X, 0 <= c < p, in closed form.
 
     B = X**p if c = 0.  Otherwise, with e = ord_p(c), a root z of
     X**(p-1) - c has z**p = c*z, so its Frobenius orbit z, c*z, ... has e
     points and its minimal polynomial is X**e - z**e; hence
     B = X * prod (X**e - b) over the (p - 1)/e values b with b**((p-1)/e) = c.
     """
-    p, c = bracket.p, -bracket.coeff(1) % bracket.p
     x = ModPoly.x(p)
     if not c:
         return ((x, p),)
@@ -391,12 +392,12 @@ def factor_a_poly_mod(g: arith.ArithmeticFunction, n: int, p: int) -> Factorizat
     with multiplicity l*m, added to that of q in A_r.
     """
     require_at_most("factor_a_poly_mod: min(n, p)", min(n, p), MAX_FACTOR_DEGREE)
-    ell, a_r, bracket = _split_index(g, n, p)
+    ell, a_r, c = _split_index(g, n, p)
     fact_r = factor(a_r)
     if not ell:
         return fact_r
     mults = dict(fact_r.factors)
-    for q, mult in _factor_bracket(bracket):
+    for q, mult in _factor_bracket(p, c):
         mults[q] = mults.get(q, 0) + ell * mult
     found = sorted(mults.items(), key=lambda pair: pair[0].sort_key())
     return Factorization(p=p, unit=fact_r.unit, factors=tuple(found))

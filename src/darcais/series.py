@@ -35,8 +35,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate, zip_longest
-from math import factorial, gcd
-from operator import mul
+from math import factorial, gcd, isqrt
+from operator import eq, mul
 
 from .arith import ArithmeticFunction
 from .errors import DomainError, require_at_most
@@ -56,15 +56,15 @@ MAX_ROWS_N = 6000
 # n = 200..1600, and a table, n = 200..800).
 MAX_A_POLY_N = 100000
 # ``row_at(g, x, n)``, n + 1 integers, each at most about s*x**n, s the
-# row's scale (1 for sigma, n! otherwise).  On n alone: sigma's row at the
-# |x| a scan reads, |x| <= 9.7226*(n - 1), where the absolute bound does not
-# settle every n, peaks at 0.85-1.17 * n**2 bytes (n = 500..2000).  On the
-# row's size, n * bits(s * x**n) = n * (n * bit_length(n) [s = n!] +
-# n * max(1, bit_length(x))) bits: the traced peak stayed within 2/8 byte
-# per bit (sigma, the identity and a random table, n = 1000..2000,
-# |x| <= 10**100).
-MAX_ROW_N = 240000
+# row's scale (1 for sigma, n! otherwise), so n * bits(s * x**n) =
+# n * (n * bit_length(n) [s = n!] + n * max(1, bit_length(x))) bits in all:
+# the traced peak stayed within 2/8 byte per bit (sigma, the identity and a
+# random table, n = 1000..2000, |x| <= 10**100), and within 0.0007-0.04
+# under sigma at x in {-24, -3, 1, 3, 15} (n = 5000..50000).  Every row has
+# at least n**2 bits, so the cap on n is the size cap read on n alone,
+# checked before (N, E) is built.
 MAX_ROW_BITS = 25 * 10**10
+MAX_ROW_N = isqrt(MAX_ROW_BITS)
 
 
 def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
@@ -100,10 +100,12 @@ def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list
 
 def _minus_log(N: list[int], E: list[int]) -> list[int] | None:
     """Y = 1 - E when N = -E', that is S = -log E (sigma), else None; E[n]
-    is read as -N[n-1]/n, n = len(N) >= 1, so that g is read no further than g(n)."""
+    is read as -N[n-1]/n, n = len(N) >= 1, so that g is read no further than g(n).
+    The comparison stops at the first k with N[k-1] != k*Y[k]: for n >= 2,
+    k = 1 under the identity and a table with g(1) != 0."""
     n = len(N)
     Y = [0, *(-e for e in E[1:]), N[-1] // n]
-    return Y if N == [k * Y[k] for k in range(1, n + 1)] else None
+    return Y if all(map(eq, N, map(mul, range(1, n + 1), Y[1:]))) else None
 
 
 def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
@@ -224,9 +226,9 @@ def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
 
 def row_form(g: ArithmeticFunction, n: int, x: int) -> tuple[list[int], list[int], bool]:
     """The (N, E) of ``_log_derivative_form`` for ``row_at``'s row at x up
-    to n, and whether its scale is 1 (N = -E') rather than n!.  n is
-    refused past ``MAX_ROW_N`` before (N, E) is built, and the row's size
-    past ``MAX_ROW_BITS`` before the row is."""
+    to n, and whether its scale is 1 (N = -E') rather than n!.  The row's
+    size is refused past ``MAX_ROW_BITS`` before the row is built, and n
+    past ``MAX_ROW_N``, that cap read on n alone, before (N, E) is."""
     require_at_most("row_at: n", n, MAX_ROW_N)
     N, E = _log_derivative_form(g, n)
     unit = n == 0 or _minus_log(N, E) is not None

@@ -258,6 +258,16 @@ class TestScan:
         for n_max in n_maxes:
             assert [[n for n in zeros if n <= 6000] for zeros in uncertified(n_max)] == base
 
+    @pytest.mark.parametrize("n_max", [200000, 300000])
+    def test_real_axis_point_the_bound_settles_runs_past_the_row_caps(self, capsys, n_max):
+        # At b = 10**7 the absolute bound settles every n <= 1.03 * 10**6, so
+        # the scan neither builds nor checks the row, past its caps too.
+        code, out, _ = run(capsys, "scan", "--a-range=0:0", "--b-range=10000000:10000000",
+                           "--n-max", str(n_max))
+        assert code == 0
+        (point,) = json.loads(out)["grid"]["points"]
+        assert (point["status"], point["methods"]) == ("up_to_nmax", ["han_bound"])
+
 
 class TestOtherCommands:
     def test_minpoly(self, capsys):

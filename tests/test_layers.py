@@ -132,6 +132,11 @@ def test_each_chain_decision_is_made_in_one_place():
     assert [f for f in funcs if "polymod.factor_a_poly_mod" in reads(f)] == [
         "_obstruction_search", "check_zmija_conditions"]
     assert [f for f in funcs if "arith.legendre_symbol" in reads(f)] == ["_unramified_search"]
+    # Whether a real-axis point builds its row is read from the absolute bound:
+    # scan_grid checks the row at _han_open's |b| and spells no threshold of its own.
+    assert "_han_open" in reads("scan_grid")
+    assert {node.value for node in ast.walk(funcs["scan_grid"])
+            if isinstance(node, ast.Constant) and isinstance(node.value, (int, float))} <= {0, 1}
 
 
 def seed_holders(node, prefix: str) -> set[str]:
@@ -261,7 +266,8 @@ LIBRARY_CAPS = {
     "a_poly_mod": (lambda: polymod.a_poly_mod(SIGMA, polymod.MAX_A_POLY_MOD_N + 1, 5),
                    (polymod, "_split_index"), "a_poly_mod: n", polymod.MAX_A_POLY_MOD_N,
                    polymod.MAX_A_POLY_MOD_N + 1),
-    # r = N mod p past its cap with l = N // p = 1: refused before B, of degree p, is built.
+    # r = N mod p past its cap with l = N // p = 1: refused before A_r mod p is built
+    # (the bracket B, of degree p, never is).
     "a_poly_mod-r": (lambda: polymod.a_poly_mod(SIGMA, 800000000, 400000009),
                      (polymod, "ModPoly"), "a_poly: n", series.MAX_A_POLY_N, 399999991),
     "factor_a_poly_mod": (
@@ -312,6 +318,23 @@ def test_each_cap_refuses_at_its_function_before_building(monkeypatch, case):
     call, (module, builder), quantity, cap, got = LIBRARY_CAPS[case]
     monkeypatch.setattr(module, builder, forbidden)
     assert refusal(call) == f"{quantity} is at most {cap} (memory cap), got {got}"
+
+
+def test_scan_checks_the_real_axis_row_only_where_it_builds_one(monkeypatch):
+    # Under sigma b builds its row to n = 120000 exactly when |b| <= _han_open(120000).
+    # Just inside, the row's size is refused before the first point; just past,
+    # the absolute bound settles every n, and the row is neither checked nor built.
+    b = certify._han_open(120000)
+    monkeypatch.setattr(certify, "certify_all_n", forbidden)
+    with pytest.raises(DomainError) as info:
+        certify.scan_grid(SIGMA, "gauss", (-1, 0), (b, b), 120000)
+    assert str(info.value) == (f"row_at: n * bits(s * x**n) is at most {series.MAX_ROW_BITS} "
+                               f"(memory cap), got {120000 * 120000 * b.bit_length()}")
+    monkeypatch.undo()
+    monkeypatch.setattr(series, "row_form", forbidden)
+    points = certify.scan_grid(SIGMA, "gauss", (-1, 0), (b + 1, b + 1), 120000).points
+    assert [(pt.a, pt.status, pt.methods) for pt in points] == [
+        (-1, "all_n", ("translated_shift",)), (0, "up_to_nmax", ("han_bound",))]
 
 
 def test_factor_refuses_past_its_degree_cap(monkeypatch):

@@ -387,7 +387,7 @@ class TestFactorAPolyMod:
         for c in range(p):
             bracket = ModPoly(p, [0, -c] + [0] * (p - 2) + [1])
             want = factor(bracket)
-            assert want.unit == 1 and _factor_bracket(bracket) == want.factors, c
+            assert want.unit == 1 and _factor_bracket(p, c) == want.factors, c
 
     def test_table_exhaustion_is_range_error(self):
         from darcais import TableExhaustedError

@@ -42,6 +42,7 @@ from darcais.certify import (
     _HAN_C_SQ_DEN,
     _HAN_C_SQ_NUM,
     DEFAULT_CONFIG,
+    _han_open,
     _han_reach,
     _held_rows,
     _point_tests,
@@ -225,6 +226,16 @@ class TestPointTestsMatchTheCertificates:
         assert reach > 1
         proven = [certify_han_bound(sigma_g, c, n).proven for n in (reach, reach + 1)]
         assert proven == [True, False]
+
+    def test_han_open_is_the_last_b_whose_reach_falls_short(self):
+        # A real-axis point builds its row exactly when |b| <= _han_open(top).
+        def short(b: int, top: int) -> bool:
+            return _han_reach(b * b * _ABS_SQ_DEN) < top
+
+        for top in range(1, 3001):
+            t = _han_open(top)
+            assert short(t, top) and not short(t + 1, top), top
+            assert t == 0 or short(t - 1, top), top
 
 
 class TestScanRunsNoPerNChain:

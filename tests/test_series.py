@@ -419,6 +419,13 @@ class TestRowAt:
                 tracemalloc.stop()
             assert peak < bits / 4 + 2**17, (g.name, x, peak, bits)
 
+    def test_smallest_row_reaches_the_size_cap_on_n(self, sigma_g):
+        # Every row has at least n**2 bits, sigma's at |x| <= 1 exactly that, so
+        # the cap on n is the size cap read on n alone: n = 300000 is within both.
+        assert series.MAX_ROW_N ** 2 == series.MAX_ROW_BITS
+        N, E, unit = series.row_form(sigma_g, 300000, 1)
+        assert unit and len(N) == len(E) == 300000
+
 
 class TestTau:
     def test_first_values_against_product_oracle(self):
