@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Each ``_cmd_*`` handler takes the parsed arguments, g and the run's
-``CertifyConfig`` and returns the run's body (a dict), its ``--format text``
-form and its exit code; it writes nothing.  ``main`` alone checks the
-flags and turns a run into output: it builds the config, whichever
-subcommand runs, and the run header that echoes it once, before g is
-loaded, and ``_write_run`` merges the header into the body, so identical
-invocations produce byte-identical files.  A size past its cap is refused
-by the library function that builds it; ``_cmd_poly`` checks the caps on
-what it prints.  Exit codes: 0 success (or proven), 1 inconclusive
+``CertifyConfig`` and returns the run's body (a dict), a zero-argument
+function that builds its ``--format text`` form, and its exit code; it
+writes nothing.  ``main`` alone checks the flags and turns a run into
+output: it builds the config, whichever subcommand runs, and the run
+header that echoes it once, before g is loaded, and ``_write_run`` merges
+the header into the body, or builds the text form when the run writes it,
+so identical invocations produce byte-identical files.  A size past its
+cap is refused by the library function that builds it; ``_cmd_poly``
+checks the caps on what it prints, and ``_env_config`` the cap on the
+config file it reads.  Exit codes: 0 success (or proven), 1 inconclusive
 (or a notable finding), 2 usage/domain error, 3 table exhaustion.  The
 one ``except`` in ``main`` maps ``TableExhaustedError`` to 3 and
 ``DomainError``, ``OSError``, ``OverflowError`` (a size no list can
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from math import factorial
 
 from . import __version__, numfield, polymod, series
@@ -34,7 +37,7 @@ from .certify import (
     check_zmija_conditions,
     scan_grid,
 )
-from .errors import DomainError, TableExhaustedError, require_at_most
+from .errors import DomainError, TableExhaustedError, read_at_most, require_at_most
 from .polynomial import IntPoly, format_poly
 
 EXIT_OK = 0
@@ -82,13 +85,15 @@ def _run_header(args, config: CertifyConfig) -> dict:
     }
 
 
-def _write_run(args, header: dict, body: dict, text: str) -> None:
-    """The one writer: ``{**header, **body}`` as JSON, or ``text`` under
-    ``--format text``, or ``text`` after a ``# <header>`` line under csv."""
+def _write_run(args, header: dict, body: dict, text: Callable[[], str]) -> None:
+    """The one writer: ``{**header, **body}`` as JSON, or ``text()`` under
+    ``--format text``, or ``text()`` after a ``# <header>`` line under csv;
+    JSON never builds the text form."""
     if args.format == "csv":
-        payload = f"# {json.dumps(header, sort_keys=True)}\n{text}"
+        payload = f"# {json.dumps(header, sort_keys=True)}\n{text()}"
     elif args.format == "text":
-        payload = text if text.endswith("\n") else text + "\n"
+        payload = text()
+        payload = payload if payload.endswith("\n") else payload + "\n"
     else:
         payload = json.dumps({**header, **body}, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -237,7 +242,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise DomainError(f"malformed range {text!r}; expected LO:HI") from None
 
 
-def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
+def _cmd_poly(args, g, config) -> tuple[dict, Callable[[], str], int]:
     if args.n < 0:
         raise DomainError(f"n must be >= 0, got {args.n}")
     if args.factor and args.mod is None:
@@ -248,17 +253,19 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
         body = {"n": args.n, "mod": args.mod}
         if args.factor:
             fact = polymod.factor_a_poly_mod(g, args.n, args.mod)
-            text = " * ".join(
-                f"({format_poly(p.coeffs)})" + (f"^{m}" if m > 1 else "")
-                for p, m in fact.factors
-            ) or "1"
-            if fact.unit != 1:
-                text = f"{fact.unit} * {text}"
-            return ({**body, "factorization": fact.to_json_dict(config.seed)},
-                    f"{text} (mod {args.mod})", EXIT_OK)
+
+            def text() -> str:
+                factors = " * ".join(
+                    f"({format_poly(p.coeffs)})" + (f"^{m}" if m > 1 else "")
+                    for p, m in fact.factors
+                ) or "1"
+                unit = "" if fact.unit == 1 else f"{fact.unit} * "
+                return f"{unit}{factors} (mod {args.mod})"
+
+            return {**body, "factorization": fact.to_json_dict(config.seed)}, text, EXIT_OK
         reduced = polymod.a_poly_mod(g, args.n, args.mod)
         return ({**body, "poly": {"degree": reduced.degree, "coeffs": list(reduced.coeffs)}},
-                str(reduced), EXIT_OK)
+                lambda: str(reduced), EXIT_OK)
     require_at_most(f"poly N{' --rational' * args.rational}: N", args.n,
                     MAX_RATIONAL_POLY_N if args.rational else MAX_POLY_N)
     poly = series.a_poly(g, args.n)
@@ -267,81 +274,80 @@ def _cmd_poly(args, g, config) -> tuple[dict, str, int]:
 
         coeffs = [Fraction(c, factorial(args.n)) for c in poly.coeffs]
         doc = {"degree": poly.degree, "coeffs": [str(c) for c in coeffs]}
-        text = format_poly(coeffs)
-    else:
-        doc, text = poly.to_json_dict(), str(poly)
-    return {"n": args.n, "poly": doc}, text, EXIT_OK
+        return {"n": args.n, "poly": doc}, lambda: format_poly(coeffs), EXIT_OK
+    return {"n": args.n, "poly": poly.to_json_dict()}, lambda: str(poly), EXIT_OK
 
 
-def _cmd_tau(args, g, config) -> tuple[dict, str, int]:
+def _cmd_tau(args, g, config) -> tuple[dict, Callable[[], str], int]:
     if args.max is not None:
         values = series.tau_list(args.max)
         zeros = [i + 1 for i, v in enumerate(values) if v == 0]
         text = "no zero found" if not zeros else f"zero at n = {zeros}"
-        return ({"scanned_up_to": args.max, "zeros": zeros}, f"tau(1..{args.max}): {text}",
-                EXIT_OK if not zeros else EXIT_INCONCLUSIVE)
+        return ({"scanned_up_to": args.max, "zeros": zeros},
+                lambda: f"tau(1..{args.max}): {text}", EXIT_OK if not zeros else EXIT_INCONCLUSIVE)
     if args.n is None:
         raise DomainError("tau needs an index or --max N")
-    value = series.tau(args.n)
-    return {"n": args.n, "tau": str(value)}, str(value), EXIT_OK
+    value = str(series.tau(args.n))
+    return {"n": args.n, "tau": value}, lambda: value, EXIT_OK
 
 
-def _cmd_certify(args, g, config) -> tuple[dict, str, int]:
+def _cmd_certify(args, g, config) -> tuple[dict, Callable[[], str], int]:
     candidate = numfield.parse_candidate(args.candidate)
     if args.all_n:
         cert = certify_all_n(g, candidate, config)
     else:
         cert = run_certify(g, candidate, args.n, config)
-    text = (
-        f"{cert.verdict} for {candidate.describe()} ({cert.scope.describe()})"
-        f" via {cert.method}"
-    )
-    return ({"certificate": cert.to_json_dict()}, text,
+    return ({"certificate": cert.to_json_dict()},
+            lambda: (f"{cert.verdict} for {candidate.describe()} ({cert.scope.describe()})"
+                     f" via {cert.method}"),
             EXIT_OK if cert.proven else EXIT_INCONCLUSIVE)
 
 
-def _cmd_scan(args, g, config) -> tuple[dict, str, int]:
+def _cmd_scan(args, g, config) -> tuple[dict, Callable[[], str], int]:
     grid = scan_grid(g, args.kind, _parse_range(args.a_range), _parse_range(args.b_range),
                      args.n_max, config)
-    return {"grid": grid.to_json_dict()}, grid.to_csv(), EXIT_OK
+    return {"grid": grid.to_json_dict()}, grid.to_csv, EXIT_OK
 
 
-def _cmd_minpoly(args, g, config) -> tuple[dict, str, int]:
+def _cmd_minpoly(args, g, config) -> tuple[dict, Callable[[], str], int]:
     candidate = numfield.parse_candidate(args.candidate)
+    index = str(candidate.index)
     body = {
         "candidate": candidate.to_json_dict(),
         "degree": candidate.degree,
         "min_poly": candidate.min_poly.to_json_dict(),
-        "index": str(candidate.index),
+        "index": index,
     }
-    return (body, f"{candidate.describe()}: {candidate.min_poly}, index {candidate.index}",
-            EXIT_OK)
+    return body, lambda: f"{candidate.describe()}: {candidate.min_poly}, index {index}", EXIT_OK
 
 
-def _cmd_split(args, g, config) -> tuple[dict, str, int]:
+def _cmd_split(args, g, config) -> tuple[dict, Callable[[], str], int]:
     candidate = numfield.parse_candidate(args.candidate)
     report = numfield.dedekind_kummer_split(candidate, args.p)
-    if report.applicable:
+
+    def text() -> str:
+        if not report.applicable:
+            return f"p = {args.p} divides the index {candidate.index}; not applicable"
         shape = ", ".join(f"(e={e}, f={f})" for _, e, f in report.entries)
-        text = f"p = {args.p} in Q({candidate.describe()}): {shape}" + (
+        return f"p = {args.p} in Q({candidate.describe()}): {shape}" + (
             " [ramified]" if report.ramified else ""
         )
-    else:
-        text = f"p = {args.p} divides the index {candidate.index}; not applicable"
+
     return {"report": report.to_json_dict(config.seed)}, text, EXIT_OK
 
 
-def _cmd_zmija(args, g, config) -> tuple[dict, str, int]:
+def _cmd_zmija(args, g, config) -> tuple[dict, Callable[[], str], int]:
     report = check_zmija_conditions(g)
     text = (
         f"mod 5: {'ok' if report.cond_mod5 else 'FAIL'}; "
         f"mod 7: {'ok' if report.cond_mod7 else 'FAIL'}; "
         f"mod 11: {'ok' if report.cond_mod11 else 'FAIL'}"
     )
-    return {"zmija": report.to_json_dict()}, text, EXIT_OK if report.passed else EXIT_INCONCLUSIVE
+    return ({"zmija": report.to_json_dict()}, lambda: text,
+            EXIT_OK if report.passed else EXIT_INCONCLUSIVE)
 
 
-def _cmd_hurwitz(args, g, config) -> tuple[dict, str, int]:
+def _cmd_hurwitz(args, g, config) -> tuple[dict, Callable[[], str], int]:
     if args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     polys = series.a_poly_list(g, args.max)
@@ -356,7 +362,7 @@ def _cmd_hurwitz(args, g, config) -> tuple[dict, str, int]:
         if all_true
         else "NOTABLE: non-Hurwitz instance found; see JSON output"
     )
-    return ({"max": args.max, "results": results, "all_hurwitz": all_true}, text,
+    return ({"max": args.max, "results": results, "all_hurwitz": all_true}, lambda: text,
             EXIT_OK if all_true else EXIT_INCONCLUSIVE)
 
 
@@ -374,15 +380,26 @@ _COMMANDS = {
 
 # JSON file with default values for the common flags (g, primes, seed, ...).
 CONFIG_ENV_VAR = "DARCAIS_CONFIG"
+# The largest config file read, in bytes: where parsing it would peak at
+# 64 GiB, from its 4.6-46.0 bytes per file byte (flat and nested JSON arrays
+# and objects, up to 900 deep; 2-7 MB files, Python 3.11, x86-64), rounded
+# down.
+MAX_CONFIG_BYTES = 14 * 10**8
+
 
 def _env_config() -> dict | None:
+    """The JSON object of the file ``DARCAIS_CONFIG`` names, or None; at most
+    ``MAX_CONFIG_BYTES`` + 1 bytes are read, and a file past the cap is
+    refused before it is parsed."""
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return None
     try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:
+        config = json.loads(read_at_most(f"config file {path!r}: bytes", path,
+                                         MAX_CONFIG_BYTES).decode())
+    except DomainError:
+        raise  # the size refusal, with its own message
+    except (OSError, ValueError, RecursionError) as exc:  # deep nesting: RecursionError
         raise DomainError(f"cannot read config file {path!r}: {exc}") from None
     if not isinstance(config, dict):
         raise DomainError(f"config file {path!r} must hold a JSON object, got {config!r}")

@@ -21,8 +21,10 @@ from .polymod import Factorization, ModPoly
 
 # The largest phi(m) whose minimal polynomial (and index) a run builds: the
 # degree at which ``minpoly --candidate cyc:m,2,3`` would peak at 64 GiB, from
-# its 2.48-2.65 bytes per phi(m)**2 (m = 1009..4001, Python 3.11, x86-64, the
-# larger of the json and text peaks), rounded down.
+# its 2.48-2.65 bytes per phi(m)**2 (m = 1009..4001, measured at prime m
+# only; Python 3.11, x86-64, the larger of the json and text peaks), rounded
+# down.  It is a memory cap, not a time cap: the shift in ``min_poly`` took
+# 222 s at cyc:30030,6,1, phi(m) = 5760 (2-vCPU Xeon).
 MAX_CYCLOTOMIC_DEGREE = 160000
 
 # The largest level m a candidate takes.  phi(m) and the prime factors of m
@@ -270,10 +272,12 @@ def dedekind_kummer_split(c: AlgebraicCandidate, p: int) -> SplittingReport:
     """Split p in Q(alpha) by factoring the minimal polynomial mod p.
 
     Only valid for p not dividing the index; such p yield a report with
-    ``applicable=False`` (this is data, not an error).
+    ``applicable=False`` (this is data, not an error).  Both closed forms of
+    the index are |a|**k with k >= 1, so p divides it exactly when p
+    divides a, and the index is never built here.
     """
     ram = ramifies(c, p)
-    applicable = c.index % p != 0
+    applicable = c.a % p != 0
     fact = polymod.factor(polymod.reduce_mod(c.min_poly, p)) if applicable else None
     return SplittingReport(candidate=c, p=p, applicable=applicable, ramified=ram,
                            factorization=fact)

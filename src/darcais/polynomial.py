@@ -13,7 +13,8 @@ does.  All of them are immutable and hashable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 from . import arith
 from .errors import DomainError
@@ -309,14 +310,29 @@ class IntPoly(_BasePoly):
         return quot
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(m: int) -> IntPoly:
-    """m-th cyclotomic polynomial, by exact division of X**m - 1."""
+    """m-th cyclotomic polynomial.
+
+    For m > 1, Phi_m = prod_{d | m} (1 - X**d)**mu(m/d), whose signs cancel
+    since sum_{d | m} mu(m/d) = 0, taken as a power series cut at degree
+    phi(m): one pass over the coefficients per squarefree m/d, a product of
+    distinct primes of m.  Multiplying by 1 - X**d subtracts c[i-d] from
+    c[i] downwards, and dividing by it adds c[i-d] to c[i] upwards.
+    """
     if m < 1:
         raise DomainError(f"cyclotomic requires m >= 1, got {m}")
     if m == 1:
         return IntPoly((-1, 1))
-    numerator = IntPoly.monomial(m, 1) - IntPoly.one()
-    for d in arith.divisors(m)[:-1]:
-        numerator = numerator.div_exact(cyclotomic(d))
-    return numerator
+    primes = arith.prime_factors(m)
+    deg = arith.euler_phi(m, primes)
+    c = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for chosen in combinations(primes, k):
+            d = m // prod(chosen)
+            if k % 2:  # mu(m/d) = -1
+                for i in range(d, deg + 1):
+                    c[i] += c[i - d]
+            else:
+                for i in range(deg, d - 1, -1):
+                    c[i] -= c[i - d]
+    return IntPoly(c)

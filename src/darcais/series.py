@@ -36,7 +36,7 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate, zip_longest
 from math import factorial, gcd, isqrt
-from operator import eq, mul
+from operator import mul
 
 from .arith import ArithmeticFunction
 from .errors import DomainError, require_at_most
@@ -67,16 +67,19 @@ MAX_ROW_BITS = 25 * 10**10
 MAX_ROW_N = isqrt(MAX_ROW_BITS)
 
 
-def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list[int]]:
+def _log_derivative_form(
+    g: ArithmeticFunction, n: int
+) -> tuple[list[int], list[int], list[int] | None]:
     """Integer series (N, E), cut to q**0..q**(n-1), with E(0) = 1 and
-    E * S' = N, where S = sum_k g(k) q**k / k; n and g's reach are checked
+    E * S' = N, where S = sum_k g(k) q**k / k, and Y = 1 - E cut to
+    q**0..q**n when S = -log E, else None; n and g's reach are checked
     first.
 
     This is the only place that reads how g is given.  For sigma, E is
     Euler's pentagonal series prod (1 - q**m), about 1.6*sqrt(n) terms, and
-    N = -E' since log E = -S; for the identity S' = 1/(1 - q)**2, so
-    E = (1 - q)**2 and N = 1; a table has E = 1 and N = S', whose i-th
-    coefficient is g(i + 1).
+    N = -E' since log E = -S, so Y is given; for the identity
+    S' = 1/(1 - q)**2, so E = (1 - q)**2 and N = 1; a table has E = 1 and
+    N = S', whose i-th coefficient is g(i + 1).
     """
     if n < 0:
         raise DomainError(f"D'Arcais polynomials need n >= 0, got {n}")
@@ -90,22 +93,13 @@ def _log_derivative_form(g: ArithmeticFunction, n: int) -> tuple[list[int], list
                 E[pent + k] = E[pent]
             k += 1
         N = [-(i + 1) * E[i + 1] for i in range(n)]
-    elif g.kind == "identity":
+        return N, E[:n], [0] + [-e for e in E[1:]]
+    if g.kind == "identity":
         E[1:3] = -2, 1
         N = [1] + [0] * n
     else:
         N = [g(i) for i in range(1, n + 1)]
-    return N[:n], E[:n]
-
-
-def _minus_log(N: list[int], E: list[int]) -> list[int] | None:
-    """Y = 1 - E when N = -E', that is S = -log E (sigma), else None; E[n]
-    is read as -N[n-1]/n, n = len(N) >= 1, so that g is read no further than g(n).
-    The comparison stops at the first k with N[k-1] != k*Y[k]: for n >= 2,
-    k = 1 under the identity and a table with g(1) != 0."""
-    n = len(N)
-    Y = [0, *(-e for e in E[1:]), N[-1] // n]
-    return Y if all(map(eq, N, map(mul, range(1, n + 1), Y[1:]))) else None
+    return N[:n], E[:n], None
 
 
 def _back_offsets(support: list[int], n: int) -> list[tuple[int, ...]]:
@@ -130,7 +124,7 @@ def _scaled_columns(g: ArithmeticFunction, n: int) -> Iterator[list[int]]:
     E sum is one sum per value of E; when E = 1 (a table), the N sum is one
     dot product per entry.
     """
-    N, E = _log_derivative_form(g, n)
+    N, E, _ = _log_derivative_form(g, n)
     e_groups = [(v, _back_offsets([i for i in range(1, n) if E[i] == v], n))
                 for v in set(E[1:]) - {0}]  # u_d[j-i], 1 <= i <= j-d
     if e_groups:
@@ -209,29 +203,29 @@ def _a_poly_from_powers(Y: list[int], n: int) -> IntPoly:
 def a_poly(g: ArithmeticFunction, n: int) -> IntPoly:
     """n-th integer D'Arcais polynomial.
 
-    With Y = 1 - E for the (N, E) of ``_log_derivative_form``, and E[n]
-    read as -N[n-1]/n so that g is read no further than g(n): if N = -E'
-    and Y has entries in {-1, 0, 1} (sigma), then S = -log E and
-    F = (1 - Y)**(-X), and A_n comes from the powers of Y
-    (``_a_poly_from_powers``) by O(n^2.5) small-integer additions and
-    O(n^2) bigint multiply-adds.  Otherwise A_n is entry n (n!/n! = 1) of
-    each scaled column u_0..u_n, with two columns live.
+    When ``_log_derivative_form`` gives Y = 1 - E, that is S = -log E
+    (sigma), and Y has entries in {-1, 0, 1}, F = (1 - Y)**(-X), and A_n
+    comes from the powers of Y (``_a_poly_from_powers``) by O(n^2.5)
+    small-integer additions and O(n^2) bigint multiply-adds.  Otherwise A_n
+    is entry n (n!/n! = 1) of each scaled column u_0..u_n, with two columns
+    live.
     """
     require_at_most("a_poly: n", n, MAX_A_POLY_N)
-    N, E = _log_derivative_form(g, n)
-    if n and (Y := _minus_log(N, E)) is not None and set(Y) <= {-1, 0, 1}:
+    _, _, Y = _log_derivative_form(g, n)
+    if n and Y is not None and set(Y) <= {-1, 0, 1}:
         return _a_poly_from_powers(Y, n)
     return IntPoly([1 if n == 0 else 0] + [col[n] for col in _scaled_columns(g, n)])
 
 
 def row_form(g: ArithmeticFunction, n: int, x: int) -> tuple[list[int], list[int], bool]:
     """The (N, E) of ``_log_derivative_form`` for ``row_at``'s row at x up
-    to n, and whether its scale is 1 (N = -E') rather than n!.  The row's
-    size is refused past ``MAX_ROW_BITS`` before the row is built, and n
-    past ``MAX_ROW_N``, that cap read on n alone, before (N, E) is."""
+    to n, and whether its scale is 1 (S = -log E) rather than n!, which is
+    also 1 at n = 0.  The row's size is refused past ``MAX_ROW_BITS`` before
+    the row is built, and n past ``MAX_ROW_N``, that cap read on n alone,
+    before (N, E) is."""
     require_at_most("row_at: n", n, MAX_ROW_N)
-    N, E = _log_derivative_form(g, n)
-    unit = n == 0 or _minus_log(N, E) is not None
+    N, E, Y = _log_derivative_form(g, n)
+    unit = Y is not None
     bits = n * (0 if unit else n * n.bit_length()) + n * n * max(1, abs(x).bit_length())
     require_at_most("row_at: n * bits(s * x**n)", bits, MAX_ROW_BITS)
     return N, E, unit

@@ -41,6 +41,9 @@ result for result, against the route kept here:
 * ``evaluate_at_quadratic`` and ``evaluate_at_cyclotomic``: evaluation in
   the power basis of the ring, against the remainder by the minimal
   polynomial (``certify_exact``);
+* ``cyclotomic_by_division``: Phi_m as X**m - 1 divided exactly by every
+  Phi_d, d a proper divisor of m, against the Moebius product of
+  ``cyclotomic``;
 * ``index_via_determinant``: the index of Z[a*zeta_m + b] from a
   determinant, against the closed form ``CyclotomicShift.index``;
 * ``multiplicative_order`` and ``inertia_degree_cyclotomic``: the residue
@@ -464,6 +467,17 @@ def evaluate_at_quadratic(p, D: int, a: int, b: int):
         for coeff in reversed(p.coeffs):
             u, v = u * b + v * a * D + coeff, u * a + v * b
     return u, v
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(m: int) -> IntPoly:
+    """m-th cyclotomic polynomial, by exact division of X**m - 1."""
+    if m == 1:
+        return IntPoly((-1, 1))
+    numerator = IntPoly.monomial(m, 1) - IntPoly.one()
+    for d in divisors(m)[:-1]:
+        numerator = numerator.div_exact(cyclotomic_by_division(d))
+    return numerator
 
 
 def evaluate_at_cyclotomic(p, m: int, a: int, b: int) -> tuple:

@@ -287,6 +287,19 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["report"]["applicable"] is False
 
+    def test_split_json_reads_no_index(self, capsys, monkeypatch):
+        # p = 5 divides a = 10, so Dedekind-Kummer does not apply; the index,
+        # 10**(3000*2999/2), is read only by the text form, which JSON never builds.
+        from darcais.numfield import CyclotomicShift
+
+        def unread(c):
+            raise AssertionError("the index was read")
+
+        monkeypatch.setattr(CyclotomicShift, "index", property(unread))
+        code, out, err = run(capsys, "split", "--candidate", "cyc:3001,10,3", "--p", "5")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["applicable"] is False
+
     def test_zmija_pass(self, capsys):
         code, out, _ = run(capsys, "zmija")
         assert code == 0
@@ -486,7 +499,8 @@ class TestInputPathsExitTwo:
     @pytest.mark.parametrize(
         "config",
         ["5", "true", "null", "[1]", '{"primes": 5}', '{"g": 5}', '{"out": 5}',
-         '{"format": "xml"}', '{"seed": 1.5}', '{"seed": true}', '{"g": "a\\u0000b"}'],
+         '{"format": "xml"}', '{"seed": 1.5}', '{"seed": true}', '{"g": "a\\u0000b"}',
+         pytest.param("[" * 100000, id="nested-100000")],
     )
     def test_bad_env_config(self, capsys, tmp_path, monkeypatch, config):
         cfg = tmp_path / "cfg.json"
@@ -495,6 +509,48 @@ class TestInputPathsExitTwo:
         code, out, err = run(capsys, "poly", "2")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    # A file one byte past its cap is refused before it is parsed; at the cap
+    # the same malformed file is parsed, and its parse error is the one named.
+    @pytest.mark.parametrize("over", [0, 1], ids=["cap", "cap+1"])
+    def test_env_config_past_its_bytes_is_refused_unparsed(self, capsys, tmp_path,
+                                                           monkeypatch, over):
+        row = f"| `DARCAIS_CONFIG` | {cli.MAX_CONFIG_BYTES} | `config file 'FILE': bytes` |"
+        assert row in README.read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": ')
+        monkeypatch.setenv("DARCAIS_CONFIG", str(cfg))
+        monkeypatch.setattr(cli, "MAX_CONFIG_BYTES", 9 - over)
+        code, out, err = run(capsys, "tau", "2")
+        assert (code, out) == (2, "")
+        if over:
+            assert err == (f"error: config file {str(cfg)!r}: bytes is at most 8 "
+                           "(memory cap), got 9\n")
+        else:
+            assert err.startswith(f"error: cannot read config file {str(cfg)!r}: Expecting value")
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["cap", "cap+1"])
+    def test_g_table_past_its_bytes_is_refused_unparsed(self, capsys, tmp_path, monkeypatch,
+                                                        over):
+        from darcais import arith
+
+        row = f"| `--g FILE` | {arith.MAX_TABLE_BYTES} | `g-table FILE: bytes` |"
+        assert row in README.read_text()
+        table = tmp_path / "g.txt"
+        table.write_text("1\nx\n")
+        monkeypatch.setattr(arith, "MAX_TABLE_BYTES", 4 - over)
+        code, out, err = run(capsys, "poly", "2", "--g", str(table))
+        assert (code, out) == (2, "")
+        assert err == (f"error: g-table {table}: bytes is at most 3 (memory cap), got 4\n"
+                       if over else f"error: {table}:2: not an integer: 'x'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_g_table_is_read_to_its_cap(self, capsys, monkeypatch):
+        from darcais import arith
+
+        monkeypatch.setattr(arith, "MAX_TABLE_BYTES", 10)
+        assert run(capsys, "poly", "2", "--g", "/dev/zero") == (
+            2, "", "error: g-table /dev/zero: bytes is at most 10 (memory cap), got 11\n")
 
     def test_undecodable_env_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -602,7 +658,8 @@ class TestInputPathsExitTwo:
     # polynomial or the index would be built.  At m = 1000000007 both are
     # refused before anything is built: the cyclotomic polynomial alone has
     # 10**9 coefficients.  certify reaches the minimal polynomial through
-    # generic_obstruction, and split through the index (2**(phi(phi-1)/2)).
+    # generic_obstruction, and split by factoring it mod p, as p = 3 does not
+    # divide a.
     CYC_ARGV = {
         "minpoly": ("minpoly", "--candidate", "cyc:1000000007,1,1"),
         "split": ("split", "--candidate", "cyc:1000000007,2,1", "--p", "3"),

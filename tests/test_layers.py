@@ -75,6 +75,7 @@ def test_oracles_stay_out_of_the_library():
         "periodic_residues",
         "zmija_order_six",
         "evaluate_at_quadratic",
+        "cyclotomic_by_division",
     } <= names
     # ``__main__`` only calls ``cli.main``; importing it would run the CLI.
     for mod in (darcais, *(importlib.import_module(f"darcais.{m}") for m in LAYERS)):

@@ -24,9 +24,9 @@ from conftest import PACKAGE, clear_library_caches, library_memos, random_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MEMO_DECORATORS = {"lru_cache", "cache"}
-# Unbounded memos whose keys come from a small domain: the prime moduli a
-# run uses, and the cyclotomic levels m of its candidates.
-UNBOUNDED_ALLOWED = {"_check_modulus", "cyclotomic"}
+# The one unbounded memo, whose keys come from a small domain: the prime
+# moduli a run uses.
+UNBOUNDED_ALLOWED = {"_check_modulus"}
 
 GS = (ArithmeticFunction.sigma(), ArithmeticFunction.identity(), random_table(1, 40))
 # The scan-grid rectangles of the benchmark, with n_max inside the table's reach.

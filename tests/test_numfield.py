@@ -250,6 +250,20 @@ class TestDedekindKummer:
         assert report.entries == ()
         assert report.factorization is None
 
+    def test_applicability_never_reads_the_index(self, monkeypatch):
+        # p divides the index |a|**(d(d-1)/2), d >= 2, exactly when p divides a.
+        cases = [(CyclotomicShift(12, 10, 3), p) for p in (2, 3, 5, 7)]
+        cases += [(QuadraticShift(5, 10, 1), p) for p in (2, 3, 5, 7)]
+        want = [dedekind_kummer_split(c, p) for c, p in cases]
+        assert [r.applicable for r in want] == [False, True, False, True] * 2
+
+        def unread(c):
+            raise AssertionError("the index was read")
+
+        for cls in (CyclotomicShift, QuadraticShift):
+            monkeypatch.setattr(cls, "index", property(unread))
+        assert [dedekind_kummer_split(c, p) for c, p in cases] == want
+
     def test_ramified_cube_root_at_3(self):
         report = dedekind_kummer_split(CyclotomicShift(3, 1, 0), 3)
         assert report.applicable and report.ramified

@@ -1,6 +1,9 @@
+import ast
 import math
 import random
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +21,13 @@ from darcais import (
     parse_candidate,
     reduce_mod,
 )
-from darcais import arith
+from darcais import arith, polynomial
 from darcais.polymod import ModPoly, _factor_bracket, poly_gcd, pow_mod
 
 from conftest import random_table
 from oracles import (
     a_poly_oracle,
+    cyclotomic_by_division,
     divides_a_poly_mod,
     is_irreducible_rabin,
     multiplicative_order,
@@ -251,11 +255,31 @@ class TestCyclotomic:
     def test_product_over_divisors(self):
         from darcais.arith import divisors
 
-        for m in (6, 12, 30):
+        for m in range(1, 201):
             prod = IntPoly.one()
             for d in divisors(m):
                 prod = prod * cyclotomic(d)
             assert prod == IntPoly.monomial(m, 1) - IntPoly.one()
+
+    def test_matches_the_division_oracle(self):
+        for m in (*range(1, 301), 2310, 4620):
+            assert cyclotomic(m) == cyclotomic_by_division(m), m
+
+    def test_neither_recurses_nor_keeps_a_memo(self):
+        tree = ast.parse(Path(polynomial.__file__).read_text())
+        (func,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "cyclotomic"]
+        assert func.decorator_list == []
+        assert "cyclotomic" not in {node.id for node in ast.walk(func)
+                                    if isinstance(node, ast.Name)}
+
+    def test_large_level_within_budget(self):
+        # 2**4 passes over phi(55440) = 11520 coefficients; the division
+        # by every Phi_d, d | 55440, took minutes.
+        start = time.perf_counter()
+        phi_m = cyclotomic(55440)
+        assert time.perf_counter() - start < 2
+        assert phi_m.degree == 11520 and phi_m.evaluate(1) == 1
 
     def test_irreducible_mod_full_order_prime(self):
         for m, q in ((5, 2), (7, 3), (9, 2), (11, 2), (10, 7)):

@@ -194,14 +194,19 @@ class TestLogDerivativeRecursion:
     def test_e_times_s_prime_is_n(self, kind):
         g = of_kind(kind)
         for n in (0, 1, 2, 3, 5, 7, 8, 99):
-            N, E = series._log_derivative_form(g, n)
+            N, E, Y = series._log_derivative_form(g, n)
             assert len(N) == len(E) == n
+            # Y = 1 - E to q**n exactly when S = -log E, that is N = -E'.
+            assert (Y is None) == (kind != "sigma")
+            if Y is not None:
+                assert len(Y) == n + 1 and Y[0] == 0 and Y[1:n] == [-e for e in E[1:]]
+                assert N == [(k + 1) * Y[k + 1] for k in range(n)]
             s_prime = [g(i + 1) for i in range(n)]
             assert [sum(E[k] * s_prime[i - k] for k in range(i + 1)) for i in range(n)] == N
             assert E[:1] == [1][:n]
 
     def test_sigma_form_is_the_pentagonal_product(self, sigma_g):
-        N, E = series._log_derivative_form(sigma_g, 200)
+        N, E, _ = series._log_derivative_form(sigma_g, 200)
         product = [1] + [0] * 200
         for m in range(1, 201):  # multiply by 1 - q**m, cut at q**200
             for i in range(200, m - 1, -1):
