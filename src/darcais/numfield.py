@@ -24,7 +24,7 @@ from .polymod import Factorization, ModPoly
 # its 2.48-2.65 bytes per phi(m)**2 (m = 1009..4001, measured at prime m
 # only; Python 3.11, x86-64, the larger of the json and text peaks), rounded
 # down.  It is a memory cap, not a time cap: the shift in ``min_poly`` took
-# 222 s at cyc:30030,6,1, phi(m) = 5760 (2-vCPU Xeon).
+# 15 s at cyc:30030,6,1, phi(m) = 5760 (2-vCPU Xeon).
 MAX_CYCLOTOMIC_DEGREE = 160000
 
 # The largest level m a candidate takes.  phi(m) and the prime factors of m
@@ -33,6 +33,18 @@ MAX_CYCLOTOMIC_DEGREE = 160000
 # 10**15 + 37 (m prime, Python 3.11, 2-vCPU Xeon), so m is refused past this
 # before it is factored.
 MAX_CYCLOTOMIC_LEVEL = 10**12
+
+
+def _shifted_min_poly(h: IntPoly, a: int, b: int) -> IntPoly:
+    """The minimal polynomial of a*theta + b, for theta a root of the monic
+    irreducible h of degree d: a**d * h((X - b) / a), by Horner's rule in
+    X - b.  Each step multiplies by X - b in one pass over the coefficients
+    and adds h_j * a**(d - j) to the constant term; no power of X - b is built."""
+    f, scale = [1], 1
+    for h_j in reversed(h.coeffs[:-1]):
+        scale *= a
+        f = [h_j * scale - b * f[0], *(lo - b * hi for lo, hi in zip(f, f[1:])), 1]
+    return IntPoly(f)
 
 
 class CyclotomicShift(FrozenValue):
@@ -69,18 +81,9 @@ class CyclotomicShift(FrozenValue):
 
     @cached_property
     def min_poly(self) -> IntPoly:
-        """Monic, degree phi(m): Phi_m((X - b) / a) with denominators cleared."""
+        """Monic, degree phi(m): the shift of Phi_m."""
         self._capped_degree()
-        phi_m = cyclotomic(self.m)
-        deg = phi_m.degree
-        shift = IntPoly((-self.b, 1))  # X - b
-        result = IntPoly.zero()
-        power = IntPoly.one()  # (X - b)**j, built incrementally
-        for j, c in enumerate(phi_m.coeffs):
-            if c:
-                result = result + power * (c * self.a ** (deg - j))
-            power = power * shift
-        return result
+        return _shifted_min_poly(cyclotomic(self.m), self.a, self.b)
 
     @cached_property
     def index(self) -> int:
@@ -118,12 +121,11 @@ class QuadraticShift(FrozenValue):
 
     @cached_property
     def min_poly(self) -> IntPoly:
-        """Monic, degree 2."""
-        D, a, b = self.D, self.a, self.b
-        if D % 4 == 1:
-            # w**2 = w + (D-1)/4, so (X-b)**2 - a(X-b) + a**2 (1-D)/4 kills a*w + b.
-            return IntPoly((b * b + a * b + a * a * (1 - D) // 4, -2 * b - a, 1))
-        return IntPoly((b * b - a * a * D, -2 * b, 1))
+        """Monic, degree 2: the shift of w_D's polynomial, X**2 - X - (D - 1)/4
+        when D = 1 mod 4 and X**2 - D otherwise."""
+        D = self.D
+        w_poly = IntPoly(((1 - D) // 4, -1, 1) if D % 4 == 1 else (-D, 0, 1))
+        return _shifted_min_poly(w_poly, self.a, self.b)
 
     @property
     def index(self) -> int:
@@ -183,16 +185,13 @@ def candidate_family(kind: str):
         raise _UnknownFamily(
             f"unknown grid kind {kind!r}; expected {FAMILY_GRAMMAR}"
         ) from None
-    make(1, 0)  # a = 1 is valid in every family, so only D or m can fail
+    first = make(1, 0)  # a = 1 is valid in every family, so only D or m can fail
     if head != "cyc":
         return make
-    held = []  # the prime factors of m, from the family's first candidate
 
     def make_sharing(a: int, b: int) -> CyclotomicShift:
         c = make(a, b)
-        if not held:
-            held.append(c.level_primes)
-        c.__dict__["level_primes"] = held[0]
+        c.__dict__["level_primes"] = first.level_primes
         return c
 
     return make_sharing

@@ -44,6 +44,10 @@ result for result, against the route kept here:
 * ``cyclotomic_by_division``: Phi_m as X**m - 1 divided exactly by every
   Phi_d, d a proper divisor of m, against the Moebius product of
   ``cyclotomic``;
+* ``min_poly_by_powers``: a candidate's minimal polynomial as
+  sum c_j * a**(phi - j) * (X - b)**j over the coefficients c_j of Phi_m,
+  and as the two quadratic closed forms by D mod 4, against the one Horner
+  shift of ``min_poly``;
 * ``index_via_determinant``: the index of Z[a*zeta_m + b] from a
   determinant, against the closed form ``CyclotomicShift.index``;
 * ``multiplicative_order`` and ``inertia_degree_cyclotomic``: the residue
@@ -70,7 +74,7 @@ from darcais import (
 )
 from darcais.arith import divisors, prime_factors, require_prime, require_quadratic_d
 from darcais.certify import _CHAIN, DEFAULT_CONFIG, GridPoint, GridResult, certify_all_n
-from darcais.numfield import QuadraticShift, candidate_family
+from darcais.numfield import CyclotomicShift, QuadraticShift, candidate_family
 from darcais.polymod import ModPoly, poly_gcd, pow_mod
 from darcais.series import a_poly_list
 
@@ -478,6 +482,30 @@ def cyclotomic_by_division(m: int) -> IntPoly:
     for d in divisors(m)[:-1]:
         numerator = numerator.div_exact(cyclotomic_by_division(d))
     return numerator
+
+
+def min_poly_by_powers(c) -> IntPoly:
+    """The monic minimal polynomial of a candidate a*zeta_m + b or a*w_D + b.
+
+    Cyclotomic: Phi_m((X - b) / a) with denominators cleared, as a sum of the
+    powers (X - b)**j.  Quadratic: the closed form for each case of D mod 4.
+    """
+    if isinstance(c, CyclotomicShift):
+        phi_m = cyclotomic(c.m)
+        deg = phi_m.degree
+        shift = IntPoly((-c.b, 1))  # X - b
+        result = IntPoly.zero()
+        power = IntPoly.one()  # (X - b)**j, built incrementally
+        for j, coeff in enumerate(phi_m.coeffs):
+            if coeff:
+                result = result + power * (coeff * c.a ** (deg - j))
+            power = power * shift
+        return result
+    D, a, b = c.D, c.a, c.b
+    if D % 4 == 1:
+        # w**2 = w + (D-1)/4, so (X-b)**2 - a(X-b) + a**2 (1-D)/4 kills a*w + b.
+        return IntPoly((b * b + a * b + a * a * (1 - D) // 4, -2 * b - a, 1))
+    return IntPoly((b * b - a * a * D, -2 * b, 1))
 
 
 def evaluate_at_cyclotomic(p, m: int, a: int, b: int) -> tuple:

@@ -76,10 +76,39 @@ def test_oracles_stay_out_of_the_library():
         "zmija_order_six",
         "evaluate_at_quadratic",
         "cyclotomic_by_division",
+        "min_poly_by_powers",
     } <= names
     # ``__main__`` only calls ``cli.main``; importing it would run the CLI.
     for mod in (darcais, *(importlib.import_module(f"darcais.{m}") for m in LAYERS)):
         assert not names & set(vars(mod)), mod.__name__
+
+
+def test_both_minimal_polynomials_are_one_shift():
+    # a**d * h((X - b) / a) is built in one place, by Horner's rule in X - b,
+    # for Phi_m and for w_D's polynomial alike; no product of polynomials runs.
+    tree = ast.parse((PACKAGE / "numfield.py").read_text())
+
+    def body(func):  # the statements, without the annotations
+        return ast.Module(body=func.body, type_ignores=[])
+
+    def products(root, *ops):
+        return [node for node in ast.walk(root)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ops)]
+
+    (shift,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_shifted_min_poly"]
+    min_polys = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "min_poly"]
+    assert len(min_polys) == 2
+    for func in min_polys:
+        called = {node.func.id for node in ast.walk(body(func))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_shifted_min_poly" in called and not products(body(func), ast.Mult, ast.Pow)
+    # The shift names IntPoly once, for its result, and raises nothing to a power.
+    assert [node.id for node in ast.walk(body(shift))
+            if isinstance(node, ast.Name) and node.id == "IntPoly"] == ["IntPoly"]
+    assert not products(body(shift), ast.Pow)
 
 
 def test_numfield_does_not_read_series():
